@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from . import chain as chain_mod
-from . import experiments, ring, scaling, transfer, uniform
-from .errors import DomainError, PrecisionGuardError, RegimeError
+from . import experiments, ring, transfer, uniform
+from .errors import DomainError, RegimeError
 from .svgplot import SvgPlot
 
 CSV_SCHEMA_VERSION = 1
@@ -114,6 +114,19 @@ def cmd_chain_spectrum(args) -> int:
     return 0
 
 
+def _outcome_payload(out: transfer.TransferOutcome, g: float, L: int, bound_key: str) -> dict:
+    return {
+        "T": out.T,
+        "g": g,
+        "L": L,
+        "fidelity_exact": out.fidelity_exact,
+        "infidelity_exact": out.infidelity_exact,
+        "infidelity_perturbative": out.infidelity_perturbative,
+        bound_key: out.infidelity_bound,
+        "bound_conditions_met": list(out.bound_conditions_met),
+    }
+
+
 def cmd_transfer(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -144,34 +157,13 @@ def cmd_transfer(args) -> int:
         else:
             eps = 0.01 if args.epsilon is None else args.epsilon
             g = transfer.choose_g(chain_mod.chain_spectrum(ch), eps)
-        model = transfer.attach_endpoints(ch, g)
-        out = transfer.exact_transfer(model)
-        payload = {
-            "T": out.T,
-            "g": g,
-            "L": ch.L,
-            "fidelity_exact": out.fidelity_exact,
-            "infidelity_exact": out.infidelity_exact,
-            "infidelity_perturbative": out.infidelity_perturbative,
-            "infidelity_bound": out.infidelity_bound,
-            "bound_conditions_met": list(out.bound_conditions_met),
-        }
-    elif args.protocol == "ring":
+        out = transfer.exact_transfer(transfer.attach_endpoints(ch, g))
+        payload = _outcome_payload(out, g, ch.L, "infidelity_bound")
+    else:  # ring; argparse restricts the choices
         if args.L is None or args.g is None:
             raise DomainError("--protocol ring requires --L and --g")
         out = ring.ring_exact_transfer(args.d, args.L, args.alpha, args.g)
-        payload = {
-            "T": out.T,
-            "g": args.g,
-            "L": args.L,
-            "fidelity_exact": out.fidelity_exact,
-            "infidelity_exact": out.infidelity_exact,
-            "infidelity_perturbative": out.infidelity_perturbative,
-            "infidelity_envelope": out.infidelity_bound,
-            "bound_conditions_met": list(out.bound_conditions_met),
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown protocol {args.protocol}")
+        payload = _outcome_payload(out, args.g, args.L, "infidelity_envelope")
     json_path = out_dir / f"transfer_{args.protocol}.json"
     payload["manifest"] = _manifest("transfer", params, [], args.reproducible)
     write_json(json_path, payload)
@@ -182,146 +174,116 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-def _sweep_fig2a(args, out_dir: Path) -> tuple[dict, list[Path]]:
-    g_grid = None
+def _g_grid(args):
     if args.g_min is not None and args.g_max is not None:
-        g_grid = np.geomspace(args.g_min, args.g_max, args.g_points)
-    res = experiments.fig2a(d=args.d, delta=args.alpha_minus_d or 0.2,
-                            l=args.l or 24, g_grid=g_grid)
-    csv_path = out_dir / "fig2a.csv"
-    write_csv(
-        csv_path, "fig2a",
-        ["g", "eps_exact", "eps_perturbative", "envelope", "bound", "conditions_met"],
-        [res["g"], res["eps_exact"], res["eps_perturbative"], res["envelope"],
-         res["bound"], res["bound_conditions"]],
-    )
-    plot = SvgPlot("transfer infidelity vs coupling", "g", "infidelity",
-                   xlog=True, ylog=True)
+        return np.geomspace(args.g_min, args.g_max, args.g_points)
+    return None
+
+
+def _alpha_override(args) -> dict:
+    return {} if args.alpha is None else {"alphas": [args.alpha]}
+
+
+def _infidelity_plot(title: str, res: dict) -> SvgPlot:
+    plot = SvgPlot(title, "g", "infidelity", xlog=True, ylog=True)
     plot.add("exact", res["g"], res["eps_exact"], "line+dots")
     plot.add("perturbative", res["g"], res["eps_perturbative"], "line")
-    svg_path = out_dir / "fig2a.svg"
-    svg_path.write_text(plot.render(_svg_comment(args.reproducible)))
-    report = {
-        "experiment": "fig2a",
-        "max_relative_deviation": res["max_relative_deviation"],
-        "relative_ok": res["relative_ok"],
-        "envelope_ok": res["envelope_ok"],
-        "g_star": res["g_star"],
-    }
-    return report, [csv_path, svg_path]
+    return plot
 
 
-def _sweep_fig2bcd(args, out_dir: Path) -> tuple[dict, list[Path]]:
+def _sweep_fig2a(args):
+    res = experiments.fig2a(d=args.d, delta=args.alpha_minus_d or 0.2,
+                            l=args.l or 24, g_grid=_g_grid(args))
+    table = ("fig2a",
+             ["g", "eps_exact", "eps_perturbative", "envelope", "bound", "conditions_met"],
+             [res["g"], res["eps_exact"], res["eps_perturbative"], res["envelope"],
+              res["bound"], res["bound_conditions"]])
+    plot = _infidelity_plot("transfer infidelity vs coupling", res)
+    report = {key: res[key] for key in
+              ("max_relative_deviation", "relative_ok", "envelope_ok", "g_star")}
+    return [table], ("fig2a", plot), report
+
+
+def _sweep_fig2bcd(args):
     delta = 0.2 if args.alpha_minus_d is None else args.alpha_minus_d
     res = experiments.fig2bcd(d=args.d, alpha_minus_d=delta,
                               l_min=args.l_min, l_max=args.l_max)
     series = res["series"]
-    csv_path = out_dir / f"fig2{res['panel']}_delta{delta:g}.csv"
-    write_csv(csv_path, "fig2bcd", ["L", "Q"], [series.sizes, series.values])
+    stem = f"fig2{res['panel']}_delta{delta:g}"
     logx = series.axis_mode != "linear"
     plot = SvgPlot(f"Q vs distance (alpha - d = {delta:g})", "L", "Q",
                    xlog=logx, ylog=series.axis_mode == "log-log")
     plot.add("Q", series.sizes, series.values, "line+dots")
-    svg_path = out_dir / f"fig2{res['panel']}_delta{delta:g}.svg"
-    svg_path.write_text(plot.render(_svg_comment(args.reproducible)))
-    report = {"experiment": "fig2bcd", "panel": res["panel"],
-              "saturation": res["saturation"]}
-    for key in ("convergence_ratio", "log_r2", "slope"):
-        if key in res:
-            report[key] = res[key]
-    return report, [csv_path, svg_path]
+    report = {key: res[key] for key in
+              ("panel", "saturation", "convergence_ratio", "log_r2", "slope") if key in res}
+    return [(stem, ["L", "Q"], [series.sizes, series.values])], (stem, plot), report
 
 
-def _sweep_figs2a(args, out_dir: Path) -> tuple[dict, list[Path]]:
-    g_grid = None
-    if args.g_min is not None and args.g_max is not None:
-        g_grid = np.geomspace(args.g_min, args.g_max, args.g_points)
-    res = experiments.fig_s2a(L=args.L, alpha=args.alpha, g_grid=g_grid)
-    csv_path = out_dir / "figS2a.csv"
-    write_csv(csv_path, "figS2a", ["g", "eps_exact", "eps_perturbative"],
-              [res["g"], res["eps_exact"], res["eps_perturbative"]])
-    plot = SvgPlot("ring transfer infidelity vs coupling", "g", "infidelity",
-                   xlog=True, ylog=True)
-    plot.add("exact", res["g"], res["eps_exact"], "line+dots")
-    plot.add("perturbative", res["g"], res["eps_perturbative"], "line")
-    svg_path = out_dir / "figS2a.svg"
-    svg_path.write_text(plot.render(_svg_comment(args.reproducible)))
-    report = {
-        "experiment": "figS2a",
-        "L": res["L"],
-        "alpha": res["alpha"],
-        "max_relative_deviation": res["max_relative_deviation"],
-        "relative_ok": res["relative_ok"],
-    }
-    return report, [csv_path, svg_path]
+def _sweep_figs2a(args):
+    res = experiments.fig_s2a(L=args.L, alpha=args.alpha, g_grid=_g_grid(args))
+    table = ("figS2a", ["g", "eps_exact", "eps_perturbative"],
+             [res["g"], res["eps_exact"], res["eps_perturbative"]])
+    plot = _infidelity_plot("ring transfer infidelity vs coupling", res)
+    report = {key: res[key] for key in ("L", "alpha", "max_relative_deviation", "relative_ok")}
+    return [table], ("figS2a", plot), report
 
 
-def _sweep_figs2bc(args, out_dir: Path, which: str) -> tuple[dict, list[Path]]:
-    if which == "figS2b":
-        res = experiments.fig_s2b() if args.alpha is None else experiments.fig_s2b(
-            alphas=[args.alpha])
-    else:
-        res = experiments.fig_s2c() if args.alpha is None else experiments.fig_s2c(
-            alphas=[args.alpha])
-    alphas = [r["alpha"] for r in res["results"]]
-    exps = [r["exponent"] for r in res["results"]]
-    targets = [r["target"] for r in res["results"]]
-    passed = [r["passed"] for r in res["results"]]
-    csv_path = out_dir / f"{which}.csv"
-    write_csv(csv_path, which, ["alpha", "exponent", "target", "passed"],
-              [alphas, exps, targets, passed])
+def _sweep_q2_exponents(args, driver):
+    res = driver(**_alpha_override(args))
+    header = ["alpha", "exponent", "target", "passed"]
+    alphas, exps, targets, passed = ([r[key] for r in res["results"]] for key in header)
+    table = (args.experiment, header, [alphas, exps, targets, passed])
     plot = SvgPlot("extrapolated q2 exponents", "alpha", "exponent")
     plot.add("measured", alphas, exps, "dots")
     plot.add("target", alphas, targets, "line")
-    svg_path = out_dir / f"{which}.svg"
-    svg_path.write_text(plot.render(_svg_comment(args.reproducible)))
     report = {
-        "experiment": which,
         "window": res["window"],
         "sizes": list(res["sizes"]),
-        "results": [
-            {"alpha": r["alpha"], "exponent": r["exponent"], "target": r["target"],
-             "error": r["error"], "passed": r["passed"]}
-            for r in res["results"]
-        ],
+        "results": [{key: r[key] for key in ("alpha", "exponent", "target", "error", "passed")}
+                    for r in res["results"]],
     }
-    return report, [csv_path, svg_path]
+    return [table], (args.experiment, plot), report
 
 
-def _sweep_figs3(args, out_dir: Path) -> tuple[dict, list[Path]]:
-    res = experiments.fig_s3() if args.alpha is None else experiments.fig_s3(
-        alphas=[args.alpha])
-    paths = []
-    report = {"experiment": "figS3", "results": []}
+def _sweep_figs3(args):
+    res = experiments.fig_s3(**_alpha_override(args))
+    tables, results = [], []
     plot = SvgPlot("gap and bandwidth scaling", "L", "delta0, W", xlog=True, ylog=True)
     for entry in res["results"]:
         al = entry["alpha"]
-        csv_path = out_dir / f"figS3_alpha{al:g}.csv"
-        write_csv(csv_path, "figS3", ["L", "delta0", "bandwidth"],
-                  [entry["sizes"], entry["delta0"], entry["bandwidth"]])
-        paths.append(csv_path)
+        tables.append((f"figS3_alpha{al:g}", ["L", "delta0", "bandwidth"],
+                       [entry["sizes"], entry["delta0"], entry["bandwidth"]]))
         plot.add(f"delta0 a={al:g}", entry["sizes"], entry["delta0"], "line+dots")
         plot.add(f"W a={al:g}", entry["sizes"], entry["bandwidth"], "line")
-        rep = {k: v for k, v in entry.items() if k not in ("sizes", "delta0", "bandwidth")}
-        report["results"].append(rep)
-    svg_path = out_dir / "figS3.svg"
-    svg_path.write_text(plot.render(_svg_comment(args.reproducible)))
-    paths.append(svg_path)
-    return report, paths
+        results.append({k: v for k, v in entry.items()
+                        if k not in ("sizes", "delta0", "bandwidth")})
+    return tables, ("figS3", plot), {"results": results}
+
+
+# experiment -> builder.  A builder runs one experiment and returns its CSV
+# tables as (stem, header, columns), its plot as (stem, SvgPlot), and its
+# report fields; cmd_sweep writes them all.
+SWEEPS = {
+    "fig2a": _sweep_fig2a,
+    "fig2bcd": _sweep_fig2bcd,
+    "figS2a": _sweep_figs2a,
+    "figS2b": lambda args: _sweep_q2_exponents(args, experiments.fig_s2b),
+    "figS2c": lambda args: _sweep_q2_exponents(args, experiments.fig_s2c),
+    "figS3": _sweep_figs3,
+}
 
 
 def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dispatch = {
-        "fig2a": _sweep_fig2a,
-        "fig2bcd": _sweep_fig2bcd,
-        "figS2a": _sweep_figs2a,
-        "figS2b": lambda a, o: _sweep_figs2bc(a, o, "figS2b"),
-        "figS2c": lambda a, o: _sweep_figs2bc(a, o, "figS2c"),
-        "figS3": _sweep_figs3,
-    }
-    report, paths = dispatch[args.experiment](args, out_dir)
+    tables, (svg_stem, plot), fields = SWEEPS[args.experiment](args)
+    paths = []
+    for stem, header, columns in tables:
+        paths.append(out_dir / f"{stem}.csv")
+        write_csv(paths[-1], args.experiment, header, columns)
+    paths.append(out_dir / f"{svg_stem}.svg")
+    paths[-1].write_text(plot.render(_svg_comment(args.reproducible)))
+    report = {"experiment": args.experiment, **fields}
     params = {k: v for k, v in vars(args).items() if k not in ("func",)}
     report["manifest"] = _manifest(f"sweep:{args.experiment}", params,
                                    [str(p) for p in paths], args.reproducible)
@@ -419,9 +381,6 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PrecisionGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

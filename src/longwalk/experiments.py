@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import chain as chain_mod
-from . import ring, scaling, transfer, uniform
+from . import numkit, ring, scaling, transfer, uniform
 from .scaling import TOLERANCES
 
 # fig2a default grid: 36 log-spaced couplings up to g = 0.03, the range
@@ -82,6 +82,16 @@ def small_g_threshold(spectrum: chain_mod.ChannelSpectrum) -> float:
     return 0.01 * chain_mod.min_gap(spectrum) / (np.sqrt(2.0) * t_max)
 
 
+def _relative_deviation(eps_exact: np.ndarray, eps_pert: np.ndarray) -> dict:
+    """Worst |exact - perturbative| / exact over the points with exact <= 0.1."""
+    checked = eps_exact <= 0.1
+    rel = np.abs(eps_exact - eps_pert)[checked] / eps_exact[checked]
+    return {
+        "max_relative_deviation": float(rel.max()) if checked.any() else 0.0,
+        "relative_ok": bool(np.all(rel <= TOLERANCES["perturbative_relative"])),
+    }
+
+
 def fig2a(d: int = 1, delta: float = 0.2, l: int = 24, g_grid=None) -> dict:
     """Exact vs perturbative infidelity over a g sweep at alpha = d - delta."""
     alpha = d - delta
@@ -111,9 +121,6 @@ def fig2a(d: int = 1, delta: float = 0.2, l: int = 24, g_grid=None) -> dict:
     spec = chain_mod.chain_spectrum(ch)
     g_star = small_g_threshold(spec)
     small = g_grid <= g_star
-    checked = eps_exact <= 0.1
-    rel = np.zeros_like(eps_exact)
-    rel[checked] = np.abs(eps_exact - eps_pert)[checked] / eps_exact[checked]
     return {
         "d": d,
         "alpha": alpha,
@@ -125,8 +132,7 @@ def fig2a(d: int = 1, delta: float = 0.2, l: int = 24, g_grid=None) -> dict:
         "bound": bound,
         "bound_conditions": cond,
         "g_star": g_star,
-        "max_relative_deviation": float(rel[checked].max()) if checked.any() else 0.0,
-        "relative_ok": bool(np.all(rel[checked] <= TOLERANCES["perturbative_relative"])),
+        **_relative_deviation(eps_exact, eps_pert),
         "envelope_ok": bool(np.all(eps_exact[small] <= envelope[small] + 1e-6)),
     }
 
@@ -187,17 +193,13 @@ def fig_s2a(L: int | None = None, alpha: float | None = None, g_grid=None) -> di
     rows = _map(point, list(g_grid))
     eps_exact = np.array([r[0] for r in rows])
     eps_pert = np.array([r[1] for r in rows])
-    checked = eps_exact <= 0.1
-    rel = np.zeros_like(eps_exact)
-    rel[checked] = np.abs(eps_exact - eps_pert)[checked] / eps_exact[checked]
     return {
         "L": L,
         "alpha": alpha,
         "g": g_grid,
         "eps_exact": eps_exact,
         "eps_perturbative": eps_pert,
-        "max_relative_deviation": float(rel[checked].max()) if checked.any() else 0.0,
-        "relative_ok": bool(np.all(rel[checked] <= TOLERANCES["perturbative_relative"])),
+        **_relative_deviation(eps_exact, eps_pert),
     }
 
 
@@ -254,25 +256,23 @@ def fig_s3(alphas=FIGS3_ALPHAS) -> dict:
         d0 = np.array([s.delta0 for s in summaries])
         w = np.array([s.bandwidth for s in summaries])
         logL = np.log(np.asarray(sizes, float))
-        d0_slope = np.polyfit(logL, np.log(d0), 1)[0]
+        d0_slope = numkit.linear_fit(logL, np.log(d0)).slope
         entry = {
             "alpha": alpha,
             "sizes": sizes,
             "delta0": d0,
             "bandwidth": w,
-            "delta0_slope": float(d0_slope),
+            "delta0_slope": d0_slope,
             "delta0_target": 1.0 - alpha,
             "delta0_ok": bool(abs(d0_slope - (1.0 - alpha)) <= TOLERANCES["spectral_slope"]),
         }
         if alpha == 1.0:
             # W = Theta(log L): a power-law slope is meaningless here
-            from . import numkit
-
             fit = numkit.linear_fit(logL, w)
             entry["bandwidth_log_r2"] = fit.r_squared
             entry["bandwidth_ok"] = bool(fit.r_squared >= TOLERANCES["bandwidth_log_r2"])
         else:
-            w_slope = float(np.polyfit(logL, np.log(w), 1)[0])
+            w_slope = numkit.linear_fit(logL, np.log(w)).slope
             entry["bandwidth_slope"] = w_slope
             entry["bandwidth_target"] = max(1.0 - alpha, 0.0)
             entry["bandwidth_ok"] = bool(

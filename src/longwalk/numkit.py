@@ -1,5 +1,5 @@
 """Numerical kernels: symmetric eigensolvers, spectral time evolution,
-circulant spectra, and least-squares fits.
+circulant spectra (by FFT at every even length), and least-squares fits.
 
 Everything here is pure and deterministic.  Eigensolvers are backed by
 LAPACK with an absolute-accuracy model eps*||H||; the tridiagonal path uses
@@ -17,7 +17,6 @@ import scipy.linalg as sla
 from .errors import DomainError
 
 DENSE_DIM_CAP = 4096
-DIRECT_DFT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -100,15 +99,10 @@ def evolve(decomposition: SymmetricEigenDecomposition, initial, time: float) -> 
     return v @ (phases * (v.T @ psi0))
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def real_dft_circulant(first_row) -> np.ndarray:
     """Spectrum E_k = sum_r row[r] cos(2 pi k r / L) of a real symmetric circulant.
 
-    Fast transform for power-of-two L; direct cosine summation otherwise
-    (direct path capped at L <= 4096).
+    Computed by FFT for every even L (O(L log L) at any length).
     """
     row = np.asarray(first_row, dtype=float)
     L = row.shape[0]
@@ -117,14 +111,7 @@ def real_dft_circulant(first_row) -> np.ndarray:
     idx = np.arange(1, L)
     if np.max(np.abs(row[idx] - row[L - idx])) > 1e-12 * max(1.0, np.max(np.abs(row))):
         raise DomainError("first row is not symmetric: row[r] != row[L-r]")
-    if _is_power_of_two(L):
-        return np.fft.fft(row).real
-    if L > DIRECT_DFT_CAP:
-        raise DomainError(
-            f"non-power-of-two length {L} exceeds direct-summation cap {DIRECT_DFT_CAP}"
-        )
-    k = np.arange(L)
-    return np.cos(2.0 * np.pi * np.outer(k, k) / L) @ row
+    return np.fft.fft(row).real
 
 
 def linear_fit(x, y) -> FitResult:

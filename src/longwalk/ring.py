@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import numkit
 from .errors import DomainError
@@ -115,8 +114,8 @@ def ring_mu(model: RingModel, g: float) -> float:
     if not g > 0:
         raise DomainError(f"g must be positive, got {g}")
     om = model.omega(g)
-    d = model.detunings[1:] if model.d == 1 else np.delete(model.detunings, 0)
-    p = model.parities[1:] if model.d == 1 else np.delete(model.parities, 0)
+    d = model.detunings[1:]
+    p = model.parities[1:]
     return float(om**2 * np.sum((1.0 - 3.0 * p) / (2.0 * d)))
 
 
@@ -144,8 +143,10 @@ def _dense_ring_hamiltonian(model: RingModel, g: float) -> tuple[np.ndarray, int
     diagonal E_0 - mu so that X/Y are resonant with the k = 0 mode."""
     L, n = model.L, model.N
     if model.d == 1:
+        row = _coupling_row_1d(L, model.alpha)
+        i = np.arange(L)
         h = np.zeros((n + 2, n + 2))
-        h[:n, :n] = sla.circulant(_coupling_row_1d(L, model.alpha))
+        h[:n, :n] = row[(i[:, None] - i[None, :]) % L]
         site_x, site_y = 0, L // 2
     else:
         coords = np.indices((L, L)).reshape(2, -1).T

@@ -1,15 +1,22 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import longwalk
+
+# children run in tmp_path, so a relative PYTHONPATH would not find the package
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(longwalk.__file__).resolve().parent.parent))
 
 
 def run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "longwalk.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=CLI_ENV,
     )
 
 
@@ -98,6 +105,10 @@ class TestSweepCommand:
     @pytest.mark.parametrize("experiment,extra", [
         ("fig2bcd", ["--alpha-minus-d", "0.2", "--l-max", "24"]),
         ("figS3", ["--alpha", "1"]),
+        ("fig2a", []),
+        ("figS2a", []),
+        ("figS2b", ["--alpha", "1.0"]),
+        ("figS2c", ["--alpha", "1.0"]),
     ])
     def test_reproducible_outputs_byte_identical(self, tmp_path, experiment, extra):
         # identical flags (same relative out-dir) run from two scratch roots
@@ -160,11 +171,9 @@ class TestSweepCommand:
         assert (tmp_path / "fig2a.svg").read_text().startswith("<svg")
 
     def test_thread_count_does_not_change_output(self, tmp_path):
-        import os
-
         outs = {}
         for threads in ("1", "4"):
-            env = dict(os.environ, LONGWALK_THREADS=threads)
+            env = dict(CLI_ENV, LONGWALK_THREADS=threads)
             sub = tmp_path / f"t{threads}"
             sub.mkdir()
             res = subprocess.run(

@@ -25,7 +25,7 @@ class TestRingSpectrum:
 
     def test_closed_form_match(self):
         # transform path equals the quoted cosine-sum formula
-        for L in (4, 6, 10, 16, 50, 128, 250, 512, 1024):
+        for L in (4, 6, 10, 16, 50, 128, 250, 512, 1024, 4100):
             for alpha in (0.5, 1.0, 1.5, 2.2):
                 model = ring.ring_spectrum(1, L, alpha)
                 closed = ring.ring_spectrum_1d_closed_form(L, alpha)
