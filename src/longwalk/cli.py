@@ -216,6 +216,7 @@ def _sweep_fig2bcd(args):
     plot.add("Q", series.sizes, series.values, "line+dots")
     report = {key: res[key] for key in
               ("panel", "saturation", "convergence_ratio", "log_r2", "slope") if key in res}
+    report["warnings"] = series.metadata["warnings"]
     return [(stem, ["L", "Q"], [series.sizes, series.values])], (stem, plot), report
 
 
@@ -295,6 +296,8 @@ def cmd_sweep(args) -> int:
 
 
 def _print_verdicts(report: dict, prefix: str = "") -> None:
+    for warning in report.get("warnings", []):
+        print(f"{prefix}warning: {warning}")
     for key in ("relative_ok", "envelope_ok", "passed"):
         if key in report and report[key] is not None:
             print(f"{prefix}{report.get('experiment', '')} {key}: "

@@ -59,35 +59,36 @@ def _map(fn, args_list):
         return list(pool.map(fn, args_list))
 
 
-def ring_q2_target_1d(alpha: float) -> float:
-    """Asymptotic exponent of q2 = sum_{k != 0} 1/Delta_k^2 for the d=1 ring.
+def ring_q2_target(d: int, alpha: float) -> float:
+    """Asymptotic exponent of q2 = sum_{k != 0} 1/Delta_k^2 for the ring (d = 1)
+    and the torus (d = 2).
 
-    Small-k detunings follow the polylog expansion of the power-law kernel,
-    Delta_k ~ C_alpha p^(alpha-1) + O(p^2), p = 2 pi k / L,
-    C_alpha = -2 Gamma(1-alpha) sin(pi alpha / 2), so that:
+    Small-|k| detunings follow the polylog expansion of the power-law
+    kernel, Delta_k ~ C p^(alpha-d) + O(p^2), p = 2 pi |k| / L (at d = 1,
+    C = -2 Gamma(1-alpha) sin(pi alpha / 2)), so that:
 
-    - alpha < 1: every Delta_k scales as L^(1-alpha) across the band, so
-      q2 ~ L * L^(2(alpha-1)) = L^(2 alpha - 1);
-    - 1 <= alpha < 1.5: sum_k k^(-2(alpha-1)) diverges, the whole band
-      contributes and q2 ~ L (at alpha = 1 with a 1/ln^2 L correction);
-    - 1.5 <= alpha < 3: that sum converges, the smallest k dominate and
-      q2 ~ L^(2(alpha-1));
-    - alpha >= 3: Delta_k ~ p^2, so q2 ~ L^4 (at alpha = 3 with a log
+    - alpha < d: every Delta_k scales as L^(d-alpha) across the band, so
+      q2 ~ L^d * L^(2(alpha-d)) = L^(2 alpha - d);
+    - d <= alpha < 3d/2: sum_k |k|^(-2(alpha-d)) diverges, the whole band
+      contributes and q2 ~ L^d (at alpha = d with a 1/ln^2 L correction);
+    - 3d/2 <= alpha < d+2: that sum converges, the smallest |k| dominate
+      and q2 ~ L^(2(alpha-d));
+    - alpha >= d+2: Delta_k ~ p^2, so q2 ~ L^4 (at alpha = d+2 with a log
       correction).
     """
-    if alpha < 1.0:
-        return 2.0 * alpha - 1.0
-    if alpha < 1.5:
-        return 1.0
-    if alpha < 3.0:
-        return 2.0 * (alpha - 1.0)
+    if alpha < d:
+        return 2.0 * alpha - d
+    if alpha < 1.5 * d:
+        return float(d)
+    if alpha < d + 2.0:
+        return 2.0 * (alpha - d)
     return 4.0
 
 
-def ring_time_target_1d(alpha: float) -> float:
-    """Transfer-time exponent T ~ sqrt(q2): half the q2 exponent (alpha - 1
-    for 1.5 <= alpha < 3, slower than linear from alpha = 2 on)."""
-    return ring_q2_target_1d(alpha) / 2.0
+def ring_time_target(d: int, alpha: float) -> float:
+    """Transfer-time exponent T ~ sqrt(q2): half the q2 exponent (alpha - d
+    for 3d/2 <= alpha < d+2, slower than linear from alpha = d+1 on)."""
+    return ring_q2_target(d, alpha) / 2.0
 
 
 def small_g_threshold(spectrum: chain_mod.ChannelSpectrum) -> float:
@@ -235,7 +236,7 @@ def ring_q2_extrapolation(d: int, alpha: float, sizes, window: int) -> dict:
     series = scaling.local_exponents(_ring_q2_series(d, alpha, sizes), window)
     exponent = scaling.extrapolate_exponent(series)
     series = series.with_fit(extrapolated_exponent=exponent)
-    target = ring_q2_target_1d(alpha) if d == 1 else 2.0 * alpha - d
+    target = ring_q2_target(d, alpha)
     return {
         "d": d,
         "alpha": alpha,
@@ -255,7 +256,7 @@ def fig_s2b(alphas=RING_1D_ALPHAS, window: int = RING_1D_WINDOW) -> dict:
 
 
 def fig_s2c(alphas=RING_2D_ALPHAS, sizes=RING_2D_SIZES, window: int = RING_2D_WINDOW) -> dict:
-    """d=2 extrapolated q2 exponents (target 2 alpha - d)."""
+    """d=2 extrapolated q2 exponents (target ring_q2_target(2, alpha))."""
     results = _map(lambda a: ring_q2_extrapolation(2, a, list(sizes), window), list(alphas))
     return {"alphas": list(alphas), "sizes": list(sizes), "window": window, "results": results}
 

@@ -1,10 +1,12 @@
-"""Numerical kernels: symmetric eigensolvers, spectral time evolution,
-circulant spectra (by FFT at every even length), and least-squares fits.
+"""Numerical kernels: symmetric eigensolvers, spectral time evolution, the
+endpoint-coupled-channel transfer amplitude, circulant spectra (by FFT at
+every even length), and least-squares fits.
 
 Everything here is pure and deterministic.  Eigensolvers are backed by
 LAPACK with an absolute-accuracy model eps*||H||; the tridiagonal path uses
 bisection + inverse iteration ('stebz'), which stays robust on matrices
-whose off-diagonals span many orders of magnitude.
+whose off-diagonals span many orders of magnitude.  scipy is imported only
+by that tridiagonal path.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DomainError
 
@@ -72,6 +73,8 @@ def eigh_tridiagonal(diagonal, offdiagonal) -> SymmetricEigenDecomposition:
         raise DomainError("non-finite entries in tridiagonal input")
     if d.shape[0] == 1:
         return SymmetricEigenDecomposition(d.copy(), np.ones((1, 1)))
+    import scipy.linalg as sla  # local import: the only scipy user, and a slow import
+
     w, v = sla.eigh_tridiagonal(d, e, lapack_driver="stebz")
     return SymmetricEigenDecomposition(w, v)
 
@@ -103,6 +106,33 @@ def evolve(decomposition: SymmetricEigenDecomposition, initial, time: float) -> 
     v = decomposition.eigenvectors
     phases = np.exp(-1j * decomposition.eigenvalues * time)
     return v @ (phases * (v.T @ psi0))
+
+
+def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float) -> complex:
+    """<Y| exp(-iHt) |X> for two endpoints of on-site energy `onsite` coupled
+    to channel modes of energies E_k: X couples to mode k with c_k, Y with
+    p_k c_k (p_k = +-1).
+
+    (|X> +- |Y>)/sqrt(2) couples only to the modes of parity +-1, with
+    strength sqrt(2) c_k, so each sector is the arrowhead matrix
+    [[onsite, sqrt(2) c], [sqrt(2) c, diag(E)]] and the amplitude is
+    (A+ - A-)/2 with A = sum_j v_j[0]^2 exp(-i lambda_j t).
+    """
+    e = np.asarray(energies, dtype=float)
+    c = np.asarray(couplings, dtype=float)
+    p = np.asarray(parities, dtype=float)
+    if not (e.ndim == 1 and e.shape == c.shape == p.shape):
+        raise DomainError("energies, couplings and parities must be equal-length 1-d arrays")
+    if not np.all(np.abs(p) == 1.0):
+        raise DomainError("parities must be +1 or -1")
+    sectors = []
+    for sign in (1.0, -1.0):
+        keep = p == sign
+        h = np.diag(np.concatenate([[onsite], e[keep]]))
+        h[0, 1:] = h[1:, 0] = np.sqrt(2.0) * c[keep]
+        dec = eigh_dense(h)
+        sectors.append(np.sum(dec.eigenvectors[0] ** 2 * np.exp(-1j * dec.eigenvalues * time)))
+    return complex((sectors[0] - sectors[1]) / 2.0)
 
 
 def real_dft_circulant(first_row) -> np.ndarray:

@@ -20,8 +20,6 @@ from .transfer import TransferOutcome
 
 L_CAP_FFT_1D = 2**17
 L_CAP_2D = 512
-DENSE_L_CAP_1D = 2000
-DENSE_L_CAP_2D = 44
 
 
 @dataclass(frozen=True)
@@ -33,10 +31,6 @@ class RingModel:
     energies: np.ndarray  # flat, index k (d=1) or kx*L + ky (d=2)
     detunings: np.ndarray  # Delta_k = E_0 - E_k, same layout
     parities: np.ndarray  # (-1)^(sum_i k_i)
-
-    @property
-    def resonant_energy(self) -> float:
-        return float(self.energies[0])
 
     def omega(self, g: float) -> float:
         return np.sqrt(2.0) * g / np.sqrt(self.N)
@@ -138,51 +132,37 @@ def ring_spectral_summary(model: RingModel) -> RingSpectralSummary:
     )
 
 
-def _dense_ring_hamiltonian(model: RingModel, g: float) -> tuple[np.ndarray, int, int]:
-    """Lab-frame (N+2) matrix: power-law channel, endpoint bonds g, endpoint
-    diagonal E_0 - mu so that X/Y are resonant with the k = 0 mode."""
-    L, n = model.L, model.N
-    if model.d == 1:
-        row = _coupling_row_1d(L, model.alpha)
-        i = np.arange(L)
-        h = np.zeros((n + 2, n + 2))
-        h[:n, :n] = row[(i[:, None] - i[None, :]) % L]
-        site_x, site_y = 0, L // 2
-    else:
-        coords = np.indices((L, L)).reshape(2, -1).T
-        diff = np.abs(coords[:, None, :] - coords[None, :, :])
-        diff = np.minimum(diff, L - diff)
-        r2 = np.sum(diff**2, axis=-1).astype(float)
-        j = np.zeros_like(r2)
-        mask = r2 > 0
-        j[mask] = r2[mask] ** (-model.alpha / 2.0)
-        h = np.zeros((n + 2, n + 2))
-        h[:n, :n] = j
-        site_x = 0
-        site_y = (L // 2) * L + L // 2
-    ix, iy = n, n + 1
-    h[ix, site_x] = h[site_x, ix] = g
-    h[iy, site_y] = h[site_y, iy] = g
-    mu = ring_mu(model, g)
-    h[ix, ix] = h[iy, iy] = model.resonant_energy - mu
-    return h, ix, iy
+def _folded_modes(model: RingModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(detunings, multiplicities, parities) of the modes k_i <= L/2 on every
+    axis.  X (site 0) and Y (the antipode) see only the cosine combination
+    of each k <-> L-k pair, so that combination stands in for the pair with
+    endpoint overlap sqrt(mult/N): mult is 1 at k = 0 and L/2 and 2
+    elsewhere, multiplied over the axes."""
+    half = model.L // 2 + 1
+    m = np.full(half, 2.0)
+    m[0] = m[-1] = 1.0
+    mult = m if model.d == 1 else np.outer(m, m)
+    keep = (slice(0, half),) * model.d
+    grid = (model.L,) * model.d
+    return (model.detunings.reshape(grid)[keep].ravel(), mult.ravel(),
+            model.parities.reshape(grid)[keep].ravel())
 
 
 def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> TransferOutcome:
-    """Dense evolution of |X> for T = pi sqrt(N) / (sqrt(2) g), with the
-    perturbative prediction and the small-g envelope 2 Omega^2 q2 attached."""
-    if d == 1 and L > DENSE_L_CAP_1D:
-        raise DomainError(f"dense d=1 path capped at L = {DENSE_L_CAP_1D}, got {L}")
-    if d == 2 and L > DENSE_L_CAP_2D:
-        raise DomainError(f"dense d=2 path capped at L = {DENSE_L_CAP_2D}, got {L}")
+    """Exact evolution of |X> for T = pi sqrt(N) / (sqrt(2) g), with the
+    perturbative prediction and the small-g envelope 2 Omega^2 q2 attached.
+
+    Uses numkit.endpoint_amplitude on the folded channel modes, in the frame
+    where the k = 0 mode sits at zero energy (channel -Delta_k, endpoints
+    -mu); the parity of Y at the antipode is (-1)^(sum k_i).  The size limit
+    is the sector dimension cap of numkit.eigh_dense.
+    """
     model = ring_spectrum(d, L, alpha)
-    h, ix, iy = _dense_ring_hamiltonian(model, g)
-    dec = numkit.eigh_dense(h)
-    psi0 = np.zeros(h.shape[0])
-    psi0[ix] = 1.0
+    mu = ring_mu(model, g)
+    detunings, mult, parities = _folded_modes(model)
     t = model.transfer_time(g)
-    psi = numkit.evolve(dec, psi0, t)
-    fidelity = float(abs(psi[iy]) ** 2)
+    amplitude = numkit.endpoint_amplitude(-detunings, g * np.sqrt(mult / model.N), parities, -mu, t)
+    fidelity = float(abs(amplitude) ** 2)
     summ = ring_spectral_summary(model)
     om = model.omega(g)
     envelope = 2.0 * om**2 * summ.q2

@@ -3,7 +3,8 @@ site with the single uniform strength (sqrt(d) L)^(-alpha).
 
 The middle sites enter only through their uniform superposition, so the
 N-site walk closes exactly onto a three-level system and transfers
-perfectly at T = (pi/sqrt(2)) (sqrt(d) L)^alpha / sqrt(N-2).
+perfectly at T = (pi/sqrt(2)) (sqrt(d) L)^alpha / sqrt(N-2).  The exact
+fidelity is evaluated as one flat-band mode by numkit.endpoint_amplitude.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from . import numkit
 from .errors import DomainError, RegimeError
 
 N_CAP = 20000
@@ -52,29 +52,6 @@ def build_uniform_protocol(d: int, alpha: float, L: int) -> UniformProtocol:
     )
 
 
-def _sparse_hamiltonian(protocol: UniformProtocol) -> sp.csr_matrix:
-    """Explicit N-site matrix of the protocol: X (site 0) and Y (site N-1)
-    each coupled to every middle site with strength w."""
-    n, w = protocol.N, protocol.w
-    mids = np.arange(1, n - 1)
-    rows = np.concatenate([np.zeros(n - 2, int), mids, mids, np.full(n - 2, n - 1)])
-    cols = np.concatenate([mids, np.zeros(n - 2, int), np.full(n - 2, n - 1), mids])
-    vals = np.full(4 * (n - 2), w)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def evolve_full(protocol: UniformProtocol, times) -> np.ndarray:
-    """|<Y| psi(t) >|^2 for each t, evolving |X> under the explicit N-site model."""
-    h = _sparse_hamiltonian(protocol)
-    psi0 = np.zeros(protocol.N, dtype=complex)
-    psi0[0] = 1.0
-    out = []
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        psi = spla.expm_multiply(-1j * t * h, psi0)
-        out.append(abs(psi[-1]) ** 2)
-    return np.array(out)
-
-
 def three_level_fidelity(protocol: UniformProtocol, times) -> np.ndarray:
     """Closed form for the reduced (X, col, Y) system:
     Y population [1 - cos(sqrt(2) W_eff t)]^2 / 4."""
@@ -83,8 +60,14 @@ def three_level_fidelity(protocol: UniformProtocol, times) -> np.ndarray:
 
 
 def simulate_uniform(protocol: UniformProtocol) -> float:
-    """Fidelity |<Y|psi(T)>|^2 of the explicit N-site evolution at T."""
-    return float(evolve_full(protocol, protocol.T)[0])
+    """Fidelity |<Y|psi(T)>|^2 of the N-site evolution at T.
+
+    The middle sites form a flat band at zero energy, and X and Y couple
+    only to its uniform superposition, with strength W_eff: one
+    even-parity channel mode.
+    """
+    amplitude = numkit.endpoint_amplitude([0.0], [protocol.W_eff], [1.0], 0.0, protocol.T)
+    return float(abs(amplitude) ** 2)
 
 
 def envelope_margin(protocol: UniformProtocol) -> float:

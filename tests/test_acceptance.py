@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Every tolerance is
 pinned here, not calibrated at runtime.  Criterion 8(ii) is parametrized
-per alpha across the q2 regimes of ``experiments.ring_q2_target_1d``;
+per alpha across the q2 regimes of ``experiments.ring_q2_target``;
 the extrapolation's correction form follows the light-cone regime
 (README.md, "Ring q2 exponents").
 """
@@ -274,7 +274,7 @@ def test_criterion_8_transfer_time_table():
         res = experiments.ring_q2_extrapolation(1, alpha, sizes,
                                                 experiments.RING_1D_WINDOW)
         t_exp = res["exponent"] / 2.0
-        errs[alpha] = abs(t_exp - experiments.ring_time_target_1d(alpha))
+        errs[alpha] = abs(t_exp - experiments.ring_time_target(1, alpha))
     elapsed = time.time() - t0
     ok = all(e <= 0.1 for e in errs.values())
     report("8 transfer-time-table", ok,

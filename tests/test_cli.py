@@ -74,10 +74,13 @@ class TestTransferCommand:
         assert payload["infidelity_exact"] <= 0.01
         assert payload["bound_conditions_met"] == [True, True]
 
-    def test_ring_protocol_reports_both(self, tmp_path):
+    # at L = 4096 (d=1) and L = 64 (d=2) the (N+2) site matrix would exceed
+    # numkit.DENSE_DIM_CAP; the folded parity sectors do not
+    @pytest.mark.parametrize("d, L", [(1, 100), (1, 4096), (2, 64)])
+    def test_ring_protocol_reports_both(self, tmp_path, d, L):
         res = run_cli(
-            ["transfer", "--protocol", "ring", "--d", "1", "--alpha", "1",
-             "--L", "100", "--g", "0.02", "--out-dir", str(tmp_path)],
+            ["transfer", "--protocol", "ring", "--d", str(d), "--alpha", "1",
+             "--L", str(L), "--g", "0.02", "--out-dir", str(tmp_path)],
             cwd=tmp_path,
         )
         assert res.returncode == 0, res.stderr
@@ -136,6 +139,21 @@ class TestSweepCommand:
         assert abs(payload["slope"] - 0.2) <= 0.03
         assert payload["saturation"]["passed"] is True
         assert "manifest" in payload and "timestamp" not in payload["manifest"]
+        assert payload["warnings"] == []
+        assert "warning" not in res.stdout
+
+    def test_fig2bcd_reports_skipped_depths(self, tmp_path):
+        # at alpha = 1.8 the precision guard admits l <= 52 only
+        res = run_cli(
+            ["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "0.8",
+             "--l-max", "80", "--out-dir", str(tmp_path), "--reproducible"], cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        warnings = json.loads((tmp_path / "fig2bcd_report.json").read_text())["warnings"]
+        skipped = list(range(54, 81, 2))
+        assert [w.split(" ")[0] for w in warnings] == [f"l={l}" for l in skipped]
+        lines = [line for line in res.stdout.splitlines() if line.startswith("warning: ")]
+        assert lines == [f"warning: {w}" for w in warnings]
 
     def test_figs3_bandwidth_log_fit(self, tmp_path):
         res = run_cli(

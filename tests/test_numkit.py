@@ -124,6 +124,49 @@ class TestEvolve:
             numkit.evolve(dec, np.array([1.0, 1.0]), 1.0)
 
 
+class TestEndpointAmplitude:
+    @staticmethod
+    def full_amplitude(energies, couplings, parities, onsite, t):
+        # oracle: the (n+2) matrix over (X, modes, Y), evolved densely
+        n = len(energies)
+        h = np.zeros((n + 2, n + 2))
+        h[1:-1, 1:-1] = np.diag(energies)
+        h[0, 1:-1] = h[1:-1, 0] = couplings
+        h[-1, 1:-1] = h[1:-1, -1] = np.asarray(couplings) * parities
+        h[0, 0] = h[-1, -1] = onsite
+        psi0 = np.zeros(n + 2)
+        psi0[0] = 1.0
+        return numkit.evolve(numkit.eigh_dense(h), psi0, t)[-1]
+
+    def test_random_channel_matches_full_matrix(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 9, 40):
+            e = rng.standard_normal(n)
+            c = 0.3 * rng.standard_normal(n)
+            p = rng.choice([-1.0, 1.0], n)
+            for t in (0.0, 0.7, 25.0):
+                got = numkit.endpoint_amplitude(e, c, p, 0.2, t)
+                assert abs(got - self.full_amplitude(e, c, p, 0.2, t)) <= 1e-12, (n, t)
+
+    def test_three_level_closed_form(self):
+        # one even mode: Y population [1 - cos(sqrt(2) W t)]^2 / 4
+        w = 0.37
+        for t in (0.0, 1.0, np.pi / (np.sqrt(2) * w)):
+            got = numkit.endpoint_amplitude([0.0], [w], [1.0], 0.0, t)
+            assert abs(got - (np.cos(np.sqrt(2) * w * t) - 1.0) / 2.0) <= 1e-14
+
+    def test_input_checks(self):
+        with pytest.raises(DomainError):
+            numkit.endpoint_amplitude([0.0, 1.0], [0.1], [1.0], 0.0, 1.0)
+        with pytest.raises(DomainError):
+            numkit.endpoint_amplitude([0.0], [0.1], [0.5], 0.0, 1.0)
+
+    def test_sector_dimension_cap(self):
+        n = numkit.DENSE_DIM_CAP
+        with pytest.raises(DomainError):
+            numkit.endpoint_amplitude(np.zeros(n), np.ones(n), np.ones(n), 0.0, 1.0)
+
+
 class TestRealDftCirculant:
     def test_nearest_neighbor_ring(self):
         np.testing.assert_allclose(

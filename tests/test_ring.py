@@ -3,8 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from longwalk import experiments, ring
+from longwalk import experiments, numkit, ring
 from longwalk.errors import DomainError
+
+
+def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
+    """Oracle: |<Y|psi(T)>|^2 from the lab-frame (N+2) site matrix (power-law
+    channel, endpoint bonds g to site 0 and to the antipode, endpoint
+    diagonal E_0 - mu), diagonalised densely."""
+    model = ring.ring_spectrum(d, L, alpha)
+    n = model.N
+    coords = np.indices((L,) * d).reshape(d, -1).T
+    diff = np.abs(coords[:, None, :] - coords[None, :, :])
+    diff = np.minimum(diff, L - diff)
+    r2 = np.sum(diff**2, axis=-1).astype(float)
+    h = np.zeros((n + 2, n + 2))
+    mask = r2 > 0
+    h[:n, :n][mask] = r2[mask] ** (-alpha / 2.0)
+    site_y = int(np.ravel_multi_index((L // 2,) * d, (L,) * d))
+    h[n, 0] = h[0, n] = g
+    h[n + 1, site_y] = h[site_y, n + 1] = g
+    h[n, n] = h[n + 1, n + 1] = model.energies[0] - ring.ring_mu(model, g)
+    psi0 = np.zeros(n + 2)
+    psi0[n] = 1.0
+    psi = numkit.evolve(numkit.eigh_dense(h), psi0, model.transfer_time(g))
+    return float(abs(psi[n + 1]) ** 2)
 
 
 class TestRingSpectrum:
@@ -94,7 +117,7 @@ class TestRingSpectralSummary:
     def test_alpha0_resonant_energy(self):
         for L in (8, 50, 256):
             model = ring.ring_spectrum(1, L, 0.0)
-            assert abs(model.resonant_energy - (L - 1)) <= 1e-9 * L
+            assert abs(model.energies[0] - (L - 1)) <= 1e-9 * L
             s = ring.ring_spectral_summary(model)
             assert abs(s.bandwidth - (model.energies.max() - model.energies.min())) == 0
 
@@ -140,7 +163,7 @@ class TestQ2Scaling:
     def test_two_point_q2_slope_matches_target(self, alpha):
         q2 = [ring.ring_spectral_summary(ring.ring_spectrum(1, L, alpha)).q2
               for L in (2**16, 2**17)]
-        assert abs(np.log2(q2[1] / q2[0]) - experiments.ring_q2_target_1d(alpha)) <= 0.02
+        assert abs(np.log2(q2[1] / q2[0]) - experiments.ring_q2_target(1, alpha)) <= 0.02
 
     @pytest.mark.parametrize("alpha, exponent", [
         (0.5, 0.0), (0.8, 0.6),   # 2 alpha - 1
@@ -149,8 +172,32 @@ class TestQ2Scaling:
         (3.0, 4.0), (3.5, 4.0),   # 4
     ])
     def test_q2_target_branches(self, alpha, exponent):
-        assert abs(experiments.ring_q2_target_1d(alpha) - exponent) <= 1e-12
-        assert abs(experiments.ring_time_target_1d(alpha) - exponent / 2.0) <= 1e-12
+        assert abs(experiments.ring_q2_target(1, alpha) - exponent) <= 1e-12
+        assert abs(experiments.ring_time_target(1, alpha) - exponent / 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("alpha, exponent", [
+        (0.6, -0.8), (1.5, 1.0),  # 2 alpha - 2
+        (2.0, 2.0), (2.5, 2.0),   # d = 2
+        (3.0, 2.0), (3.5, 3.0),   # 2 (alpha - 2)
+        (4.0, 4.0), (4.5, 4.0),   # 4
+    ])
+    def test_q2_target_branches_d2(self, alpha, exponent):
+        assert abs(experiments.ring_q2_target(2, alpha) - exponent) <= 1e-12
+        assert abs(experiments.ring_time_target(2, alpha) - exponent / 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("alpha, slopes", [
+        (2.5, (1.877, 1.912)), (3.5, (2.834, 2.883)), (4.5, (3.862, 3.908)),
+    ])
+    def test_two_point_q2_slopes_d2(self, alpha, slopes):
+        # L = 128 -> 256 -> 512: the slopes climb towards 2 (alpha - 2) or 4,
+        # and stay far from 2 alpha - 2, the branch for alpha < d
+        q2 = [ring.ring_spectral_summary(ring.ring_spectrum(2, L, alpha)).q2
+              for L in (128, 256, 512)]
+        got = np.log2(np.array(q2[1:]) / np.array(q2[:-1]))
+        np.testing.assert_allclose(got, slopes, atol=1e-3)
+        target = experiments.ring_q2_target(2, alpha)
+        assert got[0] < got[1] < target
+        assert (2 * alpha - 2) - got[1] >= 1.0
 
 
 class TestRingExactTransfer:
@@ -181,11 +228,27 @@ class TestRingExactTransfer:
             om = model.omega(g)
             assert 0.0 <= eps <= 2 * om**2 * s.q2 + 1e-15
 
+    @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 102), (1, 1026), (2, 6), (2, 12)])
+    def test_matches_dense_site_oracle(self, d, L):
+        for alpha, g in [(1.0, 0.02), (0.7, 0.3), (1.6, 0.1)]:
+            out = ring.ring_exact_transfer(d, L, alpha, g)
+            assert abs(out.fidelity_exact - dense_ring_fidelity(d, L, alpha, g)) <= 1e-12, alpha
+
     def test_size_caps(self):
         with pytest.raises(DomainError):
-            ring.ring_exact_transfer(1, 2002, 1.0, 0.1)
+            ring.ring_spectrum(1, ring.L_CAP_FFT_1D + 2, 1.0)
         with pytest.raises(DomainError):
-            ring.ring_exact_transfer(2, 46, 1.0, 0.1)
+            ring.ring_spectrum(2, ring.L_CAP_2D + 2, 1.0)
+        # the larger parity sector passes numkit.DENSE_DIM_CAP above
+        # L = 16378 (d=1) and L = 178 (d=2)
+        with pytest.raises(DomainError, match="dense dimension"):
+            ring.ring_exact_transfer(1, 16380, 1.0, 0.1)
+        with pytest.raises(DomainError, match="dense dimension"):
+            ring.ring_exact_transfer(2, 180, 1.0, 0.1)
+        # below those sizes nothing else limits the exact path
+        for d, L in [(1, 2002), (2, 46)]:
+            out = ring.ring_exact_transfer(d, L, 1.0, 0.01)
+            assert 0.99 <= out.fidelity_exact <= 1.0 + 1e-12
 
     def test_transfer_time_value(self):
         out = ring.ring_exact_transfer(1, 100, 1.0, 0.05)

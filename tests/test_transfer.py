@@ -167,17 +167,10 @@ class TestProtocolSymmetries:
         model = transfer.attach_endpoints(ch, g)
         out = transfer.exact_transfer(model)
         spec = model.spectrum
-        n = ch.n_sites
-        hm = np.zeros((n + 2, n + 2))
-        hm[1 : n + 1, 1 : n + 1] = np.diag(spec.energies)
-        hm[0, 1 : n + 1] = g * spec.endpoint_amplitudes
-        hm[1 : n + 1, 0] = g * spec.endpoint_amplitudes
-        hm[n + 1, 1 : n + 1] = g * spec.endpoint_amplitudes * spec.parities
-        hm[1 : n + 1, n + 1] = g * spec.endpoint_amplitudes * spec.parities
-        dec = numkit.eigh_dense(hm)
-        psi0 = np.zeros(n + 2)
-        psi0[0] = 1.0
-        fid_mode = abs(numkit.evolve(dec, psi0, model.T)[-1]) ** 2
+        amplitude = numkit.endpoint_amplitude(
+            spec.energies, g * spec.endpoint_amplitudes, spec.parities, 0.0, model.T
+        )
+        fid_mode = abs(amplitude) ** 2
         assert abs(fid_mode - out.fidelity_exact) <= 1e-10
 
     def test_small_g_envelope_property(self):

@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from longwalk import uniform
+from longwalk import numkit, uniform
 from longwalk.errors import DomainError, RegimeError
+
+
+def full_model_fidelity(protocol, times) -> np.ndarray:
+    """Oracle: |<Y|psi(t)>|^2 for each t, evolving |X> by expm_multiply under
+    the explicit sparse N-site matrix (X = site 0 and Y = site N-1, each
+    coupled to every middle site with strength w)."""
+    n, w = protocol.N, protocol.w
+    mids = np.arange(1, n - 1)
+    rows = np.concatenate([np.zeros(n - 2, int), mids, mids, np.full(n - 2, n - 1)])
+    cols = np.concatenate([mids, np.zeros(n - 2, int), np.full(n - 2, n - 1), mids])
+    h = sp.csr_matrix((np.full(4 * (n - 2), w), (rows, cols)), shape=(n, n))
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[0] = 1.0
+    return np.array([abs(spla.expm_multiply(-1j * t * h, psi0)[-1]) ** 2
+                     for t in np.atleast_1d(np.asarray(times, dtype=float))])
 
 
 class TestBuildUniformProtocol:
@@ -41,15 +58,25 @@ class TestSimulateUniform:
 
     def test_half_time_population(self):
         p = uniform.build_uniform_protocol(1, 0.1, 30)
-        f_half = uniform.evolve_full(p, p.T / 2)[0]
+        f_half = full_model_fidelity(p, p.T / 2)[0]
         assert abs(f_half - 0.25) <= 1e-10
 
     def test_three_level_matches_full_model(self):
         p = uniform.build_uniform_protocol(1, 0.2, 100)
         times = np.linspace(0.0, 2 * p.T, 50)
-        full = uniform.evolve_full(p, times)
+        full = full_model_fidelity(p, times)
         reduced = uniform.three_level_fidelity(p, times)
         assert np.max(np.abs(full - reduced)) <= 1e-10
+
+    @pytest.mark.parametrize("d,alpha,L", [(1, 0.0, 4), (1, 0.3, 200), (2, 0.7, 20), (3, 1.2, 6)])
+    def test_matches_full_model(self, d, alpha, L):
+        p = uniform.build_uniform_protocol(d, alpha, L)
+        assert abs(uniform.simulate_uniform(p) - full_model_fidelity(p, p.T)[0]) <= 1e-12
+        # the same one-mode kernel away from T, where the fidelity is not 1
+        times = np.linspace(0.0, 2 * p.T, 7)
+        kernel = [abs(numkit.endpoint_amplitude([0.0], [p.W_eff], [1.0], 0.0, t)) ** 2
+                  for t in times]
+        np.testing.assert_allclose(kernel, full_model_fidelity(p, times), rtol=0, atol=1e-12)
 
     def test_power_law_envelope(self):
         # w = (sqrt(d) L)^(-alpha) respects 1/r^alpha for every coupled pair
