@@ -10,6 +10,7 @@ must be coupled, hence the transfer time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,13 @@ class EffectiveChain:
     @property
     def n_sites(self) -> int:
         return 2 * self.l + 1
+
+    @cached_property
+    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the chain is immutable, so chain_spectrum diagonalises it only once;
+        # holding arrays, not the ChannelSpectrum, keeps chains free of
+        # reference cycles, so refcounting frees them as soon as they go
+        return _diagonalise(self)
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,14 @@ def _eps_gap(chain: EffectiveChain) -> float:
 
 
 def chain_spectrum(chain: EffectiveChain) -> ChannelSpectrum:
-    """Diagonalize the channel by reflection-parity folding.
+    """The channel eigensystem, computed on the first call for each chain and
+    then returned from it (its arrays are read-only)."""
+    return ChannelSpectrum(chain, *chain._eigensystem)
+
+
+def _diagonalise(chain: EffectiveChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(energies, amplitudes, parities) of the channel, by reflection-parity
+    folding.
 
     The chain commutes with site reflection, so it splits into an even
     sector (l+1 sites, last bond scaled by sqrt(2)) and an odd sector
@@ -144,31 +159,27 @@ def chain_spectrum(chain: EffectiveChain) -> ChannelSpectrum:
             f"middle eigenvalue {energies[l]:.3e} is not zero within {_eps_gap(chain):.3e}"
         )
 
+    # row k: even-sector vector k/2 (k even) or odd-sector vector (k-1)/2,
+    # unfolded onto the 2l+1 sites
     amp = np.zeros((n, n))
     s = 1.0 / np.sqrt(2.0)
-    for j in range(l + 1):
-        k = 2 * j
-        amp[k, :l] = ve[:l, j] * s
-        amp[k, l] = ve[l, j]
-        amp[k, l + 1 :] = ve[:l, j][::-1] * s
-    for j in range(l):
-        k = 2 * j + 1
-        amp[k, :l] = vo[:, j] * s
-        amp[k, l + 1 :] = -vo[:, j][::-1] * s
+    amp[0::2, :l] = ve[:l].T * s
+    amp[0::2, l] = ve[l]
+    amp[0::2, l + 1 :] = ve[l - 1 :: -1].T * s
+    amp[1::2, :l] = vo.T * s
+    amp[1::2, l + 1 :] = -vo[::-1].T * s
 
     # global sign: endpoint amplitude positive (fall back to the first
     # non-negligible component for safety; endpoints never vanish for
     # unreduced tridiagonals)
-    for k in range(n):
-        lead = amp[k, 0]
-        if abs(lead) <= 1e-12:
-            nz = np.nonzero(np.abs(amp[k]) > 1e-12)[0]
-            lead = amp[k, nz[0]] if nz.size else 1.0
-        if lead < 0:
-            amp[k] = -amp[k]
+    big = np.abs(amp) > 1e-12
+    lead = np.where(big.any(axis=1), amp[np.arange(n), np.argmax(big, axis=1)], 1.0)
+    amp[lead < 0] = -amp[lead < 0]
 
-    parities = np.array([(-1.0) ** k for k in range(n)])
-    return ChannelSpectrum(chain=chain, energies=energies, amplitudes=amp, parities=parities)
+    parities = 1.0 - 2.0 * (np.arange(n) & 1)
+    for array in (energies, amp, parities):
+        array.flags.writeable = False
+    return energies, amp, parities
 
 
 def zero_mode_analytic(chain: EffectiveChain) -> np.ndarray:

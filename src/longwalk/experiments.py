@@ -2,9 +2,10 @@
 
 Each driver returns a plain dict of arrays and verdicts; the CLI writes
 them to CSV/JSON/SVG and the acceptance suite asserts the verdicts.  Grid
-points are independent, so drivers fan out over a thread pool sized by
-LONGWALK_THREADS (numpy releases the GIL inside LAPACK/FFT); results are
-aggregated in grid order, so output is identical for any thread count.
+points are independent and run serially by default; setting
+LONGWALK_THREADS fans them out over a thread pool of that size (numpy
+releases the GIL inside LAPACK/FFT).  Results are aggregated in grid order,
+so output is identical for any thread count.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ FIGS2A_DEFAULTS = {"L": 100, "alpha": 1.0, "g_range": (0.02, 2.0, 25)}
 
 
 def thread_count() -> int:
+    """LONGWALK_THREADS, or 1 when unset: on small sweeps the pool measured
+    slower than serial, because BLAS already uses the cores."""
     env = os.environ.get("LONGWALK_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return max(1, int(env)) if env else 1
 
 
 def _map(fn, args_list):
@@ -116,6 +117,7 @@ def fig2a(d: int = 1, delta: float = 0.2, l: int = 24, g_grid=None) -> dict:
         lo, hi, num = FIG2A_G_RANGE
         g_grid = np.geomspace(lo, hi, num)
     g_grid = np.asarray(g_grid, dtype=float)
+    spec = chain_mod.chain_spectrum(ch)  # diagonalised once; attach_endpoints reuses it
 
     def point(g):
         model = transfer.attach_endpoints(ch, g)
@@ -129,12 +131,7 @@ def fig2a(d: int = 1, delta: float = 0.2, l: int = 24, g_grid=None) -> dict:
         )
 
     rows = _map(point, list(g_grid))
-    eps_exact = np.array([r[0] for r in rows])
-    eps_pert = np.array([r[1] for r in rows])
-    envelope = np.array([r[2] for r in rows])
-    bound = np.array([r[3] for r in rows])
-    cond = np.array([r[4] for r in rows])
-    spec = chain_mod.chain_spectrum(ch)
+    eps_exact, eps_pert, envelope, bound, cond = (np.array(col) for col in zip(*rows))
     g_star = small_g_threshold(spec)
     small = g_grid <= g_star
     return {
@@ -206,9 +203,7 @@ def fig_s2a(L: int | None = None, alpha: float | None = None, g_grid=None) -> di
         out = ring.ring_exact_transfer(1, L, alpha, g)
         return out.infidelity_exact, out.infidelity_perturbative
 
-    rows = _map(point, list(g_grid))
-    eps_exact = np.array([r[0] for r in rows])
-    eps_pert = np.array([r[1] for r in rows])
+    eps_exact, eps_pert = (np.array(col) for col in zip(*_map(point, list(g_grid))))
     return {
         "L": L,
         "alpha": alpha,

@@ -1,6 +1,6 @@
 """Numerical kernels: symmetric eigensolvers, spectral time evolution, the
-endpoint-coupled-channel transfer amplitude, circulant spectra (by FFT at
-every even length), and least-squares fits.
+endpoint-coupled-channel transfer amplitude, circulant spectra in d
+dimensions (by real FFT at every even length), and least-squares fits.
 
 Everything here is pure and deterministic.  Eigensolvers are backed by
 LAPACK with an absolute-accuracy model eps*||H||; the tridiagonal path uses
@@ -135,19 +135,24 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     return complex((sectors[0] - sectors[1]) / 2.0)
 
 
-def real_dft_circulant(first_row) -> np.ndarray:
-    """Spectrum E_k = sum_r row[r] cos(2 pi k r / L) of a real symmetric circulant.
+def real_dft_circulant(kernel) -> np.ndarray:
+    """Spectrum E_k = sum_r kernel[r] cos(2 pi k.r / L) of a real d-dimensional
+    circulant whose kernel is symmetric under r_i -> L - r_i on every axis.
 
-    Computed by FFT for every even L (O(L log L) at any length).
+    The spectrum is then real with E[..., L-k] = E[..., k], so it comes from
+    a real FFT (O(L^d log L) at every even L) mirrored along the last axis;
+    that mirror symmetry is exact.
     """
-    row = np.asarray(first_row, dtype=float)
-    L = row.shape[0]
-    if L % 2 != 0:
-        raise DomainError(f"circulant length must be even, got {L}")
-    idx = np.arange(1, L)
-    if np.max(np.abs(row[idx] - row[L - idx])) > 1e-12 * max(1.0, np.max(np.abs(row))):
-        raise DomainError("first row is not symmetric: row[r] != row[L-r]")
-    return np.fft.fft(row).real
+    j = np.asarray(kernel, dtype=float)
+    if j.ndim == 0 or any(n % 2 for n in j.shape):
+        raise DomainError(f"circulant lengths must be even, got shape {j.shape}")
+    tol = 1e-12 * max(1.0, np.max(np.abs(j)))
+    for axis in range(j.ndim):
+        tail = j[(slice(None),) * axis + (slice(1, None),)]
+        if np.max(np.abs(tail - np.flip(tail, axis))) > tol:
+            raise DomainError(f"kernel is not symmetric on axis {axis}: j[r] != j[L-r]")
+    half = np.fft.rfftn(j).real
+    return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
 
 
 def linear_fit(x, y) -> FitResult:

@@ -46,22 +46,19 @@ class RingSpectralSummary:
     q2: float  # sum_{k != 0} 1 / Delta_k^2
 
 
-def _coupling_row_1d(L: int, alpha: float) -> np.ndarray:
-    r = np.arange(L)
-    dist = np.minimum(r, L - r).astype(float)
-    row = np.zeros(L)
-    row[1:] = dist[1:] ** (-alpha)
-    return row
-
-
-def _coupling_grid_2d(L: int, alpha: float) -> np.ndarray:
-    x = np.arange(L)
-    rx = np.minimum(x, L - x).astype(float)
-    r2 = rx[:, None] ** 2 + rx[None, :] ** 2
-    j = np.zeros((L, L))
-    mask = r2 > 0
-    j[mask] = r2[mask] ** (-alpha / 2.0)
-    return j
+def _coupling_kernel(d: int, L: int, alpha: float) -> np.ndarray:
+    """J(r) = |r|^-alpha at the minimum-image distance (0 at r = 0), built on
+    r_i <= L/2 and mirrored r_i -> L - r_i on every axis."""
+    h = np.arange(L // 2 + 1, dtype=float)
+    if d == 1:
+        half = h[1:] ** (-alpha)
+        return np.concatenate([[0.0], half, half[-2::-1]])
+    r2 = h[:, None] ** 2 + h[None, :] ** 2
+    r2[0, 0] = 1.0
+    block = r2 ** (-alpha / 2.0)
+    block[0, 0] = 0.0
+    block = np.concatenate([block, block[-2:0:-1]], axis=0)
+    return np.concatenate([block, block[:, -2:0:-1]], axis=1)
 
 
 def ring_spectrum(d: int, L: int, alpha: float) -> RingModel:
@@ -70,36 +67,19 @@ def ring_spectrum(d: int, L: int, alpha: float) -> RingModel:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     if L % 2 != 0:
         raise DomainError(f"L must be even, got {L}")
-    if d == 1:
-        if L > L_CAP_FFT_1D:
-            raise DomainError(f"d=1 size {L} exceeds cap {L_CAP_FFT_1D}")
-        energies = numkit.real_dft_circulant(_coupling_row_1d(L, alpha))
-        k = np.arange(L)
-        parities = (-1.0) ** k
-        n = L
-    elif d == 2:
-        if L > L_CAP_2D:
-            raise DomainError(f"d=2 size {L} exceeds cap {L_CAP_2D}")
-        energies = np.fft.fft2(_coupling_grid_2d(L, alpha)).real.ravel()
-        k = np.arange(L)
-        parities = ((-1.0) ** (k[:, None] + k[None, :])).ravel()
-        n = L * L
-    else:
+    if d not in (1, 2):
         raise DomainError(f"ring protocol supports d in {{1, 2}}, got {d}")
+    cap = L_CAP_FFT_1D if d == 1 else L_CAP_2D
+    if L > cap:
+        raise DomainError(f"d={d} size {L} exceeds cap {cap}")
+    energies = numkit.real_dft_circulant(_coupling_kernel(d, L, alpha)).ravel()
+    p = 1.0 - 2.0 * (np.arange(L) & 1)
+    parities = p if d == 1 else np.outer(p, p).ravel()
     detunings = energies[0] - energies
     return RingModel(
-        d=d, L=L, alpha=alpha, N=n,
+        d=d, L=L, alpha=alpha, N=L**d,
         energies=energies, detunings=detunings, parities=parities,
     )
-
-
-def ring_spectrum_1d_closed_form(L: int, alpha: float) -> np.ndarray:
-    """E_k = 2 sum_{j<L/2} cos(2 pi k j / L)/j^alpha + (-1)^k/(L/2)^alpha,
-    the quoted d=1 form; used as an oracle for the transform path."""
-    k = np.arange(L)[:, None]
-    j = np.arange(1, L // 2)[None, :]
-    e = 2.0 * np.sum(np.cos(2.0 * np.pi * k * j / L) / j**alpha, axis=1)
-    return e + (-1.0) ** np.arange(L) / (L / 2.0) ** alpha
 
 
 def ring_mu(model: RingModel, g: float) -> float:
@@ -118,13 +98,13 @@ def ring_perturbative_infidelity(model: RingModel, g: float) -> float:
     T = pi / Omega."""
     om = model.omega(g)
     t = np.pi / om
-    d = np.delete(model.detunings, 0)
-    p = np.delete(model.parities, 0)
+    d = model.detunings[1:]
+    p = model.parities[1:]
     return float(om**2 * np.sum((1.0 + p * np.cos(d * t)) / d**2))
 
 
 def ring_spectral_summary(model: RingModel) -> RingSpectralSummary:
-    d = np.delete(model.detunings, 0)
+    d = model.detunings[1:]
     return RingSpectralSummary(
         delta0=float(d.min()),
         bandwidth=float(model.energies.max() - model.energies.min()),
@@ -133,19 +113,32 @@ def ring_spectral_summary(model: RingModel) -> RingSpectralSummary:
 
 
 def _folded_modes(model: RingModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(detunings, multiplicities, parities) of the modes k_i <= L/2 on every
-    axis.  X (site 0) and Y (the antipode) see only the cosine combination
-    of each k <-> L-k pair, so that combination stands in for the pair with
-    endpoint overlap sqrt(mult/N): mult is 1 at k = 0 and L/2 and 2
-    elsewhere, multiplied over the axes."""
+    """(detunings, multiplicities, parities) of the modes the endpoints see,
+    each standing in for a group of modes with endpoint overlap sqrt(mult/N).
+
+    X (site 0) and Y (the antipode) see only the cosine combination of each
+    k <-> L-k pair, so the modes k_i <= L/2 stand in: mult is 1 at k = 0 and
+    L/2 and 2 elsewhere, multiplied over the axes.  At d = 2 the swap
+    (kx, ky) <-> (ky, kx) keeps both the parity and the overlap, so only the
+    symmetric combination couples: the modes kx <= ky stand in, and mult
+    doubles where kx < ky.  Both folds merge modes by index, never by
+    comparing energies.
+    """
     half = model.L // 2 + 1
     m = np.full(half, 2.0)
     m[0] = m[-1] = 1.0
-    mult = m if model.d == 1 else np.outer(m, m)
-    keep = (slice(0, half),) * model.d
-    grid = (model.L,) * model.d
-    return (model.detunings.reshape(grid)[keep].ravel(), mult.ravel(),
-            model.parities.reshape(grid)[keep].ravel())
+    ks = (np.arange(half),) if model.d == 1 else np.triu_indices(half)
+    mult = np.prod([m[k] for k in ks], axis=0) * np.where(ks[0] < ks[-1], 2.0, 1.0)
+    flat = np.ravel_multi_index(ks, (model.L,) * model.d)
+    return model.detunings[flat], mult, model.parities[flat]
+
+
+def _largest_sector(d: int, L):
+    """Dimension of the larger (even) parity sector of the folded exact problem
+    (elementwise over an array of L): 1 + the folded modes with an even sum
+    of k_i, where a of the values k_i <= L/2 are even and b are odd."""
+    a, b = L // 4 + 1, (L // 2 + 1) // 2
+    return 1 + (a if d == 1 else a * (a + 1) // 2 + b * (b + 1) // 2)
 
 
 def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> TransferOutcome:
@@ -154,9 +147,17 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> TransferOutco
 
     Uses numkit.endpoint_amplitude on the folded channel modes, in the frame
     where the k = 0 mode sits at zero energy (channel -Delta_k, endpoints
-    -mu); the parity of Y at the antipode is (-1)^(sum k_i).  The size limit
-    is the sector dimension cap of numkit.eigh_dense.
+    -mu); the parity of Y at the antipode is (-1)^(sum k_i).  Sizes whose
+    larger parity sector exceeds numkit.DENSE_DIM_CAP (L > 16378 at d = 1,
+    L > 250 at d = 2) are rejected before the spectrum is computed.
     """
+    if d in (1, 2) and _largest_sector(d, L) > numkit.DENSE_DIM_CAP:
+        sizes = np.arange(2, L_CAP_FFT_1D + 1, 2)
+        largest = sizes[_largest_sector(d, sizes) <= numkit.DENSE_DIM_CAP].max()
+        raise DomainError(
+            f"ring d={d} L={L}: a parity sector of the exact solve would exceed "
+            f"dimension {numkit.DENSE_DIM_CAP}; the largest exact size is L={largest}"
+        )
     model = ring_spectrum(d, L, alpha)
     mu = ring_mu(model, g)
     detunings, mult, parities = _folded_modes(model)

@@ -16,8 +16,6 @@ import numpy as np
 from . import numkit
 from .errors import DomainError, RegimeError
 
-N_CAP = 20000
-
 
 @dataclass(frozen=True)
 class UniformProtocol:
@@ -39,11 +37,9 @@ def build_uniform_protocol(d: int, alpha: float, L: int) -> UniformProtocol:
         )
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
-    if L < 2:
-        raise DomainError(f"L must be >= 2, got {L}")
     n = L**d
-    if n > N_CAP:
-        raise DomainError(f"N = L^d = {n} exceeds explicit-simulation cap {N_CAP}")
+    if L < 2 or n < 3:
+        raise DomainError(f"need L >= 2 and N = L^d >= 3 (X, Y and a middle site), got L={L}")
     w = (np.sqrt(d) * L) ** (-alpha)
     w_eff = w * np.sqrt(n - 2.0)
     return UniformProtocol(
@@ -71,23 +67,15 @@ def simulate_uniform(protocol: UniformProtocol) -> float:
 
 
 def envelope_margin(protocol: UniformProtocol) -> float:
-    """max over coupled pairs of w * r^alpha on the materialized cube.
+    """max over coupled pairs of w * r^alpha: w = (sqrt(d) L)^(-alpha) must not
+    exceed 1/r^alpha for any pair.
 
-    Dynamics never needs coordinates (middle couplings are uniform), but the
-    power-law constraint does: X sits at the origin, Y at (L-1, 0, ..., 0),
-    and w = (sqrt(d) L)^(-alpha) must not exceed 1/r^alpha for any pair.
+    X sits at the origin and Y at (L-1, 0, ..., 0), so the farthest middle
+    site is L-2 away at d = 1 and, at the far corner, sqrt(d) (L-1) away
+    otherwise.
     """
     d, L = protocol.d, protocol.L
-    axes = [np.arange(L)] * d
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    x = np.zeros(d)
-    y = np.zeros(d)
-    y[0] = L - 1
-    mask = ~(np.all(coords == x, axis=1) | np.all(coords == y, axis=1))
-    mids = coords[mask]
-    r_from_x = np.sqrt(np.sum((mids - x) ** 2, axis=1))
-    r_from_y = np.sqrt(np.sum((mids - y) ** 2, axis=1))
-    r_max = max(r_from_x.max(), r_from_y.max())
+    r_max = L - 2.0 if d == 1 else np.sqrt(d * (L - 1.0) ** 2)
     return float(protocol.w * r_max**protocol.alpha)
 
 
@@ -100,7 +88,7 @@ def transfer_time(d: int, alpha: float, L) -> np.ndarray:
 
 def uniform_time_scaling(d: int, alpha: float, L_grid):
     """(L, T) series with its fitted log-log slope; analytic, so the grid may
-    reach sizes far beyond the simulation cap."""
+    reach any size."""
     from . import scaling  # local import: scaling does not import uniform
 
     if not alpha < d / 2.0:

@@ -1,12 +1,48 @@
 import numpy as np
 import pytest
 
-from longwalk import chain, scaling
+from longwalk import chain, numkit, scaling
 from longwalk.errors import DomainError, PrecisionGuardError
 
 
 def chain_matrix(ch):
     return np.diag(ch.bonds, 1) + np.diag(ch.bonds, -1)
+
+
+def loop_assembly(ch):
+    """Oracle: (energies, amplitudes, parities) assembled eigenvector by
+    eigenvector from the same two parity-sector solves, with the per-row sign
+    loop and the per-k parity power."""
+    l, b = ch.l, ch.bonds
+    n = 2 * l + 1
+    even_bonds = np.concatenate([b[: l - 1], [np.sqrt(2.0) * b[l - 1]]])
+    dec_e = numkit.eigh_tridiagonal(np.zeros(l + 1), even_bonds)
+    dec_o = numkit.eigh_tridiagonal(np.zeros(l), b[: l - 1])
+    we, ve = dec_e.eigenvalues[::-1], dec_e.eigenvectors[:, ::-1]
+    wo, vo = dec_o.eigenvalues[::-1], dec_o.eigenvectors[:, ::-1]
+    energies = np.empty(n)
+    energies[0 : 2 * l : 2] = we[:l]
+    energies[1 : 2 * l : 2] = wo
+    energies[2 * l] = we[l]
+    amp = np.zeros((n, n))
+    s = 1.0 / np.sqrt(2.0)
+    for j in range(l + 1):
+        k = 2 * j
+        amp[k, :l] = ve[:l, j] * s
+        amp[k, l] = ve[l, j]
+        amp[k, l + 1 :] = ve[:l, j][::-1] * s
+    for j in range(l):
+        k = 2 * j + 1
+        amp[k, :l] = vo[:, j] * s
+        amp[k, l + 1 :] = -vo[:, j][::-1] * s
+    for k in range(n):
+        lead = amp[k, 0]
+        if abs(lead) <= 1e-12:
+            nz = np.nonzero(np.abs(amp[k]) > 1e-12)[0]
+            lead = amp[k, nz[0]] if nz.size else 1.0
+        if lead < 0:
+            amp[k] = -amp[k]
+    return energies, amp, np.array([(-1.0) ** k for k in range(n)])
 
 
 class TestBuildEffectiveChain:
@@ -101,6 +137,39 @@ class TestChainSpectrum:
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-10
         gram_sites = spec.amplitudes.T @ spec.amplitudes
         assert np.max(np.abs(gram_sites - np.eye(gram_sites.shape[0]))) <= 1e-10
+
+    def test_assembly_bit_identical_to_loop_oracle(self):
+        checked = 0
+        for d in (1, 2, 3):
+            for alpha in (0.5, 1.0, 1.5, 1.9, 2.5):
+                for l in (2, 4, 10, 24, 46, 64, 84, 100):
+                    try:
+                        ch = chain.build_effective_chain(d, alpha, l)
+                    except PrecisionGuardError:
+                        continue
+                    spec = chain.chain_spectrum(ch)
+                    got = (spec.energies, spec.amplitudes, spec.parities)
+                    for a, b in zip(got, loop_assembly(ch)):
+                        assert a.tobytes() == b.tobytes(), (d, alpha, l)
+                    checked += 1
+        assert checked >= 60
+
+    def test_diagonalised_once_per_chain(self, monkeypatch):
+        dims = []
+        solve = numkit.eigh_tridiagonal
+        monkeypatch.setattr(numkit, "eigh_tridiagonal",
+                            lambda d, e: dims.append(len(d)) or solve(d, e))
+        ch = chain.build_effective_chain(1, 1.2, 12)
+        spec = chain.chain_spectrum(ch)
+        again = chain.chain_spectrum(ch)
+        assert again.chain is ch and again.amplitudes is spec.amplitudes
+        assert dims == [13, 12]
+        # the shared result cannot be changed by one of its users
+        assert not any(a.flags.writeable
+                       for a in (spec.energies, spec.amplitudes, spec.parities))
+        # an equal but distinct chain is diagonalised on its own
+        chain.chain_spectrum(chain.build_effective_chain(1, 1.2, 12))
+        assert dims == [13, 12, 13, 12]
 
     def test_sign_fixing(self):
         spec = chain.chain_spectrum(chain.build_effective_chain(1, 1.2, 16))

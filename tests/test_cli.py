@@ -96,6 +96,24 @@ class TestTransferCommand:
         )
         assert res.returncode == 2
 
+    def test_uniform_two_sites_exit_3(self, tmp_path):
+        # N = 2 leaves no middle site: T would be infinite and the JSON invalid
+        res = run_cli(
+            ["transfer", "--protocol", "uniform", "--d", "1", "--alpha", "0",
+             "--L", "2", "--out-dir", str(tmp_path)], cwd=tmp_path,
+        )
+        assert res.returncode == 3
+        assert "N = L^d >= 3" in res.stderr
+        assert not (tmp_path / "transfer_uniform.json").exists()
+
+    def test_ring_past_exact_limit_exit_3(self, tmp_path):
+        res = run_cli(
+            ["transfer", "--protocol", "ring", "--d", "1", "--alpha", "1",
+             "--L", "16380", "--g", "0.02", "--out-dir", str(tmp_path)], cwd=tmp_path,
+        )
+        assert res.returncode == 3
+        assert "ring d=1 L=16380" in res.stderr and "largest exact size is L=16378" in res.stderr
+
     def test_uniform_regime_mismatch_exit_2(self, tmp_path):
         res = run_cli(
             ["transfer", "--protocol", "uniform", "--d", "1", "--alpha", "0.8",
@@ -202,6 +220,14 @@ class TestSweepCommand:
             assert res.returncode == 0, res.stderr
             outs[threads] = (sub / "out" / "figS2c.csv").read_bytes()
         assert outs["1"] == outs["4"]
+
+    def test_serial_unless_threads_set(self, monkeypatch):
+        from longwalk import experiments
+
+        monkeypatch.delenv("LONGWALK_THREADS", raising=False)
+        assert experiments.thread_count() == 1
+        monkeypatch.setenv("LONGWALK_THREADS", "3")
+        assert experiments.thread_count() == 3
 
     def test_numerical_failure_exit_4(self, monkeypatch):
         import numpy as np

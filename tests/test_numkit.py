@@ -205,6 +205,22 @@ class TestRealDftCirculant:
         with pytest.raises(DomainError):
             numkit.real_dft_circulant([0, 1, 0, 2])  # asymmetric
 
+    def test_d2_kernel(self):
+        L = 6
+        r = np.indices((L, L))
+        kernel = np.cos(np.minimum(r[0], L - r[0]) + 2.0 * np.minimum(r[1], L - r[1]))
+        np.testing.assert_allclose(numkit.real_dft_circulant(kernel),
+                                   np.fft.fft2(kernel).real, rtol=0, atol=1e-13)
+        broken = kernel.copy()
+        broken[1, 2] += 1e-9  # breaks r -> L - r on both axes
+        with pytest.raises(DomainError, match="axis 0"):
+            numkit.real_dft_circulant(broken)
+        broken[L - 1, 2] += 1e-9  # mends axis 0 only
+        with pytest.raises(DomainError, match="axis 1"):
+            numkit.real_dft_circulant(broken)
+        with pytest.raises(DomainError):
+            numkit.real_dft_circulant(np.zeros((6, 5)))  # odd along one axis
+
 
 class TestLinearFit:
     def test_exact_line(self):

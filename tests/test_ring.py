@@ -30,6 +30,25 @@ def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
     return float(abs(psi[n + 1]) ** 2)
 
 
+def closed_form_spectrum_1d(L: int, alpha: float) -> np.ndarray:
+    """Oracle: E_k = 2 sum_{j<L/2} cos(2 pi k j / L)/j^alpha + (-1)^k/(L/2)^alpha,
+    the quoted d=1 form, summed directly (O(L^2))."""
+    k = np.arange(L)[:, None]
+    j = np.arange(1, L // 2)[None, :]
+    e = 2.0 * np.sum(np.cos(2.0 * np.pi * k * j / L) / j**alpha, axis=1)
+    return e + (-1.0) ** np.arange(L) / (L / 2.0) ** alpha
+
+
+def complex_fft_spectrum(d: int, L: int, alpha: float) -> np.ndarray:
+    """Reference: the full complex FFT of the min-image kernel |r|^-alpha,
+    built from the lattice coordinates, flattened in the RingModel layout."""
+    r = np.indices((L,) * d)
+    r2 = np.sum(np.minimum(r, L - r) ** 2, axis=0).astype(float)
+    kernel = np.zeros(r2.shape)
+    kernel[r2 > 0] = r2[r2 > 0] ** (-alpha / 2.0)
+    return np.fft.fftn(kernel).real.ravel()
+
+
 class TestRingSpectrum:
     def test_L4_alpha1_hand_values(self):
         model = ring.ring_spectrum(1, 4, 1.0)
@@ -53,8 +72,26 @@ class TestRingSpectrum:
         for L in (4, 6, 10, 16, 50, 128, 250, 512, 1024, 4100):
             for alpha in (0.5, 1.0, 1.5, 2.2):
                 model = ring.ring_spectrum(1, L, alpha)
-                closed = ring.ring_spectrum_1d_closed_form(L, alpha)
+                closed = closed_form_spectrum_1d(L, alpha)
                 np.testing.assert_allclose(model.energies, closed, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 1026), (1, 2**17),
+                                      (2, 6), (2, 90), (2, 256)])
+    def test_real_fft_matches_complex_fft(self, d, L):
+        for alpha in (0.5, 1.0, 1.5, 2.2):
+            e = ring.ring_spectrum(d, L, alpha).energies
+            scale = np.max(np.abs(e))
+            refs = [complex_fft_spectrum(d, L, alpha)]
+            if d == 1 and L <= 1026:
+                refs.append(closed_form_spectrum_1d(L, alpha))
+            for ref in refs:
+                assert np.max(np.abs(e - ref)) <= 1e-13 * scale, (alpha, len(refs))
+
+    @pytest.mark.parametrize("d, L", [(1, 2**17), (1, 1026), (2, 6), (2, 256)])
+    def test_exact_mirror_symmetry(self, d, L):
+        # E[..., L-k] = E[..., k] along the mirrored (last) axis, bit for bit
+        e = ring.ring_spectrum(d, L, 1.3).energies.reshape((L,) * d)
+        np.testing.assert_array_equal(e[..., 1:], e[..., 1:][..., ::-1])
 
     def test_top_of_band_is_k0(self):
         for d, L, alpha in [(1, 64, 0.5), (1, 128, 2.0), (2, 16, 1.0), (2, 32, 3.5)]:
@@ -66,6 +103,8 @@ class TestRingSpectrum:
         k = np.arange(4)
         expect = ((-1.0) ** (k[:, None] + k[None, :])).ravel()
         np.testing.assert_array_equal(model.parities, expect)
+        np.testing.assert_array_equal(ring.ring_spectrum(1, 6, 1.0).parities,
+                                      (-1.0) ** np.arange(6))
 
     def test_d2_closed_form_modulo_boundary_terms(self):
         # the quoted 2D cosine-sum form drops the x,y = L/2 boundary terms;
@@ -228,27 +267,54 @@ class TestRingExactTransfer:
             om = model.omega(g)
             assert 0.0 <= eps <= 2 * om**2 * s.q2 + 1e-15
 
-    @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 102), (1, 1026), (2, 6), (2, 12)])
+    @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 102), (1, 1026), (2, 6), (2, 12),
+                                      (2, 20)])
     def test_matches_dense_site_oracle(self, d, L):
         for alpha, g in [(1.0, 0.02), (0.7, 0.3), (1.6, 0.1)]:
             out = ring.ring_exact_transfer(d, L, alpha, g)
             assert abs(out.fidelity_exact - dense_ring_fidelity(d, L, alpha, g)) <= 1e-12, alpha
+
+    @pytest.mark.parametrize("d, L", [(1, 100), (1, 102), (2, 12), (2, 14), (2, 44), (2, 250)])
+    def test_folded_modes_cover_the_channel(self, d, L):
+        # each folded mode stands in for mult channel modes: the multiplicities
+        # add up to N, and the swap fold keeps only kx <= ky at d=2
+        model = ring.ring_spectrum(d, L, 1.2)
+        detunings, mult, parities = ring._folded_modes(model)
+        assert mult.sum() == model.N
+        # the size check counts the larger sector in closed form
+        assert ring._largest_sector(d, L) == 1 + max(np.sum(parities > 0), np.sum(parities < 0))
+        half = L // 2 + 1
+        assert detunings.size == (half if d == 1 else half * (half + 1) // 2)
+        if d == 2:
+            # the swap partner (ky, kx) has the same parity and, up to
+            # roundoff, the same energy as the mode kept for the pair
+            e = model.detunings.reshape(L, L)[:half, :half]
+            assert np.max(np.abs(e - e.T)) <= 1e-12 * np.max(np.abs(e))
 
     def test_size_caps(self):
         with pytest.raises(DomainError):
             ring.ring_spectrum(1, ring.L_CAP_FFT_1D + 2, 1.0)
         with pytest.raises(DomainError):
             ring.ring_spectrum(2, ring.L_CAP_2D + 2, 1.0)
-        # the larger parity sector passes numkit.DENSE_DIM_CAP above
-        # L = 16378 (d=1) and L = 178 (d=2)
-        with pytest.raises(DomainError, match="dense dimension"):
-            ring.ring_exact_transfer(1, 16380, 1.0, 0.1)
-        with pytest.raises(DomainError, match="dense dimension"):
-            ring.ring_exact_transfer(2, 180, 1.0, 0.1)
-        # below those sizes nothing else limits the exact path
-        for d, L in [(1, 2002), (2, 46)]:
+        # after the folds, the larger parity sector passes numkit.DENSE_DIM_CAP
+        # above L = 16378 (d=1) and L = 250 (d=2); the rejection names the
+        # ring, d, L and the largest exact size
+        for d, L, largest in [(1, 16380, 16378), (2, 252, 250), (1, 2**17 + 2, 16378)]:
+            with pytest.raises(DomainError, match=f"^ring d={d} L={L}: .* L={largest}$"):
+                ring.ring_exact_transfer(d, L, 1.0, 0.1)
+        # below those sizes nothing else limits the exact path; d=2 L=180
+        # was past the limit before the swap fold
+        for d, L in [(1, 2002), (2, 46), (2, 180)]:
             out = ring.ring_exact_transfer(d, L, 1.0, 0.01)
             assert 0.99 <= out.fidelity_exact <= 1.0 + 1e-12
+
+    def test_size_rejection_comes_before_the_spectrum(self, monkeypatch):
+        def no_fft(kernel):
+            raise AssertionError("spectrum computed for a rejected size")
+
+        monkeypatch.setattr(numkit, "real_dft_circulant", no_fft)
+        with pytest.raises(DomainError, match="largest exact size"):
+            ring.ring_exact_transfer(2, 252, 1.0, 0.1)
 
     def test_transfer_time_value(self):
         out = ring.ring_exact_transfer(1, 100, 1.0, 0.05)

@@ -1,12 +1,36 @@
 import numpy as np
 import pytest
 
-from longwalk import chain, numkit, transfer
+from longwalk import chain, cli, experiments, numkit, transfer
 from longwalk.errors import DomainError
 
 
 def build_model(d, alpha, l, g):
     return transfer.attach_endpoints(chain.build_effective_chain(d, alpha, l), g)
+
+
+@pytest.fixture
+def tridiagonal_calls(monkeypatch):
+    calls = []
+    solve = numkit.eigh_tridiagonal
+    monkeypatch.setattr(numkit, "eigh_tridiagonal",
+                        lambda d, e: calls.append(len(d)) or solve(d, e))
+    return calls
+
+
+class TestOneDiagonalisationPerChain:
+    """attach_endpoints reuses the chain's spectrum, so a g sweep or a
+    choose_g + attach_endpoints pair solves the two parity sectors once."""
+
+    def test_fig2a(self, tridiagonal_calls):
+        experiments.fig2a()
+        assert tridiagonal_calls == [25, 24]
+
+    def test_chain_transfer_command(self, tridiagonal_calls, tmp_path):
+        argv = ["transfer", "--protocol", "chain", "--d", "1", "--alpha", "1.2", "--l", "24",
+                "--epsilon", "0.01", "--out-dir", str(tmp_path), "--reproducible"]
+        assert cli.main(argv) == 0
+        assert tridiagonal_calls == [25, 24]
 
 
 class TestAttachEndpoints:

@@ -22,6 +22,23 @@ def full_model_fidelity(protocol, times) -> np.ndarray:
                      for t in np.atleast_1d(np.asarray(times, dtype=float))])
 
 
+def coordinate_envelope_margin(protocol) -> float:
+    """Oracle: max over coupled pairs of w * r^alpha, from every site
+    coordinate of the cube (X at the origin, Y at (L-1, 0, ..., 0))."""
+    d, L = protocol.d, protocol.L
+    axes = [np.arange(L)] * d
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    x = np.zeros(d)
+    y = np.zeros(d)
+    y[0] = L - 1
+    mask = ~(np.all(coords == x, axis=1) | np.all(coords == y, axis=1))
+    mids = coords[mask]
+    r_from_x = np.sqrt(np.sum((mids - x) ** 2, axis=1))
+    r_from_y = np.sqrt(np.sum((mids - y) ** 2, axis=1))
+    r_max = max(r_from_x.max(), r_from_y.max())
+    return float(protocol.w * r_max**protocol.alpha)
+
+
 class TestBuildUniformProtocol:
     def test_d1_alpha0_L4(self):
         p = uniform.build_uniform_protocol(1, 0.0, 4)
@@ -46,8 +63,14 @@ class TestBuildUniformProtocol:
             uniform.build_uniform_protocol(1, 0.6, 4)
 
     def test_size_cap(self):
-        with pytest.raises(DomainError):
-            uniform.build_uniform_protocol(1, 0.0, 30000)
+        # X, Y and at least one middle site: N = L^d >= 3 (and L >= 2)
+        for d, L in [(1, 2), (1, 1), (2, 1), (3, 0), (2, -2)]:
+            with pytest.raises(DomainError, match="N = L\\^d >= 3"):
+                uniform.build_uniform_protocol(d, 0.0, L)
+        assert uniform.build_uniform_protocol(2, 0.0, 2).N == 4
+        # no upper cap: nothing materialises the N sites
+        p = uniform.build_uniform_protocol(1, 0.0, 30000)
+        assert uniform.simulate_uniform(p) >= 1 - 1e-9
 
 
 class TestSimulateUniform:
@@ -83,6 +106,14 @@ class TestSimulateUniform:
         for d, alpha, L in [(1, 0.3, 500), (2, 0.9, 40), (3, 1.2, 12)]:
             p = uniform.build_uniform_protocol(d, alpha, L)
             assert uniform.envelope_margin(p) <= 1 + 1e-12
+
+    def test_envelope_margin_matches_coordinate_oracle(self):
+        for d in (1, 2, 3):
+            for L in range(3, 20):
+                for alpha in (0.0, 0.3, 0.7, 1.2, 1.4):
+                    if alpha < d / 2.0:
+                        p = uniform.build_uniform_protocol(d, alpha, L)
+                        assert uniform.envelope_margin(p) == coordinate_envelope_margin(p)
 
 
 class TestUniformTimeScaling:
