@@ -28,14 +28,13 @@ from .svgplot import SvgPlot
 CSV_SCHEMA_VERSION = 1
 
 
-def _manifest(command: str, params: dict, outputs: list[str], reproducible: bool,
-              deviations: list[str] | None = None) -> dict:
+def _manifest(command: str, params: dict, outputs: list[str], reproducible: bool) -> dict:
     man = {
         "command": command,
         "parameters": params,
         "artifact_version": __version__,
         "outputs": outputs,
-        "deviation_notes": deviations or [],
+        "deviation_notes": [],
     }
     if not reproducible:
         man["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -175,9 +174,16 @@ def cmd_transfer(args) -> int:
 
 
 def _g_grid(args):
-    if args.g_min is not None and args.g_max is not None:
-        return np.geomspace(args.g_min, args.g_max, args.g_points)
-    return None
+    """The --g-min/--g-max/--g-points grid, or None for the experiment's default."""
+    if args.g_min is None and args.g_max is None:
+        return None
+    if args.g_min is None or args.g_max is None:
+        raise DomainError("--g-min and --g-max must be given together")
+    for flag, value in (("--g-min", args.g_min), ("--g-max", args.g_max),
+                        ("--g-points", args.g_points)):
+        if not 0 < value < np.inf:
+            raise DomainError(f"{flag} must be positive and finite, got {value}")
+    return np.geomspace(args.g_min, args.g_max, args.g_points)
 
 
 def _alpha_override(args) -> dict:
@@ -192,8 +198,10 @@ def _infidelity_plot(title: str, res: dict) -> SvgPlot:
 
 
 def _sweep_fig2a(args):
-    res = experiments.fig2a(d=args.d, delta=args.alpha_minus_d or 0.2,
-                            l=args.l or 24, g_grid=_g_grid(args))
+    # fig2a runs alpha = d - delta, so delta is minus the flag's alpha - d
+    delta = 0.2 if args.alpha_minus_d is None else -args.alpha_minus_d
+    res = experiments.fig2a(d=args.d, delta=delta, l=24 if args.l is None else args.l,
+                            g_grid=_g_grid(args))
     table = ("fig2a",
              ["g", "eps_exact", "eps_perturbative", "envelope", "bound", "conditions_met"],
              [res["g"], res["eps_exact"], res["eps_perturbative"], res["envelope"],
@@ -295,26 +303,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _print_verdicts(report: dict, prefix: str = "") -> None:
+def _print_verdicts(report: dict) -> None:
     for warning in report.get("warnings", []):
-        print(f"{prefix}warning: {warning}")
-    for key in ("relative_ok", "envelope_ok", "passed"):
-        if key in report and report[key] is not None:
-            print(f"{prefix}{report.get('experiment', '')} {key}: "
-                  f"{'PASS' if report[key] else 'FAIL'}")
+        print(f"warning: {warning}")
+    for key in ("relative_ok", "envelope_ok"):
+        if key in report:
+            print(f"{report['experiment']} {key}: {'PASS' if report[key] else 'FAIL'}")
     if "saturation" in report:
         sat = report["saturation"]
-        print(f"{prefix}saturation [{sat['regime']}]: {sat['verdict']}")
+        print(f"saturation [{sat['regime']}]: {sat['verdict']}")
     for sub in report.get("results", []):
-        if isinstance(sub, dict) and "passed" in sub:
-            tag = f"alpha={sub.get('alpha', '?')}"
-            ok = sub["passed"] if sub["passed"] is not None else "n/a"
-            print(f"{prefix}  {tag}: {'PASS' if ok is True else ('FAIL' if ok is False else ok)}")
-        elif isinstance(sub, dict):
-            oks = [v for k, v in sub.items() if k.endswith("_ok")]
-            if oks:
-                print(f"{prefix}  alpha={sub.get('alpha', '?')}: "
-                      f"{'PASS' if all(oks) else 'FAIL'}")
+        oks = [sub["passed"]] if "passed" in sub else [
+            v for k, v in sub.items() if k.endswith("_ok")]
+        if oks:
+            print(f"  alpha={sub['alpha']}: {'PASS' if all(oks) else 'FAIL'}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1, choices=(1, 2))
     p.add_argument("--alpha", type=float, help="override the default alpha grid")
     p.add_argument("--alpha-minus-d", type=float, dest="alpha_minus_d",
-                   help="regime offset for fig2a / fig2bcd")
+                   help="alpha - d for fig2a (default -0.2) / fig2bcd (default 0.2)")
     p.add_argument("--l", type=int, help="depth for fig2a")
     p.add_argument("--l-min", type=int, dest="l_min")
     p.add_argument("--l-max", type=int, dest="l_max")

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import numkit, ring, scaling, transfer, uniform
+from .errors import RegimeError
 from .scaling import TOLERANCES
 
 # fig2a default grid: 36 log-spaced couplings up to g = 0.03, the range
@@ -151,9 +152,11 @@ def fig2a(d: int = 1, delta: float = 0.2, l: int = 24, g_grid=None) -> dict:
 
 
 def fig2bcd(d: int = 1, alpha_minus_d: float = 0.2, l_min: int | None = None,
-            l_max: int | None = None, window: int = 5) -> dict:
+            l_max: int | None = None) -> dict:
     """Q scaling in one of the three regimes (converging, log, power)."""
     alpha = d + alpha_minus_d
+    if alpha < d / 2.0:
+        raise RegimeError(f"alpha={alpha} < d/2: the chain protocol covers alpha >= d/2")
     if alpha_minus_d < 0:
         l_min = 8 if l_min is None else l_min
         l_max = FIG2BCD_L_MAX["below"] if l_max is None else l_max

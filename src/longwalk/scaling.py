@@ -43,7 +43,6 @@ class ScalingSeries:
     axis_mode: str  # "log-log", "semilog-x", or "linear"
     local_exponents: np.ndarray | None = None  # (m, 2): (window midpoint, slope)
     extrapolated_exponent: float | None = None
-    fit_quality: float | None = None
     window: int | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -65,7 +64,6 @@ class LRExponent:
 
     regime: str  # "uniform" | "constant" | "log" | "power" | "nearest-neighbor"
     time_exponent: float  # exponent of L in the optimal T (0 for log regime)
-    commutator_exponent: float  # exponent of L in the commutator bound
     is_log: bool = False
 
 
@@ -169,14 +167,14 @@ def lr_exponent(d: int, alpha: float) -> LRExponent:
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     if alpha < d / 2.0:
-        return LRExponent("uniform", alpha - d / 2.0, d / 2.0 - alpha)
+        return LRExponent("uniform", alpha - d / 2.0)
     if alpha < d:
-        return LRExponent("constant", 0.0, 0.0)
+        return LRExponent("constant", 0.0)
     if alpha == d:
-        return LRExponent("log", 0.0, 0.0, is_log=True)
+        return LRExponent("log", 0.0, is_log=True)
     if alpha < d + 1:
-        return LRExponent("power", alpha - d, d - alpha)
-    return LRExponent("nearest-neighbor", 1.0, -1.0)
+        return LRExponent("power", alpha - d)
+    return LRExponent("nearest-neighbor", 1.0)
 
 
 def saturation_report(d: int, alpha: float, measured: dict) -> dict:

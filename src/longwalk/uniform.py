@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit
+from . import numkit, scaling
 from .errors import DomainError, RegimeError
 
 
@@ -89,8 +89,6 @@ def transfer_time(d: int, alpha: float, L) -> np.ndarray:
 def uniform_time_scaling(d: int, alpha: float, L_grid):
     """(L, T) series with its fitted log-log slope; analytic, so the grid may
     reach any size."""
-    from . import scaling  # local import: scaling does not import uniform
-
     if not alpha < d / 2.0:
         raise RegimeError(f"alpha={alpha} is not < d/2; wrong regime")
     L = np.asarray(L_grid, dtype=float)
@@ -100,5 +98,4 @@ def uniform_time_scaling(d: int, alpha: float, L_grid):
         axis_mode="log-log",
         metadata={"protocol": "uniform", "d": d, "alpha": alpha},
     )
-    fit = scaling.fit_loglog_slope(series)
-    return series.with_fit(extrapolated_exponent=fit.slope, fit_quality=fit.r_squared)
+    return series.with_fit(extrapolated_exponent=scaling.fit_loglog_slope(series).slope)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chain as chain_mod
-from . import numkit
-from .errors import DomainError
+from longwalk import chain as chain_mod
+from longwalk import numkit
+from longwalk.errors import DomainError
 
 SITE_CAP = 20000
 
@@ -201,25 +201,3 @@ def verify_reduction_dynamics(lattice: BlockLattice, g: float, t_grid=None) -> f
         fr = abs(numkit.evolve(dec_red, psi_red, t)[-1]) ** 2
         dev = max(dev, abs(ff - fr))
     return dev
-
-
-def lattice_to_json(lattice: BlockLattice) -> dict:
-    """JSON-ready document: geometry plus the explicit inter-block bond list."""
-    bonds = []
-    for j in range(2 * lattice.l):
-        sa = lattice.block_slice(j)
-        sb = lattice.block_slice(j + 1)
-        w = float(lattice.couplings[j])
-        for i in range(sa.start, sa.stop):
-            for k in range(sb.start, sb.stop):
-                bonds.append({"i": i, "j": k, "strength": w})
-    return {
-        "d": lattice.d,
-        "alpha": lattice.alpha,
-        "l": lattice.l,
-        "sites": [
-            {"index": i, "block": int(lattice.block_of[i]), "coords": [int(c) for c in row]}
-            for i, row in enumerate(lattice.coords)
-        ],
-        "bonds": bonds,
-    }

@@ -12,7 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from longwalk import blocks, chain, experiments, scaling, transfer, uniform
+from longwalk import chain, experiments, scaling, transfer, uniform
+
+import block_lattice as blocks
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:

@@ -1,10 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
-from longwalk import blocks, chain
+from longwalk import chain
 from longwalk.errors import DomainError
+
+import block_lattice as blocks
 
 
 class TestBuildBlockLattice:
@@ -151,21 +151,3 @@ class TestReductionDynamics:
         lat = blocks.build_block_lattice(1, 0.7, 2)
         t_grid = np.linspace(0.0, 10.0, 20)
         assert blocks.verify_reduction_dynamics(lat, 1e-300, t_grid) == 0.0
-
-
-class TestLatticeJson:
-    def test_schema_and_consistency(self):
-        lat = blocks.build_block_lattice(2, 1.5, 2)
-        doc = blocks.lattice_to_json(lat)
-        # round-trips through the json module
-        doc = json.loads(json.dumps(doc))
-        assert doc["d"] == 2 and doc["l"] == 2
-        assert len(doc["sites"]) == 26
-        n_bonds = sum(
-            int(lat.populations[j] * lat.populations[j + 1]) for j in range(2 * lat.l)
-        )
-        assert len(doc["bonds"]) == n_bonds
-        for b in doc["bonds"][:10]:
-            assert set(b) == {"i", "j", "strength"}
-        blocks_seen = {s["block"] for s in doc["sites"]}
-        assert blocks_seen == set(range(5))

@@ -241,6 +241,46 @@ class TestSweepCommand:
         rc = cli.main(["chain-spectrum", "--d", "1", "--alpha", "1", "--l", "2"])
         assert rc == 4
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--g-min", "0.001", "--g-max", "0.1", "--g-points", "0"], "--g-points"),
+        (["--g-min", "0.001", "--g-max", "0.1", "--g-points", "-3"], "--g-points"),
+        (["--g-min", "0", "--g-max", "0.1"], "--g-min"),
+        (["--g-min", "0.001"], "--g-max"),
+    ])
+    def test_malformed_g_grid_exit_3(self, tmp_path, flags, named):
+        res = run_cli(
+            ["sweep", "--experiment", "fig2a", *flags, "--out-dir", str(tmp_path)],
+            cwd=tmp_path,
+        )
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert named in res.stderr
+
+    def test_fig2bcd_below_half_d_exit_2(self, tmp_path):
+        res = run_cli(
+            ["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "-0.6",
+             "--out-dir", str(tmp_path)], cwd=tmp_path,
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "the chain protocol covers alpha >= d/2" in res.stderr
+
+    @pytest.mark.parametrize("flag, delta", [("-0.3", 0.3), ("0", 0.0)])
+    def test_fig2a_alpha_minus_d_is_alpha_minus_d(self, tmp_path, flag, delta):
+        # fig2a runs alpha = d - delta, so --alpha-minus-d x means delta = -x
+        from longwalk import experiments
+
+        res = run_cli(
+            ["sweep", "--experiment", "fig2a", "--alpha-minus-d", flag,
+             "--out-dir", str(tmp_path), "--reproducible"], cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        lines = (tmp_path / "fig2a.csv").read_text().splitlines()[2:]
+        got = np.array([[float(v) for v in line.split(",")] for line in lines])
+        ref = experiments.fig2a(delta=delta)
+        keys = ("g", "eps_exact", "eps_perturbative", "envelope", "bound", "bound_conditions")
+        np.testing.assert_array_equal(got, np.column_stack([ref[k] for k in keys]))
+
     def test_csv_17_digit_roundtrip(self, tmp_path):
         res = run_cli(
             ["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "0.5",
@@ -256,3 +296,23 @@ class TestSweepCommand:
         # 17 significant digits round-trip float64 exactly
         np.testing.assert_array_equal(got[:, 0], series.sizes)
         np.testing.assert_array_equal(got[:, 1], series.values)
+
+
+class TestJsonWriter:
+    def test_numpy_scalars_and_arrays_round_trip(self, tmp_path):
+        from longwalk import cli
+
+        # np.float64 subclasses float and never reaches the fallback; float32 does
+        payload = {"i": np.int64(7), "f": np.float32(0.5), "b": np.bool_(True),
+                   "a": np.array([[1, 2], [3, 4]])}
+        path = tmp_path / "out.json"
+        cli.write_json(path, payload)
+        back = json.loads(path.read_text())
+        assert back == {"i": 7, "f": 0.5, "b": True, "a": [[1, 2], [3, 4]]}
+        assert type(back["i"]) is int and type(back["b"]) is bool
+
+    def test_other_objects_raise_type_error(self, tmp_path):
+        from longwalk import cli
+
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli.write_json(tmp_path / "out.json", {"x": object()})

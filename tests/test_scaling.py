@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from longwalk import numkit, scaling
-from longwalk.errors import DomainError
+from longwalk import experiments, numkit, scaling
+from longwalk.errors import DomainError, RegimeError
 
 
 def series_from(Ls, ys, mode="log-log"):
@@ -171,6 +171,14 @@ class TestQScalingSweep:
         s1 = scaling.q_scaling_sweep(1, 1.3, 4, 30)
         s2 = scaling.q_scaling_sweep(1, 1.3, 4, 30)
         assert np.array_equal(s1.points, s2.points)
+
+
+class TestFig2bcdRegime:
+    @pytest.mark.parametrize("d, alpha_minus_d", [(1, -0.6), (2, -1.2)])
+    def test_below_half_d_is_a_regime_error(self, d, alpha_minus_d):
+        # the chain covers alpha >= d/2; below it the uniform protocol applies
+        with pytest.raises(RegimeError, match="< d/2: the chain protocol covers alpha >= d/2"):
+            experiments.fig2bcd(d, alpha_minus_d)
 
 
 class TestSaturationReport:
