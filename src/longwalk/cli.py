@@ -6,12 +6,13 @@ byte-identical CSV/JSON; pass --reproducible to drop the wall-clock
 timestamp from manifests and SVG comments as well.
 
 Exit codes: 0 success, 2 usage or regime error, 3 precision-guard or other
-domain rejection, 4 numerical failure.
+domain rejection or a flag nothing reads, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from datetime import datetime, timezone
@@ -126,14 +127,23 @@ def _outcome_payload(out: transfer.TransferOutcome, g: float, L: int, bound_key:
     }
 
 
+# protocol -> (flags it requires, other flags it reads besides --d and --alpha)
+TRANSFER_FLAGS = {"chain": (("l",), ("epsilon", "g")), "uniform": (("L",), ()),
+                  "ring": (("L", "g"), ())}
+
+
 def cmd_transfer(args) -> int:
+    required, optional = TRANSFER_FLAGS[args.protocol]
+    for flag in ("l", "L", "epsilon", "g"):
+        if getattr(args, flag) is not None and flag not in required + optional:
+            raise DomainError(f"--protocol {args.protocol} does not read --{flag}")
+    if any(getattr(args, flag) is None for flag in required):
+        raise DomainError(f"--protocol {args.protocol} requires --" + " and --".join(required))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = {k: getattr(args, k, None) for k in
+    params = {k: getattr(args, k) for k in
               ("protocol", "d", "alpha", "l", "L", "epsilon", "g")}
     if args.protocol == "uniform":
-        if args.L is None:
-            raise DomainError("--protocol uniform requires --L")
         proto = uniform.build_uniform_protocol(args.d, args.alpha, args.L)
         fid = uniform.simulate_uniform(proto)
         payload = {
@@ -144,8 +154,6 @@ def cmd_transfer(args) -> int:
             "w": proto.w,
         }
     elif args.protocol == "chain":
-        if args.l is None:
-            raise DomainError("--protocol chain requires --l")
         if args.alpha < args.d / 2.0:
             raise RegimeError(
                 f"alpha={args.alpha} < d/2: the chain protocol covers alpha >= d/2"
@@ -159,8 +167,6 @@ def cmd_transfer(args) -> int:
         out = transfer.exact_transfer(transfer.attach_endpoints(ch, g))
         payload = _outcome_payload(out, g, ch.L, "infidelity_bound")
     else:  # ring; argparse restricts the choices
-        if args.L is None or args.g is None:
-            raise DomainError("--protocol ring requires --L and --g")
         out = ring.ring_exact_transfer(args.d, args.L, args.alpha, args.g)
         payload = _outcome_payload(out, args.g, args.L, "infidelity_envelope")
     json_path = out_dir / f"transfer_{args.protocol}.json"
@@ -173,21 +179,31 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-def _g_grid(args):
-    """The --g-min/--g-max/--g-points grid, or None for the experiment's default."""
-    if args.g_min is None and args.g_max is None:
-        return None
-    if args.g_min is None or args.g_max is None:
-        raise DomainError("--g-min and --g-max must be given together")
-    for flag, value in (("--g-min", args.g_min), ("--g-max", args.g_max),
-                        ("--g-points", args.g_points)):
-        if not 0 < value < np.inf:
-            raise DomainError(f"{flag} must be positive and finite, got {value}")
-    return np.geomspace(args.g_min, args.g_max, args.g_points)
+def _g_grid(flags: dict):
+    """The --g-min/--g-max/--g-points grid; the three flags go together."""
+    for flag in ("g_min", "g_max", "g_points"):
+        opt = "--" + flag.replace("_", "-")
+        if flag not in flags:
+            raise DomainError(f"--g-min, --g-max and --g-points go together; {opt} is missing")
+        if not 0 < flags[flag] < np.inf:
+            raise DomainError(f"{opt} must be positive and finite, got {flags[flag]}")
+    return np.geomspace(flags["g_min"], flags["g_max"], flags["g_points"])
 
 
-def _alpha_override(args) -> dict:
-    return {} if args.alpha is None else {"alphas": [args.alpha]}
+def _driver_kwargs(experiment: str, driver, flags: dict) -> dict:
+    """The sweep flags given as driver keywords (--g-* build g_grid, --alpha is a
+    one-point alphas grid); a flag the driver does not read is a DomainError."""
+    params = inspect.signature(driver).parameters
+    kwargs = {}
+    for flag, value in flags.items():
+        name = "g_grid" if flag.startswith("g_") else (
+            "alphas" if flag == "alpha" and "alphas" in params else flag)
+        if name not in params:
+            raise DomainError(f"--experiment {experiment} does not read --{flag.replace('_', '-')}")
+        kwargs[name] = [value] if name == "alphas" else value
+    if "g_grid" in kwargs:
+        kwargs["g_grid"] = _g_grid(flags)
+    return kwargs
 
 
 def _infidelity_plot(title: str, res: dict) -> SvgPlot:
@@ -197,11 +213,7 @@ def _infidelity_plot(title: str, res: dict) -> SvgPlot:
     return plot
 
 
-def _sweep_fig2a(args):
-    # fig2a runs alpha = d - delta, so delta is minus the flag's alpha - d
-    delta = 0.2 if args.alpha_minus_d is None else -args.alpha_minus_d
-    res = experiments.fig2a(d=args.d, delta=delta, l=24 if args.l is None else args.l,
-                            g_grid=_g_grid(args))
+def _sweep_fig2a(res):
     table = ("fig2a",
              ["g", "eps_exact", "eps_perturbative", "envelope", "bound", "conditions_met"],
              [res["g"], res["eps_exact"], res["eps_perturbative"], res["envelope"],
@@ -212,15 +224,11 @@ def _sweep_fig2a(args):
     return [table], ("fig2a", plot), report
 
 
-def _sweep_fig2bcd(args):
-    delta = 0.2 if args.alpha_minus_d is None else args.alpha_minus_d
-    res = experiments.fig2bcd(d=args.d, alpha_minus_d=delta,
-                              l_min=args.l_min, l_max=args.l_max)
-    series = res["series"]
+def _sweep_fig2bcd(res):
+    series, delta = res["series"], res["alpha_minus_d"]
     stem = f"fig2{res['panel']}_delta{delta:g}"
-    logx = series.axis_mode != "linear"
     plot = SvgPlot(f"Q vs distance (alpha - d = {delta:g})", "L", "Q",
-                   xlog=logx, ylog=series.axis_mode == "log-log")
+                   xlog=True, ylog=series.axis_mode == "log-log")
     plot.add("Q", series.sizes, series.values, "line+dots")
     report = {key: res[key] for key in
               ("panel", "saturation", "convergence_ratio", "log_r2", "slope") if key in res}
@@ -228,8 +236,7 @@ def _sweep_fig2bcd(args):
     return [(stem, ["L", "Q"], [series.sizes, series.values])], (stem, plot), report
 
 
-def _sweep_figs2a(args):
-    res = experiments.fig_s2a(L=args.L, alpha=args.alpha, g_grid=_g_grid(args))
+def _sweep_figs2a(res):
     table = ("figS2a", ["g", "eps_exact", "eps_perturbative"],
              [res["g"], res["eps_exact"], res["eps_perturbative"]])
     plot = _infidelity_plot("ring transfer infidelity vs coupling", res)
@@ -237,11 +244,10 @@ def _sweep_figs2a(args):
     return [table], ("figS2a", plot), report
 
 
-def _sweep_q2_exponents(args, driver):
-    res = driver(**_alpha_override(args))
+def _sweep_q2_exponents(experiment, res):
     header = ["alpha", "exponent", "target", "passed"]
     alphas, exps, targets, passed = ([r[key] for r in res["results"]] for key in header)
-    table = (args.experiment, header, [alphas, exps, targets, passed])
+    table = (experiment, header, [alphas, exps, targets, passed])
     plot = SvgPlot("extrapolated q2 exponents", "alpha", "exponent")
     plot.add("measured", alphas, exps, "dots")
     plot.add("target", alphas, targets, "line")
@@ -251,11 +257,10 @@ def _sweep_q2_exponents(args, driver):
         "results": [{key: r[key] for key in ("alpha", "exponent", "target", "error", "passed")}
                     for r in res["results"]],
     }
-    return [table], (args.experiment, plot), report
+    return [table], (experiment, plot), report
 
 
-def _sweep_figs3(args):
-    res = experiments.fig_s3(**_alpha_override(args))
+def _sweep_figs3(res):
     tables, results = [], []
     plot = SvgPlot("gap and bandwidth scaling", "L", "delta0, W", xlog=True, ylog=True)
     for entry in res["results"]:
@@ -269,23 +274,27 @@ def _sweep_figs3(args):
     return tables, ("figS3", plot), {"results": results}
 
 
-# experiment -> builder.  A builder runs one experiment and returns its CSV
-# tables as (stem, header, columns), its plot as (stem, SvgPlot), and its
-# report fields; cmd_sweep writes them all.
+# experiment -> (driver, builder).  The driver's signature is what the sweep reads
+# and holds its defaults; the builder turns the driver's result into CSV tables as
+# (stem, header, columns), a plot as (stem, SvgPlot) and report fields.
 SWEEPS = {
-    "fig2a": _sweep_fig2a,
-    "fig2bcd": _sweep_fig2bcd,
-    "figS2a": _sweep_figs2a,
-    "figS2b": lambda args: _sweep_q2_exponents(args, experiments.fig_s2b),
-    "figS2c": lambda args: _sweep_q2_exponents(args, experiments.fig_s2c),
-    "figS3": _sweep_figs3,
+    "fig2a": (experiments.fig2a, _sweep_fig2a),
+    "fig2bcd": (experiments.fig2bcd, _sweep_fig2bcd),
+    "figS2a": (experiments.fig_s2a, _sweep_figs2a),
+    "figS2b": (experiments.fig_s2b, lambda res: _sweep_q2_exponents("figS2b", res)),
+    "figS2c": (experiments.fig_s2c, lambda res: _sweep_q2_exponents("figS2c", res)),
+    "figS3": (experiments.fig_s3, _sweep_figs3),
 }
 
 
 def cmd_sweep(args) -> int:
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("command", "func", "out_dir", "reproducible", "experiment")}
+    driver, build = SWEEPS[args.experiment]
+    res = driver(**_driver_kwargs(args.experiment, driver, flags))
+    tables, (svg_stem, plot), fields = build(res)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables, (svg_stem, plot), fields = SWEEPS[args.experiment](args)
     paths = []
     for stem, header, columns in tables:
         paths.append(out_dir / f"{stem}.csv")
@@ -293,7 +302,7 @@ def cmd_sweep(args) -> int:
     paths.append(out_dir / f"{svg_stem}.svg")
     paths[-1].write_text(plot.render(_svg_comment(args.reproducible)))
     report = {"experiment": args.experiment, **fields}
-    params = {k: v for k, v in vars(args).items() if k not in ("func",)}
+    params = {"experiment": args.experiment, **flags}
     report["manifest"] = _manifest(f"sweep:{args.experiment}", params,
                                    [str(p) for p in paths], args.reproducible)
     json_path = out_dir / f"{args.experiment}_report.json"
@@ -350,30 +359,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--l", type=int, help="recursion depth (chain protocol)")
     p.add_argument("--L", type=int, help="side length (uniform/ring protocols)")
-    p.add_argument("--epsilon", type=float, help="target infidelity (chain: picks g)")
-    p.add_argument("--g", type=float, help="explicit endpoint coupling")
+    coupling = p.add_mutually_exclusive_group()
+    coupling.add_argument("--epsilon", type=float, help="target infidelity (chain: picks g)")
+    coupling.add_argument("--g", type=float, help="explicit endpoint coupling (chain/ring)")
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser(
         "sweep", parents=[common], help="named figure reproductions",
-        epilog="CSV columns by experiment: fig2a/figS2a: g, eps_exact, "
-               "eps_perturbative [, envelope, bound, conditions_met]; "
-               "fig2bcd: L, Q; figS2b/figS2c: alpha, exponent, target, "
-               "passed; figS3: L, delta0, bandwidth.",
+        argument_default=argparse.SUPPRESS,
+        epilog="Each flag's help names the experiments that read it; any other one exits "
+               "3 on it. CSV columns by experiment: fig2a/figS2a: g, eps_exact, eps_perturbative "
+               "[, envelope, bound, conditions_met]; fig2bcd: L, Q; figS2b/figS2c: alpha, "
+               "exponent, target, passed; figS3: L, delta0, bandwidth.",
     )
     p.add_argument("--experiment", required=True,
                    choices=("fig2a", "fig2bcd", "figS2a", "figS2b", "figS2c", "figS3"))
-    p.add_argument("--d", type=int, default=1, choices=(1, 2))
-    p.add_argument("--alpha", type=float, help="override the default alpha grid")
-    p.add_argument("--alpha-minus-d", type=float, dest="alpha_minus_d",
-                   help="alpha - d for fig2a (default -0.2) / fig2bcd (default 0.2)")
-    p.add_argument("--l", type=int, help="depth for fig2a")
-    p.add_argument("--l-min", type=int, dest="l_min")
-    p.add_argument("--l-max", type=int, dest="l_max")
-    p.add_argument("--L", type=int, help="ring size for figS2a")
-    p.add_argument("--g-min", type=float, dest="g_min")
-    p.add_argument("--g-max", type=float, dest="g_max")
-    p.add_argument("--g-points", type=int, dest="g_points", default=36)
+    p.add_argument("--d", type=int, choices=(1, 2), help="dimension (fig2a, fig2bcd)")
+    p.add_argument("--alpha", type=float, help="alpha (figS2a), alpha grid (figS2b/c, figS3)")
+    p.add_argument("--alpha-minus-d", type=float, help="alpha - d (fig2a, fig2bcd)")
+    p.add_argument("--l", type=int, help="depth (fig2a)")
+    p.add_argument("--l-min", type=int, help="smallest depth (fig2bcd)")
+    p.add_argument("--l-max", type=int, help="largest depth (fig2bcd)")
+    p.add_argument("--L", type=int, help="ring size (figS2a)")
+    p.add_argument("--g-min", type=float, help="smallest coupling (fig2a, figS2a)")
+    p.add_argument("--g-max", type=float, help="largest coupling (fig2a, figS2a)")
+    p.add_argument("--g-points", type=int, help="log-spaced couplings (fig2a, figS2a)")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -43,7 +43,7 @@ RING_2D_WINDOW = 3
 FIGS3_ALPHAS = (0.5, 1.0, 1.5)
 FIGS3_L_EXPONENTS = range(8, 15)
 
-FIGS2A_DEFAULTS = {"L": 100, "alpha": 1.0, "g_range": (0.02, 2.0, 25)}
+FIGS2A_G_RANGE = (0.02, 2.0, 25)
 
 
 def thread_count() -> int:
@@ -110,14 +110,11 @@ def _relative_deviation(eps_exact: np.ndarray, eps_pert: np.ndarray) -> dict:
     }
 
 
-def fig2a(d: int = 1, delta: float = 0.2, l: int = 24, g_grid=None) -> dict:
-    """Exact vs perturbative infidelity over a g sweep at alpha = d - delta."""
-    alpha = d - delta
+def fig2a(d: int = 1, alpha_minus_d: float = -0.2, l: int = 24, g_grid=None) -> dict:
+    """Exact vs perturbative infidelity over a g sweep at alpha = d + alpha_minus_d."""
+    alpha = d + alpha_minus_d
     ch = chain_mod.build_effective_chain(d, alpha, l)
-    if g_grid is None:
-        lo, hi, num = FIG2A_G_RANGE
-        g_grid = np.geomspace(lo, hi, num)
-    g_grid = np.asarray(g_grid, dtype=float)
+    g_grid = np.asarray(np.geomspace(*FIG2A_G_RANGE) if g_grid is None else g_grid, dtype=float)
     spec = chain_mod.chain_spectrum(ch)  # diagonalised once; attach_endpoints reuses it
 
     def point(g):
@@ -193,14 +190,9 @@ def fig2bcd(d: int = 1, alpha_minus_d: float = 0.2, l_min: int | None = None,
     return out
 
 
-def fig_s2a(L: int | None = None, alpha: float | None = None, g_grid=None) -> dict:
+def fig_s2a(L: int = 100, alpha: float = 1.0, g_grid=None) -> dict:
     """Ring d=1 exact vs leading-order infidelity over a g sweep."""
-    L = FIGS2A_DEFAULTS["L"] if L is None else L
-    alpha = FIGS2A_DEFAULTS["alpha"] if alpha is None else alpha
-    if g_grid is None:
-        lo, hi, num = FIGS2A_DEFAULTS["g_range"]
-        g_grid = np.geomspace(lo, hi, num)
-    g_grid = np.asarray(g_grid, dtype=float)
+    g_grid = np.asarray(np.geomspace(*FIGS2A_G_RANGE) if g_grid is None else g_grid, dtype=float)
 
     def point(g):
         out = ring.ring_exact_transfer(1, L, alpha, g)
@@ -246,17 +238,18 @@ def ring_q2_extrapolation(d: int, alpha: float, sizes, window: int) -> dict:
     }
 
 
-def fig_s2b(alphas=RING_1D_ALPHAS, window: int = RING_1D_WINDOW) -> dict:
+def fig_s2b(alphas=RING_1D_ALPHAS) -> dict:
     """d=1 extrapolated q2 exponents across the alpha regimes."""
     sizes = [2**e for e in RING_1D_L_EXPONENTS]
-    results = _map(lambda a: ring_q2_extrapolation(1, a, sizes, window), list(alphas))
-    return {"alphas": list(alphas), "sizes": sizes, "window": window, "results": results}
+    results = _map(lambda a: ring_q2_extrapolation(1, a, sizes, RING_1D_WINDOW), list(alphas))
+    return {"alphas": list(alphas), "sizes": sizes, "window": RING_1D_WINDOW, "results": results}
 
 
-def fig_s2c(alphas=RING_2D_ALPHAS, sizes=RING_2D_SIZES, window: int = RING_2D_WINDOW) -> dict:
+def fig_s2c(alphas=RING_2D_ALPHAS) -> dict:
     """d=2 extrapolated q2 exponents (target ring_q2_target(2, alpha))."""
-    results = _map(lambda a: ring_q2_extrapolation(2, a, list(sizes), window), list(alphas))
-    return {"alphas": list(alphas), "sizes": list(sizes), "window": window, "results": results}
+    sizes = list(RING_2D_SIZES)
+    results = _map(lambda a: ring_q2_extrapolation(2, a, sizes, RING_2D_WINDOW), list(alphas))
+    return {"alphas": list(alphas), "sizes": sizes, "window": RING_2D_WINDOW, "results": results}
 
 
 def fig_s3(alphas=FIGS3_ALPHAS) -> dict:

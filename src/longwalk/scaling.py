@@ -40,7 +40,7 @@ class ScalingSeries:
     """(size, value) samples plus derived local/asymptotic exponents."""
 
     points: np.ndarray  # (n, 2): column 0 size L, column 1 value
-    axis_mode: str  # "log-log", "semilog-x", or "linear"
+    axis_mode: str  # "log-log" or "semilog-x"
     local_exponents: np.ndarray | None = None  # (m, 2): (window midpoint, slope)
     extrapolated_exponent: float | None = None
     window: int | None = None
@@ -67,17 +67,13 @@ class LRExponent:
     is_log: bool = False
 
 
-def q_scaling_sweep(
-    d: int, alpha: float, l_min: int, l_max: int, step: int = 2
-) -> ScalingSeries:
+def q_scaling_sweep(d: int, alpha: float, l_min: int, l_max: int) -> ScalingSeries:
     """Q(L) over an even-depth grid; guard-rejected depths are skipped and
     recorded as warnings.  Axis mode follows the regime: Q vs log L for
     alpha <= d, log-log for alpha > d."""
-    if step % 2 != 0 or step <= 0:
-        raise DomainError(f"step must be a positive even integer, got {step}")
     pts = []
     warnings = []
-    for l in range(l_min, l_max + 1, step):
+    for l in range(l_min, l_max + 1, 2):
         try:
             ch = chain_mod.build_effective_chain(d, alpha, l)
         except PrecisionGuardError as exc:
@@ -94,7 +90,7 @@ def q_scaling_sweep(
             "protocol": "chain",
             "d": d,
             "alpha": alpha,
-            "l_grid": [l_min, l_max, step],
+            "l_grid": [l_min, l_max, 2],
             "warnings": warnings,
             "window_convention": "geometric grid points (not arithmetic intervals)",
         },

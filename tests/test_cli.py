@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import longwalk
+from longwalk import cli
 
 # children run in tmp_path, so a relative PYTHONPATH would not find the package
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(longwalk.__file__).resolve().parent.parent))
@@ -18,6 +21,51 @@ def run_cli(args, cwd):
         [sys.executable, "-m", "longwalk.cli", *args],
         capture_output=True, text=True, cwd=cwd, env=CLI_ENV,
     )
+
+
+def subcommand_flags(command):
+    """The dests of a subcommand's flags, without the output settings and
+    the flag that picks the experiment or protocol."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return [a.dest for a in sub._actions if a.option_strings and a.dest not in
+            ("help", "out_dir", "reproducible", "experiment", "protocol")]
+
+
+def option(dest):
+    return "--" + dest.replace("_", "-")
+
+
+# which flags each experiment and protocol reads (README, "CLI")
+SWEEP_READS = {
+    "fig2a": {"d", "alpha_minus_d", "l", "g_min", "g_max", "g_points"},
+    "fig2bcd": {"d", "alpha_minus_d", "l_min", "l_max"},
+    "figS2a": {"L", "alpha", "g_min", "g_max", "g_points"},
+    "figS2b": {"alpha"},
+    "figS2c": {"alpha"},
+    "figS3": {"alpha"},
+}
+TRANSFER_READS = {
+    "chain": {"d", "alpha", "l", "epsilon", "g"},
+    "uniform": {"d", "alpha", "L"},
+    "ring": {"d", "alpha", "L", "g"},
+}
+# runs that read all they are given; --g is dropped where --epsilon is added,
+# because the two exclude each other
+TRANSFER_BASE = {
+    "chain": {"alpha": "1.2", "l": "8"},
+    "uniform": {"alpha": "0", "L": "4"},
+    "ring": {"alpha": "1", "L": "8", "g": "0.02"},
+}
+FLAG_VALUES = {"d": "2", "alpha": "1.0", "alpha_minus_d": "0.1", "l": "8", "l_min": "4",
+               "l_max": "8", "L": "8", "g_min": "0.1", "g_max": "1", "g_points": "3",
+               "epsilon": "0.1", "g": "0.01"}
+UNREAD = (
+    [("sweep", e, f) for e, reads in SWEEP_READS.items()
+     for f in subcommand_flags("sweep") if f not in reads]
+    + [("transfer", p, f) for p, reads in TRANSFER_READS.items()
+       for f in subcommand_flags("transfer") if f not in reads]
+)
 
 
 class TestChainSpectrumCommand:
@@ -113,6 +161,14 @@ class TestTransferCommand:
         )
         assert res.returncode == 3
         assert "ring d=1 L=16380" in res.stderr and "largest exact size is L=16378" in res.stderr
+
+    def test_g_and_epsilon_exclude_each_other(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["transfer", "--protocol", "chain", "--alpha", "1.2", "--l", "24",
+                      "--g", "0.001", "--epsilon", "0.3", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_uniform_regime_mismatch_exit_2(self, tmp_path):
         res = run_cli(
@@ -246,6 +302,7 @@ class TestSweepCommand:
         (["--g-min", "0.001", "--g-max", "0.1", "--g-points", "-3"], "--g-points"),
         (["--g-min", "0", "--g-max", "0.1"], "--g-min"),
         (["--g-min", "0.001"], "--g-max"),
+        (["--g-points", "5"], "--g-points"),
     ])
     def test_malformed_g_grid_exit_3(self, tmp_path, flags, named):
         res = run_cli(
@@ -267,7 +324,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("flag, delta", [("-0.3", 0.3), ("0", 0.0)])
     def test_fig2a_alpha_minus_d_is_alpha_minus_d(self, tmp_path, flag, delta):
-        # fig2a runs alpha = d - delta, so --alpha-minus-d x means delta = -x
+        # delta is d - alpha, so --alpha-minus-d x means delta = -x
         from longwalk import experiments
 
         res = run_cli(
@@ -277,9 +334,17 @@ class TestSweepCommand:
         assert res.returncode == 0, res.stderr
         lines = (tmp_path / "fig2a.csv").read_text().splitlines()[2:]
         got = np.array([[float(v) for v in line.split(",")] for line in lines])
-        ref = experiments.fig2a(delta=delta)
+        ref = experiments.fig2a(alpha_minus_d=-delta)
         keys = ("g", "eps_exact", "eps_perturbative", "envelope", "bound", "bound_conditions")
         np.testing.assert_array_equal(got, np.column_stack([ref[k] for k in keys]))
+
+    def test_manifest_lists_only_the_flags_given(self, tmp_path):
+        argv = ["sweep", "--experiment", "fig2bcd", "--d", "1", "--alpha-minus-d", "0.5",
+                "--l-max", "20", "--out-dir", str(tmp_path), "--reproducible"]
+        assert cli.main(argv) == 0
+        manifest = json.loads((tmp_path / "fig2bcd_report.json").read_text())["manifest"]
+        assert manifest["parameters"] == {
+            "experiment": "fig2bcd", "d": 1, "alpha_minus_d": 0.5, "l_max": 20}
 
     def test_csv_17_digit_roundtrip(self, tmp_path):
         res = run_cli(
@@ -296,6 +361,34 @@ class TestSweepCommand:
         # 17 significant digits round-trip float64 exactly
         np.testing.assert_array_equal(got[:, 0], series.sizes)
         np.testing.assert_array_equal(got[:, 1], series.values)
+
+
+class TestFlagsRead:
+    @pytest.mark.parametrize("command, choice, flag", UNREAD)
+    def test_unread_flag_exit_3(self, tmp_path, capsys, command, choice, flag):
+        if command == "sweep":
+            argv = ["sweep", "--experiment", choice]
+        else:
+            base = dict(TRANSFER_BASE[choice])
+            if flag == "epsilon":
+                base.pop("g", None)
+            argv = ["transfer", "--protocol", choice,
+                    *(a for k, v in base.items() for a in (option(k), v))]
+        out = tmp_path / "out"
+        argv += [option(flag), FLAG_VALUES[flag], "--out-dir", str(out)]
+        assert cli.main(argv) == 3
+        assert f"does not read {option(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_sweep_flag_is_read_by_some_driver(self):
+        params = [inspect.signature(driver).parameters for driver, _ in cli.SWEEPS.values()]
+        for flag in subcommand_flags("sweep"):
+            name = "g_grid" if flag.startswith("g_") else flag
+            assert any(name in p or (flag == "alpha" and "alphas" in p) for p in params), flag
+
+    def test_every_transfer_flag_is_in_a_protocol_row(self):
+        rows = {f for required, other in cli.TRANSFER_FLAGS.values() for f in required + other}
+        assert set(subcommand_flags("transfer")) == rows | {"d", "alpha"}
 
 
 class TestJsonWriter:
