@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import chain as chain_mod
-from . import experiments, ring, transfer, uniform
+from . import experiments, ring, scaling, transfer, uniform
 from .errors import DomainError, RegimeError
 from .svgplot import SvgPlot
 
@@ -141,8 +141,8 @@ def cmd_transfer(args) -> int:
         raise DomainError(f"--protocol {args.protocol} requires --" + " and --".join(required))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = {k: getattr(args, k) for k in
-              ("protocol", "d", "alpha", "l", "L", "epsilon", "g")}
+    params = {k: getattr(args, k) for k in ("protocol", "d", "alpha", "l", "L", "epsilon", "g")
+              if getattr(args, k) is not None}
     if args.protocol == "uniform":
         proto = uniform.build_uniform_protocol(args.d, args.alpha, args.L)
         fid = uniform.simulate_uniform(proto)
@@ -154,10 +154,7 @@ def cmd_transfer(args) -> int:
             "w": proto.w,
         }
     elif args.protocol == "chain":
-        if args.alpha < args.d / 2.0:
-            raise RegimeError(
-                f"alpha={args.alpha} < d/2: the chain protocol covers alpha >= d/2"
-            )
+        scaling.chain_regime(args.d, args.alpha)
         ch = chain_mod.build_effective_chain(args.d, args.alpha, args.l)
         if args.g is not None:
             g = args.g
@@ -228,7 +225,7 @@ def _sweep_fig2bcd(res):
     series, delta = res["series"], res["alpha_minus_d"]
     stem = f"fig2{res['panel']}_delta{delta:g}"
     plot = SvgPlot(f"Q vs distance (alpha - d = {delta:g})", "L", "Q",
-                   xlog=True, ylog=series.axis_mode == "log-log")
+                   xlog=True, ylog=res["regime"] not in ("constant", "log"))
     plot.add("Q", series.sizes, series.values, "line+dots")
     report = {key: res[key] for key in
               ("panel", "saturation", "convergence_ratio", "log_r2", "slope") if key in res}

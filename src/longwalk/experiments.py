@@ -17,7 +17,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import numkit, ring, scaling, transfer, uniform
-from .errors import RegimeError
+from .errors import DomainError
 from .scaling import TOLERANCES
 
 # fig2a default grid: 36 log-spaced couplings up to g = 0.03, the range
@@ -26,9 +26,12 @@ from .scaling import TOLERANCES
 # higher order once g t_k^(0) is no longer small against the gaps).
 FIG2A_G_RANGE = (1e-4, 0.03, 36)
 
-# fig2bcd default depth grids per regime: guard-admissible and deep
-# enough that the geometric transients have died off.
-FIG2BCD_L_MAX = {"below": 80, "at": 64, "above": {0.2: 60, 0.5: 50, 0.8: 40}}
+# fig2bcd per chain regime: (panel, default l_min, default l_max keyed by
+# round(alpha - d, 3), default l_max for any other alpha - d).  The depths are
+# guard-admissible and deep enough that the geometric transients have died off.
+_FIG2BCD_POWER = ("d", 4, {0.2: 60, 0.5: 50, 0.8: 40}, 40)
+FIG2BCD_REGIMES = {"constant": ("b", 8, {}, 80), "log": ("c", 8, {}, 64),
+                   "power": _FIG2BCD_POWER, "nearest-neighbor": _FIG2BCD_POWER}
 
 RING_1D_ALPHAS = (0.5, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.2)
 RING_1D_L_EXPONENTS = range(8, 18)
@@ -150,44 +153,30 @@ def fig2a(d: int = 1, alpha_minus_d: float = -0.2, l: int = 24, g_grid=None) -> 
 
 def fig2bcd(d: int = 1, alpha_minus_d: float = 0.2, l_min: int | None = None,
             l_max: int | None = None) -> dict:
-    """Q scaling in one of the three regimes (converging, log, power)."""
+    """Q scaling in the regime ``scaling.chain_regime(d, d + alpha_minus_d)``
+    picks: converging (panel b), log (c) or power (d)."""
     alpha = d + alpha_minus_d
-    if alpha < d / 2.0:
-        raise RegimeError(f"alpha={alpha} < d/2: the chain protocol covers alpha >= d/2")
-    if alpha_minus_d < 0:
-        l_min = 8 if l_min is None else l_min
-        l_max = FIG2BCD_L_MAX["below"] if l_max is None else l_max
-    elif alpha_minus_d == 0:
-        l_min = 8 if l_min is None else l_min
-        l_max = FIG2BCD_L_MAX["at"] if l_max is None else l_max
-    else:
-        l_min = 4 if l_min is None else l_min
-        defaults = FIG2BCD_L_MAX["above"]
-        l_max = defaults.get(round(alpha_minus_d, 3), 40) if l_max is None else l_max
+    target = scaling.chain_regime(d, alpha)
+    panel, l_lo, l_hi_by_delta, l_hi = FIG2BCD_REGIMES[target.regime]
+    l_min = l_lo if l_min is None else l_min
+    l_max = l_hi_by_delta.get(round(alpha_minus_d, 3), l_hi) if l_max is None else l_max
     series = scaling.q_scaling_sweep(d, alpha, l_min, l_max)
-    out = {
-        "d": d,
-        "alpha": alpha,
-        "alpha_minus_d": alpha_minus_d,
-        "series": series,
-        "panel": "b" if alpha_minus_d < 0 else ("c" if alpha_minus_d == 0 else "d"),
-    }
     q = series.values
-    if alpha_minus_d < 0:
+    if target.regime == "constant":
         # converges to a constant: compare the last depth against 8 steps back
-        ratio = abs(q[-1] - q[-5]) / q[-1]
-        out["convergence_ratio"] = float(ratio)
-        out["measured"] = {"protocol": "chain", "convergence_ratio": float(ratio)}
-    elif alpha_minus_d == 0:
-        fit = scaling.fit_semilog(series)
-        out["log_r2"] = fit.r_squared
-        out["measured"] = {"protocol": "chain", "log_r2": fit.r_squared}
+        if q.shape[0] < 5:
+            raise DomainError(f"the convergence ratio (Q 8 depth steps back) needs 5 "
+                              f"admissible depths; [{l_min}, {l_max}] has {q.shape[0]}")
+        key, value = "convergence_ratio", float(abs(q[-1] - q[-5]) / q[-1])
+    elif target.is_log:
+        key, value = "log_r2", scaling.fit_semilog(series).r_squared
     else:
-        fit = scaling.fit_loglog_slope(series, size_min=2.0 ** (scaling.CHAIN_SLOPE_FIT_MIN_L + 1))
-        out["slope"] = fit.slope
-        out["measured"] = {"protocol": "chain", "exponent": fit.slope}
-    out["saturation"] = scaling.saturation_report(d, alpha, out["measured"])
-    return out
+        size_min = 2.0 ** (scaling.CHAIN_SLOPE_FIT_MIN_L + 1)
+        key, value = "slope", scaling.fit_loglog_slope(series, size_min=size_min).slope
+    measured = {"protocol": "chain", "exponent" if key == "slope" else key: value}
+    return {"d": d, "alpha": alpha, "alpha_minus_d": alpha_minus_d, "series": series,
+            "regime": target.regime, "panel": panel, key: value,
+            "saturation": scaling.saturation_report(d, alpha, target, measured)}
 
 
 def fig_s2a(L: int = 100, alpha: float = 1.0, g_grid=None) -> dict:
@@ -217,7 +206,6 @@ def _ring_q2_series(d: int, alpha: float, sizes) -> scaling.ScalingSeries:
     vals = _map(q2_of, list(sizes))
     return scaling.ScalingSeries(
         points=np.column_stack([np.asarray(sizes, float), np.asarray(vals)]),
-        axis_mode="log-log",
         metadata={"protocol": "ring", "d": d, "alpha": alpha},
     )
 
@@ -292,8 +280,8 @@ def fig_s3(alphas=FIGS3_ALPHAS) -> dict:
 
 def uniform_slope_check(d: int, alpha: float) -> dict:
     """Analytic log T / log L slope at sizes where the finite-N offset is
-    below the 1e-6 tolerance (N >= 1e8; at N = 1e4 the -2 in sqrt(N-2)
-    alone shifts the slope by ~1e-4)."""
+    below TOLERANCES["uniform_slope"] (N >= 1e8; at N = 1e4 the -2 in
+    sqrt(N-2) alone shifts the slope by ~1e-4)."""
     exps = np.linspace(8.0, 10.0, 6) / d
     grid = np.round(10.0**exps)
     series = uniform.uniform_time_scaling(d, alpha, grid)
@@ -304,6 +292,5 @@ def uniform_slope_check(d: int, alpha: float) -> dict:
         "alpha": alpha,
         "slope": float(slope),
         "target": target,
-        "passed": bool(abs(slope - target) <= 1e-6),
-        "measured": {"protocol": "uniform", "exponent": float(slope), "tolerance": 1e-6},
+        "passed": bool(abs(slope - target) <= TOLERANCES["uniform_slope"]),
     }

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import numkit
-from .errors import DomainError, PrecisionGuardError
+from .errors import DomainError, PrecisionGuardError, RegimeError
 
 # Acceptance-suite calibration constants: tolerance on
 # fitted exponents, convergence ratios, and fit quality thresholds.
@@ -28,6 +28,7 @@ TOLERANCES = {
     "bandwidth_log_r2": 0.99,   # W vs log L fit at alpha = d
     "perturbative_relative": 0.2,  # exact vs leading-order agreement
     "ring_sqrtL_exponent": 0.05,  # T exponent vs 1/2 for the trapped-ion case
+    "uniform_slope": 1e-6,      # analytic log T vs log L slope vs alpha - d/2
 }
 
 # Default fit window: drop depths below this before fitting chain slopes
@@ -40,10 +41,8 @@ class ScalingSeries:
     """(size, value) samples plus derived local/asymptotic exponents."""
 
     points: np.ndarray  # (n, 2): column 0 size L, column 1 value
-    axis_mode: str  # "log-log" or "semilog-x"
     local_exponents: np.ndarray | None = None  # (m, 2): (window midpoint, slope)
     extrapolated_exponent: float | None = None
-    window: int | None = None
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -69,8 +68,7 @@ class LRExponent:
 
 def q_scaling_sweep(d: int, alpha: float, l_min: int, l_max: int) -> ScalingSeries:
     """Q(L) over an even-depth grid; guard-rejected depths are skipped and
-    recorded as warnings.  Axis mode follows the regime: Q vs log L for
-    alpha <= d, log-log for alpha > d."""
+    recorded as warnings."""
     pts = []
     warnings = []
     for l in range(l_min, l_max + 1, 2):
@@ -85,7 +83,6 @@ def q_scaling_sweep(d: int, alpha: float, l_min: int, l_max: int) -> ScalingSeri
         raise DomainError(f"no admissible depths in [{l_min}, {l_max}] for d={d}, alpha={alpha}")
     return ScalingSeries(
         points=np.array(pts),
-        axis_mode="semilog-x" if alpha <= d else "log-log",
         metadata={
             "protocol": "chain",
             "d": d,
@@ -113,7 +110,7 @@ def local_exponents(series: ScalingSeries, window: int) -> ScalingSeries:
     for i in range(n - window + 1):
         fit = numkit.linear_fit(ls[i : i + window], lv[i : i + window])
         rows.append((np.exp(np.mean(ls[i : i + window])), fit.slope))
-    return series.with_fit(local_exponents=np.array(rows), window=window)
+    return series.with_fit(local_exponents=np.array(rows))
 
 
 def extrapolate_exponent(series: ScalingSeries) -> float:
@@ -173,20 +170,26 @@ def lr_exponent(d: int, alpha: float) -> LRExponent:
     return LRExponent("nearest-neighbor", 1.0)
 
 
-def saturation_report(d: int, alpha: float, measured: dict) -> dict:
-    """Pair a measured sweep verdict with the optimal exponent table.
+def chain_regime(d: int, alpha: float) -> LRExponent:
+    """``lr_exponent`` for the chain protocol, which covers alpha >= d/2; checked
+    first, so a negative alpha is the wrong protocol (RegimeError) too."""
+    if alpha < d / 2.0:
+        raise RegimeError(f"alpha={alpha} < d/2: the chain protocol covers alpha >= d/2")
+    return lr_exponent(d, alpha)
 
-    ``measured`` carries the protocol name plus whichever of ``exponent``,
-    ``log_r2``, ``convergence_ratio`` the sweep produced.  Asymptotic
+
+def saturation_report(d: int, alpha: float, target: LRExponent, measured: dict) -> dict:
+    """Pair a measured chain sweep verdict with its ``chain_regime(d, alpha)``.
+
+    ``measured`` carries whichever of ``convergence_ratio`` (constant regime),
+    ``log_r2`` (log) or ``exponent`` (power) the sweep produced.  Asymptotic
     Omega/Theta statements themselves are not decidable at desk scale; the
     report states the finite-size check and tolerance actually applied.
     """
-    target = lr_exponent(d, alpha)
-    protocol = measured.get("protocol", "chain")
     rep = {
         "d": d,
         "alpha": alpha,
-        "protocol": protocol,
+        "protocol": "chain",
         "regime": target.regime,
         "optimal_time_exponent": "log" if target.is_log else target.time_exponent,
         "measured": measured,
@@ -195,20 +198,7 @@ def saturation_report(d: int, alpha: float, measured: dict) -> dict:
             "asymptotic statements are not decidable at desk scale"
         ),
     }
-    if protocol == "ring":
-        # ring at alpha = d is suboptimal but sub-linear: T ~ sqrt(L)
-        exp = measured["exponent"]
-        rep["target_exponent"] = 0.5
-        rep["tolerance"] = TOLERANCES["ring_sqrtL_exponent"]
-        rep["passed"] = bool(abs(exp - 0.5) <= rep["tolerance"])
-        rep["verdict"] = "suboptimal-but-sub-linear (quadratic speed-up)"
-        return rep
-    if target.regime == "uniform":
-        exp = measured["exponent"]
-        rep["tolerance"] = measured.get("tolerance", 1e-6)
-        rep["passed"] = bool(abs(exp - target.time_exponent) <= rep["tolerance"])
-        rep["verdict"] = "pass" if rep["passed"] else "fail"
-    elif target.regime == "constant":
+    if target.regime == "constant":
         ratio = measured["convergence_ratio"]
         rep["tolerance"] = TOLERANCES["chain_q_convergence"]
         rep["passed"] = bool(ratio <= rep["tolerance"])

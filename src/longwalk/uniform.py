@@ -95,7 +95,6 @@ def uniform_time_scaling(d: int, alpha: float, L_grid):
     t = transfer_time(d, alpha, L)
     series = scaling.ScalingSeries(
         points=np.column_stack([L, t]),
-        axis_mode="log-log",
         metadata={"protocol": "uniform", "d": d, "alpha": alpha},
     )
     return series.with_fit(extrapolated_exponent=scaling.fit_loglog_slope(series).slope)

@@ -186,6 +186,9 @@ class TestSweepCommand:
         ("figS2a", []),
         ("figS2b", ["--alpha", "1.0"]),
         ("figS2c", ["--alpha", "1.0"]),
+        # panels b and c, whose semilog axis comes from the regime
+        ("fig2bcd", ["--alpha-minus-d", "-0.2"]),
+        ("fig2bcd", ["--alpha-minus-d", "0"]),
     ])
     def test_reproducible_outputs_byte_identical(self, tmp_path, experiment, extra):
         # identical flags (same relative out-dir) run from two scratch roots
@@ -322,6 +325,44 @@ class TestSweepCommand:
         assert "Traceback" not in res.stderr
         assert "the chain protocol covers alpha >= d/2" in res.stderr
 
+    def test_fig2bcd_negative_alpha_exit_2(self, tmp_path):
+        # alpha = -0.5 is below d/2 before it is below 0: a regime error, not a domain one
+        res = run_cli(
+            ["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "-1.5",
+             "--out-dir", str(tmp_path)], cwd=tmp_path,
+        )
+        assert res.returncode == 2
+        assert res.stderr == "error: alpha=-0.5 < d/2: the chain protocol covers alpha >= d/2\n"
+
+    @pytest.mark.parametrize("d", ["1", "2"])
+    @pytest.mark.parametrize("delta", ["1e-17", "-1e-17"])
+    def test_fig2bcd_alpha_minus_d_rounding_to_zero(self, tmp_path, d, delta):
+        # d + delta == d: the run is the alpha - d = 0 run (panel c, semilog
+        # plot, log verdict) under its own title
+        for name, value in (("eps", delta), ("zero", "0")):
+            res = run_cli(
+                ["sweep", "--experiment", "fig2bcd", "--d", d, f"--alpha-minus-d={value}",
+                 "--out-dir", name, "--reproducible"], cwd=tmp_path,
+            )
+            assert res.returncode == 0, res.stderr
+        eps, zero = tmp_path / "eps", tmp_path / "zero"
+        sat = json.loads((eps / "fig2bcd_report.json").read_text())["saturation"]
+        assert sat["regime"] == "log" and sat["passed"] is True
+        svg = (eps / f"fig2c_delta{delta}.svg").read_text()
+        assert svg.replace(f"alpha - d = {delta}", "alpha - d = 0") == \
+            (zero / "fig2c_delta0.svg").read_text()
+        assert (eps / f"fig2c_delta{delta}.csv").read_bytes() == \
+            (zero / "fig2c_delta0.csv").read_bytes()
+
+    def test_fig2bcd_short_constant_grid_exit_3(self, tmp_path):
+        res = run_cli(
+            ["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "-0.2", "--l-max", "10",
+             "--out-dir", str(tmp_path)], cwd=tmp_path,
+        )
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert "needs 5 admissible depths; [8, 10] has 2" in res.stderr
+
     @pytest.mark.parametrize("flag, delta", [("-0.3", 0.3), ("0", 0.0)])
     def test_fig2a_alpha_minus_d_is_alpha_minus_d(self, tmp_path, flag, delta):
         # delta is d - alpha, so --alpha-minus-d x means delta = -x
@@ -345,6 +386,15 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "fig2bcd_report.json").read_text())["manifest"]
         assert manifest["parameters"] == {
             "experiment": "fig2bcd", "d": 1, "alpha_minus_d": 0.5, "l_max": 20}
+
+    def test_transfer_manifest_lists_only_the_flags_given(self, tmp_path):
+        argv = ["transfer", "--protocol", "ring", "--alpha", "1", "--L", "100", "--g", "0.02",
+                "--out-dir", str(tmp_path), "--reproducible"]
+        assert cli.main(argv) == 0
+        manifest = json.loads((tmp_path / "transfer_ring.json").read_text())["manifest"]
+        # --d is not given but has a parser default, so it is recorded
+        assert manifest["parameters"] == {
+            "protocol": "ring", "d": 1, "alpha": 1.0, "L": 100, "g": 0.02}
 
     def test_csv_17_digit_roundtrip(self, tmp_path):
         res = run_cli(

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from longwalk import experiments, numkit, scaling
+from longwalk import cli, experiments, numkit, scaling
 from longwalk.errors import DomainError, RegimeError
 
 
-def series_from(Ls, ys, mode="log-log"):
-    return scaling.ScalingSeries(points=np.column_stack([Ls, ys]), axis_mode=mode)
+def series_from(Ls, ys):
+    return scaling.ScalingSeries(points=np.column_stack([Ls, ys]))
 
 
 class TestLocalExponents:
@@ -78,9 +78,7 @@ class TestExtrapolateExponentSynthetic:
     Ls = 2.0 ** np.arange(8, 18)
 
     def local(self, y, **meta):
-        series = scaling.ScalingSeries(
-            points=np.column_stack([self.Ls, y]), axis_mode="log-log", metadata=meta
-        )
+        series = scaling.ScalingSeries(points=np.column_stack([self.Ls, y]), metadata=meta)
         return scaling.local_exponents(series, window=5)
 
     @pytest.mark.parametrize("c, b, a1, a2", [(0.4, 0.3, 1.0, -2.0), (1.0, 0.25, 1.5, -2.0)])
@@ -159,10 +157,6 @@ class TestQScalingSweep:
         assert len(series.metadata["warnings"]) > 0
         assert series.sizes.shape[0] > 0
 
-    def test_axis_mode_by_regime(self):
-        assert scaling.q_scaling_sweep(1, 0.8, 4, 8).axis_mode == "semilog-x"
-        assert scaling.q_scaling_sweep(1, 1.2, 4, 8).axis_mode == "log-log"
-
     def test_sizes_are_transfer_distances(self):
         series = scaling.q_scaling_sweep(1, 1.0, 4, 8)
         np.testing.assert_array_equal(series.sizes, [46, 190, 766])
@@ -173,46 +167,85 @@ class TestQScalingSweep:
         assert np.array_equal(s1.points, s2.points)
 
 
+def ylog_of(res):
+    """Whether the fig2bcd plot the CLI draws for ``res`` has a log y axis."""
+    _, (_, plot), _ = cli._sweep_fig2bcd(res)
+    return plot.ylog
+
+
 class TestFig2bcdRegime:
-    @pytest.mark.parametrize("d, alpha_minus_d", [(1, -0.6), (2, -1.2)])
+    @pytest.mark.parametrize("d, alpha_minus_d", [(1, -0.6), (2, -1.2), (1, -1.5)])
     def test_below_half_d_is_a_regime_error(self, d, alpha_minus_d):
-        # the chain covers alpha >= d/2; below it the uniform protocol applies
+        # the chain covers alpha >= d/2; below it the uniform protocol applies,
+        # and a negative alpha is reported the same way
         with pytest.raises(RegimeError, match="< d/2: the chain protocol covers alpha >= d/2"):
             experiments.fig2bcd(d, alpha_minus_d)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("alpha_minus_d", [1e-17, -1e-17])
+    def test_alpha_minus_d_rounding_to_zero_is_the_log_regime(self, d, alpha_minus_d):
+        # d + alpha_minus_d == d: the depths, panel, plot and verdict all follow
+        # the log regime, not the sign of alpha_minus_d
+        res = experiments.fig2bcd(d, alpha_minus_d)
+        at_d = experiments.fig2bcd(d, 0.0)
+        assert res["panel"] == "c"
+        assert res["saturation"]["regime"] == "log"
+        assert res["log_r2"] == at_d["log_r2"]
+        assert res["saturation"]["passed"] is True
+        assert ylog_of(res) is False
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("breakpoint", ["d/2", "d", "d+1"])
+    @pytest.mark.parametrize("side", [-np.inf, np.inf])
+    @pytest.mark.parametrize("axis", ["alpha", "alpha_minus_d"])
+    def test_breakpoint_neighbours_agree(self, d, breakpoint, side, axis):
+        # the neighbouring floats of each lr_exponent breakpoint, in alpha and
+        # in alpha - d (whose neighbours of 0 round back onto alpha = d)
+        alpha_bp = {"d/2": d / 2.0, "d": float(d), "d+1": d + 1.0}[breakpoint]
+        if axis == "alpha":
+            alpha_minus_d = np.nextafter(alpha_bp, side) - d
+        else:
+            alpha_minus_d = np.nextafter(alpha_bp - d, side)
+        alpha = d + alpha_minus_d
+        try:
+            res = experiments.fig2bcd(d, alpha_minus_d)
+        except RegimeError:
+            assert alpha < d / 2.0
+            return
+        except DomainError:
+            return
+        regime = scaling.lr_exponent(d, alpha).regime
+        assert res["regime"] == res["saturation"]["regime"] == regime
+        assert res["panel"] == {"constant": "b", "log": "c"}.get(regime, "d")
+        assert ylog_of(res) is (regime in ("power", "nearest-neighbor"))
+        measured = {"constant": "convergence_ratio", "log": "log_r2"}.get(regime, "slope")
+        assert measured in res
+
+    def test_short_constant_grid_is_a_domain_error(self):
+        # the convergence ratio compares Q with its value 8 depth steps back
+        with pytest.raises(DomainError, match="needs 5 admissible depths; \\[8, 10\\] has 2"):
+            experiments.fig2bcd(1, -0.2, l_max=10)
+        assert "convergence_ratio" in experiments.fig2bcd(1, -0.2, l_max=16)
+
 
 class TestSaturationReport:
+    def report(self, d, alpha, measured):
+        return scaling.saturation_report(d, alpha, scaling.chain_regime(d, alpha), measured)
+
     def test_power_regime_pass(self):
-        rep = scaling.saturation_report(
-            1, 1.2, {"protocol": "chain", "exponent": 0.21}
-        )
+        rep = self.report(1, 1.2, {"protocol": "chain", "exponent": 0.21})
         assert rep["passed"] is True
         assert rep["regime"] == "power"
 
     def test_power_regime_fail(self):
-        rep = scaling.saturation_report(
-            1, 1.2, {"protocol": "chain", "exponent": 0.3}
-        )
+        rep = self.report(1, 1.2, {"protocol": "chain", "exponent": 0.3})
         assert rep["passed"] is False
 
     def test_log_regime(self):
-        rep = scaling.saturation_report(1, 1.0, {"protocol": "chain", "log_r2": 0.9999})
+        rep = self.report(1, 1.0, {"protocol": "chain", "log_r2": 0.9999})
         assert rep["passed"] is True
         assert rep["optimal_time_exponent"] == "log"
 
     def test_constant_regime(self):
-        rep = scaling.saturation_report(
-            1, 0.7, {"protocol": "chain", "convergence_ratio": 0.004}
-        )
-        assert rep["passed"] is True
-
-    def test_ring_sqrt_speedup(self):
-        rep = scaling.saturation_report(1, 1.0, {"protocol": "ring", "exponent": 0.47})
-        assert rep["passed"] is True
-        assert "sub-linear" in rep["verdict"]
-
-    def test_uniform_exact(self):
-        rep = scaling.saturation_report(
-            1, 0.25, {"protocol": "uniform", "exponent": -0.25, "tolerance": 1e-6}
-        )
+        rep = self.report(1, 0.7, {"protocol": "chain", "convergence_ratio": 0.004})
         assert rep["passed"] is True
