@@ -5,8 +5,12 @@ manifest inline), and a simple SVG plot.  Identical flags give
 byte-identical CSV/JSON; pass --reproducible to drop the wall-clock
 timestamp from manifests and SVG comments as well.
 
+Every command runs through one (driver, builder) table, ``_runs()``, and one
+function, ``run_command``, that forwards flags and writes the outputs.
+
 Exit codes: 0 success, 2 usage or regime error, 3 precision-guard or other
-domain rejection or a flag nothing reads, 4 numerical failure.
+domain rejection, a flag nothing reads or a required flag missing, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,11 +27,13 @@ import numpy as np
 
 from . import __version__
 from . import chain as chain_mod
-from . import experiments, ring, scaling, transfer, uniform
+from . import experiments, ring, transfer, uniform
 from .errors import DomainError, RegimeError
 from .svgplot import SvgPlot
 
 CSV_SCHEMA_VERSION = 1
+# argparse reads "-1e-17" as an option name unless it matches here as a number
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _manifest(command: str, params: dict, outputs: list[str], reproducible: bool) -> dict:
@@ -83,97 +90,34 @@ def _svg_comment(reproducible: bool) -> str | None:
     return f"generated {datetime.now(timezone.utc).isoformat()}"
 
 
-def cmd_chain_spectrum(args) -> int:
-    ch = chain_mod.build_effective_chain(args.d, args.alpha, args.l)
+def _chain_spectrum_out(ch: chain_mod.EffectiveChain):
     spec = chain_mod.chain_spectrum(ch)
     report = chain_mod.q_factor(spec)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"chain_spectrum_d{args.d}_a{args.alpha:g}_l{args.l}"
-    csv_path = out_dir / f"{stem}.csv"
-    json_path = out_dir / f"{stem}.json"
-    k = np.arange(spec.energies.shape[0])
-    write_csv(
-        csv_path,
-        "chain-spectrum",
-        ["k", "E_k", "t_k_0", "parity"],
-        [k, spec.energies, spec.endpoint_amplitudes, spec.parities],
-    )
-    params = {"d": args.d, "alpha": args.alpha, "l": args.l}
-    payload = {
-        "manifest": _manifest("chain-spectrum", params, [str(csv_path)], args.reproducible),
-        "L": ch.L,
-        "Q": report.q,
-        "t_l_0": report.t_endpoint_zero_mode,
-        "min_gap": report.min_gap,
-    }
-    write_json(json_path, payload)
-    print(f"chain-spectrum: L={ch.L} Q={report.q:.6g} t_l_0={report.t_endpoint_zero_mode:.6g} "
-          f"min_gap={report.min_gap:.6g}")
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    stem = f"chain_spectrum_d{ch.d}_a{ch.alpha:g}_l{ch.l}"
+    table = (stem, ["k", "E_k", "t_k_0", "parity"],
+             [np.arange(spec.energies.shape[0]), spec.energies, spec.endpoint_amplitudes,
+              spec.parities])
+    fields = {"L": ch.L, "Q": report.q, "t_l_0": report.t_endpoint_zero_mode,
+              "min_gap": report.min_gap}
+    return stem, [table], None, fields
 
 
-def _outcome_payload(out: transfer.TransferOutcome, g: float, L: int, bound_key: str) -> dict:
-    return {
-        "T": out.T,
-        "g": g,
-        "L": L,
-        "fidelity_exact": out.fidelity_exact,
-        "infidelity_exact": out.infidelity_exact,
-        "infidelity_perturbative": out.infidelity_perturbative,
-        bound_key: out.infidelity_bound,
-        "bound_conditions_met": list(out.bound_conditions_met),
-    }
+def _outcome_out(protocol: str, bound_key: str):
+    """Builder for a TransferOutcome; chain and ring differ only in the bound's key."""
+    def build(out: transfer.TransferOutcome):
+        fields = {key: getattr(out, key) for key in ("T", "g", "L", "fidelity_exact",
+                  "infidelity_exact", "infidelity_perturbative")}
+        fields[bound_key] = out.infidelity_bound
+        fields["bound_conditions_met"] = list(out.bound_conditions_met)
+        return f"transfer_{protocol}", [], None, fields
+    return build
 
 
-# protocol -> (flags it requires, other flags it reads besides --d and --alpha)
-TRANSFER_FLAGS = {"chain": (("l",), ("epsilon", "g")), "uniform": (("L",), ()),
-                  "ring": (("L", "g"), ())}
-
-
-def cmd_transfer(args) -> int:
-    required, optional = TRANSFER_FLAGS[args.protocol]
-    for flag in ("l", "L", "epsilon", "g"):
-        if getattr(args, flag) is not None and flag not in required + optional:
-            raise DomainError(f"--protocol {args.protocol} does not read --{flag}")
-    if any(getattr(args, flag) is None for flag in required):
-        raise DomainError(f"--protocol {args.protocol} requires --" + " and --".join(required))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    params = {k: getattr(args, k) for k in ("protocol", "d", "alpha", "l", "L", "epsilon", "g")
-              if getattr(args, k) is not None}
-    if args.protocol == "uniform":
-        proto = uniform.build_uniform_protocol(args.d, args.alpha, args.L)
-        fid = uniform.simulate_uniform(proto)
-        payload = {
-            "T": proto.T,
-            "fidelity_exact": fid,
-            "infidelity_exact": 1.0 - fid,
-            "N": proto.N,
-            "w": proto.w,
-        }
-    elif args.protocol == "chain":
-        scaling.chain_regime(args.d, args.alpha)
-        ch = chain_mod.build_effective_chain(args.d, args.alpha, args.l)
-        if args.g is not None:
-            g = args.g
-        else:
-            eps = 0.01 if args.epsilon is None else args.epsilon
-            g = transfer.choose_g(chain_mod.chain_spectrum(ch), eps)
-        out = transfer.exact_transfer(transfer.attach_endpoints(ch, g))
-        payload = _outcome_payload(out, g, ch.L, "infidelity_bound")
-    else:  # ring; argparse restricts the choices
-        out = ring.ring_exact_transfer(args.d, args.L, args.alpha, args.g)
-        payload = _outcome_payload(out, args.g, args.L, "infidelity_envelope")
-    json_path = out_dir / f"transfer_{args.protocol}.json"
-    payload["manifest"] = _manifest("transfer", params, [], args.reproducible)
-    write_json(json_path, payload)
-    print(f"transfer [{args.protocol}]: " +
-          " ".join(f"{k}={v:.6g}" for k, v in payload.items()
-                   if isinstance(v, (int, float)) and not isinstance(v, bool)))
-    print(f"wrote {json_path}")
-    return 0
+def _uniform_out(proto: uniform.UniformProtocol):
+    fid = uniform.simulate_uniform(proto)
+    return "transfer_uniform", [], None, {
+        "T": proto.T, "fidelity_exact": fid, "infidelity_exact": 1.0 - fid,
+        "N": proto.N, "w": proto.w}
 
 
 def _g_grid(flags: dict):
@@ -187,17 +131,21 @@ def _g_grid(flags: dict):
     return np.geomspace(flags["g_min"], flags["g_max"], flags["g_points"])
 
 
-def _driver_kwargs(experiment: str, driver, flags: dict) -> dict:
-    """The sweep flags given as driver keywords (--g-* build g_grid, --alpha is a
-    one-point alphas grid); a flag the driver does not read is a DomainError."""
+def _driver_kwargs(label: str, driver, flags: dict) -> dict:
+    """The flags given as driver keywords (--g-* build g_grid, --alpha is a
+    one-point alphas grid).  A flag the driver does not read, or a driver
+    parameter without a default that no flag gives, is a DomainError."""
     params = inspect.signature(driver).parameters
     kwargs = {}
     for flag, value in flags.items():
         name = "g_grid" if flag.startswith("g_") else (
             "alphas" if flag == "alpha" and "alphas" in params else flag)
         if name not in params:
-            raise DomainError(f"--experiment {experiment} does not read --{flag.replace('_', '-')}")
+            raise DomainError(f"{label} does not read --{flag.replace('_', '-')}")
         kwargs[name] = [value] if name == "alphas" else value
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in kwargs]
+    if missing:
+        raise DomainError(f"{label} requires --" + " and --".join(missing))
     if "g_grid" in kwargs:
         kwargs["g_grid"] = _g_grid(flags)
     return kwargs
@@ -218,7 +166,7 @@ def _sweep_fig2a(res):
     plot = _infidelity_plot("transfer infidelity vs coupling", res)
     report = {key: res[key] for key in
               ("max_relative_deviation", "relative_ok", "envelope_ok", "g_star")}
-    return [table], ("fig2a", plot), report
+    return "fig2a_report", [table], ("fig2a", plot), report
 
 
 def _sweep_fig2bcd(res):
@@ -230,7 +178,8 @@ def _sweep_fig2bcd(res):
     report = {key: res[key] for key in
               ("panel", "saturation", "convergence_ratio", "log_r2", "slope") if key in res}
     report["warnings"] = series.metadata["warnings"]
-    return [(stem, ["L", "Q"], [series.sizes, series.values])], (stem, plot), report
+    table = (stem, ["L", "Q"], [series.sizes, series.values])
+    return "fig2bcd_report", [table], (stem, plot), report
 
 
 def _sweep_figs2a(res):
@@ -238,7 +187,7 @@ def _sweep_figs2a(res):
              [res["g"], res["eps_exact"], res["eps_perturbative"]])
     plot = _infidelity_plot("ring transfer infidelity vs coupling", res)
     report = {key: res[key] for key in ("L", "alpha", "max_relative_deviation", "relative_ok")}
-    return [table], ("figS2a", plot), report
+    return "figS2a_report", [table], ("figS2a", plot), report
 
 
 def _sweep_q2_exponents(experiment, res):
@@ -254,7 +203,7 @@ def _sweep_q2_exponents(experiment, res):
         "results": [{key: r[key] for key in ("alpha", "exponent", "target", "error", "passed")}
                     for r in res["results"]],
     }
-    return [table], (experiment, plot), report
+    return f"{experiment}_report", [table], (experiment, plot), report
 
 
 def _sweep_figs3(res):
@@ -268,44 +217,66 @@ def _sweep_figs3(res):
         plot.add(f"W a={al:g}", entry["sizes"], entry["bandwidth"], "line")
         results.append({k: v for k, v in entry.items()
                         if k not in ("sizes", "delta0", "bandwidth")})
-    return tables, ("figS3", plot), {"results": results}
+    return "figS3_report", tables, ("figS3", plot), {"results": results}
 
 
-# experiment -> (driver, builder).  The driver's signature is what the sweep reads
-# and holds its defaults; the builder turns the driver's result into CSV tables as
-# (stem, header, columns), a plot as (stem, SvgPlot) and report fields.
-SWEEPS = {
-    "fig2a": (experiments.fig2a, _sweep_fig2a),
-    "fig2bcd": (experiments.fig2bcd, _sweep_fig2bcd),
-    "figS2a": (experiments.fig_s2a, _sweep_figs2a),
-    "figS2b": (experiments.fig_s2b, lambda res: _sweep_q2_exponents("figS2b", res)),
-    "figS2c": (experiments.fig_s2c, lambda res: _sweep_q2_exponents("figS2c", res)),
-    "figS3": (experiments.fig_s3, _sweep_figs3),
-}
+def _runs() -> dict:
+    """command (or its protocol or experiment) -> (driver, builder).  The driver's
+    signature is what the run reads and holds its defaults; the builder turns its
+    result into the JSON stem, CSV tables as (stem, header, columns), an optional
+    plot as (stem, SvgPlot) and the report fields.  Built per call, so that each
+    driver is the module attribute of that moment (a tracer may have wrapped it)."""
+    return {
+        "chain-spectrum": (chain_mod.build_effective_chain, _chain_spectrum_out),
+        "transfer": {
+            "chain": (transfer.chain_transfer, _outcome_out("chain", "infidelity_bound")),
+            "uniform": (uniform.build_uniform_protocol, _uniform_out),
+            "ring": (ring.ring_exact_transfer, _outcome_out("ring", "infidelity_envelope")),
+        },
+        "sweep": {
+            "fig2a": (experiments.fig2a, _sweep_fig2a),
+            "fig2bcd": (experiments.fig2bcd, _sweep_fig2bcd),
+            "figS2a": (experiments.fig_s2a, _sweep_figs2a),
+            "figS2b": (experiments.fig_s2b, lambda res: _sweep_q2_exponents("figS2b", res)),
+            "figS2c": (experiments.fig_s2c, lambda res: _sweep_q2_exponents("figS2c", res)),
+            "figS3": (experiments.fig_s3, _sweep_figs3),
+        },
+    }
 
 
-def cmd_sweep(args) -> int:
-    flags = {k: v for k, v in vars(args).items()
-             if k not in ("command", "func", "out_dir", "reproducible", "experiment")}
-    driver, build = SWEEPS[args.experiment]
-    res = driver(**_driver_kwargs(args.experiment, driver, flags))
-    tables, (svg_stem, plot), fields = build(res)
+def run_command(args) -> int:
+    """Forward the flags given to the run's driver, build the outputs from its
+    result, write them with one manifest and print the results."""
+    params = {k: v for k, v in vars(args).items()
+              if v is not None and k not in ("command", "out_dir", "reproducible")}
+    choice_flag = {"transfer": "protocol", "sweep": "experiment"}.get(args.command)
+    choice = params.get(choice_flag)
+    flags = {k: v for k, v in params.items() if k != choice_flag}
+    runs = _runs()[args.command]
+    driver, build = runs[choice] if choice else runs
+    label = f"--{choice_flag} {choice}" if choice else args.command
+    stem, tables, plot, fields = build(driver(**_driver_kwargs(label, driver, flags)))
+    command = args.command
+    if command == "sweep":  # sweep reports and manifests name their experiment
+        command, fields = f"sweep:{choice}", {"experiment": choice, **fields}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for stem, header, columns in tables:
-        paths.append(out_dir / f"{stem}.csv")
-        write_csv(paths[-1], args.experiment, header, columns)
-    paths.append(out_dir / f"{svg_stem}.svg")
-    paths[-1].write_text(plot.render(_svg_comment(args.reproducible)))
-    report = {"experiment": args.experiment, **fields}
-    params = {"experiment": args.experiment, **flags}
-    report["manifest"] = _manifest(f"sweep:{args.experiment}", params,
-                                   [str(p) for p in paths], args.reproducible)
-    json_path = out_dir / f"{args.experiment}_report.json"
-    write_json(json_path, report)
-    _print_verdicts(report)
-    print(f"wrote {json_path} and {len(paths)} data/plot files in {out_dir}")
+    for table_stem, header, columns in tables:
+        paths.append(out_dir / f"{table_stem}.csv")
+        write_csv(paths[-1], choice or command, header, columns)
+    if plot is not None:
+        paths.append(out_dir / f"{plot[0]}.svg")
+        paths[-1].write_text(plot[1].render(_svg_comment(args.reproducible)))
+    paths.append(out_dir / f"{stem}.json")
+    manifest = _manifest(command, params, [str(p) for p in paths[:-1]], args.reproducible)
+    write_json(paths[-1], {**fields, "manifest": manifest})
+    numbers = [f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in fields.items()
+               if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    if numbers:
+        print(f"{args.command} [{choice}]:" if choice else f"{args.command}:", *numbers)
+    _print_verdicts(fields)
+    print("wrote " + ", ".join(str(p) for p in paths))
     return 0
 
 
@@ -347,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.set_defaults(func=cmd_chain_spectrum)
 
     p = sub.add_parser("transfer", parents=[common],
                        help="run one protocol instance and report fidelities")
@@ -359,11 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     coupling = p.add_mutually_exclusive_group()
     coupling.add_argument("--epsilon", type=float, help="target infidelity (chain: picks g)")
     coupling.add_argument("--g", type=float, help="explicit endpoint coupling (chain/ring)")
-    p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser(
         "sweep", parents=[common], help="named figure reproductions",
-        argument_default=argparse.SUPPRESS,
         epilog="Each flag's help names the experiments that read it; any other one exits "
                "3 on it. CSV columns by experiment: fig2a/figS2a: g, eps_exact, eps_perturbative "
                "[, envelope, bound, conditions_met]; fig2bcd: L, Q; figS2b/figS2c: alpha, "
@@ -381,15 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-min", type=float, help="smallest coupling (fig2a, figS2a)")
     p.add_argument("--g-max", type=float, help="largest coupling (fig2a, figS2a)")
     p.add_argument("--g-points", type=int, help="log-spaced couplings (fig2a, figS2a)")
-    p.set_defaults(func=cmd_sweep)
+    for p in (parser, *sub.choices.values()):  # so that "--alpha-minus-d -1e-17" parses
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return run_command(args)
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -170,6 +170,8 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> TransferOutco
     conditions = (bool(summ.delta0 >= 4.0 * om), bool(om**2 * summ.q2 < 0.75))
     return TransferOutcome(
         T=t,
+        g=g,
+        L=L,
         fidelity_exact=fidelity,
         infidelity_exact=1.0 - fidelity,
         infidelity_perturbative=ring_perturbative_infidelity(model, g),

@@ -10,12 +10,11 @@ and the rigorous 3 * sum Omega_k^2/E_k^2 bound with its validity flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import chain as chain_mod
-from . import numkit
+from . import numkit, scaling
 from .errors import DomainError
 
 
@@ -35,17 +34,13 @@ class TunnelingModel:
 @dataclass(frozen=True)
 class TransferOutcome:
     T: float
+    g: float
+    L: int  # chain: transfer distance; ring: side length
     fidelity_exact: float
     infidelity_exact: float
     infidelity_perturbative: float
     infidelity_bound: float
     bound_conditions_met: tuple[bool, bool]
-
-
-class TransferTimeReport(NamedTuple):
-    T: float
-    L: int
-    g: float
 
 
 def attach_endpoints(chain: chain_mod.EffectiveChain, g: float) -> TunnelingModel:
@@ -111,6 +106,8 @@ def exact_transfer(model: TunnelingModel) -> TransferOutcome:
     bound, conditions = infidelity_rigorous_bound(model)
     return TransferOutcome(
         T=model.T,
+        g=model.g,
+        L=model.spectrum.chain.L,
         fidelity_exact=fidelity,
         infidelity_exact=1.0 - fidelity,
         infidelity_perturbative=perturbative_infidelity(model),
@@ -132,12 +129,13 @@ def choose_g(spectrum: chain_mod.ChannelSpectrum, epsilon_target: float) -> floa
     return float(min(g_bound, g_gap))
 
 
-def transfer_time_report(
-    d: int, alpha: float, l: int, epsilon_target: float
-) -> TransferTimeReport:
-    """Compose chain -> spectrum -> choose_g -> T = pi / (sqrt(2) g t_l^(0))."""
+def chain_transfer(d: int, alpha: float, l: int, epsilon: float = 0.01,
+                   g: float | None = None) -> TransferOutcome:
+    """The chain protocol end to end: regime check, chain of depth l, the g
+    that choose_g picks for target infidelity epsilon (unless g is given),
+    exact transfer."""
+    scaling.chain_regime(d, alpha)
     ch = chain_mod.build_effective_chain(d, alpha, l)
-    spectrum = chain_mod.chain_spectrum(ch)
-    g = choose_g(spectrum, epsilon_target)
-    t = np.pi / (np.sqrt(2.0) * g * spectrum.t_l_0)
-    return TransferTimeReport(T=float(t), L=ch.L, g=g)
+    if g is None:
+        g = choose_g(chain_mod.chain_spectrum(ch), epsilon)
+    return exact_transfer(attach_endpoints(ch, g))

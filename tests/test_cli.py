@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,17 @@ class TestTransferCommand:
         assert res.returncode == 3
         assert "ring d=1 L=16380" in res.stderr and "largest exact size is L=16378" in res.stderr
 
+    @pytest.mark.parametrize("protocol, flags, missing", [
+        ("chain", ["--alpha", "1.2"], "--l"),
+        ("ring", ["--alpha", "1", "--L", "100"], "--g"),
+    ])
+    def test_required_flag_missing_exit_3(self, tmp_path, capsys, protocol, flags, missing):
+        out = tmp_path / "out"
+        argv = ["transfer", "--protocol", protocol, *flags, "--out-dir", str(out)]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"error: --protocol {protocol} requires {missing}\n"
+        assert not out.exists()
+
     def test_g_and_epsilon_exclude_each_other(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["transfer", "--protocol", "chain", "--alpha", "1.2", "--l", "24",
@@ -178,8 +190,16 @@ class TestTransferCommand:
         assert res.returncode == 2
 
 
+def run_argv(run):
+    """The argv that picks a run: chain-spectrum, a transfer protocol or a sweep."""
+    if run == "chain-spectrum":
+        return [run]
+    return ["transfer", "--protocol", run] if run in TRANSFER_READS else [
+        "sweep", "--experiment", run]
+
+
 class TestSweepCommand:
-    @pytest.mark.parametrize("experiment,extra", [
+    @pytest.mark.parametrize("run,extra", [
         ("fig2bcd", ["--alpha-minus-d", "0.2", "--l-max", "24"]),
         ("figS3", ["--alpha", "1"]),
         ("fig2a", []),
@@ -189,15 +209,19 @@ class TestSweepCommand:
         # panels b and c, whose semilog axis comes from the regime
         ("fig2bcd", ["--alpha-minus-d", "-0.2"]),
         ("fig2bcd", ["--alpha-minus-d", "0"]),
+        # the other commands run through the same writer
+        ("chain-spectrum", ["--d", "1", "--alpha", "1", "--l", "24"]),
+        ("chain", ["--d", "1", "--alpha", "1.2", "--l", "24", "--epsilon", "0.01"]),
+        ("uniform", ["--d", "1", "--alpha", "0", "--L", "4"]),
+        ("ring", ["--d", "1", "--alpha", "1", "--L", "100", "--g", "0.02"]),
     ])
-    def test_reproducible_outputs_byte_identical(self, tmp_path, experiment, extra):
+    def test_reproducible_outputs_byte_identical(self, tmp_path, run, extra):
         # identical flags (same relative out-dir) run from two scratch roots
         roots = (tmp_path / "run1", tmp_path / "run2")
         for root in roots:
             root.mkdir()
             res = run_cli(
-                ["sweep", "--experiment", experiment, *extra,
-                 "--out-dir", "out", "--reproducible"], cwd=root,
+                [*run_argv(run), *extra, "--out-dir", "out", "--reproducible"], cwd=root,
             )
             assert res.returncode == 0, res.stderr
         d1, d2 = roots[0] / "out", roots[1] / "out"
@@ -291,12 +315,12 @@ class TestSweepCommand:
     def test_numerical_failure_exit_4(self, monkeypatch):
         import numpy as np
 
-        from longwalk import cli
+        from longwalk import chain
 
-        def boom(args):
+        def boom(d, alpha, l):
             raise np.linalg.LinAlgError("synthetic solver breakdown")
 
-        monkeypatch.setitem(cli.build_parser.__globals__, "cmd_chain_spectrum", boom)
+        monkeypatch.setattr(chain, "build_effective_chain", boom)
         rc = cli.main(["chain-spectrum", "--d", "1", "--alpha", "1", "--l", "2"])
         assert rc == 4
 
@@ -353,6 +377,17 @@ class TestSweepCommand:
             (zero / "fig2c_delta0.svg").read_text()
         assert (eps / f"fig2c_delta{delta}.csv").read_bytes() == \
             (zero / "fig2c_delta0.csv").read_bytes()
+
+    @pytest.mark.parametrize("d", ["1", "2"])
+    def test_exponent_notation_negative_value(self, tmp_path, d):
+        # "-1e-17" is a value, not an option name: same run as "--alpha-minus-d=-1e-17"
+        for name, flags in (("space", ["--alpha-minus-d", "-1e-17"]),
+                            ("equals", ["--alpha-minus-d=-1e-17"])):
+            argv = ["sweep", "--experiment", "fig2bcd", "--d", d, *flags,
+                    "--out-dir", str(tmp_path / name), "--reproducible"]
+            assert cli.main(argv) == 0
+        csv = "fig2c_delta-1e-17.csv"
+        assert (tmp_path / "space" / csv).read_bytes() == (tmp_path / "equals" / csv).read_bytes()
 
     def test_fig2bcd_short_constant_grid_exit_3(self, tmp_path):
         res = run_cli(
@@ -431,14 +466,35 @@ class TestFlagsRead:
         assert not out.exists()
 
     def test_every_sweep_flag_is_read_by_some_driver(self):
-        params = [inspect.signature(driver).parameters for driver, _ in cli.SWEEPS.values()]
+        drivers = [driver for driver, _ in cli._runs()["sweep"].values()]
+        params = [inspect.signature(driver).parameters for driver in drivers]
         for flag in subcommand_flags("sweep"):
             name = "g_grid" if flag.startswith("g_") else flag
             assert any(name in p or (flag == "alpha" and "alphas" in p) for p in params), flag
 
     def test_every_transfer_flag_is_in_a_protocol_row(self):
-        rows = {f for required, other in cli.TRANSFER_FLAGS.values() for f in required + other}
-        assert set(subcommand_flags("transfer")) == rows | {"d", "alpha"}
+        # each protocol's driver reads exactly its README row, and some driver reads each flag
+        params = {p: set(inspect.signature(driver).parameters)
+                  for p, (driver, _) in cli._runs()["transfer"].items()}
+        assert params == TRANSFER_READS
+        assert set(subcommand_flags("transfer")) == set().union(*params.values())
+
+
+def readme_commands():
+    """The ``longwalk ...`` lines of README's CLI code block, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("longwalk ")]
+
+
+class TestReadme:
+    def test_cli_block_covers_every_command(self):
+        assert {argv[0] for argv in readme_commands()} == {"chain-spectrum", "transfer", "sweep"}
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_command_runs(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--out-dir", str(tmp_path), "--reproducible"]) == 0, \
+            capsys.readouterr().err
 
 
 class TestJsonWriter:

@@ -169,7 +169,7 @@ class TestQScalingSweep:
 
 def ylog_of(res):
     """Whether the fig2bcd plot the CLI draws for ``res`` has a log y axis."""
-    _, (_, plot), _ = cli._sweep_fig2bcd(res)
+    _, _, (_, plot), _ = cli._sweep_fig2bcd(res)
     return plot.ylog
 
 

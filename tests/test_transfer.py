@@ -210,25 +210,35 @@ class TestProtocolSymmetries:
 
 
 class TestTransferTimeReport:
+    """chain_transfer: the transfer time T and distance L it reports."""
+
     def test_log_growth_at_alpha_d(self):
-        ts = [transfer.transfer_time_report(1, 1.0, l, 0.01).T for l in (8, 16, 24, 32)]
+        ts = [transfer.chain_transfer(1, 1.0, l, 0.01).T for l in (8, 16, 24, 32)]
         # T grows linearly in l: second differences vanish relative to slope
         d1 = np.diff(ts)
         assert np.all(d1 > 0)
         assert np.max(np.abs(np.diff(d1))) <= 0.05 * np.mean(d1)
 
     def test_constant_time_below_alpha_d(self):
-        ts = [transfer.transfer_time_report(1, 0.7, l, 0.01).T for l in (8, 16, 32, 40)]
+        ts = [transfer.chain_transfer(1, 0.7, l, 0.01).T for l in (8, 16, 32, 40)]
         assert abs(ts[-1] - ts[-2]) <= 0.01 * ts[-1]
 
     def test_power_law_above_alpha_d(self):
         ls = np.arange(16, 62, 2)
-        reports = [transfer.transfer_time_report(1, 1.2, l, 0.01) for l in ls]
+        reports = [transfer.chain_transfer(1, 1.2, l, 0.01) for l in ls]
         logs = np.log([r.T for r in reports])
         logl = np.log([r.L for r in reports])
         slope = numkit.linear_fit(logl, logs).slope
         assert abs(slope - 0.2) <= 0.03
 
     def test_distance_reported(self):
-        rep = transfer.transfer_time_report(1, 1.0, 4, 0.05)
+        rep = transfer.chain_transfer(1, 1.0, 4, 0.05)
         assert rep.L == 46
+
+    def test_coupling_from_epsilon_unless_given(self):
+        spectrum = chain.chain_spectrum(chain.build_effective_chain(1, 1.2, 24))
+        assert transfer.chain_transfer(1, 1.2, 24).g == transfer.choose_g(spectrum, 0.01)
+        assert transfer.chain_transfer(1, 1.2, 24, 0.1).g == transfer.choose_g(spectrum, 0.1)
+        out = transfer.chain_transfer(1, 1.2, 24, g=0.001)
+        assert out.g == 0.001 and out.L == 50331646
+        assert out.T == pytest.approx(np.pi / (np.sqrt(2) * 0.001 * spectrum.t_l_0), rel=1e-14)
