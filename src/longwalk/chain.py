@@ -75,7 +75,6 @@ class QReport:
     q: float
     t_endpoint_zero_mode: float
     min_gap: float
-    terms: np.ndarray  # rows (E_k, t_k0, ((t_k0/t_l0)/E_k)^2) for k != l
 
 
 def _guard_ok(a: float, l: int) -> bool:
@@ -191,7 +190,7 @@ def zero_mode_analytic(chain: EffectiveChain) -> np.ndarray:
     """
     a, l = chain.a, chain.l
     if a == 1.0:
-        raise DomainError("a = 1 (alpha = d) is covered by uniform_chain_analytic")
+        raise DomainError("the geometric zero mode needs a != 1 (alpha != d)")
     n = 2 * l + 1
     radical = np.sqrt(a ** (-l) + 2.0 * (1.0 - a ** (-l)) / (1.0 - a ** (-2)))
     amps = np.zeros(n)
@@ -202,18 +201,6 @@ def zero_mode_analytic(chain: EffectiveChain) -> np.ndarray:
     return amps
 
 
-def uniform_chain_analytic(l: int) -> list[tuple[float, float]]:
-    """alpha = d closed form: (E_k, t_k^(0)/t_l^(0)) for k = 0..2l,
-    E_k = 2 cos((k+1)pi/(2l+2)), ratio sin((k+1)pi/(2l+2))."""
-    if l < 2:
-        raise DomainError(f"l must be >= 2, got {l}")
-    out = []
-    for k in range(2 * l + 1):
-        theta = (k + 1) * np.pi / (2 * l + 2)
-        out.append((2.0 * np.cos(theta), np.sin(theta)))
-    return out
-
-
 def q_factor(spectrum: ChannelSpectrum) -> QReport:
     """Q = sqrt(sum_{k != l} ((t_k0/t_l0)/E_k)^2): off-resonant weight per gap."""
     l = spectrum.zero_index
@@ -222,14 +209,11 @@ def q_factor(spectrum: ChannelSpectrum) -> QReport:
     if not tl > 1e-300:
         raise DomainError("zero-mode endpoint amplitude vanishes")
     mask = np.arange(spectrum.energies.shape[0]) != l
-    ek = spectrum.energies[mask]
-    tk = t0[mask]
-    terms = (tk / tl / ek) ** 2
+    terms = (t0[mask] / tl / spectrum.energies[mask]) ** 2
     return QReport(
         q=float(np.sqrt(np.sum(terms))),
         t_endpoint_zero_mode=float(tl),
         min_gap=float(spectrum.energies[l - 1]),
-        terms=np.column_stack([ek, tk, terms]),
     )
 
 

@@ -315,15 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog="CSV columns: k, E_k (descending), t_k_0 "
                               "(endpoint amplitude), parity (+-1). JSON: "
                               "L, Q, t_l_0, min_gap.")
-    p.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--d", type=int, choices=(1, 2, 3))
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--l", type=int)
 
     p = sub.add_parser("transfer", parents=[common],
                        help="run one protocol instance and report fidelities")
     p.add_argument("--protocol", required=True, choices=("chain", "uniform", "ring"))
     p.add_argument("--d", type=int, default=1, choices=(1, 2, 3))
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--l", type=int, help="recursion depth (chain protocol)")
     p.add_argument("--L", type=int, help="side length (uniform/ring protocols)")
     coupling = p.add_mutually_exclusive_group()

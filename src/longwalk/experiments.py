@@ -90,12 +90,6 @@ def ring_q2_target(d: int, alpha: float) -> float:
     return 4.0
 
 
-def ring_time_target(d: int, alpha: float) -> float:
-    """Transfer-time exponent T ~ sqrt(q2): half the q2 exponent (alpha - d
-    for 3d/2 <= alpha < d+2, slower than linear from alpha = d+1 on)."""
-    return ring_q2_target(d, alpha) / 2.0
-
-
 def small_g_threshold(spectrum: chain_mod.ChannelSpectrum) -> float:
     """g* = 0.01 E_{l-1} / (sqrt(2) max_k t_k^(0)): below this every mode is
     driven far off resonance and the termwise envelope applies."""

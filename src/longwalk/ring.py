@@ -1,5 +1,5 @@
 """Translation-invariant protocol with couplings exactly J_0 / r^alpha on a
-periodic lattice (d = 1 ring, d = 2 torus).
+periodic lattice of side L in d = 1, 2 or 3 dimensions (ring, torus).
 
 The channel spectrum is circulant, the k = 0 mode sits at the top of the
 band, and X/Y tunnel through it when their on-site energy is tuned to
@@ -10,6 +10,9 @@ q2 = sum 1/Delta_k^2) drive the transfer-time scaling analysis.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +21,8 @@ from . import numkit
 from .errors import DomainError
 from .transfer import TransferOutcome
 
-L_CAP_FFT_1D = 2**17
-L_CAP_2D = 512
+# largest side length of the spectrum per dimension d
+L_CAP = {1: 2**17, 2: 512, 3: 256}
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,7 @@ class RingModel:
     L: int
     alpha: float
     N: int
-    energies: np.ndarray  # flat, index k (d=1) or kx*L + ky (d=2)
+    energies: np.ndarray  # flat, row-major over (k_1, ..., k_d): index sum_i k_i L^(d-i)
     detunings: np.ndarray  # Delta_k = E_0 - E_k, same layout
     parities: np.ndarray  # (-1)^(sum_i k_i)
 
@@ -46,40 +49,40 @@ class RingSpectralSummary:
     q2: float  # sum_{k != 0} 1 / Delta_k^2
 
 
+def _validate(d: int, L: int, alpha: float) -> None:
+    if alpha < 0:
+        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    if L % 2 != 0 or L < 2:
+        raise DomainError(f"L must be even and >= 2, got {L}")
+    if d not in L_CAP:
+        raise DomainError(f"ring protocol supports d in {set(L_CAP)}, got {d}")
+
+
 def _coupling_kernel(d: int, L: int, alpha: float) -> np.ndarray:
     """J(r) = |r|^-alpha at the minimum-image distance (0 at r = 0), built on
-    r_i <= L/2 and mirrored r_i -> L - r_i on every axis."""
-    h = np.arange(L // 2 + 1, dtype=float)
-    if d == 1:
-        half = h[1:] ** (-alpha)
-        return np.concatenate([[0.0], half, half[-2::-1]])
-    r2 = h[:, None] ** 2 + h[None, :] ** 2
-    r2[0, 0] = 1.0
-    block = r2 ** (-alpha / 2.0)
-    block[0, 0] = 0.0
-    block = np.concatenate([block, block[-2:0:-1]], axis=0)
-    return np.concatenate([block, block[:, -2:0:-1]], axis=1)
+    the half-axes r_i <= L/2 and mirrored r_i -> L - r_i on every axis."""
+    h2 = np.arange(L // 2 + 1, dtype=float) ** 2
+    r2 = functools.reduce(np.add.outer, (h2,) * d)
+    r2.flat[0] = 1.0
+    kernel = np.power(r2, -alpha / 2.0, out=r2)  # in place: a copy measured slower at L=2^17
+    kernel.flat[0] = 0.0
+    for axis in range(d):
+        # a basic slice: np.take with an index array measured slower on the sweeps
+        mirror = kernel[(slice(None),) * axis + (slice(-2, 0, -1),)]
+        kernel = np.concatenate([kernel, mirror], axis=axis)
+    return kernel
 
 
 def ring_spectrum(d: int, L: int, alpha: float) -> RingModel:
     """Exact circulant spectrum of the min-image power-law kernel."""
-    if alpha < 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    if L % 2 != 0:
-        raise DomainError(f"L must be even, got {L}")
-    if d not in (1, 2):
-        raise DomainError(f"ring protocol supports d in {{1, 2}}, got {d}")
-    cap = L_CAP_FFT_1D if d == 1 else L_CAP_2D
-    if L > cap:
-        raise DomainError(f"d={d} size {L} exceeds cap {cap}")
+    _validate(d, L, alpha)
+    if L > L_CAP[d]:
+        raise DomainError(f"d={d} size {L} exceeds cap {L_CAP[d]}")
     energies = numkit.real_dft_circulant(_coupling_kernel(d, L, alpha)).ravel()
     p = 1.0 - 2.0 * (np.arange(L) & 1)
-    parities = p if d == 1 else np.outer(p, p).ravel()
-    detunings = energies[0] - energies
-    return RingModel(
-        d=d, L=L, alpha=alpha, N=L**d,
-        energies=energies, detunings=detunings, parities=parities,
-    )
+    parities = functools.reduce(np.multiply.outer, (p,) * d).ravel()
+    return RingModel(d=d, L=L, alpha=alpha, N=L**d, energies=energies,
+                     detunings=energies[0] - energies, parities=parities)
 
 
 def ring_mu(model: RingModel, g: float) -> float:
@@ -112,33 +115,32 @@ def ring_spectral_summary(model: RingModel) -> RingSpectralSummary:
     )
 
 
-def _folded_modes(model: RingModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(detunings, multiplicities, parities) of the modes the endpoints see,
-    each standing in for a group of modes with endpoint overlap sqrt(mult/N).
+def _fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat indices, multiplicities) of the modes the endpoints see, each
+    standing in for mult channel modes with endpoint overlap sqrt(mult/N).
 
     X (site 0) and Y (the antipode) see only the cosine combination of each
-    k <-> L-k pair, so the modes k_i <= L/2 stand in: mult is 1 at k = 0 and
-    L/2 and 2 elsewhere, multiplied over the axes.  At d = 2 the swap
-    (kx, ky) <-> (ky, kx) keeps both the parity and the overlap, so only the
-    symmetric combination couples: the modes kx <= ky stand in, and mult
-    doubles where kx < ky.  Both folds merge modes by index, never by
-    comparing energies.
+    k_i <-> L - k_i pair, and only the symmetric combination of the axis
+    permutations, which keep energy, parity and overlaps.  So the sorted
+    tuples k_1 <= ... <= k_d <= L/2 stand in: mult is the product of the axis
+    weights (1 at k_i = 0 and L/2, 2 elsewhere) times the d!/prod(run!)
+    distinct permutations (runs of equal adjacent entries).  Modes are merged
+    by index, never by comparing energies.
     """
-    half = model.L // 2 + 1
-    m = np.full(half, 2.0)
-    m[0] = m[-1] = 1.0
-    ks = (np.arange(half),) if model.d == 1 else np.triu_indices(half)
-    mult = np.prod([m[k] for k in ks], axis=0) * np.where(ks[0] < ks[-1], 2.0, 1.0)
-    flat = np.ravel_multi_index(ks, (model.L,) * model.d)
-    return model.detunings[flat], mult, model.parities[flat]
+    ks = np.indices((L // 2 + 1,) * d).reshape(d, -1)
+    ks = ks[:, np.all(ks[:-1] <= ks[1:], axis=0)]
+    mult = np.where((ks == 0) | (ks == L // 2), 1.0, 2.0).prod(axis=0) * math.factorial(d)
+    run = np.ones(ks.shape[1])
+    for i in range(1, d):
+        run = np.where(ks[i] == ks[i - 1], run + 1.0, 1.0)
+        mult /= run
+    return np.ravel_multi_index(ks, (L,) * d), mult
 
 
-def _largest_sector(d: int, L):
-    """Dimension of the larger (even) parity sector of the folded exact problem
-    (elementwise over an array of L): 1 + the folded modes with an even sum
-    of k_i, where a of the values k_i <= L/2 are even and b are odd."""
-    a, b = L // 4 + 1, (L // 2 + 1) // 2
-    return 1 + (a if d == 1 else a * (a + 1) // 2 + b * (b + 1) // 2)
+def _sector(d: int, L: int, flat: np.ndarray) -> int:
+    """Dimension of the larger parity sector: one endpoint state plus its modes."""
+    odd = np.sum(np.unravel_index(flat, (L,) * d), axis=0) % 2
+    return 1 + int(np.bincount(odd, minlength=2).max())
 
 
 def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> TransferOutcome:
@@ -148,33 +150,31 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> TransferOutco
     Uses numkit.endpoint_amplitude on the folded channel modes, in the frame
     where the k = 0 mode sits at zero energy (channel -Delta_k, endpoints
     -mu); the parity of Y at the antipode is (-1)^(sum k_i).  Sizes whose
-    larger parity sector exceeds numkit.DENSE_DIM_CAP (L > 16378 at d = 1,
-    L > 250 at d = 2) are rejected before the spectrum is computed.
+    larger parity sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250 and 68
+    at d = 1, 2 and 3) are rejected before the spectrum is computed.
     """
-    if d in (1, 2) and _largest_sector(d, L) > numkit.DENSE_DIM_CAP:
-        sizes = np.arange(2, L_CAP_FFT_1D + 1, 2)
-        largest = sizes[_largest_sector(d, sizes) <= numkit.DENSE_DIM_CAP].max()
+    _validate(d, L, alpha)
+    cap = numkit.DENSE_DIM_CAP
+    flat, mult = _fold(d, L) if L <= L_CAP[d] else (None, None)
+    if flat is None or _sector(d, L, flat) > cap:
+        # the sector grows with L, so bisection finds the largest exact size
+        sizes = range(2, min(L, L_CAP[d]) + 1, 2)
+        n = bisect.bisect_right(sizes, cap, key=lambda size: _sector(d, size, _fold(d, size)[0]))
         raise DomainError(
             f"ring d={d} L={L}: a parity sector of the exact solve would exceed "
-            f"dimension {numkit.DENSE_DIM_CAP}; the largest exact size is L={largest}"
+            f"dimension {cap}; the largest exact size is L={sizes[n - 1]}"
         )
     model = ring_spectrum(d, L, alpha)
     mu = ring_mu(model, g)
-    detunings, mult, parities = _folded_modes(model)
     t = model.transfer_time(g)
-    amplitude = numkit.endpoint_amplitude(-detunings, g * np.sqrt(mult / model.N), parities, -mu, t)
+    amplitude = numkit.endpoint_amplitude(
+        -model.detunings[flat], g * np.sqrt(mult / model.N), model.parities[flat], -mu, t)
     fidelity = float(abs(amplitude) ** 2)
     summ = ring_spectral_summary(model)
     om = model.omega(g)
-    envelope = 2.0 * om**2 * summ.q2
     conditions = (bool(summ.delta0 >= 4.0 * om), bool(om**2 * summ.q2 < 0.75))
     return TransferOutcome(
-        T=t,
-        g=g,
-        L=L,
-        fidelity_exact=fidelity,
-        infidelity_exact=1.0 - fidelity,
+        T=t, g=g, L=L, fidelity_exact=fidelity, infidelity_exact=1.0 - fidelity,
         infidelity_perturbative=ring_perturbative_infidelity(model, g),
-        infidelity_bound=envelope,
-        bound_conditions_met=conditions,
+        infidelity_bound=2.0 * om**2 * summ.q2, bound_conditions_met=conditions,
     )

@@ -66,19 +66,6 @@ def simulate_uniform(protocol: UniformProtocol) -> float:
     return float(abs(amplitude) ** 2)
 
 
-def envelope_margin(protocol: UniformProtocol) -> float:
-    """max over coupled pairs of w * r^alpha: w = (sqrt(d) L)^(-alpha) must not
-    exceed 1/r^alpha for any pair.
-
-    X sits at the origin and Y at (L-1, 0, ..., 0), so the farthest middle
-    site is L-2 away at d = 1 and, at the far corner, sqrt(d) (L-1) away
-    otherwise.
-    """
-    d, L = protocol.d, protocol.L
-    r_max = L - 2.0 if d == 1 else np.sqrt(d * (L - 1.0) ** 2)
-    return float(protocol.w * r_max**protocol.alpha)
-
-
 def transfer_time(d: int, alpha: float, L) -> np.ndarray:
     """T(L) from the closed form, valid for any L (no simulation involved)."""
     L = np.asarray(L, dtype=float)

@@ -4,6 +4,8 @@ import pytest
 from longwalk import chain, numkit, scaling
 from longwalk.errors import DomainError, PrecisionGuardError
 
+from closed_forms import uniform_chain_analytic
+
 
 def chain_matrix(ch):
     return np.diag(ch.bonds, 1) + np.diag(ch.bonds, -1)
@@ -213,13 +215,13 @@ class TestZeroModeAnalytic:
 
     def test_rejects_uniform_case(self):
         ch = chain.build_effective_chain(1, 1.0, 4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="a != 1"):
             chain.zero_mode_analytic(ch)
 
 
 class TestUniformChainAnalytic:
     def test_l2_closed_form(self):
-        pairs = chain.uniform_chain_analytic(2)
+        pairs = uniform_chain_analytic(2)
         energies = [p[0] for p in pairs]
         ratios = [p[1] for p in pairs]
         np.testing.assert_allclose(energies, [np.sqrt(3), 1, 0, -1, -np.sqrt(3)], atol=1e-14)
@@ -229,14 +231,14 @@ class TestUniformChainAnalytic:
 
     def test_middle_mode_always_resonant(self):
         for l in (2, 6, 20):
-            e, ratio = chain.uniform_chain_analytic(l)[l]
+            e, ratio = uniform_chain_analytic(l)[l]
             assert abs(e) <= 1e-14
             assert abs(ratio - 1.0) <= 1e-14
 
     def test_matches_numeric_spectrum(self):
         for l in (2, 8, 24):
             spec = chain.chain_spectrum(chain.build_effective_chain(1, 1.0, l))
-            pairs = chain.uniform_chain_analytic(l)
+            pairs = uniform_chain_analytic(l)
             np.testing.assert_allclose(
                 spec.energies, [p[0] for p in pairs], atol=1e-10
             )
@@ -269,7 +271,10 @@ class TestQFactor:
     def test_terms_sum_to_q_squared(self):
         spec = chain.chain_spectrum(chain.build_effective_chain(1, 1.4, 12))
         rep = chain.q_factor(spec)
-        assert abs(rep.terms[:, 2].sum() - rep.q**2) <= 1e-12 * rep.q**2
+        l = spec.zero_index
+        terms = [(spec.endpoint_amplitudes[k] / spec.t_l_0 / spec.energies[k]) ** 2
+                 for k in range(2 * l + 1) if k != l]
+        assert abs(sum(terms) - rep.q**2) <= 1e-12 * rep.q**2
 
     def test_q_invariant_under_global_sign_flips(self):
         # flipping any off-resonant eigenvector's global sign leaves Q alone

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,10 @@ class TestChainSpectrumCommand:
         assert payload["L"] == 10
 
     def test_missing_flag_usage_error(self, tmp_path):
+        # the driver's signature decides, as for every other command: exit 3
         res = run_cli(["chain-spectrum", "--d", "1", "--alpha", "1"], cwd=tmp_path)
-        assert res.returncode == 2
-        assert "usage" in (res.stderr + res.stdout).lower()
+        assert res.returncode == 3
+        assert res.stderr == "error: chain-spectrum requires --l\n"
 
     def test_precision_guard_exit_3(self, tmp_path):
         res = run_cli(
@@ -123,9 +125,9 @@ class TestTransferCommand:
         assert payload["infidelity_exact"] <= 0.01
         assert payload["bound_conditions_met"] == [True, True]
 
-    # at L = 4096 (d=1) and L = 64 (d=2) the (N+2) site matrix would exceed
-    # numkit.DENSE_DIM_CAP; the folded parity sectors do not
-    @pytest.mark.parametrize("d, L", [(1, 100), (1, 4096), (2, 64)])
+    # at L = 4096 (d=1), L = 64 (d=2) and L = 24 (d=3) the (N+2) site matrix
+    # would exceed numkit.DENSE_DIM_CAP; the folded parity sectors do not
+    @pytest.mark.parametrize("d, L", [(1, 100), (1, 4096), (2, 64), (3, 8), (3, 24)])
     def test_ring_protocol_reports_both(self, tmp_path, d, L):
         res = run_cli(
             ["transfer", "--protocol", "ring", "--d", str(d), "--alpha", "1",
@@ -163,9 +165,27 @@ class TestTransferCommand:
         assert res.returncode == 3
         assert "ring d=1 L=16380" in res.stderr and "largest exact size is L=16378" in res.stderr
 
+    @pytest.mark.parametrize("d, L, largest", [(3, 70, 68), (1, 10**9, 16378)])
+    def test_ring_size_error_names_largest_exact_size(self, tmp_path, capsys, d, L, largest):
+        # (d, L) alone decide the check: no array of size L, no spectrum
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = cli.main(["transfer", "--protocol", "ring", "--d", str(d), "--alpha", "1",
+                             "--L", str(L), "--g", "0.02", "--out-dir", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"ring d={d} L={L}:" in err and f"largest exact size is L={largest}" in err
+        assert peak < 2**25
+        assert not out.exists()
+
     @pytest.mark.parametrize("protocol, flags, missing", [
         ("chain", ["--alpha", "1.2"], "--l"),
         ("ring", ["--alpha", "1", "--L", "100"], "--g"),
+        ("ring", ["--L", "100", "--g", "0.02"], "--alpha"),
     ])
     def test_required_flag_missing_exit_3(self, tmp_path, capsys, protocol, flags, missing):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from longwalk import experiments, numkit, ring
 from longwalk.errors import DomainError
+
+from closed_forms import ring_sector
 
 
 def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
@@ -76,7 +79,7 @@ class TestRingSpectrum:
                 np.testing.assert_allclose(model.energies, closed, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 1026), (1, 2**17),
-                                      (2, 6), (2, 90), (2, 256)])
+                                      (2, 6), (2, 90), (2, 256), (3, 4), (3, 8)])
     def test_real_fft_matches_complex_fft(self, d, L):
         for alpha in (0.5, 1.0, 1.5, 2.2):
             e = ring.ring_spectrum(d, L, alpha).energies
@@ -87,7 +90,7 @@ class TestRingSpectrum:
             for ref in refs:
                 assert np.max(np.abs(e - ref)) <= 1e-13 * scale, (alpha, len(refs))
 
-    @pytest.mark.parametrize("d, L", [(1, 2**17), (1, 1026), (2, 6), (2, 256)])
+    @pytest.mark.parametrize("d, L", [(1, 2**17), (1, 1026), (2, 6), (2, 256), (3, 8)])
     def test_exact_mirror_symmetry(self, d, L):
         # E[..., L-k] = E[..., k] along the mirrored (last) axis, bit for bit
         e = ring.ring_spectrum(d, L, 1.3).energies.reshape((L,) * d)
@@ -126,8 +129,8 @@ class TestRingSpectrum:
             ring.ring_spectrum(1, 5, 1.0)
         with pytest.raises(DomainError):
             ring.ring_spectrum(2, 1024, 1.0)
-        with pytest.raises(DomainError):
-            ring.ring_spectrum(3, 8, 1.0)
+        with pytest.raises(DomainError, match="supports d in"):
+            ring.ring_spectrum(4, 8, 1.0)
 
 
 class TestRingMu:
@@ -212,7 +215,6 @@ class TestQ2Scaling:
     ])
     def test_q2_target_branches(self, alpha, exponent):
         assert abs(experiments.ring_q2_target(1, alpha) - exponent) <= 1e-12
-        assert abs(experiments.ring_time_target(1, alpha) - exponent / 2.0) <= 1e-12
 
     @pytest.mark.parametrize("alpha, exponent", [
         (0.6, -0.8), (1.5, 1.0),  # 2 alpha - 2
@@ -222,7 +224,6 @@ class TestQ2Scaling:
     ])
     def test_q2_target_branches_d2(self, alpha, exponent):
         assert abs(experiments.ring_q2_target(2, alpha) - exponent) <= 1e-12
-        assert abs(experiments.ring_time_target(2, alpha) - exponent / 2.0) <= 1e-12
 
     @pytest.mark.parametrize("alpha, slopes", [
         (2.5, (1.877, 1.912)), (3.5, (2.834, 2.883)), (4.5, (3.862, 3.908)),
@@ -268,43 +269,50 @@ class TestRingExactTransfer:
             assert 0.0 <= eps <= 2 * om**2 * s.q2 + 1e-15
 
     @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 102), (1, 1026), (2, 6), (2, 12),
-                                      (2, 20)])
+                                      (2, 20), (3, 4), (3, 6), (3, 8)])
     def test_matches_dense_site_oracle(self, d, L):
         for alpha, g in [(1.0, 0.02), (0.7, 0.3), (1.6, 0.1)]:
             out = ring.ring_exact_transfer(d, L, alpha, g)
             assert abs(out.fidelity_exact - dense_ring_fidelity(d, L, alpha, g)) <= 1e-12, alpha
 
-    @pytest.mark.parametrize("d, L", [(1, 100), (1, 102), (2, 12), (2, 14), (2, 44), (2, 250)])
+    @pytest.mark.parametrize("d, L", [(1, 100), (1, 102), (2, 12), (2, 14), (2, 44), (2, 250),
+                                      (3, 8), (3, 68)])
     def test_folded_modes_cover_the_channel(self, d, L):
         # each folded mode stands in for mult channel modes: the multiplicities
-        # add up to N, and the swap fold keeps only kx <= ky at d=2
+        # add up to N, and the fold keeps only the sorted tuples k_1 <= ... <= k_d
         model = ring.ring_spectrum(d, L, 1.2)
-        detunings, mult, parities = ring._folded_modes(model)
+        flat, mult = ring._fold(d, L)
         assert mult.sum() == model.N
-        # the size check counts the larger sector in closed form
-        assert ring._largest_sector(d, L) == 1 + max(np.sum(parities > 0), np.sum(parities < 0))
         half = L // 2 + 1
-        assert detunings.size == (half if d == 1 else half * (half + 1) // 2)
-        if d == 2:
-            # the swap partner (ky, kx) has the same parity and, up to
-            # roundoff, the same energy as the mode kept for the pair
-            e = model.detunings.reshape(L, L)[:half, :half]
-            assert np.max(np.abs(e - e.T)) <= 1e-12 * np.max(np.abs(e))
+        assert flat.size == math.comb(half + d - 1, d)
+        # the size check counts the larger sector from the fold's parities
+        parities = model.parities[flat]
+        sector = ring._sector(d, L, flat)
+        assert sector == 1 + max(np.sum(parities > 0), np.sum(parities < 0))
+        if d < 3:
+            assert sector == ring_sector(d, L)
+        if L == 68:
+            assert sector == 3895  # the largest d=3 sector within numkit.DENSE_DIM_CAP
+        # every axis permutation of a mode has, up to roundoff, the energy of
+        # the sorted tuple that stands in for it
+        e = model.detunings.reshape((L,) * d)[(slice(0, half),) * d]
+        for perm in itertools.permutations(range(d)):
+            assert np.max(np.abs(e - e.transpose(perm))) <= 1e-12 * np.max(np.abs(e))
 
     def test_size_caps(self):
-        with pytest.raises(DomainError):
-            ring.ring_spectrum(1, ring.L_CAP_FFT_1D + 2, 1.0)
-        with pytest.raises(DomainError):
-            ring.ring_spectrum(2, ring.L_CAP_2D + 2, 1.0)
-        # after the folds, the larger parity sector passes numkit.DENSE_DIM_CAP
-        # above L = 16378 (d=1) and L = 250 (d=2); the rejection names the
-        # ring, d, L and the largest exact size
-        for d, L, largest in [(1, 16380, 16378), (2, 252, 250), (1, 2**17 + 2, 16378)]:
+        for d, cap in ring.L_CAP.items():
+            with pytest.raises(DomainError, match="exceeds cap"):
+                ring.ring_spectrum(d, cap + 2, 1.0)
+        # after the fold, the larger parity sector passes numkit.DENSE_DIM_CAP
+        # above L = 16378 (d=1), L = 250 (d=2) and L = 68 (d=3); the rejection
+        # names the ring, d, L and the largest exact size
+        for d, L, largest in [(1, 16380, 16378), (2, 252, 250), (1, 2**17 + 2, 16378),
+                              (3, 70, 68), (3, 2**20, 68)]:
             with pytest.raises(DomainError, match=f"^ring d={d} L={L}: .* L={largest}$"):
                 ring.ring_exact_transfer(d, L, 1.0, 0.1)
         # below those sizes nothing else limits the exact path; d=2 L=180
         # was past the limit before the swap fold
-        for d, L in [(1, 2002), (2, 46), (2, 180)]:
+        for d, L in [(1, 2002), (2, 46), (2, 180), (3, 24)]:
             out = ring.ring_exact_transfer(d, L, 1.0, 0.01)
             assert 0.99 <= out.fidelity_exact <= 1.0 + 1e-12
 
