@@ -53,7 +53,12 @@ def thread_count() -> int:
     """LONGWALK_THREADS, or 1 when unset: on small sweeps the pool measured
     slower than serial, because BLAS already uses the cores."""
     env = os.environ.get("LONGWALK_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise DomainError(f"LONGWALK_THREADS must be an integer, got {env!r}") from None
 
 
 def _map(fn, args_list):

@@ -335,3 +335,47 @@ class TestGapAndQScalingProperties:
         # successive differences shrink geometrically (ratio ~a^-2 = 0.76 here)
         assert np.all(diffs[1:] <= 0.9 * diffs[:-1] + 1e-12)
         assert abs(q[-1] - q[len(q) // 2 - 1]) <= 0.01 * q[-1]
+
+
+def mp_sector_oracle(ch, dps=30):
+    """Oracle: (energies descending, endpoint amplitudes t_k^(0)) of the
+    channel from mpmath solves of its two parity sectors at `dps` digits.
+
+    The sector eigenvalues strictly interlace, so sorting their union
+    reproduces the channel's order; each endpoint amplitude is the sector
+    vector's first component over sqrt(2), sign fixed positive.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    l, b = ch.l, ch.bonds
+    pairs = []
+    with mp.workdps(dps):
+        odd_bonds = [mp.mpf(x) for x in b[: l - 1]]
+        for bonds in (odd_bonds + [mp.sqrt(2) * mp.mpf(b[l - 1])], odd_bonds):
+            n = len(bonds) + 1
+            h = mp.zeros(n, n)
+            for i, x in enumerate(bonds):
+                h[i, i + 1] = h[i + 1, i] = x
+            w, v = mp.eigsy(h)
+            pairs += [(w[j], abs(v[0, j]) / mp.sqrt(2)) for j in range(n)]
+        pairs.sort(key=lambda p: -p[0])
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+class TestGuardEdgeAccuracy:
+    """Q, E_{l-2} and t_l^(0) at the deepest guard-admissible depth, against
+    30-digit mpmath solves of the same parity sectors."""
+
+    @pytest.mark.parametrize("d, alpha, l", [(3, 1.5, 28), (1, 1.9, 46)])
+    def test_against_mpmath_sectors(self, d, alpha, l):
+        assert chain.max_admissible_l(d, alpha) == l
+        ch = chain.build_effective_chain(d, alpha, l)
+        spec = chain.chain_spectrum(ch)
+        energies, t0 = mp_sector_oracle(ch)
+        q = sum((t0[k] / t0[l] / energies[k]) ** 2 for k in range(2 * l + 1) if k != l) ** 0.5
+        assert abs(chain.q_factor(spec).q / float(q) - 1.0) <= 1e-9
+        assert abs(spec.energies[l - 2] / float(energies[l - 2]) - 1.0) <= 1e-8
+        # t_l^(0) is 4.4e-7 at d=1 alpha=1.9, where eigh's error is 2.5e-11
+        # relative; the absolute bound is the tighter one at d=3
+        t_analytic = chain.zero_mode_analytic(ch)[0]
+        assert abs(spec.t_l_0 - t_analytic) <= 1e-12
+        assert abs(spec.t_l_0 / t_analytic - 1.0) <= 1e-10

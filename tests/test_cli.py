@@ -332,6 +332,12 @@ class TestSweepCommand:
         monkeypatch.setenv("LONGWALK_THREADS", "3")
         assert experiments.thread_count() == 3
 
+    def test_invalid_thread_count_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LONGWALK_THREADS", "abc")
+        argv = ["sweep", "--experiment", "figS3", "--alpha", "1", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 3
+        assert "LONGWALK_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+
     def test_numerical_failure_exit_4(self, monkeypatch):
         import numpy as np
 
@@ -515,6 +521,20 @@ class TestReadme:
     def test_readme_command_runs(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--out-dir", str(tmp_path), "--reproducible"]) == 0, \
             capsys.readouterr().err
+
+    def test_readme_commands_never_import_scipy(self, tmp_path):
+        # numpy alone serves the library: importing scipy.linalg would cost
+        # the cold CLI about 215 ms and 27 MB
+        script = (
+            "import sys\n"
+            "from longwalk import cli\n"
+            f"for argv in {readme_commands()!r}:\n"
+            f"    assert cli.main([*argv, '--out-dir', {str(tmp_path)!r}]) == 0, argv\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             cwd=tmp_path, env=CLI_ENV)
+        assert res.returncode == 0, res.stderr
 
 
 class TestJsonWriter:

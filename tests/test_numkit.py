@@ -28,6 +28,11 @@ class TestEighTridiagonal:
         with pytest.raises(DomainError):
             numkit.eigh_tridiagonal([0, np.nan, 0], [1, 1])
 
+    def test_dense_dimension_cap(self):
+        n = numkit.DENSE_DIM_CAP + 1
+        with pytest.raises(DomainError, match="exceeds cap"):
+            numkit.eigh_tridiagonal(np.zeros(n), np.ones(n - 1))
+
     def test_random_matrix_invariants(self):
         # reconstruction and orthonormality over 1000 random tridiagonals
         rng = np.random.default_rng(7)
@@ -56,12 +61,14 @@ class TestEighDense:
         np.testing.assert_allclose(dec.eigenvalues, [1, 2, 3], atol=1e-15)
 
     def test_cross_solver_oracle(self):
-        # dense path agrees with the tridiagonal path on the same matrix
+        # both entry points against the closed form: bonds (1,2,2,1) split
+        # into an even sector {0, +-3} and an odd sector {+-1}
         bonds = np.array([1.0, 2.0, 2.0, 1.0])
         h = np.diag(bonds, 1) + np.diag(bonds, -1)
-        dense = numkit.eigh_dense(h)
-        tri = numkit.eigh_tridiagonal(np.zeros(5), bonds)
-        np.testing.assert_allclose(dense.eigenvalues, tri.eigenvalues, atol=1e-12)
+        for dec in (numkit.eigh_dense(h), numkit.eigh_tridiagonal(np.zeros(5), bonds)):
+            np.testing.assert_allclose(dec.eigenvalues, [-3, -1, 0, 1, 3], atol=1e-13)
+            v = dec.eigenvectors
+            np.testing.assert_allclose(h @ v, v * dec.eigenvalues, atol=1e-13)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):

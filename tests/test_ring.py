@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -108,6 +109,23 @@ class TestRingSpectrum:
         np.testing.assert_array_equal(model.parities, expect)
         np.testing.assert_array_equal(ring.ring_spectrum(1, 6, 1.0).parities,
                                       (-1.0) ** np.arange(6))
+
+    @pytest.mark.parametrize("d, L", [(1, 256), (2, 32), (3, 16)])
+    def test_int8_parities_give_the_float64_results_bit_for_bit(self, d, L):
+        model = ring.ring_spectrum(d, L, 1.3)
+        assert model.parities.dtype == np.int8
+        wide = dataclasses.replace(model, parities=model.parities.astype(float))
+        expect = (-1.0) ** np.indices((L,) * d).sum(axis=0).ravel()
+        np.testing.assert_array_equal(wide.parities, expect)
+        g = 1e-3
+        assert ring.ring_mu(model, g) == ring.ring_mu(wide, g)
+        assert (ring.ring_perturbative_infidelity(model, g)
+                == ring.ring_perturbative_infidelity(wide, g))
+        flat, mult = ring._fold(d, L)
+        args = (-model.detunings[flat], g * np.sqrt(mult / model.N))
+        t = model.transfer_time(g)
+        assert (numkit.endpoint_amplitude(*args, model.parities[flat], 0.0, t)
+                == numkit.endpoint_amplitude(*args, wide.parities[flat], 0.0, t))
 
     def test_d2_closed_form_modulo_boundary_terms(self):
         # the quoted 2D cosine-sum form drops the x,y = L/2 boundary terms;

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from longwalk import numkit, uniform
 from longwalk.errors import DomainError, RegimeError
@@ -10,7 +8,10 @@ from longwalk.errors import DomainError, RegimeError
 def full_model_fidelity(protocol, times) -> np.ndarray:
     """Oracle: |<Y|psi(t)>|^2 for each t, evolving |X> by expm_multiply under
     the explicit sparse N-site matrix (X = site 0 and Y = site N-1, each
-    coupled to every middle site with strength w)."""
+    coupled to every middle site with strength w).  Skips without scipy,
+    a test-only dependency."""
+    sp = pytest.importorskip("scipy.sparse")
+    spla = pytest.importorskip("scipy.sparse.linalg")
     n, w = protocol.N, protocol.w
     mids = np.arange(1, n - 1)
     rows = np.concatenate([np.zeros(n - 2, int), mids, mids, np.full(n - 2, n - 1)])
