@@ -2,13 +2,17 @@
 endpoint-coupled-channel transfer amplitude, circulant spectra in d
 dimensions (by real FFT at every even length), and least-squares fits.
 
-Everything here is pure and deterministic.  Every eigensolve, tridiagonal
-or dense, runs through numpy's LAPACK eigh, with an absolute-accuracy model
-eps*||H||.  Only numpy is imported.
+Everything here is pure and deterministic.  Tridiagonal and dense
+eigensolves, and the parity sectors of endpoint_amplitude up to dimension
+_SECULAR_MIN_DIM, run through numpy's LAPACK eigh, with an
+absolute-accuracy model eps*||H||.  Larger sectors, arrowhead matrices, go
+to arrowhead_spectrum, an O(n^2) secular-equation solver with the same
+backward error.  Only numpy is imported.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +90,10 @@ def eigh_dense(matrix) -> SymmetricEigenDecomposition:
         raise DomainError(f"matrix must be square, got shape {h.shape}")
     if h.shape[0] > DENSE_DIM_CAP:
         raise DomainError(f"dense dimension {h.shape[0]} exceeds cap {DENSE_DIM_CAP}")
-    scale = max(1.0, np.max(np.abs(h)))
+    hmax = np.max(np.abs(h))  # NaN if any entry is
+    if not np.isfinite(hmax):
+        raise DomainError("non-finite entries in matrix")
+    scale = max(1.0, hmax)
     if np.max(np.abs(h - h.T)) > 1e-12 * scale:
         raise DomainError("matrix is not symmetric to 1e-12 relative")
     w, v = np.linalg.eigh(h)
@@ -116,7 +123,10 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     (|X> +- |Y>)/sqrt(2) couples only to the modes of parity +-1, with
     strength sqrt(2) c_k, so each sector is the arrowhead matrix
     [[onsite, sqrt(2) c], [sqrt(2) c, diag(E)]] and the amplitude is
-    (A+ - A-)/2 with A = sum_j v_j[0]^2 exp(-i lambda_j t).
+    (A+ - A-)/2 with A = sum_j v_j[0]^2 exp(-i lambda_j t).  A sector of
+    dimension above _SECULAR_MIN_DIM is solved by arrowhead_spectrum in
+    O(n^2), a smaller one by eigh_dense; either way its dimension is capped
+    at DENSE_DIM_CAP.
     """
     e = np.asarray(energies, dtype=float)
     c = np.asarray(couplings, dtype=float)
@@ -125,14 +135,191 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
         raise DomainError("energies, couplings and parities must be equal-length 1-d arrays")
     if not np.all(np.abs(p) == 1.0):
         raise DomainError("parities must be +1 or -1")
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(c))
+            and math.isfinite(onsite) and math.isfinite(time)):
+        raise DomainError("non-finite energies, couplings, onsite energy or time")
     sectors = []
     for sign in (1.0, -1.0):
         keep = p == sign
-        h = np.diag(np.concatenate([[onsite], e[keep]]))
-        h[0, 1:] = h[1:, 0] = np.sqrt(2.0) * c[keep]
-        dec = eigh_dense(h)
-        sectors.append(np.sum(dec.eigenvectors[0] ** 2 * np.exp(-1j * dec.eigenvalues * time)))
-    return complex((sectors[0] - sectors[1]) / 2.0)
+        dim = 1 + int(np.count_nonzero(keep))
+        if dim > DENSE_DIM_CAP:
+            raise DomainError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
+        z = np.sqrt(2.0) * c[keep]
+        if dim > _SECULAR_MIN_DIM:
+            lam, w = arrowhead_spectrum(onsite, e[keep], z)
+        else:
+            h = np.diag(np.concatenate([[onsite], e[keep]]))
+            h[0, 1:] = h[1:, 0] = z
+            dec = eigh_dense(h)
+            lam, w = dec.eigenvalues, dec.eigenvectors[0] ** 2
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            sectors.append(np.sum(w * np.exp(-1j * lam * time)))
+    amplitude = complex((sectors[0] - sectors[1]) / 2.0)
+    if not np.isfinite(amplitude):
+        raise ArithmeticError(f"non-finite endpoint amplitude {amplitude} from finite input")
+    return amplitude
+
+
+# Sectors above this dimension go to arrowhead_spectrum, smaller ones to
+# eigh_dense: below it LAPACK's O(n^3) eigh beats the O(n^2) secular solver,
+# whose numpy overhead per iteration does not shrink with n.
+_SECULAR_MIN_DIM = 170
+# roots per block of the secular iteration: a block holds (block, n) arrays
+_SECULAR_BLOCK = 64
+# random arrowheads with graded gaps, clusters and couplings down to 1e-15
+# of the scale took at most 16 iterations
+_SECULAR_MAX_ITER = 50
+
+
+def arrowhead_spectrum(onsite: float, poles, couplings) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) of the arrowhead [[onsite, z^T], [z, diag(poles)]]
+    and the weights v_j[0]^2 of their eigenvectors, in O(n^2) time and with
+    no n x n array.
+
+    Couplings |z_k| <= 8 eps max(|onsite|, |poles|, ||z||), at most
+    8 eps ||H||, are deflated: their pole is an eigenvalue of weight 0.  So are poles within that distance of the next one, after a
+    Givens rotation merges the pair's couplings into one.  The remaining
+    poles d_1 < ... < d_m give m + 1 roots of the secular equation
+    f(x) = x - onsite + sum_k z_k^2 / (d_k - x), one below d_1, one in each
+    gap and one above d_m.  Each root is kept as its nearer pole plus an
+    offset tau (the dlaed4 origin shift), so the distances (d_k - origin) -
+    tau keep their relative accuracy, and is found by the middle way (Li
+    1994): the poles left and right of the root are each modelled by one
+    pole matched in value and slope, safeguarded by bisection.  Its weight
+    is 1/f'(x) = 1 / (1 + sum_k z_k^2 / ((d_k - origin) - tau)^2), a sum of
+    positive terms.
+    """
+    d = np.asarray(poles, dtype=float)
+    z = np.asarray(couplings, dtype=float)
+    if not (d.ndim == 1 and d.shape == z.shape):
+        raise DomainError("poles and couplings must be equal-length 1-d arrays")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z)) and math.isfinite(onsite)):
+        raise DomainError("non-finite entries in arrowhead input")
+    # scaling by the power of two 2^-e just above the largest entry is
+    # exact, and keeps z^2 and the squared distances in range
+    e = math.frexp(max(abs(onsite), np.max(np.abs(d), initial=0.0),
+                       np.max(np.abs(z), initial=0.0)))[1]
+    a, order = math.ldexp(onsite, -e), np.argsort(d, kind="stable")
+    d, z = np.ldexp(d[order], -e), np.ldexp(z[order], -e)
+    # max(|a|, |d_k|, ||z||) <= ||H||
+    tol = 8.0 * np.finfo(float).eps * max(abs(a), np.max(np.abs(d), initial=0.0),
+                                          float(np.linalg.norm(z)))
+    keep = np.abs(z) > tol
+    deflated = [d[~keep]]
+    d, z2 = d[keep], z[keep] ** 2
+    for i in np.flatnonzero(np.diff(d) <= tol):
+        if d[i + 1] - d[i] <= tol:  # an earlier merge may have moved d[i + 1]
+            r2 = z2[i] + z2[i + 1]
+            gap = d[i + 1] - d[i]
+            d[i], d[i + 1] = d[i] + z2[i] / r2 * gap, d[i] + z2[i + 1] / r2 * gap
+            z2[i], z2[i + 1] = 0.0, r2
+    deflated.append(d[z2 == 0.0])
+    d, z2 = d[z2 > 0.0], z2[z2 > 0.0]
+    lam, w = _secular_roots(a, d, z2)
+    lam = np.ldexp(np.concatenate([lam, *deflated]), e)
+    w = np.concatenate([w, np.zeros(lam.shape[0] - w.shape[0])])
+    order = np.argsort(lam, kind="stable")
+    return lam[order], w[order]
+
+
+def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The m + 1 roots and weights of x - a + sum_k z2_k / (d_k - x) for sorted,
+    distinct poles d with z2 > 0 (see arrowhead_spectrum)."""
+    m = d.shape[0]
+    if m == 0:
+        return np.array([a]), np.array([1.0])
+    eps = np.finfo(float).eps
+    znorm = math.sqrt(float(np.sum(z2)))
+    # root j lies between poles j - 1 and j; its origin starts at the left
+    # pole (the only one for the last root), the first root's at pole 0.
+    # left/right are the pole distances from the origin (0 on a missing side)
+    # and (lo, hi) the bracket of tau.
+    gaps = np.diff(d)
+    origin = np.concatenate([d[:1], d])
+    left = np.zeros(m + 1)
+    right = np.concatenate([[0.0], gaps, [0.0]])
+    lo = np.concatenate([[min(a - d[0], 0.0) - 2.0 * znorm], np.zeros(m)])
+    hi = np.concatenate([[0.0], gaps, [max(a - d[-1], 0.0) + 2.0 * znorm]])
+    tau = 0.5 * (lo + hi)
+    side = np.zeros(m + 1, dtype=int)  # -1: below every pole, +1: above, 0: a gap
+    side[0], side[-1] = -1, 1
+    lam = np.empty(m + 1)
+    w = np.empty(m + 1)
+    ones, inv_z2 = np.ones(m), 1.0 / z2
+    rows = min(_SECULAR_BLOCK, m + 1)
+    terms_buf, left_buf = np.empty((rows, m)), np.empty((rows, m))
+    active = np.arange(m + 1)
+    for it in range(_SECULAR_MAX_ITER):
+        converged = []
+        for start in range(0, active.shape[0], _SECULAR_BLOCK):
+            j = active[start:start + _SECULAR_BLOCK]
+            t = tau[j]
+            # f and f' at the root estimates.  The terms z2/delta are < 0 for
+            # the poles left of the root and > 0 right of it, so their
+            # negative parts give the left sums psi and dpsi; and
+            # z2/delta^2 = (z2/delta)^2 / z2.
+            terms, low = terms_buf[:j.shape[0]], left_buf[:j.shape[0]]
+            np.subtract(d, origin[j, None], out=terms)
+            terms -= t[:, None]
+            np.divide(z2, terms, out=terms)
+            np.minimum(terms, 0.0, out=low)
+            total, psi = terms @ ones, low @ ones
+            terms *= terms
+            low *= low
+            df, dpsi = 1.0 + terms @ inv_z2, low @ inv_z2
+            shift = origin[j] - a
+            f = shift + t + total
+            if it == 0:
+                # a root right of its gap's midpoint takes the right pole as origin
+                flip = (side[j] == 0) & (f < 0.0)
+                if np.any(flip):
+                    jf = j[flip]
+                    origin[jf] = d[jf]
+                    left[jf], right[jf] = -right[jf], 0.0
+                    lo[jf], hi[jf], t[flip] = left[jf], 0.0, 0.5 * left[jf]
+                    shift = origin[j] - a
+            lo[j] = np.where(f < 0.0, t, lo[j])
+            hi[j] = np.where(f > 0.0, t, hi[j])
+            err = eps * (8.0 * (total - 2.0 * psi + abs(shift) + abs(t)) + abs(t) * df)
+            # the middle way: the left poles as psi + s/(left - x), the right
+            # ones as phi + S/(right - x), each matched in value and slope at
+            # tau; its root x = tau + eta solves qa eta^2 - qb eta + qc = 0.
+            # The linear term joins the side away from the origin: modelled
+            # by the origin's pole it would halve tau per step when that
+            # pole's coupling is tiny.  Outside a gap it is kept exact
+            # beside the one pole model.
+            dl, dr = left[j] - t, right[j] - t
+            near = np.where(side[j] < 0, dr, dl)
+            dpsi += right[j] == 0.0
+            qa = np.where(side[j] == 0, f - dpsi * dl - (df - dpsi) * dr, 1.0)
+            qb = np.where(side[j] == 0, (dl + dr) * f - dl * dr * df, df * near - f)
+            qc = np.where(side[j] == 0, dl * dr * f, -f * near)
+            # eta_- solves the gaps and the first root, eta_+ the last one
+            sgn = np.where(side[j] > 0, 1.0, -1.0)
+            root = np.sqrt(np.abs(qb * qb - 4.0 * qa * qc))
+            with np.errstate(divide="ignore", invalid="ignore"):  # qa or the denominator may be 0
+                eta = np.where(sgn * qb >= 0.0, (qb + sgn * root) / (2.0 * qa),
+                               2.0 * qc / (qb - sgn * root))
+            # one step closes at most 40 bits of the distance to the origin's
+            # pole: a root next to it is approached geometrically, and
+            # z2/delta^2 cannot overflow.  A step that leaves the bracket
+            # otherwise is replaced by bisection.
+            new, lj, hj = t + eta, lo[j], hi[j]
+            new = np.where((new * t <= 0.0) | (np.abs(new) < np.abs(t) * 2.0**-40),
+                           t * 2.0**-40, new)
+            new = np.where((new > lj) & (new < hj), new, 0.5 * (lj + hj))
+            conv = ((np.abs(f) <= err) | (new == t)
+                    | (hj - lj <= 4.0 * eps * np.maximum(abs(lj), abs(hj))))
+            lam[j[conv]] = origin[j[conv]] + t[conv]
+            w[j[conv]] = 1.0 / df[conv]
+            tau[j] = np.where(conv, t, new)
+            converged.append(conv)
+        active = active[~np.concatenate(converged)]
+        if active.shape[0] == 0:
+            return lam, w
+    raise ArithmeticError(
+        f"secular equation: {active.shape[0]} of {m + 1} roots did not converge "
+        f"in {_SECULAR_MAX_ITER} iterations")
 
 
 def real_dft_circulant(kernel) -> np.ndarray:

@@ -50,7 +50,7 @@ class RingSpectralSummary:
 
 
 def _validate(d: int, L: int, alpha: float) -> None:
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too; alpha = inf is the nearest-neighbour ring
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     if L % 2 != 0 or L < 2:
         raise DomainError(f"L must be even and >= 2, got {L}")
@@ -89,12 +89,16 @@ def ring_spectrum(d: int, L: int, alpha: float) -> RingModel:
 def ring_mu(model: RingModel, g: float) -> float:
     """Level-repulsion compensation Omega^2 sum_{k != 0} [1 - 3(-1)^k]/(2 Delta_k),
     quoted in the frame where the resonant mode sits at zero energy."""
-    if not g > 0:
-        raise DomainError(f"g must be positive, got {g}")
+    if not 0 < g < math.inf:
+        raise DomainError(f"g must be positive and finite, got {g}")
     om = model.omega(g)
     d = model.detunings[1:]
     p = model.parities[1:]
-    return float(om**2 * np.sum((1.0 - 3.0 * p) / (2.0 * d)))
+    with np.errstate(over="ignore"):  # reported below
+        mu = float(om**2 * np.sum((1.0 - 3.0 * p) / (2.0 * d)))
+    if not math.isfinite(mu):
+        raise ArithmeticError(f"the level-repulsion shift mu overflows at g={g}")
+    return mu
 
 
 def ring_perturbative_infidelity(model: RingModel, g: float) -> float:
@@ -150,9 +154,11 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> TransferOutco
 
     Uses numkit.endpoint_amplitude on the folded channel modes, in the frame
     where the k = 0 mode sits at zero energy (channel -Delta_k, endpoints
-    -mu); the parity of Y at the antipode is (-1)^(sum k_i).  Sizes whose
-    larger parity sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250 and 68
-    at d = 1, 2 and 3) are rejected before the spectrum is computed.
+    -mu); the parity of Y at the antipode is (-1)^(sum k_i).  Parity sectors
+    above dimension 170 (d = 1 L >= 676, d = 2 L >= 50, d = 3 L >= 22) are
+    solved by the O(n^2) secular solver, smaller ones by dense eigh.  Sizes
+    whose larger parity sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250
+    and 68 at d = 1, 2 and 3) are rejected before the spectrum is computed.
     """
     _validate(d, L, alpha)
     cap = numkit.DENSE_DIM_CAP

@@ -44,8 +44,8 @@ class TransferOutcome:
 
 
 def attach_endpoints(chain: chain_mod.EffectiveChain, g: float) -> TunnelingModel:
-    if not g > 0:
-        raise DomainError(f"coupling g must be positive, got {g}")
+    if not 0 < g < np.inf:
+        raise DomainError(f"coupling g must be positive and finite, got {g}")
     spectrum = chain_mod.chain_spectrum(chain)
     omegas = np.sqrt(2.0) * g * spectrum.endpoint_amplitudes
     n = chain.n_sites

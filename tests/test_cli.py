@@ -209,6 +209,29 @@ class TestTransferCommand:
         )
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["ring", "--alpha", "1", "--L", "100", "--g", "inf"], 3, "g must be positive and finite"),
+        (["ring", "--alpha", "nan", "--L", "100", "--g", "0.02"], 3, "alpha must be >= 0"),
+        (["chain", "--alpha", "1.2", "--l", "8", "--g", "inf"], 3,
+         "coupling g must be positive and finite"),
+        (["ring", "--alpha", "1", "--L", "100", "--g", "1e300"], 4, "mu overflows"),
+    ])
+    def test_non_finite_exits(self, tmp_path, capsys, argv, code, message):
+        # a non-finite input is a domain error (3), a non-finite result from
+        # finite input a numerical failure (4); neither writes NaN to a file
+        out = tmp_path / "out"
+        assert cli.main(["transfer", "--protocol", *argv, "--out-dir", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ring_nearest_neighbour_limit(self, tmp_path, capsys):
+        # alpha = inf keeps only the nearest-neighbour bonds
+        out = tmp_path / "out"
+        argv = ["transfer", "--protocol", "ring", "--alpha", "inf", "--L", "100", "--g", "0.02"]
+        assert cli.main([*argv, "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "transfer_ring.json").read_text())
+        assert 0.0 <= payload["fidelity_exact"] <= 1.0
+
 
 def run_argv(run):
     """The argv that picks a run: chain-spectrum, a transfer protocol or a sweep."""

@@ -74,6 +74,11 @@ class TestEighDense:
         with pytest.raises(DomainError):
             numkit.eigh_dense([[0, 1], [2, 0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            numkit.eigh_dense([[0.0, bad], [bad, 1.0]])
+
     def test_dimension_cap(self):
         with pytest.raises(DomainError):
             numkit.eigh_dense(np.zeros((4097, 4097)))
