@@ -67,8 +67,8 @@ class LRExponent:
 
 
 def q_scaling_sweep(d: int, alpha: float, l_min: int, l_max: int) -> ScalingSeries:
-    """Q(L) over an even-depth grid; guard-rejected depths are skipped and
-    recorded as warnings."""
+    """Q(L) over an even-depth grid, from each chain's zero-mode recursion (no
+    eigensolver); guard-rejected depths are skipped and recorded as warnings."""
     pts = []
     warnings = []
     for l in range(l_min, l_max + 1, 2):
@@ -77,8 +77,7 @@ def q_scaling_sweep(d: int, alpha: float, l_min: int, l_max: int) -> ScalingSeri
         except PrecisionGuardError as exc:
             warnings.append(f"l={l} skipped: {exc}")
             continue
-        spec = chain_mod.chain_spectrum(ch)
-        pts.append((float(ch.L), chain_mod.q_factor(spec).q))
+        pts.append((float(ch.L), ch.q))
     if not pts:
         raise DomainError(f"no admissible depths in [{l_min}, {l_max}] for d={d}, alpha={alpha}")
     return ScalingSeries(

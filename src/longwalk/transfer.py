@@ -9,6 +9,7 @@ and the rigorous 3 * sum Omega_k^2/E_k^2 bound with its validity flags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,18 +71,33 @@ def _offres(model: TunnelingModel):
     return spec.energies[mask], model.omegas[mask], spec.parities[mask]
 
 
+def _finite(value: float, name: str, model: TunnelingModel) -> float:
+    if not math.isfinite(value):
+        raise ArithmeticError(f"the {name} overflows at g={model.g}")
+    return value
+
+
 def perturbative_infidelity(model: TunnelingModel) -> float:
     """Leading-order result sum_{k != l} Omega_k^2 [1 + (-1)^k cos(E_k T)] / E_k^2
-    evaluated at T = pi / Omega_l."""
+    evaluated at T = pi / Omega_l; ArithmeticError if Omega_k^2 overflows."""
     ek, om, par = _offres(model)
-    return float(np.sum(om**2 * (1.0 + par * np.cos(ek * model.T)) / ek**2))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+        eps = float(np.sum(om**2 * (1.0 + par * np.cos(ek * model.T)) / ek**2))
+    return _finite(eps, "perturbative infidelity", model)
+
+
+def _offres_weight(model: TunnelingModel) -> float:
+    """sum_{k != l} Omega_k^2/E_k^2; ArithmeticError if it overflows."""
+    ek, om, _ = _offres(model)
+    with np.errstate(over="ignore"):  # checked by _finite
+        s = float(np.sum(om**2 / ek**2))
+    return _finite(s, "sum of Omega_k^2/E_k^2", model)
 
 
 def infidelity_rigorous_bound(model: TunnelingModel) -> tuple[float, tuple[bool, bool]]:
     """3 sum_{k != l} Omega_k^2/E_k^2, valid when E_{l-2} >= 4 Omega_l and the
     sum of Omega_k^2/E_k^2 stays below 3/4."""
-    ek, om, _ = _offres(model)
-    s = float(np.sum(om**2 / ek**2))
+    s = _offres_weight(model)
     l = model.zero_index
     gap_ok = bool(model.spectrum.energies[l - 2] >= 4.0 * model.omegas[l])
     sum_ok = bool(s < 0.75)
@@ -91,8 +107,7 @@ def infidelity_rigorous_bound(model: TunnelingModel) -> tuple[float, tuple[bool,
 def small_g_envelope(model: TunnelingModel) -> float:
     """2 sum_{k != l} Omega_k^2/E_k^2: the termwise ceiling of the
     perturbative infidelity."""
-    ek, om, _ = _offres(model)
-    return float(2.0 * np.sum(om**2 / ek**2))
+    return 2.0 * _offres_weight(model)
 
 
 def exact_transfer(model: TunnelingModel) -> TransferOutcome:

@@ -9,6 +9,7 @@ fidelity is evaluated as one flat-band mode by numkit.endpoint_amplitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ class UniformProtocol:
 def build_uniform_protocol(d: int, alpha: float, L: int) -> UniformProtocol:
     if d not in (1, 2, 3):
         raise DomainError(f"d must be 1, 2 or 3, got {d}")
+    if not math.isfinite(alpha):  # else NaN would read as the other regime
+        raise DomainError(f"alpha must be finite, got {alpha}")
     if not alpha < d / 2.0:
         raise RegimeError(
             f"alpha={alpha} is not < d/2={d / 2.0}; use the tunneling protocol instead"

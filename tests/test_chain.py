@@ -4,7 +4,7 @@ import pytest
 from longwalk import chain, numkit, scaling
 from longwalk.errors import DomainError, PrecisionGuardError
 
-from closed_forms import uniform_chain_analytic
+from closed_forms import uniform_chain_analytic, zero_mode_analytic
 
 
 def chain_matrix(ch):
@@ -187,15 +187,15 @@ class TestChainSpectrum:
 class TestZeroModeAnalytic:
     def test_hand_values_a2_l2(self):
         ch = chain.build_effective_chain(1, 0.0, 2)
-        amps = chain.zero_mode_analytic(ch)
+        amps = chain.zero_mode(ch)
         np.testing.assert_allclose(amps, [2 / 3, 0, -1 / 3, 0, 2 / 3], atol=1e-15)
         # closed-form endpoint: 1/sqrt(1/4 + 2)
         assert abs(amps[0] - 1 / np.sqrt(0.25 + 2.0)) <= 1e-15
 
     def test_unit_norm_and_kernel(self):
-        for d, alpha, l in [(1, 0.5, 10), (1, 1.6, 20), (2, 3.1, 14), (3, 1.5, 8)]:
+        for d, alpha, l in [(1, 0.5, 10), (1, 1.6, 20), (2, 3.1, 14), (3, 1.5, 8), (1, 1.0, 12)]:
             ch = chain.build_effective_chain(d, alpha, l)
-            amps = chain.zero_mode_analytic(ch)
+            amps = chain.zero_mode(ch)
             assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
             resid = np.max(np.abs(chain_matrix(ch) @ amps))
             assert resid <= 1e-10 * np.max(ch.bonds)
@@ -210,13 +210,20 @@ class TestZeroModeAnalytic:
                 for l in {4, 12, lmax}:
                     ch = chain.build_effective_chain(d, alpha, l)
                     spec = chain.chain_spectrum(ch)
-                    err = np.max(np.abs(spec.amplitudes[l] - chain.zero_mode_analytic(ch)))
+                    amps = chain.zero_mode(ch)
+                    err = np.max(np.abs(spec.amplitudes[l] - amps))
                     assert err <= 1e-9, (d, alpha, l, err)
+                    # the recursion against the closed form
+                    assert np.max(np.abs(amps - zero_mode_analytic(ch))) <= 1e-14, (d, alpha, l)
 
-    def test_rejects_uniform_case(self):
-        ch = chain.build_effective_chain(1, 1.0, 4)
-        with pytest.raises(DomainError, match="a != 1"):
-            chain.zero_mode_analytic(ch)
+    def test_uniform_case_alternates(self):
+        # a = 1 (alpha = d), which the geometric closed form excludes:
+        # v_2j = (-1)^j / sqrt(l + 1)
+        for l in (2, 12, 100):
+            amps = chain.zero_mode(chain.build_effective_chain(1, 1.0, l))
+            expect = np.zeros(2 * l + 1)
+            expect[::2] = (-1.0) ** np.arange(l + 1) / np.sqrt(l + 1.0)
+            np.testing.assert_allclose(amps, expect, rtol=0, atol=1e-15)
 
 
 class TestUniformChainAnalytic:
@@ -373,9 +380,71 @@ class TestGuardEdgeAccuracy:
         energies, t0 = mp_sector_oracle(ch)
         q = sum((t0[k] / t0[l] / energies[k]) ** 2 for k in range(2 * l + 1) if k != l) ** 0.5
         assert abs(chain.q_factor(spec).q / float(q) - 1.0) <= 1e-9
+        # Q from the zero-mode recursion is 1.1e-16 and 5.6e-16 off here
+        assert abs(ch.q / float(q) - 1.0) <= 1e-14
         assert abs(spec.energies[l - 2] / float(energies[l - 2]) - 1.0) <= 1e-8
         # t_l^(0) is 4.4e-7 at d=1 alpha=1.9, where eigh's error is 2.5e-11
         # relative; the absolute bound is the tighter one at d=3
-        t_analytic = chain.zero_mode_analytic(ch)[0]
+        t_analytic = zero_mode_analytic(ch)[0]
         assert abs(spec.t_l_0 - t_analytic) <= 1e-12
         assert abs(spec.t_l_0 / t_analytic - 1.0) <= 1e-10
+
+
+def mp_bordered_q(ch, dps=40):
+    """Oracle: Q = ||x|| / v_0 from an mpmath LU solve, at `dps` digits, of
+    the bordered system [[H, v], [v^T, 0]] [x; mu] = [e_0; 0], with v the
+    unit zero mode at that precision.  Its solution is x = H^+ e_0, mu = v_0."""
+    mp = pytest.importorskip("mpmath").mp
+    n = ch.n_sites
+    with mp.workdps(dps):
+        b = [mp.mpf(x) for x in ch.bonds]
+        v = [mp.zero] * n
+        v[0] = mp.one
+        for i in range(0, n - 1, 2):
+            v[i + 2] = -v[i] * b[i] / b[i + 1]
+        norm = mp.sqrt(mp.fsum(x * x for x in v))
+        v = [x / norm for x in v]
+        h = mp.zeros(n + 1, n + 1)
+        for i, x in enumerate(b):
+            h[i, i + 1] = h[i + 1, i] = x
+        for i, x in enumerate(v):
+            h[i, n] = h[n, i] = x
+        sol = mp.lu_solve(h, mp.matrix([1] + [0] * n))
+        assert abs(sol[n] - v[0]) <= mp.mpf(10) ** (8 - dps)
+        return mp.sqrt(mp.fsum(sol[i] ** 2 for i in range(n))) / v[0]
+
+
+def unguarded_chain(d, alpha, l):
+    """The depth-l chain built without the precision guard."""
+    a = 2.0 ** (d - alpha)
+    j = np.arange(2 * l)
+    bonds = a ** np.minimum(j, 2 * l - 1 - j)
+    return chain.EffectiveChain(d=d, alpha=alpha, l=l, a=a, bonds=bonds, L=2 ** (l + 1) + 2**l - 2)
+
+
+class TestQRecursion:
+    """Q from the zero-mode recursion (``EffectiveChain.q``) against 40-digit
+    bordered solves, within and past the precision guard."""
+
+    @pytest.mark.parametrize("d, alpha, l",
+                             [(1, 1.4, 40), (2, 1.5, 24), (1, 1.0, 20), (2, 4.0, 16)])
+    def test_against_bordered_solve(self, d, alpha, l):
+        ch = chain.build_effective_chain(d, alpha, l)
+        assert abs(ch.q / float(mp_bordered_q(ch)) - 1.0) <= 1e-14
+
+    def test_past_the_guard(self):
+        # the guard stops at l = 28 for d=3 alpha=1.5; the recursion does not need it
+        with pytest.raises(PrecisionGuardError):
+            chain.build_effective_chain(3, 1.5, 36)
+        ch = unguarded_chain(3, 1.5, 36)
+        assert abs(ch.q / float(mp_bordered_q(ch)) - 1.0) <= 1e-14
+
+    def test_computed_once_per_chain(self, monkeypatch):
+        calls = []
+        recursion = chain._q_from_zero_mode
+        monkeypatch.setattr(chain, "_q_from_zero_mode",
+                            lambda bonds: calls.append(len(bonds)) or recursion(bonds))
+        ch = chain.build_effective_chain(1, 1.2, 12)
+        spec = chain.chain_spectrum(ch)
+        assert ch.q == chain.q_factor(spec).q == chain.q_factor(spec).q
+        assert calls == [24]

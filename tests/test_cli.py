@@ -210,17 +210,28 @@ class TestTransferCommand:
         assert res.returncode == 2
 
     @pytest.mark.parametrize("argv, code, message", [
-        (["ring", "--alpha", "1", "--L", "100", "--g", "inf"], 3, "g must be positive and finite"),
-        (["ring", "--alpha", "nan", "--L", "100", "--g", "0.02"], 3, "alpha must be >= 0"),
-        (["chain", "--alpha", "1.2", "--l", "8", "--g", "inf"], 3,
+        (["transfer", "--protocol", "ring", "--alpha", "1", "--L", "100", "--g", "inf"], 3,
+         "g must be positive and finite"),
+        (["transfer", "--protocol", "ring", "--alpha", "nan", "--L", "100", "--g", "0.02"], 3,
+         "alpha must be >= 0"),
+        (["transfer", "--protocol", "chain", "--alpha", "1.2", "--l", "8", "--g", "inf"], 3,
          "coupling g must be positive and finite"),
-        (["ring", "--alpha", "1", "--L", "100", "--g", "1e300"], 4, "mu overflows"),
+        (["transfer", "--protocol", "ring", "--alpha", "1", "--L", "100", "--g", "1e300"], 4,
+         "mu overflows"),
+        (["transfer", "--protocol", "uniform", "--alpha", "nan", "--L", "8"], 3,
+         "alpha must be finite, got nan"),
+        (["chain-spectrum", "--d", "1", "--alpha", "inf", "--l", "8"], 3,
+         "alpha must be finite and >= 0, got inf"),
+        (["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "nan"], 3,
+         "alpha must be finite and >= 0, got nan"),
+        (["transfer", "--protocol", "chain", "--d", "1", "--alpha", "1.2", "--l", "8",
+          "--g", "1e300"], 4, "overflows at g=1e+300"),
     ])
     def test_non_finite_exits(self, tmp_path, capsys, argv, code, message):
         # a non-finite input is a domain error (3), a non-finite result from
         # finite input a numerical failure (4); neither writes NaN to a file
         out = tmp_path / "out"
-        assert cli.main(["transfer", "--protocol", *argv, "--out-dir", str(out)]) == code
+        assert cli.main([*argv, "--out-dir", str(out)]) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
 

@@ -166,6 +166,15 @@ class TestQScalingSweep:
         s2 = scaling.q_scaling_sweep(1, 1.3, 4, 30)
         assert np.array_equal(s1.points, s2.points)
 
+    @pytest.mark.parametrize("alpha_minus_d", [-0.2, 0.0, 0.2])
+    def test_pinned_fig2bcd_runs_no_eigensolver(self, monkeypatch, alpha_minus_d):
+        # Q comes from the zero-mode recursion, so the sweep never diagonalises
+        def no_eigensolver(matrix):
+            raise AssertionError("Q needs no eigensolver")
+
+        monkeypatch.setattr(numkit, "eigh_dense", no_eigensolver)
+        assert experiments.fig2bcd(1, alpha_minus_d)["saturation"]["passed"]
+
 
 def ylog_of(res):
     """Whether the fig2bcd plot the CLI draws for ``res`` has a log y axis."""

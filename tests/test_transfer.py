@@ -125,6 +125,16 @@ class TestRigorousBound:
         _, conds = transfer.infidelity_rigorous_bound(model)
         assert conds[0] is False
 
+    @pytest.mark.parametrize("quantity", [
+        transfer.perturbative_infidelity, transfer.infidelity_rigorous_bound,
+        transfer.small_g_envelope, transfer.exact_transfer])
+    def test_overflow_is_a_numerical_failure(self, quantity):
+        # Omega_k^2 overflows at g = 1e300: ArithmeticError (exit 4), never inf
+        # or NaN, and no RuntimeWarning escapes (the suite makes it an error)
+        model = build_model(1, 1.2, 8, 1e300)
+        with pytest.raises(ArithmeticError, match=r"overflows at g=1e\+300"):
+            quantity(model)
+
     def test_bound_holds_on_grid(self):
         # exhaustive small-instance grid: zero violations when both flags hold
         for d in (1, 2):
