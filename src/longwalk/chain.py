@@ -54,15 +54,16 @@ class EffectiveChain:
 
 @dataclass(frozen=True)
 class ChannelSpectrum:
-    """Channel eigensystem, ordered from the top of the spectrum down.
+    """Channel spectrum, ordered from the top of the spectrum down.
 
-    amplitudes[k, j] is the weight of eigenstate k on site j; parity[k]
-    = (-1)^k is its mirror eigenvalue, and the zero mode sits at k = l.
+    endpoint_amplitudes[k] = t_k^(0) >= 0 is eigenstate k's weight on site
+    0; parity[k] = (-1)^k is its mirror eigenvalue, and the zero mode sits
+    at k = l.
     """
 
     chain: EffectiveChain
     energies: np.ndarray  # descending, energies[l] = 0
-    amplitudes: np.ndarray  # (2l+1, 2l+1), amplitudes[k, 0] > 0
+    endpoint_amplitudes: np.ndarray  # length 2l+1
     parities: np.ndarray  # +1 / -1 per eigenstate
 
     @property
@@ -70,12 +71,8 @@ class ChannelSpectrum:
         return self.chain.l
 
     @property
-    def endpoint_amplitudes(self) -> np.ndarray:
-        return self.amplitudes[:, 0]
-
-    @property
     def t_l_0(self) -> float:
-        return float(self.amplitudes[self.chain.l, 0])
+        return float(self.endpoint_amplitudes[self.chain.l])
 
 
 @dataclass(frozen=True)
@@ -132,32 +129,35 @@ def chain_spectrum(chain: EffectiveChain) -> ChannelSpectrum:
 
 
 def _diagonalise(chain: EffectiveChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(energies, amplitudes, parities) of the channel, by reflection-parity
-    folding.
+    """(energies, endpoint amplitudes, parities) of the channel, by
+    reflection-parity folding.
 
     The chain commutes with site reflection, so it splits into an even
     sector (l+1 sites, last bond scaled by sqrt(2)) and an odd sector
     (l sites).  Solving the sectors separately keeps the left/right
     tunneling doublets -- which are degenerate to machine precision for
-    a < 1 -- from mixing, and makes the mirror symmetry of the returned
-    eigenvectors exact.  Sector eigenvalues strictly interlace, so
-    interleaving them descending gives parity (-1)^k.
+    a < 1 -- from mixing.  Sector eigenvalues strictly interlace, so
+    interleaving them descending gives parity (-1)^k, and eigenstate k's
+    endpoint amplitude is |v[0]| / sqrt(2) of its sector vector v.
+
+    Each sector goes to numpy's dense LAPACK eigh.  On the strongly graded
+    sectors at the precision guard's edge that is the more accurate
+    solver: against a 30-digit mpmath solve at d=3 alpha=1.5 l=28 and d=1
+    alpha=1.9 l=46, E_{l-2} is off by <= 6.5e-10 relative, where LAPACK's
+    bisection + inverse iteration ('stebz') gave 9.3e-6
+    (tests/test_chain.py, TestGuardEdgeAccuracy).
     """
     l = chain.l
     b = chain.bonds
     n = 2 * l + 1
-    even_bonds = np.concatenate([b[: l - 1], [np.sqrt(2.0) * b[l - 1]]])
-    dec_e = numkit.eigh_tridiagonal(np.zeros(l + 1), even_bonds)
-    dec_o = numkit.eigh_tridiagonal(np.zeros(l), b[: l - 1])
-    we = dec_e.eigenvalues[::-1]
-    ve = dec_e.eigenvectors[:, ::-1]
-    wo = dec_o.eigenvalues[::-1]
-    vo = dec_o.eigenvectors[:, ::-1]
-
+    s = 1.0 / np.sqrt(2.0)
     energies = np.empty(n)
-    energies[0 : 2 * l : 2] = we[:l]
-    energies[1 : 2 * l : 2] = wo
-    energies[2 * l] = we[l]
+    endpoint = np.empty(n)
+    even_bonds = np.concatenate([b[: l - 1], [np.sqrt(2.0) * b[l - 1]]])
+    for start, e in ((0, even_bonds), (1, b[: l - 1])):
+        dec = numkit.eigh_dense(np.diag(e, 1) + np.diag(e, -1))
+        energies[start::2] = dec.eigenvalues[::-1]
+        endpoint[start::2] = np.abs(dec.eigenvectors[0, ::-1]) * s
     scale = np.max(np.abs(energies))
     if np.any(np.diff(energies) > 1e-10 * scale):
         raise ArithmeticError("sector eigenvalues failed to interlace")
@@ -165,28 +165,10 @@ def _diagonalise(chain: EffectiveChain) -> tuple[np.ndarray, np.ndarray, np.ndar
         raise ArithmeticError(
             f"middle eigenvalue {energies[l]:.3e} is not zero within {_eps_gap(chain):.3e}"
         )
-
-    # row k: even-sector vector k/2 (k even) or odd-sector vector (k-1)/2,
-    # unfolded onto the 2l+1 sites
-    amp = np.zeros((n, n))
-    s = 1.0 / np.sqrt(2.0)
-    amp[0::2, :l] = ve[:l].T * s
-    amp[0::2, l] = ve[l]
-    amp[0::2, l + 1 :] = ve[l - 1 :: -1].T * s
-    amp[1::2, :l] = vo.T * s
-    amp[1::2, l + 1 :] = -vo[::-1].T * s
-
-    # global sign: endpoint amplitude positive (fall back to the first
-    # non-negligible component for safety; endpoints never vanish for
-    # unreduced tridiagonals)
-    big = np.abs(amp) > 1e-12
-    lead = np.where(big.any(axis=1), amp[np.arange(n), np.argmax(big, axis=1)], 1.0)
-    amp[lead < 0] = -amp[lead < 0]
-
     parities = 1.0 - 2.0 * (np.arange(n) & 1)
-    for array in (energies, amp, parities):
+    for array in (energies, endpoint, parities):
         array.flags.writeable = False
-    return energies, amp, parities
+    return energies, endpoint, parities
 
 
 def _zero_mode_evens(bonds: list[float]) -> list[float]:

@@ -2,12 +2,12 @@
 endpoint-coupled-channel transfer amplitude, circulant spectra in d
 dimensions (by real FFT at every even length), and least-squares fits.
 
-Everything here is pure and deterministic.  Tridiagonal and dense
-eigensolves, and the parity sectors of endpoint_amplitude up to dimension
-_SECULAR_MIN_DIM, run through numpy's LAPACK eigh, with an
-absolute-accuracy model eps*||H||.  Larger sectors, arrowhead matrices, go
-to arrowhead_spectrum, an O(n^2) secular-equation solver with the same
-backward error.  Only numpy is imported.
+Everything here is pure and deterministic.  Dense eigensolves, and the
+parity sectors of endpoint_amplitude up to dimension _SECULAR_MIN_DIM,
+run through numpy's LAPACK eigh, with an absolute-accuracy model
+eps*||H||.  Larger sectors, arrowhead matrices, go to arrowhead_spectrum,
+an O(n^2) secular-equation solver with the same backward error.  Only
+numpy is imported.
 """
 
 from __future__ import annotations
@@ -56,31 +56,6 @@ class PowerLawOffsetFit:
     def amplitude(self) -> float:
         """Amplitude of the leading correction x**exponent."""
         return self.amplitudes[0]
-
-
-def eigh_tridiagonal(diagonal, offdiagonal) -> SymmetricEigenDecomposition:
-    """Full eigendecomposition of a real symmetric tridiagonal matrix.
-
-    Builds the dense matrix and solves it with eigh_dense, so its symmetry
-    check and DENSE_DIM_CAP apply.  On the strongly graded chain sectors at
-    the precision guard's edge this is the more accurate solver: against a
-    30-digit mpmath solve at d=3 alpha=1.5 l=28 and d=1 alpha=1.9 l=46, the
-    chain's Q is off by <= 2.2e-16 and E_{l-2} by <= 6.5e-10 relative,
-    where LAPACK's bisection + inverse iteration ('stebz') gave 4.6e-6 and
-    9.3e-6 (tests/test_chain.py, TestGuardEdgeAccuracy).
-    """
-    d = np.asarray(diagonal, dtype=float)
-    e = np.asarray(offdiagonal, dtype=float)
-    if d.ndim != 1 or e.ndim != 1 or e.shape[0] != d.shape[0] - 1:
-        raise DomainError(
-            f"offdiagonal length must be len(diagonal)-1, got {e.shape[0]} vs {d.shape[0]}"
-        )
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise DomainError("non-finite entries in tridiagonal input")
-    h = np.diag(d)
-    i = np.arange(e.shape[0])
-    h[i, i + 1] = h[i + 1, i] = e
-    return eigh_dense(h)
 
 
 def eigh_dense(matrix) -> SymmetricEigenDecomposition:

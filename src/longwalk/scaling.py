@@ -156,7 +156,7 @@ def lr_exponent(d: int, alpha: float) -> LRExponent:
     alpha >= d+1 maps to the nearest-neighbor regime (linear light cone),
     outside the sweeps' scope.
     """
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too; alpha = inf is the nearest-neighbor regime
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     if alpha < d / 2.0:
         return LRExponent("uniform", alpha - d / 2.0)

@@ -1,7 +1,9 @@
 """Minimal deterministic SVG line/scatter plots; no external renderer.
 
 Output is plain text SVG with fixed formatting so identical inputs give
-byte-identical files (timestamp comment optional).
+byte-identical files (timestamp comment optional).  A point that is not
+finite, or not positive on a log axis, is left out, and the plot says how
+many were.
 """
 
 from __future__ import annotations
@@ -33,12 +35,20 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _range(values: list[np.ndarray], log: bool) -> tuple[float, float]:
+    v = np.concatenate([np.empty(0), *values])
+    if not v.size:  # every point left out: draw an empty frame
+        return (1.0, 10.0) if log else (0.0, 1.0)
+    return float(v.min()), float(v.max())
+
+
 class SvgPlot:
     def __init__(self, title: str, xlabel: str, ylabel: str,
                  xlog: bool = False, ylog: bool = False):
         self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
         self.xlog, self.ylog = xlog, ylog
         self.series: list[tuple[str, np.ndarray, np.ndarray, str]] = []
+        self.left_out = 0  # points add() could not draw; render() notes them
 
     def add(self, label: str, x, y, style: str = "line") -> None:
         x = np.asarray(x, dtype=float)
@@ -48,6 +58,7 @@ class SvgPlot:
             keep &= x > 0
         if self.ylog:
             keep &= y > 0
+        self.left_out += int(np.count_nonzero(~keep))
         self.series.append((label, x[keep], y[keep], style))
 
     def _tx(self, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -63,10 +74,8 @@ class SvgPlot:
         return _HEIGHT - _MARGIN_B - (y - lo) / max(hi - lo, 1e-300) * h
 
     def render(self, comment: str | None = None) -> str:
-        xs = np.concatenate([s[1] for s in self.series if s[1].size])
-        ys = np.concatenate([s[2] for s in self.series if s[2].size])
-        xlo, xhi = float(xs.min()), float(xs.max())
-        ylo, yhi = float(ys.min()), float(ys.max())
+        xlo, xhi = _range([s[1] for s in self.series], self.xlog)
+        ylo, yhi = _range([s[2] for s in self.series], self.ylog)
         if not self.ylog:
             pad = 0.05 * max(yhi - ylo, 1e-300)
             ylo, yhi = ylo - pad, yhi + pad
@@ -88,6 +97,13 @@ class SvgPlot:
             f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
             f'fill="none" stroke="black" stroke-width="1"/>'
         )
+        if self.left_out:
+            n = self.left_out
+            out.append(
+                f'<text x="{x0 + 8}" y="{y1 + 16}" font-family="sans-serif" '
+                f'font-size="11">{n} point{"s" * (n != 1)} left out (not finite, or not '
+                f'positive on a log axis)</text>'
+            )
         for tv in _ticks(xlo, xhi, self.xlog):
             if not (xlo <= tv <= xhi):
                 continue

@@ -25,7 +25,6 @@ class TunnelingModel:
     g: float
     omegas: np.ndarray  # Omega_k = sqrt(2) g t_k^(0)
     T: float  # pi / Omega_l
-    matrix: np.ndarray  # (2l+3) site-basis matrix over (X, 0..2l, Y)
 
     @property
     def zero_index(self) -> int:
@@ -49,26 +48,7 @@ def attach_endpoints(chain: chain_mod.EffectiveChain, g: float) -> TunnelingMode
         raise DomainError(f"coupling g must be positive and finite, got {g}")
     spectrum = chain_mod.chain_spectrum(chain)
     omegas = np.sqrt(2.0) * g * spectrum.endpoint_amplitudes
-    n = chain.n_sites
-    h = np.zeros((n + 2, n + 2))
-    for j in range(n - 1):
-        h[1 + j, 2 + j] = h[2 + j, 1 + j] = chain.bonds[j]
-    h[0, 1] = h[1, 0] = g
-    h[n, n + 1] = h[n + 1, n] = g
-    return TunnelingModel(
-        spectrum=spectrum,
-        g=g,
-        omegas=omegas,
-        T=np.pi / omegas[chain.l],
-        matrix=h,
-    )
-
-
-def _offres(model: TunnelingModel):
-    spec = model.spectrum
-    l = model.zero_index
-    mask = np.arange(spec.energies.shape[0]) != l
-    return spec.energies[mask], model.omegas[mask], spec.parities[mask]
+    return TunnelingModel(spectrum=spectrum, g=g, omegas=omegas, T=np.pi / omegas[chain.l])
 
 
 def _finite(value: float, name: str, model: TunnelingModel) -> float:
@@ -80,17 +60,20 @@ def _finite(value: float, name: str, model: TunnelingModel) -> float:
 def perturbative_infidelity(model: TunnelingModel) -> float:
     """Leading-order result sum_{k != l} Omega_k^2 [1 + (-1)^k cos(E_k T)] / E_k^2
     evaluated at T = pi / Omega_l; ArithmeticError if Omega_k^2 overflows."""
-    ek, om, par = _offres(model)
+    spec = model.spectrum
+    off = np.arange(spec.energies.shape[0]) != model.zero_index
+    ek, om, par = spec.energies[off], model.omegas[off], spec.parities[off]
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
         eps = float(np.sum(om**2 * (1.0 + par * np.cos(ek * model.T)) / ek**2))
     return _finite(eps, "perturbative infidelity", model)
 
 
 def _offres_weight(model: TunnelingModel) -> float:
-    """sum_{k != l} Omega_k^2/E_k^2; ArithmeticError if it overflows."""
-    ek, om, _ = _offres(model)
+    """sum_{k != l} Omega_k^2/E_k^2 = 2 (g t_l^(0) Q)^2, the sum that choose_g
+    inverts; ArithmeticError if it overflows."""
+    spec = model.spectrum
     with np.errstate(over="ignore"):  # checked by _finite
-        s = float(np.sum(om**2 / ek**2))
+        s = float(2.0 * np.float64(model.g * spec.t_l_0 * spec.chain.q) ** 2)
     return _finite(s, "sum of Omega_k^2/E_k^2", model)
 
 
@@ -111,10 +94,11 @@ def small_g_envelope(model: TunnelingModel) -> float:
 
 
 def exact_transfer(model: TunnelingModel) -> TransferOutcome:
-    """Evolve |X> for T by dense eigendecomposition and fill in the
-    perturbative and bound fields."""
-    dec = numkit.eigh_dense(model.matrix)
-    psi0 = np.zeros(model.matrix.shape[0])
+    """Evolve |X> for T by dense eigendecomposition of the (2l+3)-site matrix
+    over (X, 0..2l, Y) and fill in the perturbative and bound fields."""
+    bonds = np.concatenate([[model.g], model.spectrum.chain.bonds, [model.g]])
+    dec = numkit.eigh_dense(np.diag(bonds, 1) + np.diag(bonds, -1))
+    psi0 = np.zeros(dec.dim)
     psi0[0] = 1.0
     psi = numkit.evolve(dec, psi0, model.T)
     fidelity = float(abs(psi[-1]) ** 2)

@@ -29,10 +29,10 @@ class UniformProtocol:
     T: float  # (pi/sqrt(2)) / W_eff
 
 
-def build_uniform_protocol(d: int, alpha: float, L: int) -> UniformProtocol:
-    if d not in (1, 2, 3):
-        raise DomainError(f"d must be 1, 2 or 3, got {d}")
-    if not math.isfinite(alpha):  # else NaN would read as the other regime
+def _check_alpha(d: int, alpha: float) -> None:
+    """The one-step regime 0 <= alpha < d/2; a non-finite alpha is a domain
+    error, checked first, as NaN would otherwise read as the other regime."""
+    if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
     if not alpha < d / 2.0:
         raise RegimeError(
@@ -40,6 +40,12 @@ def build_uniform_protocol(d: int, alpha: float, L: int) -> UniformProtocol:
         )
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
+
+
+def build_uniform_protocol(d: int, alpha: float, L: int) -> UniformProtocol:
+    if d not in (1, 2, 3):
+        raise DomainError(f"d must be 1, 2 or 3, got {d}")
+    _check_alpha(d, alpha)
     n = L**d
     if L < 2 or n < 3:
         raise DomainError(f"need L >= 2 and N = L^d >= 3 (X, Y and a middle site), got L={L}")
@@ -79,8 +85,7 @@ def transfer_time(d: int, alpha: float, L) -> np.ndarray:
 def uniform_time_scaling(d: int, alpha: float, L_grid):
     """(L, T) series with its fitted log-log slope; analytic, so the grid may
     reach any size."""
-    if not alpha < d / 2.0:
-        raise RegimeError(f"alpha={alpha} is not < d/2; wrong regime")
+    _check_alpha(d, alpha)
     L = np.asarray(L_grid, dtype=float)
     t = transfer_time(d, alpha, L)
     series = scaling.ScalingSeries(

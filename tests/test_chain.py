@@ -18,8 +18,8 @@ def loop_assembly(ch):
     l, b = ch.l, ch.bonds
     n = 2 * l + 1
     even_bonds = np.concatenate([b[: l - 1], [np.sqrt(2.0) * b[l - 1]]])
-    dec_e = numkit.eigh_tridiagonal(np.zeros(l + 1), even_bonds)
-    dec_o = numkit.eigh_tridiagonal(np.zeros(l), b[: l - 1])
+    dec_e = numkit.eigh_dense(np.diag(even_bonds, 1) + np.diag(even_bonds, -1))
+    dec_o = numkit.eigh_dense(np.diag(b[: l - 1], 1) + np.diag(b[: l - 1], -1))
     we, ve = dec_e.eigenvalues[::-1], dec_e.eigenvectors[:, ::-1]
     wo, vo = dec_o.eigenvalues[::-1], dec_o.eigenvectors[:, ::-1]
     energies = np.empty(n)
@@ -45,6 +45,16 @@ def loop_assembly(ch):
         if lead < 0:
             amp[k] = -amp[k]
     return energies, amp, np.array([(-1.0) ** k for k in range(n)])
+
+
+def site_amplitudes(spec):
+    """The eigenvectors on all 2l+1 sites, rows as in the spectrum, from
+    loop_assembly, once chain_spectrum is checked to hold its energies and
+    the magnitudes of its first column."""
+    energies, amp, _ = loop_assembly(spec.chain)
+    assert spec.energies.tobytes() == energies.tobytes()
+    assert spec.endpoint_amplitudes.tobytes() == np.abs(amp[:, 0]).tobytes()
+    return amp
 
 
 class TestBuildEffectiveChain:
@@ -94,17 +104,22 @@ class TestChainSpectrum:
     def test_hand_solved_geometric_chain(self):
         spec = chain.chain_spectrum(chain.build_effective_chain(1, 0.0, 2))
         np.testing.assert_allclose(spec.energies, [3, 1, 0, -1, -3], atol=1e-13)
+        # even sector [[0, 1, 0], [1, 0, 2 sqrt2], [0, 2 sqrt2, 0]] gives
+        # 1/6, 2/3, 1/6; the odd sector [[0, 1], [1, 0]] gives 1/2 twice
         np.testing.assert_allclose(
-            spec.amplitudes[2], [2 / 3, 0, -1 / 3, 0, 2 / 3], atol=1e-13
+            spec.endpoint_amplitudes, [1 / 6, 1 / 2, 2 / 3, 1 / 2, 1 / 6], atol=1e-13
         )
-        assert abs(spec.amplitudes[0, 0] - 1 / 6) <= 1e-13
+        np.testing.assert_allclose(
+            site_amplitudes(spec)[2], [2 / 3, 0, -1 / 3, 0, 2 / 3], atol=1e-13
+        )
 
     def test_eigenpairs_satisfy_eigenvalue_equation(self):
         for d, alpha, l in [(1, 0.7, 8), (1, 1.5, 12), (2, 2.8, 10)]:
             ch = chain.build_effective_chain(d, alpha, l)
             spec = chain.chain_spectrum(ch)
             h = chain_matrix(ch)
-            resid = np.max(np.abs(h @ spec.amplitudes.T - spec.amplitudes.T * spec.energies))
+            amp = site_amplitudes(spec)
+            resid = np.max(np.abs(h @ amp.T - amp.T * spec.energies))
             assert resid <= 1e-12 * max(1.0, np.max(np.abs(spec.energies)))
 
     def test_traceless(self):
@@ -126,21 +141,24 @@ class TestChainSpectrum:
     def test_mirror_symmetry_with_parity(self):
         for d, alpha, l in [(1, 0.8, 20), (1, 1.8, 30), (1, 1.0, 24)]:
             spec = chain.chain_spectrum(chain.build_effective_chain(d, alpha, l))
+            amp = site_amplitudes(spec)
             for k in range(spec.energies.shape[0]):
                 np.testing.assert_allclose(
-                    spec.amplitudes[k],
-                    spec.parities[k] * spec.amplitudes[k, ::-1],
-                    atol=1e-9,
+                    amp[k], spec.parities[k] * amp[k, ::-1], atol=1e-9,
                 )
 
     def test_orthonormality(self):
         spec = chain.chain_spectrum(chain.build_effective_chain(1, 1.3, 18))
-        gram = spec.amplitudes @ spec.amplitudes.T
+        amp = site_amplitudes(spec)
+        gram = amp @ amp.T
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-10
-        gram_sites = spec.amplitudes.T @ spec.amplitudes
+        gram_sites = amp.T @ amp
         assert np.max(np.abs(gram_sites - np.eye(gram_sites.shape[0]))) <= 1e-10
 
     def test_assembly_bit_identical_to_loop_oracle(self):
+        # the endpoint amplitudes are the oracle's column 0, made >= 0: its
+        # -0 reads 0, and a component <= 1e-12, which the oracle signs by
+        # the row's first larger one, reads as its magnitude
         checked = 0
         for d in (1, 2, 3):
             for alpha in (0.5, 1.0, 1.5, 1.9, 2.5):
@@ -150,25 +168,29 @@ class TestChainSpectrum:
                     except PrecisionGuardError:
                         continue
                     spec = chain.chain_spectrum(ch)
-                    got = (spec.energies, spec.amplitudes, spec.parities)
-                    for a, b in zip(got, loop_assembly(ch)):
-                        assert a.tobytes() == b.tobytes(), (d, alpha, l)
+                    energies, amp, parities = loop_assembly(ch)
+                    assert spec.energies.tobytes() == energies.tobytes(), (d, alpha, l)
+                    assert spec.parities.tobytes() == parities.tobytes(), (d, alpha, l)
+                    t0 = spec.endpoint_amplitudes
+                    assert not np.any(np.signbit(t0)), (d, alpha, l)
+                    assert t0.tobytes() == np.abs(amp[:, 0]).tobytes(), (d, alpha, l)
+                    flipped = t0 != amp[:, 0]
+                    assert np.all(t0[flipped] <= 1e-12), (d, alpha, l)
                     checked += 1
         assert checked >= 60
 
     def test_diagonalised_once_per_chain(self, monkeypatch):
         dims = []
-        solve = numkit.eigh_tridiagonal
-        monkeypatch.setattr(numkit, "eigh_tridiagonal",
-                            lambda d, e: dims.append(len(d)) or solve(d, e))
+        solve = numkit.eigh_dense
+        monkeypatch.setattr(numkit, "eigh_dense", lambda h: dims.append(len(h)) or solve(h))
         ch = chain.build_effective_chain(1, 1.2, 12)
         spec = chain.chain_spectrum(ch)
         again = chain.chain_spectrum(ch)
-        assert again.chain is ch and again.amplitudes is spec.amplitudes
+        assert again.chain is ch and again.endpoint_amplitudes is spec.endpoint_amplitudes
         assert dims == [13, 12]
         # the shared result cannot be changed by one of its users
         assert not any(a.flags.writeable
-                       for a in (spec.energies, spec.amplitudes, spec.parities))
+                       for a in (spec.energies, spec.endpoint_amplitudes, spec.parities))
         # an equal but distinct chain is diagonalised on its own
         chain.chain_spectrum(chain.build_effective_chain(1, 1.2, 12))
         assert dims == [13, 12, 13, 12]
@@ -211,7 +233,7 @@ class TestZeroModeAnalytic:
                     ch = chain.build_effective_chain(d, alpha, l)
                     spec = chain.chain_spectrum(ch)
                     amps = chain.zero_mode(ch)
-                    err = np.max(np.abs(spec.amplitudes[l] - amps))
+                    err = np.max(np.abs(site_amplitudes(spec)[l] - amps))
                     assert err <= 1e-9, (d, alpha, l, err)
                     # the recursion against the closed form
                     assert np.max(np.abs(amps - zero_mode_analytic(ch))) <= 1e-14, (d, alpha, l)
@@ -282,16 +304,6 @@ class TestQFactor:
         terms = [(spec.endpoint_amplitudes[k] / spec.t_l_0 / spec.energies[k]) ** 2
                  for k in range(2 * l + 1) if k != l]
         assert abs(sum(terms) - rep.q**2) <= 1e-12 * rep.q**2
-
-    def test_q_invariant_under_global_sign_flips(self):
-        # flipping any off-resonant eigenvector's global sign leaves Q alone
-        spec = chain.chain_spectrum(chain.build_effective_chain(1, 0.8, 8))
-        amp = spec.amplitudes.copy()
-        amp[::2] *= -1.0
-        amp[spec.zero_index] *= -1.0  # q_factor requires t_l^(0) > 0
-        alt = chain.ChannelSpectrum(chain=spec.chain, energies=spec.energies,
-                                    amplitudes=amp, parities=spec.parities)
-        assert abs(chain.q_factor(alt).q - chain.q_factor(spec).q) <= 1e-12
 
     def test_min_gap_examples(self):
         assert abs(chain.min_gap(chain.chain_spectrum(

@@ -13,6 +13,7 @@ import pytest
 
 import longwalk
 from longwalk import cli
+from longwalk.svgplot import SvgPlot
 
 # children run in tmp_path, so a relative PYTHONPATH would not find the package
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(longwalk.__file__).resolve().parent.parent))
@@ -223,7 +224,7 @@ class TestTransferCommand:
         (["chain-spectrum", "--d", "1", "--alpha", "inf", "--l", "8"], 3,
          "alpha must be finite and >= 0, got inf"),
         (["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "nan"], 3,
-         "alpha must be finite and >= 0, got nan"),
+         "alpha must be >= 0, got nan"),
         (["transfer", "--protocol", "chain", "--d", "1", "--alpha", "1.2", "--l", "8",
           "--g", "1e300"], 4, "overflows at g=1e+300"),
     ])
@@ -283,6 +284,19 @@ class TestSweepCommand:
         assert files1 == sorted(p.name for p in d2.iterdir())
         for name in files1:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("experiment", ["figS2b", "figS2c"])
+    def test_nearest_neighbour_q2_sweep_plots_no_point(self, tmp_path, capsys, experiment):
+        # alpha = inf has no finite x to plot: the SVG is an empty frame
+        # that says so, and the CSV and JSON are written as usual
+        argv = ["sweep", "--experiment", experiment, "--alpha", "inf", "--reproducible"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / f"{experiment}.csv").read_text().splitlines()
+        assert rows[1] == "alpha,exponent,target,passed" and rows[2].startswith("inf,")
+        report = json.loads((tmp_path / f"{experiment}_report.json").read_text())
+        assert "manifest" in report
+        svg = (tmp_path / f"{experiment}.svg").read_text()
+        assert "2 points left out" in svg and "<circle" not in svg
 
     def test_fig2bcd_slope_report(self, tmp_path):
         res = run_cli(
@@ -589,3 +603,21 @@ class TestJsonWriter:
 
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli.write_json(tmp_path / "out.json", {"x": object()})
+
+
+class TestSvgPlot:
+    def test_left_out_points_are_counted(self):
+        plot = SvgPlot("t", "x", "y", ylog=True)
+        plot.add("a", [1.0, 2.0, 3.0, 4.0], [1.0, 0.0, np.nan, 2.0])
+        plot.add("b", [np.inf], [1.0])
+        svg = plot.render()
+        assert "3 points left out" in svg
+        assert svg.count("<polyline") == 2
+        plot = SvgPlot("t", "x", "y", xlog=True)
+        plot.add("a", [0.0], [1.0])
+        assert "1 point left out" in plot.render()
+
+    def test_a_plot_that_drops_nothing_has_no_note(self):
+        plot = SvgPlot("t", "x", "y")
+        plot.add("a", [1.0, 2.0], [0.0, -1.0])
+        assert "left out" not in plot.render()

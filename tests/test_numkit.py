@@ -5,45 +5,44 @@ from longwalk import numkit
 from longwalk.errors import DomainError
 
 
+def tridiagonal(diagonal, offdiagonal):
+    d = np.asarray(diagonal, dtype=float)
+    e = np.asarray(offdiagonal, dtype=float)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
 class TestEighTridiagonal:
+    """eigh_dense on tridiagonal matrices, the chain's parity sectors."""
+
     def test_three_site_uniform(self):
-        dec = numkit.eigh_tridiagonal([0, 0, 0], [1, 1])
+        dec = numkit.eigh_dense(tridiagonal([0, 0, 0], [1, 1]))
         np.testing.assert_allclose(dec.eigenvalues, [-np.sqrt(2), 0, np.sqrt(2)], atol=1e-14)
 
     def test_single_site(self):
-        dec = numkit.eigh_tridiagonal([5.0], [])
+        dec = numkit.eigh_dense(tridiagonal([5.0], []))
         np.testing.assert_allclose(dec.eigenvalues, [5.0])
         np.testing.assert_allclose(dec.eigenvectors, [[1.0]])
 
     def test_parity_decomposable_chain(self):
         # bonds (1,2,2,1): even sector gives {0, +-3}, odd sector {+-1}
-        dec = numkit.eigh_tridiagonal(np.zeros(5), [1, 2, 2, 1])
+        dec = numkit.eigh_dense(tridiagonal(np.zeros(5), [1, 2, 2, 1]))
         np.testing.assert_allclose(dec.eigenvalues, [-3, -1, 0, 1, 3], atol=1e-13)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            numkit.eigh_tridiagonal([0, 0, 0], [1])
+        with pytest.raises(DomainError, match="square"):
+            numkit.eigh_dense(tridiagonal([0, 0, 0], [1, 1])[:2])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            numkit.eigh_tridiagonal([0, np.nan, 0], [1, 1])
-
-    def test_dense_dimension_cap(self):
-        n = numkit.DENSE_DIM_CAP + 1
-        with pytest.raises(DomainError, match="exceeds cap"):
-            numkit.eigh_tridiagonal(np.zeros(n), np.ones(n - 1))
+            numkit.eigh_dense(tridiagonal([0, np.nan, 0], [1, 1]))
 
     def test_random_matrix_invariants(self):
         # reconstruction and orthonormality over 1000 random tridiagonals
         rng = np.random.default_rng(7)
         for _ in range(1000):
             n = int(rng.integers(1, 65))
-            d = rng.standard_normal(n)
-            e = rng.standard_normal(max(n - 1, 0))
-            dec = numkit.eigh_tridiagonal(d, e)
-            h = np.diag(d)
-            if n > 1:
-                h += np.diag(e, 1) + np.diag(e, -1)
+            h = tridiagonal(rng.standard_normal(n), rng.standard_normal(max(n - 1, 0)))
+            dec = numkit.eigh_dense(h)
             v, w = dec.eigenvectors, dec.eigenvalues
             scale = max(1.0, np.max(np.abs(h)))
             assert np.max(np.abs(v @ np.diag(w) @ v.T - h)) <= 1e-12 * scale
@@ -61,14 +60,14 @@ class TestEighDense:
         np.testing.assert_allclose(dec.eigenvalues, [1, 2, 3], atol=1e-15)
 
     def test_cross_solver_oracle(self):
-        # both entry points against the closed form: bonds (1,2,2,1) split
-        # into an even sector {0, +-3} and an odd sector {+-1}
+        # against the closed form: bonds (1,2,2,1) split into an even sector
+        # {0, +-3} and an odd sector {+-1}
         bonds = np.array([1.0, 2.0, 2.0, 1.0])
         h = np.diag(bonds, 1) + np.diag(bonds, -1)
-        for dec in (numkit.eigh_dense(h), numkit.eigh_tridiagonal(np.zeros(5), bonds)):
-            np.testing.assert_allclose(dec.eigenvalues, [-3, -1, 0, 1, 3], atol=1e-13)
-            v = dec.eigenvectors
-            np.testing.assert_allclose(h @ v, v * dec.eigenvalues, atol=1e-13)
+        dec = numkit.eigh_dense(h)
+        np.testing.assert_allclose(dec.eigenvalues, [-3, -1, 0, 1, 3], atol=1e-13)
+        v = dec.eigenvectors
+        np.testing.assert_allclose(h @ v, v * dec.eigenvalues, atol=1e-13)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):

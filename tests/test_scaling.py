@@ -130,6 +130,13 @@ class TestLrExponent:
     def test_nearest_neighbor_marker(self):
         e = scaling.lr_exponent(1, 2.5)
         assert e.regime == "nearest-neighbor"
+        # alpha = inf keeps only nearest-neighbour bonds (the alpha=inf q2 sweeps)
+        assert scaling.lr_exponent(1, np.inf).regime == "nearest-neighbor"
+
+    @pytest.mark.parametrize("alpha", [np.nan, -np.inf, -1e-300])
+    def test_nan_or_negative_alpha_rejected(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be >= 0"):
+            scaling.lr_exponent(1, alpha)
 
     def test_continuity_at_breakpoints(self):
         for d in (1, 2, 3):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,38 @@ def build_model(d, alpha, l, g):
     return transfer.attach_endpoints(chain.build_effective_chain(d, alpha, l), g)
 
 
+def loop_site_matrix(model):
+    """Oracle: the (2l+3)-site matrix over (X, 0..2l, Y), bond by bond."""
+    ch = model.spectrum.chain
+    n = ch.n_sites
+    h = np.zeros((n + 2, n + 2))
+    for j in range(n - 1):
+        h[1 + j, 2 + j] = h[2 + j, 1 + j] = ch.bonds[j]
+    h[0, 1] = h[1, 0] = model.g
+    h[n, n + 1] = h[n + 1, n] = model.g
+    return h
+
+
+def site_matrix(model, monkeypatch):
+    """The site matrix that exact_transfer diagonalises, checked against
+    loop_site_matrix bit for bit."""
+    seen = []
+    solve = numkit.eigh_dense
+    monkeypatch.setattr(numkit, "eigh_dense", lambda h: seen.append(h) or solve(h))
+    transfer.exact_transfer(model)
+    monkeypatch.setattr(numkit, "eigh_dense", solve)
+    (h,) = seen
+    assert h.tobytes() == loop_site_matrix(model).tobytes()
+    return h
+
+
 @pytest.fixture
 def tridiagonal_calls(monkeypatch):
+    """Dimensions of the chain's parity-sector solves: every eigh_dense call
+    but exact_transfer's (2l+3)-site one (l = 12 here)."""
     calls = []
-    solve = numkit.eigh_tridiagonal
-    monkeypatch.setattr(numkit, "eigh_tridiagonal",
-                        lambda d, e: calls.append(len(d)) or solve(d, e))
+    solve = numkit.eigh_dense
+    monkeypatch.setattr(numkit, "eigh_dense", lambda h: calls.append(len(h)) or solve(h))
     return calls
 
 
@@ -24,13 +52,13 @@ class TestOneDiagonalisationPerChain:
 
     def test_fig2a(self, tridiagonal_calls):
         experiments.fig2a()
-        assert tridiagonal_calls == [25, 24]
+        assert [n for n in tridiagonal_calls if n != 51] == [25, 24]
 
     def test_chain_transfer_command(self, tridiagonal_calls, tmp_path):
         argv = ["transfer", "--protocol", "chain", "--d", "1", "--alpha", "1.2", "--l", "24",
                 "--epsilon", "0.01", "--out-dir", str(tmp_path), "--reproducible"]
         assert cli.main(argv) == 0
-        assert tridiagonal_calls == [25, 24]
+        assert tridiagonal_calls == [25, 24, 51]
 
 
 class TestAttachEndpoints:
@@ -39,21 +67,20 @@ class TestAttachEndpoints:
         expect = np.pi / (np.sqrt(2) * 0.1 * (2 / 3))
         assert abs(model.T - expect) <= 1e-12 * expect
 
-    def test_chiral_anticommutator(self):
+    def test_chiral_anticommutator(self, monkeypatch):
         for d, alpha, l in [(1, 0.0, 2), (1, 1.4, 10), (2, 2.6, 8)]:
-            model = build_model(d, alpha, l, 0.07)
-            n = model.matrix.shape[0]
+            h = site_matrix(build_model(d, alpha, l, 0.07), monkeypatch)
+            n = h.shape[0]
             signs = np.empty(n)
             signs[0] = -1.0
             signs[1:-1] = [(-1.0) ** j for j in range(n - 2)]
             signs[-1] = -1.0
             dmat = np.diag(signs)
-            anti = dmat @ model.matrix + model.matrix @ dmat
+            anti = dmat @ h + h @ dmat
             assert np.max(np.abs(anti)) <= 1e-12
 
-    def test_full_spectrum_symmetric(self):
-        model = build_model(1, 0.6, 8, 0.05)
-        w = np.linalg.eigvalsh(model.matrix)
+    def test_full_spectrum_symmetric(self, monkeypatch):
+        w = np.linalg.eigvalsh(site_matrix(build_model(1, 0.6, 8, 0.05), monkeypatch))
         np.testing.assert_allclose(np.sort(w), np.sort(-w), atol=1e-10 * np.max(np.abs(w)))
 
     def test_uniform_l2_rabi_frequency(self):
@@ -174,6 +201,20 @@ class TestChooseG:
                 assert bound <= eps * (1 + 1e-12)
                 assert conds == (True, True)
 
+    @pytest.mark.parametrize("d, alpha, l", [(1, 0.5, 84), (3, 1.5, 28)])
+    def test_bound_is_target_at_guard_edge(self, d, alpha, l):
+        # the bound reads the Q that choose_g inverts, so at the deepest
+        # admissible chain it returns epsilon to roundoff
+        assert chain.max_admissible_l(d, alpha) == l
+        ch = chain.build_effective_chain(d, alpha, l)
+        spec = chain.chain_spectrum(ch)
+        for eps in (0.01, 0.1, 1e-6):
+            model = transfer.attach_endpoints(ch, transfer.choose_g(spec, eps))
+            bound, conds = transfer.infidelity_rigorous_bound(model)
+            assert abs(bound - eps) <= 4 * math.ulp(eps), (eps, bound)
+            assert conds == (True, True)
+            assert transfer.small_g_envelope(model) == pytest.approx(2 * bound / 3, rel=1e-15)
+
     def test_target_range_validated(self):
         spec = chain.chain_spectrum(chain.build_effective_chain(1, 1.0, 4))
         with pytest.raises(DomainError):
@@ -181,10 +222,10 @@ class TestChooseG:
 
 
 class TestProtocolSymmetries:
-    def test_swap_property(self):
+    def test_swap_property(self, monkeypatch):
         model = build_model(1, 0.9, 8, 0.04)
-        dec = numkit.eigh_dense(model.matrix)
-        n = model.matrix.shape[0]
+        dec = numkit.eigh_dense(site_matrix(model, monkeypatch))
+        n = dec.dim
         x = np.zeros(n)
         x[0] = 1.0
         y = np.zeros(n)

@@ -142,3 +142,14 @@ class TestUniformTimeScaling:
     def test_wrong_regime(self):
         with pytest.raises(RegimeError):
             uniform.uniform_time_scaling(1, 0.5, [10, 100])
+
+    @pytest.mark.parametrize("alpha, message", [
+        (np.nan, "alpha must be finite"), (np.inf, "alpha must be finite"),
+        (-np.inf, "alpha must be finite"), (-0.1, "alpha must be >= 0")])
+    def test_non_finite_or_negative_alpha_rejected(self, alpha, message):
+        # checked as build_uniform_protocol checks it: not finite, then the
+        # regime, then the sign
+        with pytest.raises(DomainError, match=message):
+            uniform.uniform_time_scaling(1, alpha, [10, 100])
+        with pytest.raises(DomainError, match=message):
+            uniform.build_uniform_protocol(1, alpha, 10)
