@@ -1,6 +1,6 @@
 """Numerical kernels: symmetric eigensolvers, spectral time evolution, the
-endpoint-coupled-channel transfer amplitude, circulant spectra in d
-dimensions (by real FFT at every even length), and least-squares fits.
+endpoint-coupled-channel transfer amplitude, spectra of even circulants
+in d dimensions (by real FFT on the orthant), and least-squares fits.
 
 Everything here is pure and deterministic.  Dense eigensolves, and the
 parity sectors of endpoint_amplitude up to dimension _SECULAR_MIN_DIM,
@@ -75,8 +75,18 @@ def eigh_dense(matrix) -> SymmetricEigenDecomposition:
     return SymmetricEigenDecomposition(w, v)
 
 
+def _check_phases(lam_max: float, time: float) -> None:
+    # a rounded eigenvalue puts its phase off by up to eps max|lambda| |t|: at 1
+    # no digit is left (in Python floats an overflow is inf, with no warning)
+    err = math.ulp(1.0) * float(lam_max) * abs(float(time))
+    if err >= 1.0:
+        raise ArithmeticError(
+            f"the phases lambda*t keep no correct digit: eps*max|lambda|*|t| = {err:.3g}")
+
+
 def evolve(decomposition: SymmetricEigenDecomposition, initial, time: float) -> np.ndarray:
-    """psi(t) = V exp(-i lambda t) V^T psi0, for a normalized initial vector."""
+    """psi(t) = V exp(-i lambda t) V^T psi0, for a normalized initial vector;
+    ArithmeticError if eps max|lambda| |t| >= 1."""
     psi0 = np.asarray(initial)
     if psi0.shape != (decomposition.dim,):
         raise DomainError(
@@ -85,6 +95,7 @@ def evolve(decomposition: SymmetricEigenDecomposition, initial, time: float) -> 
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-12:
         raise DomainError(f"initial state norm {nrm!r} is not 1 within 1e-12")
+    _check_phases(np.max(np.abs(decomposition.eigenvalues)), time)
     v = decomposition.eigenvectors
     phases = np.exp(-1j * decomposition.eigenvalues * time)
     return v @ (phases * (v.T @ psi0))
@@ -100,8 +111,8 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     [[onsite, sqrt(2) c], [sqrt(2) c, diag(E)]] and the amplitude is
     (A+ - A-)/2 with A = sum_j v_j[0]^2 exp(-i lambda_j t).  A sector of
     dimension above _SECULAR_MIN_DIM is solved by arrowhead_spectrum in
-    O(n^2), a smaller one by eigh_dense; either way its dimension is capped
-    at DENSE_DIM_CAP.
+    O(n^2), a smaller one by eigh_dense, each of dimension <= DENSE_DIM_CAP.
+    ArithmeticError if the amplitude is not finite or eps max|lambda| |t| >= 1.
     """
     e = np.asarray(energies, dtype=float)
     c = np.asarray(couplings, dtype=float)
@@ -113,7 +124,7 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(c))
             and math.isfinite(onsite) and math.isfinite(time)):
         raise DomainError("non-finite energies, couplings, onsite energy or time")
-    sectors = []
+    sectors, lam_max = [], 0.0
     for sign in (1.0, -1.0):
         keep = p == sign
         dim = 1 + int(np.count_nonzero(keep))
@@ -127,11 +138,13 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
             h[0, 1:] = h[1:, 0] = z
             dec = eigh_dense(h)
             lam, w = dec.eigenvalues, dec.eigenvectors[0] ** 2
+        lam_max = max(lam_max, float(np.max(np.abs(lam))))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             sectors.append(np.sum(w * np.exp(-1j * lam * time)))
     amplitude = complex((sectors[0] - sectors[1]) / 2.0)
     if not np.isfinite(amplitude):
         raise ArithmeticError(f"non-finite endpoint amplitude {amplitude} from finite input")
+    _check_phases(lam_max, time)
     return amplitude
 
 
@@ -297,24 +310,21 @@ def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray,
         f"in {_SECULAR_MAX_ITER} iterations")
 
 
-def real_dft_circulant(kernel) -> np.ndarray:
-    """Spectrum E_k = sum_r kernel[r] cos(2 pi k.r / L) of a real d-dimensional
-    circulant whose kernel is symmetric under r_i -> L - r_i on every axis.
-
-    The spectrum is then real with E[..., L-k] = E[..., k], so it comes from
-    a real FFT (O(L^d log L) at every even L) mirrored along the last axis;
-    that mirror symmetry is exact.
+def real_dft_circulant(half) -> np.ndarray:
+    """Spectrum E_k = sum_r J(r) cos(2 pi k.r / L) of a real d-dimensional
+    circulant of even side L whose kernel is even on every axis (so is E),
+    from J on the half-axes 0 <= r_i <= L/2 to E on the orthant 0 <= k_i <= L/2:
+    each axis in turn is mirrored to length L and transformed by a real FFT,
+    keeping the real part (a DCT-I).  The largest array has L (L/2+1)^(d-1) entries.
     """
-    j = np.asarray(kernel, dtype=float)
-    if j.ndim == 0 or any(n % 2 for n in j.shape):
-        raise DomainError(f"circulant lengths must be even, got shape {j.shape}")
-    tol = 1e-12 * max(1.0, np.max(np.abs(j)))
-    for axis in range(j.ndim):
-        tail = j[(slice(None),) * axis + (slice(1, None),)]
-        if np.max(np.abs(tail - np.flip(tail, axis))) > tol:
-            raise DomainError(f"kernel is not symmetric on axis {axis}: j[r] != j[L-r]")
-    half = np.fft.rfftn(j).real
-    return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
+    e = np.asarray(half, dtype=float)
+    if e.ndim == 0 or min(e.shape) < 2:
+        raise DomainError(f"half-axis lengths must be >= 2, got shape {e.shape}")
+    for axis in range(e.ndim):
+        # a basic slice: np.take with an index array measured slower on the sweeps
+        mirror = e[(slice(None),) * axis + (slice(-2, 0, -1),)]
+        e = np.fft.rfft(np.concatenate([e, mirror], axis=axis), axis=axis).real
+    return e
 
 
 def linear_fit(x, y) -> FitResult:

@@ -30,10 +30,11 @@ class RingModel:
     d: int
     L: int
     alpha: float
-    N: int
-    energies: np.ndarray  # flat, row-major over (k_1, ..., k_d): index sum_i k_i L^(d-i)
-    detunings: np.ndarray  # Delta_k = E_0 - E_k, same layout
+    N: int  # L^d channel modes
+    # on the orthant 0 <= k_i <= L/2, flat, row-major: index sum_i k_i (L/2+1)^(d-i)
+    detunings: np.ndarray  # Delta_k = E_0 - E_k >= 0
     parities: np.ndarray  # (-1)^(sum_i k_i), int8: an eighth of float64's memory
+    weights: np.ndarray  # lattice modes of energy E_k: prod_i (1 at k_i in {0, L/2}, else 2)
 
     def omega(self, g: float) -> float:
         return np.sqrt(2.0) * g / np.sqrt(self.N)
@@ -45,7 +46,7 @@ class RingModel:
 @dataclass(frozen=True)
 class RingSpectralSummary:
     delta0: float  # min_{k != 0} Delta_k
-    bandwidth: float  # max E - min E
+    bandwidth: float  # max E - min E = max Delta_k (E_0 is the top of the band)
     q2: float  # sum_{k != 0} 1 / Delta_k^2
 
 
@@ -59,31 +60,27 @@ def _validate(d: int, L: int, alpha: float) -> None:
 
 
 def _coupling_kernel(d: int, L: int, alpha: float) -> np.ndarray:
-    """J(r) = |r|^-alpha at the minimum-image distance (0 at r = 0), built on
-    the half-axes r_i <= L/2 and mirrored r_i -> L - r_i on every axis."""
+    """J(r) = |r|^-alpha (0 at r = 0) on the half-axes 0 <= r_i <= L/2."""
     h2 = np.arange(L // 2 + 1, dtype=float) ** 2
     r2 = functools.reduce(np.add.outer, (h2,) * d)
     r2.flat[0] = 1.0
     kernel = np.power(r2, -alpha / 2.0, out=r2)  # in place: a copy measured slower at L=2^17
     kernel.flat[0] = 0.0
-    for axis in range(d):
-        # a basic slice: np.take with an index array measured slower on the sweeps
-        mirror = kernel[(slice(None),) * axis + (slice(-2, 0, -1),)]
-        kernel = np.concatenate([kernel, mirror], axis=axis)
     return kernel
 
 
 def ring_spectrum(d: int, L: int, alpha: float) -> RingModel:
-    """Exact circulant spectrum of the min-image power-law kernel."""
+    """Exact circulant spectrum of the min-image power-law kernel, on the orthant."""
     _validate(d, L, alpha)
     if L > L_CAP[d]:
         raise DomainError(f"d={d} size {L} exceeds cap {L_CAP[d]}")
     energies = numkit.real_dft_circulant(_coupling_kernel(d, L, alpha)).ravel()
-    p = np.ones(L, dtype=np.int8)
-    p[1::2] = -1
-    parities = functools.reduce(np.multiply.outer, (p,) * d).ravel()
-    return RingModel(d=d, L=L, alpha=alpha, N=L**d, energies=energies,
-                     detunings=energies[0] - energies, parities=parities)
+    k = np.arange(L // 2 + 1)
+    p = np.where(k % 2, -1, 1).astype(np.int8)
+    w = np.where((k == 0) | (k == L // 2), 1.0, 2.0)
+    p, w = (functools.reduce(np.multiply.outer, (v,) * d).ravel() for v in (p, w))
+    return RingModel(d=d, L=L, alpha=alpha, N=L**d, detunings=energies[0] - energies,
+                     parities=p, weights=w)
 
 
 def ring_mu(model: RingModel, g: float) -> float:
@@ -92,10 +89,9 @@ def ring_mu(model: RingModel, g: float) -> float:
     if not 0 < g < math.inf:
         raise DomainError(f"g must be positive and finite, got {g}")
     om = model.omega(g)
-    d = model.detunings[1:]
-    p = model.parities[1:]
+    d, p, w = model.detunings[1:], model.parities[1:], model.weights[1:]
     with np.errstate(over="ignore"):  # reported below
-        mu = float(om**2 * np.sum((1.0 - 3.0 * p) / (2.0 * d)))
+        mu = float(om**2 * np.sum(w * (1.0 - 3.0 * p) / (2.0 * d)))
     if not math.isfinite(mu):
         raise ArithmeticError(f"the level-repulsion shift mu overflows at g={g}")
     return mu
@@ -104,20 +100,15 @@ def ring_mu(model: RingModel, g: float) -> float:
 def ring_perturbative_infidelity(model: RingModel, g: float) -> float:
     """Omega^2 sum_{k != 0} [1 + (-1)^{sum k_i} cos(Delta_k T)] / Delta_k^2 at
     T = pi / Omega."""
-    om = model.omega(g)
-    t = np.pi / om
-    d = model.detunings[1:]
-    p = model.parities[1:]
-    return float(om**2 * np.sum((1.0 + p * np.cos(d * t)) / d**2))
+    om, t = model.omega(g), model.transfer_time(g)
+    d, p, w = model.detunings[1:], model.parities[1:], model.weights[1:]
+    return float(om**2 * np.sum(w * (1.0 + p * np.cos(d * t)) / d**2))
 
 
 def ring_spectral_summary(model: RingModel) -> RingSpectralSummary:
     d = model.detunings[1:]
-    return RingSpectralSummary(
-        delta0=float(d.min()),
-        bandwidth=float(model.energies.max() - model.energies.min()),
-        q2=float(np.sum(1.0 / d**2)),
-    )
+    return RingSpectralSummary(delta0=float(d.min()), bandwidth=float(model.detunings.max()),
+                               q2=float(np.sum(model.weights[1:] / d**2)))
 
 
 def _fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +121,7 @@ def _fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     tuples k_1 <= ... <= k_d <= L/2 stand in: mult is the product of the axis
     weights (1 at k_i = 0 and L/2, 2 elsewhere) times the d!/prod(run!)
     distinct permutations (runs of equal adjacent entries).  Modes are merged
-    by index, never by comparing energies.
+    by index (into RingModel's orthant), never by comparing energies.
     """
     ks = np.indices((L // 2 + 1,) * d).reshape(d, -1)
     ks = ks[:, np.all(ks[:-1] <= ks[1:], axis=0)]
@@ -139,12 +130,12 @@ def _fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     for i in range(1, d):
         run = np.where(ks[i] == ks[i - 1], run + 1.0, 1.0)
         mult /= run
-    return np.ravel_multi_index(ks, (L,) * d), mult
+    return np.ravel_multi_index(ks, (L // 2 + 1,) * d), mult
 
 
 def _sector(d: int, L: int, flat: np.ndarray) -> int:
     """Dimension of the larger parity sector: one endpoint state plus its modes."""
-    odd = np.sum(np.unravel_index(flat, (L,) * d), axis=0) % 2
+    odd = np.sum(np.unravel_index(flat, (L // 2 + 1,) * d), axis=0) % 2
     return 1 + int(np.bincount(odd, minlength=2).max())
 
 
@@ -172,13 +163,11 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> TransferOutco
             f"dimension {cap}; the largest exact size is L={sizes[n - 1]}"
         )
     model = ring_spectrum(d, L, alpha)
-    mu = ring_mu(model, g)
-    t = model.transfer_time(g)
+    mu, t = ring_mu(model, g), model.transfer_time(g)
     amplitude = numkit.endpoint_amplitude(
         -model.detunings[flat], g * np.sqrt(mult / model.N), model.parities[flat], -mu, t)
     fidelity = float(abs(amplitude) ** 2)
-    summ = ring_spectral_summary(model)
-    om = model.omega(g)
+    summ, om = ring_spectral_summary(model), model.omega(g)
     conditions = (bool(summ.delta0 >= 4.0 * om), bool(om**2 * summ.q2 < 0.75))
     return TransferOutcome(
         T=t, g=g, L=L, fidelity_exact=fidelity, infidelity_exact=1.0 - fidelity,

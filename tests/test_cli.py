@@ -236,6 +236,19 @@ class TestTransferCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--protocol", "chain", "--alpha", "1.2", "--l", "24", "--epsilon", "1e-300"],
+        ["--protocol", "chain", "--alpha", "1.2", "--l", "24", "--g", "1e-300"],
+        ["--protocol", "ring", "--d", "1", "--alpha", "1", "--L", "100", "--g", "1e-300"],
+    ])
+    def test_phase_without_a_correct_digit_exit_4(self, tmp_path, capsys, argv):
+        # T is so long that eps * max|E| * T >= 1: E T keeps no digit of the
+        # phase, so the fidelity would be noise reported as a result
+        out = tmp_path / "out"
+        assert cli.main(["transfer", *argv, "--out-dir", str(out)]) == 4
+        assert "no correct digit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ring_nearest_neighbour_limit(self, tmp_path, capsys):
         # alpha = inf keeps only the nearest-neighbour bonds
         out = tmp_path / "out"

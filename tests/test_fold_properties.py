@@ -1,6 +1,7 @@
-"""Property tests for the ring's fold of the exact problem: on random small
-lattices, the folded modes must give the transfer amplitude of all N
-unfolded channel modes."""
+"""Property tests for the ring's orthant spectrum and its fold of the exact
+problem: on random small lattices, the orthant's weighted sums must equal
+the sums over all N lattice modes, and the folded modes must give the
+transfer amplitude of all N unfolded channel modes."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from longwalk import numkit, ring
 
 from closed_forms import ring_sector
+from test_ring import complex_fft_spectrum, folded_index
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -32,11 +34,13 @@ def test_fold_matches_the_unfolded_modes(lattice):
     assert mult.sum() == model.N
     if d < 3:
         assert ring._sector(d, L, flat) == ring_sector(d, L)
-    # every channel mode, with couplings g/sqrt(N) and parities (-1)^(sum k_i)
-    # taken from the mode indices, not from the model
+    # every channel mode, with detunings from the complex FFT of the lattice
+    # kernel, couplings g/sqrt(N) and parities (-1)^(sum k_i) taken from the
+    # mode indices, not from the model
+    energies = complex_fft_spectrum(d, L, alpha)
     parities = (-1.0) ** np.indices((L,) * d).reshape(d, -1).sum(axis=0)
     mu, t = ring.ring_mu(model, g), model.transfer_time(g)
-    full = numkit.endpoint_amplitude(-model.detunings, np.full(model.N, g / np.sqrt(model.N)),
+    full = numkit.endpoint_amplitude(energies - energies[0], np.full(model.N, g / np.sqrt(model.N)),
                                      parities, -mu, t)
     folded = numkit.endpoint_amplitude(-model.detunings[flat], g * np.sqrt(mult / model.N),
                                        model.parities[flat], -mu, t)
@@ -45,3 +49,47 @@ def test_fold_matches_the_unfolded_modes(lattice):
     # up to 1.8e-11 at d=3 L=8, 1.4 times that scale
     scale = np.finfo(float).eps * model.detunings.max() * t
     assert abs(folded - full) <= 1e-12 + 4.0 * scale
+
+
+@st.composite
+def small_lattices(draw):
+    d = draw(st.integers(1, 3))
+    L = 2 * draw(st.integers(1, {1: 32, 2: 8, 3: 4}[d]))
+    return d, L, draw(st.floats(0.0, 3.0)), draw(st.floats(1e-3, 0.5))
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@hypothesis.given(small_lattices())
+@hypothesis.example((1, 2, 1.0, 0.1))
+@hypothesis.example((2, 2, 1.5, 0.1))
+@hypothesis.example((3, 2, 0.5, 0.1))
+def test_orthant_weights_give_the_full_lattice_sums(lattice):
+    d, L, alpha, g = lattice
+    model = ring.ring_spectrum(d, L, alpha)
+    assert model.weights.sum() == model.N == L**d
+    # the lattice trace sum_k E_k = J(0) = 0, weighted over the orthant
+    energies = complex_fft_spectrum(d, L, alpha)
+    e0 = energies[0]
+    assert abs(np.sum(model.weights * (e0 - model.detunings))) <= 1e-12 * model.N * max(1.0, e0)
+    # q2, mu and the perturbative infidelity as plain sums over k != 0
+    delta = (e0 - energies)[1:]
+    parities = (-1.0) ** np.indices((L,) * d).reshape(d, -1).sum(axis=0)[1:]
+    om, t = model.omega(g), model.transfer_time(g)
+    full = {
+        "q2": np.sum(1.0 / delta**2),
+        "mu": om**2 * np.sum((1.0 - 3.0 * parities) / (2.0 * delta)),
+        "perturbative": om**2 * np.sum((1.0 + parities * np.cos(delta * t)) / delta**2),
+    }
+    got = {
+        "q2": ring.ring_spectral_summary(model).q2,
+        "mu": ring.ring_mu(model, g),
+        "perturbative": ring.ring_perturbative_infidelity(model, g),
+    }
+    # cos(Delta_k T) turns the spectrum's roundoff dDelta_k (a few ulp of the
+    # band, tested in test_ring.py) into a perturbative error up to
+    # Omega^2 T sum_k |dDelta_k| / Delta_k^2, which T can lift above 1e-12
+    ddelta = model.detunings[folded_index(d, L)][1:] - delta
+    phase = om**2 * t * np.sum(np.abs(ddelta) / delta**2)
+    for name, value in full.items():
+        tol = 1e-12 * abs(value) + (phase if name == "perturbative" else 0.0)
+        assert abs(got[name] - value) <= tol, name

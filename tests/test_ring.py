@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from closed_forms import ring_sector
 def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
     """Oracle: |<Y|psi(T)>|^2 from the lab-frame (N+2) site matrix (power-law
     channel, endpoint bonds g to site 0 and to the antipode, endpoint
-    diagonal E_0 - mu), diagonalised densely."""
+    diagonal E_0 - mu, E_0 from complex_fft_spectrum), diagonalised densely."""
     model = ring.ring_spectrum(d, L, alpha)
     n = model.N
     coords = np.indices((L,) * d).reshape(d, -1).T
@@ -27,7 +28,8 @@ def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
     site_y = int(np.ravel_multi_index((L // 2,) * d, (L,) * d))
     h[n, 0] = h[0, n] = g
     h[n + 1, site_y] = h[site_y, n + 1] = g
-    h[n, n] = h[n + 1, n + 1] = model.energies[0] - ring.ring_mu(model, g)
+    e0 = complex_fft_spectrum(d, L, alpha)[0]
+    h[n, n] = h[n + 1, n + 1] = e0 - ring.ring_mu(model, g)
     psi0 = np.zeros(n + 2)
     psi0[n] = 1.0
     psi = numkit.evolve(numkit.eigh_dense(h), psi0, model.transfer_time(g))
@@ -45,7 +47,7 @@ def closed_form_spectrum_1d(L: int, alpha: float) -> np.ndarray:
 
 def complex_fft_spectrum(d: int, L: int, alpha: float) -> np.ndarray:
     """Reference: the full complex FFT of the min-image kernel |r|^-alpha,
-    built from the lattice coordinates, flattened in the RingModel layout."""
+    built from the lattice coordinates, on all L^d modes, flat and row-major."""
     r = np.indices((L,) * d)
     r2 = np.sum(np.minimum(r, L - r) ** 2, axis=0).astype(float)
     kernel = np.zeros(r2.shape)
@@ -53,23 +55,35 @@ def complex_fft_spectrum(d: int, L: int, alpha: float) -> np.ndarray:
     return np.fft.fftn(kernel).real.ravel()
 
 
+def folded_index(d: int, L: int) -> np.ndarray:
+    """For every lattice mode k, the orthant index of its image
+    k_i -> min(k_i, L - k_i)."""
+    k = np.indices((L,) * d).reshape(d, -1)
+    return np.ravel_multi_index(np.minimum(k, L - k), (L // 2 + 1,) * d)
+
+
 class TestRingSpectrum:
     def test_L4_alpha1_hand_values(self):
+        # E = [2.5, -0.5, -1.5, -0.5]; the orthant keeps k = 0, 1, 2
         model = ring.ring_spectrum(1, 4, 1.0)
-        np.testing.assert_allclose(model.energies, [2.5, -0.5, -1.5, -0.5], atol=1e-14)
-        np.testing.assert_allclose(model.detunings, [0, 3, 4, 3], atol=1e-14)
+        np.testing.assert_allclose(model.detunings, [0, 3, 4], atol=1e-14)
+        np.testing.assert_array_equal(model.weights, [1, 2, 1])
+        np.testing.assert_array_equal(model.parities, [1, -1, 1])
 
     def test_inversion_symmetry(self):
+        # the orthant value at k stands in for the lattice mode L - k too
         for L, alpha in [(8, 0.5), (64, 1.3), (100, 2.0)]:
             model = ring.ring_spectrum(1, L, alpha)
-            e = model.energies
-            np.testing.assert_allclose(e[1:], e[1:][::-1], rtol=1e-12, atol=1e-12)
+            ref = complex_fft_spectrum(1, L, alpha)
+            inverted = (ref[0] - ref)[L - np.arange(1, L // 2 + 1)]
+            np.testing.assert_allclose(model.detunings[1:], inverted, rtol=1e-12, atol=1e-12)
 
     def test_traceless(self):
-        for L, alpha in [(16, 0.7), (128, 1.5)]:
-            model = ring.ring_spectrum(1, L, alpha)
-            scale = 1e-9 * model.N * 1.0  # max |J| = 1
-            assert abs(model.energies.sum()) <= scale
+        # sum_k E_k = 0 over the lattice, so E_0 = sum_k w_k Delta_k / N
+        for d, L, alpha in [(1, 16, 0.7), (1, 128, 1.5), (2, 12, 1.0), (3, 6, 2.2)]:
+            model = ring.ring_spectrum(d, L, alpha)
+            e0 = np.sum(model.weights * model.detunings) / model.N
+            assert abs(e0 - complex_fft_spectrum(d, L, alpha)[0]) <= 1e-9  # max |J| = 1
 
     def test_closed_form_match(self):
         # transform path equals the quoted cosine-sum formula
@@ -77,25 +91,22 @@ class TestRingSpectrum:
             for alpha in (0.5, 1.0, 1.5, 2.2):
                 model = ring.ring_spectrum(1, L, alpha)
                 closed = closed_form_spectrum_1d(L, alpha)
-                np.testing.assert_allclose(model.energies, closed, rtol=1e-9, atol=1e-9)
+                np.testing.assert_allclose(model.detunings, closed[0] - closed[:L // 2 + 1],
+                                           rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 1026), (1, 2**17),
                                       (2, 6), (2, 90), (2, 256), (3, 4), (3, 8)])
     def test_real_fft_matches_complex_fft(self, d, L):
+        # every lattice mode, through the orthant index of its mirror image
+        fold = folded_index(d, L)
         for alpha in (0.5, 1.0, 1.5, 2.2):
-            e = ring.ring_spectrum(d, L, alpha).energies
-            scale = np.max(np.abs(e))
+            delta = ring.ring_spectrum(d, L, alpha).detunings[fold]
             refs = [complex_fft_spectrum(d, L, alpha)]
             if d == 1 and L <= 1026:
                 refs.append(closed_form_spectrum_1d(L, alpha))
             for ref in refs:
-                assert np.max(np.abs(e - ref)) <= 1e-13 * scale, (alpha, len(refs))
-
-    @pytest.mark.parametrize("d, L", [(1, 2**17), (1, 1026), (2, 6), (2, 256), (3, 8)])
-    def test_exact_mirror_symmetry(self, d, L):
-        # E[..., L-k] = E[..., k] along the mirrored (last) axis, bit for bit
-        e = ring.ring_spectrum(d, L, 1.3).energies.reshape((L,) * d)
-        np.testing.assert_array_equal(e[..., 1:], e[..., 1:][..., ::-1])
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(delta - (ref[0] - ref))) <= 1e-13 * scale, (alpha, len(refs))
 
     def test_top_of_band_is_k0(self):
         for d, L, alpha in [(1, 64, 0.5), (1, 128, 2.0), (2, 16, 1.0), (2, 32, 3.5)]:
@@ -104,18 +115,19 @@ class TestRingSpectrum:
 
     def test_d2_parities(self):
         model = ring.ring_spectrum(2, 4, 1.0)
-        k = np.arange(4)
+        k = np.arange(3)
         expect = ((-1.0) ** (k[:, None] + k[None, :])).ravel()
         np.testing.assert_array_equal(model.parities, expect)
+        np.testing.assert_array_equal(model.weights, [1, 2, 1, 2, 4, 2, 1, 2, 1])
         np.testing.assert_array_equal(ring.ring_spectrum(1, 6, 1.0).parities,
-                                      (-1.0) ** np.arange(6))
+                                      (-1.0) ** np.arange(4))
 
     @pytest.mark.parametrize("d, L", [(1, 256), (2, 32), (3, 16)])
     def test_int8_parities_give_the_float64_results_bit_for_bit(self, d, L):
         model = ring.ring_spectrum(d, L, 1.3)
         assert model.parities.dtype == np.int8
         wide = dataclasses.replace(model, parities=model.parities.astype(float))
-        expect = (-1.0) ** np.indices((L,) * d).sum(axis=0).ravel()
+        expect = (-1.0) ** np.indices((L // 2 + 1,) * d).sum(axis=0).ravel()
         np.testing.assert_array_equal(wide.parities, expect)
         g = 1e-3
         assert ring.ring_mu(model, g) == ring.ring_mu(wide, g)
@@ -139,8 +151,21 @@ class TestRingSpectrum:
             bulk = 4.0 * np.einsum("kx,xy,qy->kq", cos, r2 ** (-alpha / 2.0), cos)
             line = 2.0 * cos @ (x ** (-alpha))
             closed = bulk + line[:, None] + line[None, :]
-            err = np.max(np.abs(model.energies.reshape(L, L) - closed))
+            energies = complex_fft_spectrum(2, L, alpha)[0] - model.detunings
+            half = L // 2 + 1
+            err = np.max(np.abs(energies.reshape(half, half) - closed[:half, :half]))
             assert err <= 4.0 * L / (L / 2.0) ** alpha
+
+    def test_d3_spectrum_and_summary_memory(self):
+        # the largest array has L (L/2+1)^2 entries: 114 MiB peak measured,
+        # against 528 MiB when the spectrum was built on all L^3 modes
+        tracemalloc.start()
+        try:
+            ring.ring_spectral_summary(ring.ring_spectrum(3, 256, 1.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * 2**20
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -175,11 +200,14 @@ class TestRingSpectralSummary:
         assert abs(s.q2 - (1 / 9 + 1 / 16 + 1 / 9)) <= 1e-15
 
     def test_alpha0_resonant_energy(self):
+        # all-to-all: E_0 = L - 1 and E_k = -1, so every Delta_k (k != 0) is L
         for L in (8, 50, 256):
             model = ring.ring_spectrum(1, L, 0.0)
-            assert abs(model.energies[0] - (L - 1)) <= 1e-9 * L
+            assert abs(np.sum(model.weights * model.detunings) / model.N - (L - 1)) <= 1e-9 * L
+            np.testing.assert_allclose(model.detunings[1:], L, rtol=1e-9)
             s = ring.ring_spectral_summary(model)
-            assert abs(s.bandwidth - (model.energies.max() - model.energies.min())) == 0
+            ref = complex_fft_spectrum(1, L, 0.0)
+            assert abs(s.bandwidth - (ref.max() - ref.min())) <= 1e-12 * L
 
     def test_summary_inequalities(self):
         for L, alpha in [(64, 0.8), (256, 1.6)]:
@@ -311,9 +339,11 @@ class TestRingExactTransfer:
             assert sector == ring_sector(d, L)
         if L == 68:
             assert sector == 3895  # the largest d=3 sector within numkit.DENSE_DIM_CAP
+        # each multiplicity is the mode's axis weight times its permutations
+        assert np.all(mult % model.weights[flat] == 0)
         # every axis permutation of a mode has, up to roundoff, the energy of
         # the sorted tuple that stands in for it
-        e = model.detunings.reshape((L,) * d)[(slice(0, half),) * d]
+        e = model.detunings.reshape((half,) * d)
         for perm in itertools.permutations(range(d)):
             assert np.max(np.abs(e - e.transpose(perm))) <= 1e-12 * np.max(np.abs(e))
 
