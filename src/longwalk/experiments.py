@@ -4,8 +4,10 @@ Each driver returns a plain dict of arrays and verdicts; the CLI writes
 them to CSV/JSON/SVG and the acceptance suite asserts the verdicts.  Grid
 points are independent and run serially by default; setting
 LONGWALK_THREADS fans them out over a thread pool of that size (numpy
-releases the GIL inside LAPACK/FFT).  Results are aggregated in grid order,
-so output is identical for any thread count.
+releases the GIL inside LAPACK/FFT).  The ring's scaling sweeps (figS2b,
+figS2c, figS3) compute all their spectra in one serial pass first, so the
+pool fans out only their per-alpha fits.  Results are aggregated in grid
+order, so output is identical for any thread count.
 """
 
 from __future__ import annotations
@@ -197,21 +199,16 @@ def fig_s2a(L: int = 100, alpha: float = 1.0, g_grid=None) -> dict:
     }
 
 
-def _ring_q2_series(d: int, alpha: float, sizes) -> scaling.ScalingSeries:
-    def q2_of(L):
-        model = ring.ring_spectrum(d, int(L), alpha)
-        return ring.ring_spectral_summary(model).q2
-
-    vals = _map(q2_of, list(sizes))
+def _ring_q2_series(d: int, alpha: float, sizes, summaries) -> scaling.ScalingSeries:
     return scaling.ScalingSeries(
-        points=np.column_stack([np.asarray(sizes, float), np.asarray(vals)]),
+        points=np.column_stack([np.asarray(sizes, float), [s.q2 for s in summaries]]),
         metadata={"protocol": "ring", "d": d, "alpha": alpha},
     )
 
 
-def ring_q2_extrapolation(d: int, alpha: float, sizes, window: int) -> dict:
-    series = scaling.local_exponents(_ring_q2_series(d, alpha, sizes), window)
-    exponent = scaling.extrapolate_exponent(series)
+def _q2_extrapolation(d: int, alpha: float, sizes, window: int, summaries) -> dict:
+    series = scaling.local_exponents(_ring_q2_series(d, alpha, sizes, summaries), window)
+    exponent, fit = scaling.extrapolate_exponent(series)
     series = series.with_fit(extrapolated_exponent=exponent)
     target = ring_q2_target(d, alpha)
     return {
@@ -222,34 +219,49 @@ def ring_q2_extrapolation(d: int, alpha: float, sizes, window: int) -> dict:
         "target": target,
         "error": abs(exponent - target),
         "passed": bool(abs(exponent - target) <= TOLERANCES["ring_extrapolation"]),
+        # the power-law fit's diagnostics; None where the correction is a log
+        "b": None if fit is None else fit.exponent,
+        "sse": None if fit is None else fit.residual_sse,
+        "b_on_bracket_edge": None if fit is None else fit.on_bracket_edge,
     }
+
+
+def ring_q2_extrapolation(d: int, alpha: float, sizes, window: int) -> dict:
+    summaries = ring.ring_spectral_summaries(d, [alpha], sizes)[0]
+    return _q2_extrapolation(d, alpha, sizes, window, summaries)
+
+
+def _q2_exponents(d: int, alphas, sizes, window: int) -> list[dict]:
+    """ring_q2_extrapolation at each alpha: the spectra in one serial pass,
+    then the fits on the pool."""
+    table = ring.ring_spectral_summaries(d, alphas, sizes)
+    return _map(lambda job: _q2_extrapolation(d, job[0], sizes, window, job[1]),
+                list(zip(alphas, table)))
 
 
 def fig_s2b(alphas=RING_1D_ALPHAS) -> dict:
     """d=1 extrapolated q2 exponents across the alpha regimes."""
     sizes = [2**e for e in RING_1D_L_EXPONENTS]
-    results = _map(lambda a: ring_q2_extrapolation(1, a, sizes, RING_1D_WINDOW), list(alphas))
+    results = _q2_exponents(1, alphas, sizes, RING_1D_WINDOW)
     return {"alphas": list(alphas), "sizes": sizes, "window": RING_1D_WINDOW, "results": results}
 
 
 def fig_s2c(alphas=RING_2D_ALPHAS) -> dict:
     """d=2 extrapolated q2 exponents (target ring_q2_target(2, alpha))."""
     sizes = list(RING_2D_SIZES)
-    results = _map(lambda a: ring_q2_extrapolation(2, a, sizes, RING_2D_WINDOW), list(alphas))
+    results = _q2_exponents(2, alphas, sizes, RING_2D_WINDOW)
     return {"alphas": list(alphas), "sizes": sizes, "window": RING_2D_WINDOW, "results": results}
 
 
 def fig_s3(alphas=FIGS3_ALPHAS) -> dict:
     """Gap delta_0 and bandwidth W scaling for the d=1 ring."""
     sizes = [2**e for e in FIGS3_L_EXPONENTS]
+    logL = np.log(np.asarray(sizes, float))
 
-    def one(alpha):
-        summaries = [
-            ring.ring_spectral_summary(ring.ring_spectrum(1, L, alpha)) for L in sizes
-        ]
+    def one(job):
+        alpha, summaries = job
         d0 = np.array([s.delta0 for s in summaries])
         w = np.array([s.bandwidth for s in summaries])
-        logL = np.log(np.asarray(sizes, float))
         d0_slope = numkit.linear_fit(logL, np.log(d0)).slope
         entry = {
             "alpha": alpha,
@@ -274,7 +286,8 @@ def fig_s3(alphas=FIGS3_ALPHAS) -> dict:
             )
         return entry
 
-    return {"alphas": list(alphas), "results": _map(one, list(alphas))}
+    table = ring.ring_spectral_summaries(1, alphas, sizes)
+    return {"alphas": list(alphas), "results": _map(one, list(zip(alphas, table)))}
 
 
 def uniform_slope_check(d: int, alpha: float) -> dict:

@@ -112,9 +112,10 @@ def local_exponents(series: ScalingSeries, window: int) -> ScalingSeries:
     return series.with_fit(local_exponents=np.array(rows))
 
 
-def extrapolate_exponent(series: ScalingSeries) -> float:
-    """Asymptotic exponent: the offset c of a finite-size fit to the local
-    exponents y(L_mid), with the correction form set by the regime.
+def extrapolate_exponent(series: ScalingSeries) -> tuple[float, numkit.PowerLawOffsetFit | None]:
+    """Asymptotic exponent, and the power-law fit it is the offset of (None at
+    a log regime): the offset c of a finite-size fit to the local exponents
+    y(L_mid), with the correction form set by the regime.
 
     - At a log regime (``lr_exponent(d, alpha).is_log`` for the ``d`` and
       ``alpha`` in the series metadata) the corrections are logarithmic:
@@ -134,8 +135,9 @@ def extrapolate_exponent(series: ScalingSeries) -> float:
     y = series.local_exponents[:, 1]
     meta = series.metadata
     if "d" in meta and "alpha" in meta and lr_exponent(meta["d"], meta["alpha"]).is_log:
-        return numkit.linear_fit(1.0 / np.log(l_mid), y).intercept
-    return numkit.powerlaw_offset_fit(1.0 / l_mid, y, corrections=2).offset
+        return numkit.linear_fit(1.0 / np.log(l_mid), y).intercept, None
+    fit = numkit.powerlaw_offset_fit(1.0 / l_mid, y, corrections=2)
+    return fit.offset, fit
 
 
 def fit_loglog_slope(series: ScalingSeries, size_min: float = 0.0) -> numkit.FitResult:

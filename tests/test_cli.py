@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import longwalk
-from longwalk import cli
+from longwalk import cli, experiments, numkit
 from longwalk.svgplot import SvgPlot
 
 # children run in tmp_path, so a relative PYTHONPATH would not find the package
@@ -311,6 +311,23 @@ class TestSweepCommand:
         svg = (tmp_path / f"{experiment}.svg").read_text()
         assert "2 points left out" in svg and "<circle" not in svg
 
+    def test_q2_report_carries_fit_diagnostics(self, tmp_path):
+        # each report entry gains the fitted b, its SSE and the bracket-edge
+        # flag (null where the correction is a log); the CSV keeps its columns
+        argv = ["sweep", "--experiment", "figS2b", "--reproducible", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        rows = (tmp_path / "figS2b.csv").read_text().splitlines()
+        assert rows[1] == "alpha,exponent,target,passed"
+        results = json.loads((tmp_path / "figS2b_report.json").read_text())["results"]
+        assert [r["alpha"] for r in results] == list(experiments.RING_1D_ALPHAS)
+        for r in results:
+            if r["alpha"] == 1.0:  # alpha = d: c + p / ln L, a linear fit
+                assert (r["b"], r["sse"], r["b_on_bracket_edge"]) == (None, None, None)
+            else:
+                lo, hi = numkit.POWERLAW_B_RANGE
+                assert lo <= r["b"] <= hi and r["sse"] >= 0.0
+                assert r["b_on_bracket_edge"] is False
+
     def test_fig2bcd_slope_report(self, tmp_path):
         res = run_cli(
             ["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "0.2",
@@ -386,8 +403,6 @@ class TestSweepCommand:
         assert outs["1"] == outs["4"]
 
     def test_serial_unless_threads_set(self, monkeypatch):
-        from longwalk import experiments
-
         monkeypatch.delenv("LONGWALK_THREADS", raising=False)
         assert experiments.thread_count() == 1
         monkeypatch.setenv("LONGWALK_THREADS", "3")
@@ -488,8 +503,6 @@ class TestSweepCommand:
     @pytest.mark.parametrize("flag, delta", [("-0.3", 0.3), ("0", 0.0)])
     def test_fig2a_alpha_minus_d_is_alpha_minus_d(self, tmp_path, flag, delta):
         # delta is d - alpha, so --alpha-minus-d x means delta = -x
-        from longwalk import experiments
-
         res = run_cli(
             ["sweep", "--experiment", "fig2a", "--alpha-minus-d", flag,
              "--out-dir", str(tmp_path), "--reproducible"], cwd=tmp_path,

@@ -176,6 +176,66 @@ class TestRingSpectrum:
             ring.ring_spectrum(4, 8, 1.0)
 
 
+class TestRingSpectralSummaries:
+    """The sweep-level table against the per-model path, and its memory."""
+
+    @pytest.mark.parametrize("d, alphas, sizes", [
+        (1, (0.5, 1.2, 3.0, math.inf), (2, 4, 256, 1000, 2**12)),
+        (2, (0.6, 1.0, 1.5), experiments.RING_2D_SIZES),  # 46, 90 and 182 are no powers of 2
+        (3, (0.8, 2.5), (2, 6, 16, 24, 32)),
+    ])
+    def test_bit_identical_to_the_model_path(self, d, alphas, sizes):
+        table = ring.ring_spectral_summaries(d, alphas, sizes)
+        assert len(table) == len(alphas)
+        for alpha, row in zip(alphas, table):
+            ref = [ring.ring_spectral_summary(ring.ring_spectrum(d, L, alpha)) for L in sizes]
+            # float.hex: equal bit for bit, not just ==
+            assert ([[x.hex() for x in dataclasses.astuple(s)] for s in row]
+                    == [[x.hex() for x in dataclasses.astuple(s)] for s in ref])
+
+    @pytest.mark.parametrize("d, alphas, sizes", [
+        (1, (1.0,), (64, 65)),
+        (2, (1.0,), (32, 33)),
+        (1, (0.5, 1.0), (256, ring.L_CAP[1] + 2)),
+        (2, (1.0,), (32, ring.L_CAP[2] + 2)),
+        (3, (1.0,), (8, ring.L_CAP[3] + 2)),
+        (2, (1.0, math.nan), (32, 64)),
+        (3, (-0.5,), (8,)),
+    ])
+    def test_every_size_is_validated_before_the_spectrum(self, monkeypatch, d, alphas, sizes):
+        def no_fft(kernel):
+            raise AssertionError("spectrum computed before every size was validated")
+
+        monkeypatch.setattr(numkit, "real_dft_circulant", no_fft)
+        with pytest.raises(DomainError) as table_error:
+            ring.ring_spectral_summaries(d, alphas, sizes)
+        monkeypatch.undo()
+        for alpha, L in itertools.product(alphas, sizes):
+            try:
+                ring.ring_spectrum(d, L, alpha)
+            except DomainError as exc:  # the first size ring_spectrum rejects
+                assert str(table_error.value) == str(exc)
+                break
+        else:
+            pytest.fail("ring_spectrum accepted every size")
+
+    @pytest.mark.parametrize("driver", ["fig_s2b", "fig_s2c", "fig_s3"])
+    def test_sweep_memory(self, monkeypatch, driver):
+        # 2.51 MiB for fig_s2b before the table: at L = 2^17 the kernel, its
+        # mirror and the complex transform (0.5 + 1 + 1 MiB).  fig_s2c peaked
+        # at 0.89 MiB and fig_s3 at 0.32.  A full kernel kept beside a
+        # transform, or a weight array per size, shows up here.
+        monkeypatch.delenv("LONGWALK_THREADS", raising=False)
+        import numpy.fft  # noqa: F401  numpy loads it lazily, and its import is no sweep's memory
+        tracemalloc.start()
+        try:
+            getattr(experiments, driver)()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 2**20
+
+
 class TestRingMu:
     def test_hand_value_L4(self):
         model = ring.ring_spectrum(1, 4, 1.0)

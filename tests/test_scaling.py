@@ -39,13 +39,13 @@ class TestExtrapolateExponent:
     def test_exact_power_law(self):
         Ls = np.geomspace(10, 1e4, 10)
         s = scaling.local_exponents(series_from(Ls, 3.0 * Ls**0.8), window=3)
-        assert abs(scaling.extrapolate_exponent(s) - 0.8) <= 1e-6
+        assert abs(scaling.extrapolate_exponent(s)[0] - 0.8) <= 1e-6
 
     def test_known_asymptote_with_correction(self):
         Ls = np.geomspace(16, 2**17, 13)
         y = Ls**0.6 * (1.0 + 5.0 / Ls)
         s = scaling.local_exponents(series_from(Ls, y), window=3)
-        assert abs(scaling.extrapolate_exponent(s) - 0.6) <= 0.01
+        assert abs(scaling.extrapolate_exponent(s)[0] - 0.6) <= 0.01
 
     def test_invariant_under_value_rescaling(self):
         # scale-freeness of the estimator: exact on identifiable fits; when
@@ -61,8 +61,8 @@ class TestExtrapolateExponent:
             for c in (7.25, 1e3):
                 s1 = scaling.local_exponents(series_from(Ls, y), window=3)
                 s2 = scaling.local_exponents(series_from(Ls, c * y), window=3)
-                e1 = scaling.extrapolate_exponent(s1)
-                e2 = scaling.extrapolate_exponent(s2)
+                e1 = scaling.extrapolate_exponent(s1)[0]
+                e2 = scaling.extrapolate_exponent(s2)[0]
                 assert abs(e1 - e2) <= tol
 
     def test_needs_enough_exponents(self):
@@ -92,21 +92,21 @@ class TestExtrapolateExponentSynthetic:
         one = numkit.powerlaw_offset_fit(x, y)
         assert one.exponent <= numkit.POWERLAW_B_RANGE[0] + 1e-6
         assert one.offset - c > 0.1
-        assert abs(scaling.extrapolate_exponent(s) - c) <= 0.005
+        assert abs(scaling.extrapolate_exponent(s)[0] - c) <= 0.005
 
     @pytest.mark.parametrize("d, alpha", [(1, 1.0), (2, 2.0)])
     @pytest.mark.parametrize("c, p", [(1.0, 2.0), (0.5, -1.0)])
     def test_log_correction_at_log_regime(self, d, alpha, c, p):
         # L^c / (ln L)^p: local exponent c - p / ln L, no power of 1/L fits it
         y = self.Ls**c / np.log(self.Ls) ** p
-        assert abs(scaling.extrapolate_exponent(self.local(y, d=d, alpha=alpha)) - c) <= 0.005
-        power = scaling.extrapolate_exponent(self.local(y, d=d, alpha=alpha + 0.2))
+        assert abs(scaling.extrapolate_exponent(self.local(y, d=d, alpha=alpha))[0] - c) <= 0.005
+        power = scaling.extrapolate_exponent(self.local(y, d=d, alpha=alpha + 0.2))[0]
         assert abs(power - c) > 0.04
 
     def test_regime_taken_from_metadata(self):
         y = self.Ls**0.6 * (1.0 + 5.0 / self.Ls)
-        bare = scaling.extrapolate_exponent(self.local(y))
-        off_log = scaling.extrapolate_exponent(self.local(y, d=1, alpha=1.2))
+        bare = scaling.extrapolate_exponent(self.local(y))[0]
+        off_log = scaling.extrapolate_exponent(self.local(y, d=1, alpha=1.2))[0]
         assert bare == off_log
         assert abs(bare - 0.6) <= 1e-3
 
