@@ -318,20 +318,42 @@ def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray,
         f"in {_SECULAR_MAX_ITER} iterations")
 
 
-def real_dft_circulant(half) -> np.ndarray:
+def dft_workspace(shape) -> tuple[np.ndarray, np.ndarray]:
+    """(float, complex) flat buffers for real_dft_circulant of half-axis
+    kernels of this shape or any shape no larger on every axis: the float one
+    holds an axis mirrored, max_i (2 h_i - 2) prod_{j != i} h_j entries, the
+    complex one its transform, prod_i h_i entries."""
+    size = math.prod(shape)
+    mirrored = max(size // h * (2 * h - 2) for h in shape)
+    return np.empty(mirrored), np.empty(size, dtype=complex)
+
+
+def real_dft_circulant(half, work=None) -> np.ndarray:
     """Spectrum E_k = sum_r J(r) cos(2 pi k.r / L) of a real d-dimensional
     circulant of even side L whose kernel is even on every axis (so is E),
     from J on the half-axes 0 <= r_i <= L/2 to E on the orthant 0 <= k_i <= L/2:
     each axis in turn is mirrored to length L and transformed by a real FFT,
-    keeping the real part (a DCT-I).  The largest array has L (L/2+1)^(d-1) entries.
+    keeping the real part (a DCT-I).
+
+    Every axis writes into prefixes of one workspace, the (float, complex)
+    pair of dft_workspace: the mirrored axis into the float buffer, its
+    transform into the complex one.  Without a workspace the call allocates
+    its own; with one, a sweep of transforms allocates no array per call, and
+    the result is the real view of the complex buffer, valid until the
+    workspace is used again.
     """
     e = np.asarray(half, dtype=float)
     if e.ndim == 0 or min(e.shape) < 2:
         raise DomainError(f"half-axis lengths must be >= 2, got shape {e.shape}")
+    floats, spectrum = dft_workspace(e.shape) if work is None else work
+    spectrum = spectrum[:e.size].reshape(e.shape)  # L/2+1 modes out of each L-point axis
     for axis in range(e.ndim):
         # a basic slice: np.take with an index array measured slower on the sweeps
         mirror = e[(slice(None),) * axis + (slice(-2, 0, -1),)]
-        e = np.fft.rfft(np.concatenate([e, mirror], axis=axis), axis=axis).real
+        shape = e.shape[:axis] + (2 * e.shape[axis] - 2,) + e.shape[axis + 1:]
+        mirrored = np.concatenate([e, mirror], axis=axis,
+                                  out=floats[:math.prod(shape)].reshape(shape))
+        e = np.fft.rfft(mirrored, axis=axis, out=spectrum).real
     return e
 
 

@@ -75,10 +75,12 @@ def _validate_spectrum(d: int, L: int, alpha: float) -> None:
         raise DomainError(f"d={d} size {L} exceeds cap {L_CAP[d]}")
 
 
-def _detunings(kernel: np.ndarray) -> np.ndarray:
-    """Delta_k = E_0 - E_k on the orthant, shaped like the half-axis kernel."""
-    energies = numkit.real_dft_circulant(kernel)
-    return energies.flat[0] - energies
+def _detunings(kernel: np.ndarray, work=None) -> np.ndarray:
+    """Delta_k = E_0 - E_k on the orthant, shaped like the half-axis kernel: a
+    new array, or with a dft_workspace the prefix of its float buffer."""
+    energies = numkit.real_dft_circulant(kernel, work)
+    out = None if work is None else work[0][:energies.size].reshape(energies.shape)
+    return np.subtract(energies.flat[0], energies, out=out)
 
 
 def ring_spectrum(d: int, L: int, alpha: float) -> RingModel:
@@ -116,24 +118,27 @@ def ring_perturbative_infidelity(model: RingModel, g: float) -> float:
 
 
 def _summarize(detunings: np.ndarray, d: int) -> RingSpectralSummary:
-    """(delta0, W, q2) from the detunings on the orthant, shape (L/2+1,)*d.
+    """(delta0, W, q2) from the detunings on the orthant, shape (L/2+1,)*d,
+    which it overwrites: delta0 and W are read first, then the array is
+    squared, divided and halved in place into the q2 terms.
 
     The weight of mode k is 2^d halved once per axis with k_i in {0, L/2}, so
     2^d / Delta_k^2 halved on those faces is w_k / Delta_k^2 bit for bit (powers
     of two scale exactly) with no weight array."""
-    terms = np.square(detunings)
+    delta0, bandwidth = float(detunings.ravel()[1:].min()), float(detunings.max())
+    terms = np.square(detunings, out=detunings)
     with np.errstate(divide="ignore"):  # Delta_0 = 0: its term is left out of the sum
         np.divide(2.0**d, terms, out=terms)
     for axis in range(d):
         for face in (0, -1):
             terms[(slice(None),) * axis + (face,)] *= 0.5
-    return RingSpectralSummary(delta0=float(detunings.ravel()[1:].min()),
-                               bandwidth=float(detunings.max()),
+    return RingSpectralSummary(delta0=delta0, bandwidth=bandwidth,
                                q2=float(np.sum(terms.ravel()[1:])))
 
 
 def ring_spectral_summary(model: RingModel) -> RingSpectralSummary:
-    return _summarize(model.detunings.reshape((model.L // 2 + 1,) * model.d), model.d)
+    # a copy: _summarize overwrites its argument, and the model keeps its detunings
+    return _summarize(model.detunings.reshape((model.L // 2 + 1,) * model.d).copy(), model.d)
 
 
 def ring_spectral_summaries(d: int, alphas, sizes) -> list[list[RingSpectralSummary]]:
@@ -141,24 +146,27 @@ def ring_spectral_summaries(d: int, alphas, sizes) -> list[list[RingSpectralSumm
     list) and L (inner list), bit for bit, with no RingModel.
 
     Each alpha's half-axis kernel is built once, at the largest L: J depends
-    only on r, so its leading (L/2+1)^d block is the kernel of side L.  Every
-    size is validated before any spectrum is computed.
+    only on r, so its leading (L/2+1)^d block, a view, is the kernel of side L.
+    Every transform runs in one numkit.dft_workspace sized at the largest L,
+    and the detunings overwrite its float buffer, so no array is allocated
+    per size.  Every size is validated before any spectrum is computed.
     """
     sizes = [int(L) for L in sizes]
     for alpha in alphas:
         for L in sizes:
             _validate_spectrum(d, L, alpha)
+    if not sizes:
+        return [[] for _ in alphas]
+    largest = max(sizes)
+    work = numkit.dft_workspace((largest // 2 + 1,) * d)
     table = []
     for alpha in alphas:
-        kernel, row = _coupling_kernel(d, max(sizes, default=2), alpha), {}
-        # largest first, the kernel cut to each smaller block by a copy that
-        # frees the larger one: the full kernel kept beside the smaller
-        # transforms raised fig_s2b's peak RSS by 0.4 MB
-        for L in sorted(set(sizes), reverse=True):
-            if kernel.shape[0] > L // 2 + 1:
-                kernel = kernel[(slice(L // 2 + 1),) * d].copy()
-            row[L] = _summarize(_detunings(kernel), d)
-        table.append([row[L] for L in sizes])
+        kernel = _coupling_kernel(d, largest, alpha)
+        table.append([_summarize(_detunings(kernel[(slice(L // 2 + 1),) * d], work), d)
+                      for L in sizes])
+        # freed before the next alpha's kernel is built: both alive beside the
+        # workspace would raise fig_s2b's tracemalloc peak to 3 MiB
+        del kernel
     return table
 
 

@@ -241,6 +241,27 @@ class TestRealDftCirculant:
         with pytest.raises(DomainError):
             numkit.real_dft_circulant(np.zeros((4, 1)))  # below length 2 along one axis
 
+    def test_workspace_is_bit_identical(self):
+        # one workspace for every shape in turn, larger calls before smaller
+        # ones, so a stale prefix left by a larger transform would show
+        rng = np.random.default_rng(21)
+        shapes = [(4, 6, 5), (65,), (5, 3), (2,), (4, 6, 5), (2,)]
+        work = numkit.dft_workspace((4, 6, 5))
+        for buf in work:
+            buf.fill(np.nan)
+        for shape in shapes:
+            half = rng.standard_normal(shape)
+            e = numkit.real_dft_circulant(half, work)
+            assert e.shape == shape
+            assert np.shares_memory(e, work[1])
+            assert np.array_equal(e, numkit.real_dft_circulant(half))
+
+    def test_workspace_sizes(self):
+        # the float buffer holds the largest mirrored axis, the complex one the orthant
+        floats, spectrum = numkit.dft_workspace((4, 6, 5))
+        assert (floats.size, floats.dtype, spectrum.size, spectrum.dtype) == (
+            max(6 * 6 * 5, 4 * 10 * 5, 4 * 6 * 8), np.float64, 4 * 6 * 5, np.complex128)
+
 
 class TestLinearFit:
     def test_exact_line(self):

@@ -157,7 +157,7 @@ class TestRingSpectrum:
             assert err <= 4.0 * L / (L / 2.0) ** alpha
 
     def test_d3_spectrum_and_summary_memory(self):
-        # the largest array has L (L/2+1)^2 entries: 114 MiB peak measured,
+        # the largest array has L (L/2+1)^2 entries: 82 MiB peak measured,
         # against 528 MiB when the spectrum was built on all L^3 modes
         tracemalloc.start()
         try:
@@ -219,6 +219,33 @@ class TestRingSpectralSummaries:
         else:
             pytest.fail("ring_spectrum accepted every size")
 
+    def test_one_workspace_per_table(self, monkeypatch):
+        # every transform of a table runs in the buffers of the first one
+        transform, works = numkit.real_dft_circulant, []
+
+        def recording(half, work=None):
+            works.append(work)
+            return transform(half, work)
+
+        monkeypatch.setattr(numkit, "real_dft_circulant", recording)
+        for d, alphas, sizes in [(1, (0.5, 1.0), (256, 1024, 4096)),
+                                 (2, (1.0,), experiments.RING_2D_SIZES)]:
+            works.clear()
+            ring.ring_spectral_summaries(d, alphas, sizes)
+            assert len(works) == len(alphas) * len(sizes)
+            first = works[0]
+            assert all(w is not None and np.shares_memory(w[0], first[0])
+                       and np.shares_memory(w[1], first[1]) for w in works)
+
+    def test_empty_sizes_build_nothing(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("kernel or workspace built for no size")
+
+        monkeypatch.setattr(ring, "_coupling_kernel", no_build)
+        monkeypatch.setattr(numkit, "dft_workspace", no_build)
+        assert ring.ring_spectral_summaries(1, (0.5, 1.0, 2.0), []) == [[], [], []]
+        assert ring.ring_spectral_summaries(2, (), []) == []
+
     @pytest.mark.parametrize("driver", ["fig_s2b", "fig_s2c", "fig_s3"])
     def test_sweep_memory(self, monkeypatch, driver):
         # 2.51 MiB for fig_s2b before the table: at L = 2^17 the kernel, its
@@ -253,6 +280,14 @@ class TestRingMu:
 
 
 class TestRingSpectralSummary:
+    @pytest.mark.parametrize("d, L", [(1, 64), (2, 16), (3, 8)])
+    def test_model_is_left_unchanged(self, d, L):
+        # the summary reduces a copy: its reduction overwrites its argument
+        model = ring.ring_spectrum(d, L, 1.3)
+        before = model.detunings.copy()
+        ring.ring_spectral_summary(model)
+        assert [x.hex() for x in model.detunings] == [x.hex() for x in before]
+
     def test_L4_hand_values(self):
         s = ring.ring_spectral_summary(ring.ring_spectrum(1, 4, 1.0))
         assert s.delta0 == 3.0
