@@ -5,7 +5,11 @@ strengths a^min(j, 2l-1-j), a = 2^(d-alpha).  Its spectrum is symmetric
 about zero with an exactly-zero "bus" mode in the middle; the quantity Q
 built from endpoint amplitudes and gaps controls how slowly the endpoints
 must be coupled, hence the transfer time.  Q needs no spectrum: the chain
-is bipartite, so Q and the zero mode both come from O(l) recursions.
+is bipartite, so Q and the zero mode both come from O(l) recursions.  The
+spectrum comes from the reflection-parity sectors, zero-diagonal
+tridiagonals whose eigenvalues numkit takes by dqds to high relative
+accuracy, with the endpoint weights from two interlacing spectra: no
+eigenvector is computed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,10 @@ from . import numkit
 from .errors import DomainError, PrecisionGuardError
 
 EPS = 2.0**-52
-# eigensolver error is ~eps*||H||; demand it stays 1000x below the smallest gap
+# an absolute eigensolver error ~eps*||H|| must stay 1000x below the smallest
+# gap.  The spectrum's error is relative, so it needs no guard; the guard
+# still protects the dense exact transfer (eigh on the (2l+3)-site matrix)
+# and bounds the depths of Q's sweep
 GUARD_THRESHOLD = 1e-3
 L_MAX = 100
 
@@ -98,7 +105,7 @@ def max_admissible_l(d: int, alpha: float) -> int:
 
 def build_effective_chain(d: int, alpha: float, l: int) -> EffectiveChain:
     """Bonds a^min(j, 2l-1-j) with a = 2^(d-alpha); rejects depths whose
-    smallest gap would drown in eigensolver roundoff."""
+    smallest gap would drown in the dense exact transfer's roundoff."""
     if d not in (1, 2, 3):
         raise DomainError(f"d must be 1, 2 or 3, got {d}")
     if not 0 <= alpha < math.inf:  # NaN too; alpha = inf would cut every bond but the ends
@@ -140,24 +147,27 @@ def _diagonalise(chain: EffectiveChain) -> tuple[np.ndarray, np.ndarray, np.ndar
     interleaving them descending gives parity (-1)^k, and eigenstate k's
     endpoint amplitude is |v[0]| / sqrt(2) of its sector vector v.
 
-    Each sector goes to numpy's dense LAPACK eigh.  On the strongly graded
-    sectors at the precision guard's edge that is the more accurate
-    solver: against a 30-digit mpmath solve at d=3 alpha=1.5 l=28 and d=1
-    alpha=1.9 l=46, E_{l-2} is off by <= 6.5e-10 relative, where LAPACK's
-    bisection + inverse iteration ('stebz') gave 9.3e-6
-    (tests/test_chain.py, TestGuardEdgeAccuracy).
+    Each sector is a zero-diagonal tridiagonal, so its eigenvalues come
+    from numkit.zero_diagonal_eigenvalues (dqds on its bidiagonal half) to
+    high relative accuracy, however graded the bonds, and its endpoint
+    weights |v[0]|^2 from those and the spectrum of the sector without its
+    first site (numkit.jacobi_endpoint_weights): four values-only solves
+    per chain, and no eigenvector.  Against 80-digit mpmath solves at and
+    past the precision guard's edge, the energies are within 6.7e-16
+    relative and the zero mode's energy is exactly 0.0
+    (tests/test_chain.py, TestSpectrumAccuracy).
     """
     l = chain.l
     b = chain.bonds
     n = 2 * l + 1
-    s = 1.0 / np.sqrt(2.0)
     energies = np.empty(n)
     endpoint = np.empty(n)
     even_bonds = np.concatenate([b[: l - 1], [np.sqrt(2.0) * b[l - 1]]])
     for start, e in ((0, even_bonds), (1, b[: l - 1])):
-        dec = numkit.eigh_dense(np.diag(e, 1) + np.diag(e, -1))
-        energies[start::2] = dec.eigenvalues[::-1]
-        endpoint[start::2] = np.abs(dec.eigenvectors[0, ::-1]) * s
+        lam = numkit.zero_diagonal_eigenvalues(e)
+        mu = numkit.zero_diagonal_eigenvalues(e[1:]) if e.size else np.empty(0)
+        energies[start::2] = lam
+        endpoint[start::2] = np.sqrt(numkit.jacobi_endpoint_weights(lam, mu) / 2.0)
     scale = np.max(np.abs(energies))
     if np.any(np.diff(energies) > 1e-10 * scale):
         raise ArithmeticError("sector eigenvalues failed to interlace")

@@ -7,7 +7,11 @@ Everything here is pure and deterministic.  Dense eigensolves, and the
 parity sectors of endpoint_amplitude up to dimension _SECULAR_MIN_DIM,
 run through numpy's LAPACK eigh, with an absolute-accuracy model
 eps*||H||.  Larger sectors, arrowhead matrices, go to arrowhead_spectrum,
-an O(n^2) secular-equation solver with the same backward error.  Only
+an O(n^2) secular-equation solver with the same backward error.
+Zero-diagonal tridiagonals (the chain's parity sectors) go to
+zero_diagonal_eigenvalues, LAPACK's dqds on their bidiagonal half, with a
+relative-accuracy model eps*|lambda|, and jacobi_endpoint_weights takes
+their eigenvectors' first components from two interlacing spectra.  Only
 numpy is imported.
 """
 
@@ -81,6 +85,68 @@ def eigh_dense(matrix) -> SymmetricEigenDecomposition:
         raise DomainError("matrix is not symmetric to 1e-12 relative")
     w, v = np.linalg.eigh(h)
     return SymmetricEigenDecomposition(w, v)
+
+
+def zero_diagonal_eigenvalues(offdiag) -> np.ndarray:
+    """Eigenvalues, descending, of the symmetric tridiagonal matrix with zero
+    diagonal and off-diagonal `offdiag` (dimension len(offdiag) + 1), each to
+    high relative accuracy.
+
+    Ordered even sites first, the matrix is [[0, B], [B^T, 0]], so its
+    eigenvalues are +- the singular values of B^T: the square upper
+    bidiagonal with diagonal offdiag[0::2], one trailing 0 when the
+    dimension is odd (the exact zero eigenvalue), and superdiagonal
+    offdiag[1::2].  numpy's values-only SVD (gesdd) leaves an upper
+    bidiagonal as it is and ends in LAPACK's dqds, which keeps the relative
+    accuracy of every singular value (Demmel and Kahan 1990; Fernando and
+    Parlett 1994).  Given as the lower bidiagonal B, the same entries pass
+    through a bidiagonalisation first: at d=3 alpha=1.5 l=28 that put the
+    chain's smallest energies 1.3e-10 off, against 4.4e-16.
+    """
+    b = np.asarray(offdiag, dtype=float)
+    n = b.shape[0] + 1
+    m = (n + 1) // 2
+    half = np.zeros((m, m))
+    flat = half.reshape(-1)
+    flat[: (n // 2) * (m + 1) : m + 1] = b[0::2]
+    flat[1 :: m + 1] = b[1::2]
+    sigma = np.linalg.svd(half, compute_uv=False)
+    return np.concatenate([sigma, -sigma[: n // 2][::-1]])
+
+
+def jacobi_endpoint_weights(eigenvalues, minor_eigenvalues) -> np.ndarray:
+    """Weights |v_j[0]|^2 of a Jacobi matrix's unit eigenvectors, from its
+    eigenvalues lambda (descending, distinct) and those, mu, of the matrix
+    without its first row and column (descending, interlacing lambda):
+    w_j = prod_i (lambda_j - mu_i) / prod_{i != j} (lambda_j - lambda_i)
+    (Hochstadt 1974; de Boor and Golub 1978).
+
+    mu_i is paired with lambda_i for i < j and with lambda_{i+1} for i >= j,
+    so each ratio lies in [0, 1] and the product cannot overflow.  A factor
+    lambda_j - mu_i within 8 eps max(|lambda_j|, |mu_i|) of zero keeps no
+    digit, and makes the weight 0; by interlacing, only lambda_j's
+    neighbours mu_{j-1} and mu_j can come that close.  Roundoff negatives
+    are clamped to 0.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    mu = np.asarray(minor_eigenvalues, dtype=float)
+    n = lam.shape[0]
+    if not (lam.ndim == mu.ndim == 1 and mu.shape[0] == n - 1):
+        raise DomainError("need n eigenvalues and the n - 1 of the minor as 1-d arrays")
+    num = lam[:, None] - mu
+    # lambda_j - lambda_k with k != j, in order: row j of the n x n
+    # differences with its diagonal entry dropped, which is the pairing above
+    den = (lam[:, None] - lam).reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
+    # the factors with the neighbours: num[j, j] = lambda_j - mu_j and
+    # num[j + 1, j] = lambda_{j+1} - mu_j
+    tol = 8.0 * np.finfo(float).eps
+    lost = np.zeros(n, dtype=bool)
+    lost[:-1] = np.abs(np.diagonal(num)) <= tol * np.maximum(np.abs(lam[:-1]), np.abs(mu))
+    lost[1:] |= np.abs(np.diagonal(num, -1)) <= tol * np.maximum(np.abs(lam[1:]), np.abs(mu))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in lost rows
+        weights = np.prod(num / den, axis=1)
+    weights[lost] = 0.0
+    return np.maximum(weights, 0.0)
 
 
 def _check_phases(lam_max: float, time: float) -> None:

@@ -50,6 +50,50 @@ class TestEighTridiagonal:
             assert np.all(np.diff(w) >= -1e-15 * scale)
 
 
+class TestZeroDiagonalTridiagonal:
+    """zero_diagonal_eigenvalues and jacobi_endpoint_weights, the chain's
+    parity-sector kernels, against eigh_dense."""
+
+    def test_parity_decomposable_chain(self):
+        # bonds (1,2,2,1): even sector gives {0, +-3}, odd sector {+-1}
+        e = numkit.zero_diagonal_eigenvalues([1, 2, 2, 1])
+        np.testing.assert_allclose(e, [3, 1, 0, -1, -3], atol=1e-15)
+        assert e[2] == 0.0
+
+    def test_one_and_two_sites(self):
+        assert numkit.zero_diagonal_eigenvalues([]).tolist() == [0.0]
+        assert numkit.zero_diagonal_eigenvalues([3.0]).tolist() == [3.0, -3.0]
+        assert numkit.jacobi_endpoint_weights([0.0], []).tolist() == [1.0]
+
+    def test_random_against_eigh(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 65))
+            b = rng.uniform(0.1, 2.0, n - 1)
+            dec = numkit.eigh_dense(tridiagonal(np.zeros(n), b))
+            lam = numkit.zero_diagonal_eigenvalues(b)
+            assert np.array_equal(lam, -lam[::-1])
+            np.testing.assert_allclose(lam, dec.eigenvalues[::-1], rtol=0, atol=1e-13)
+            mu = numkit.zero_diagonal_eigenvalues(b[1:]) if n > 1 else np.empty(0)
+            w = numkit.jacobi_endpoint_weights(lam, mu)
+            # the weights that read 0 (a factor with no digit) are modes
+            # localised away from site 0; here they add up to 5e-13
+            assert abs(np.sum(w) - 1.0) <= 1e-12
+            # eigh's vectors are off by up to ~eps ||H|| / gap (Davis-Kahan)
+            gap = np.min(np.abs(lam[:, None] - lam) + np.diag(np.full(n, np.inf)), axis=1)
+            tol = 1e-12 + 100 * np.finfo(float).eps * np.max(b, initial=0.0) / gap
+            assert np.all(np.abs(w - dec.eigenvectors[0, ::-1] ** 2) <= tol)
+
+    def test_factor_with_no_digit_gives_weight_zero(self):
+        # lambda_1 = mu_0: w = (1 * 3/4, 0, 1/2 * 1/2)
+        w = numkit.jacobi_endpoint_weights([2.0, 1.0, 0.0], [1.0, 0.5])
+        assert w.tolist() == [0.75, 0.0, 0.25]
+
+    def test_length_mismatch(self):
+        with pytest.raises(DomainError):
+            numkit.jacobi_endpoint_weights([1.0, -1.0], [0.0, 0.5])
+
+
 class TestEighDense:
     def test_two_site_hop(self):
         dec = numkit.eigh_dense([[0, 1], [1, 0]])

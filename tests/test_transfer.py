@@ -37,12 +37,16 @@ def site_matrix(model, monkeypatch):
 
 
 @pytest.fixture
-def tridiagonal_calls(monkeypatch):
-    """Dimensions of the chain's parity-sector solves: every eigh_dense call
-    but exact_transfer's (2l+3)-site one (l = 12 here)."""
-    calls = []
-    solve = numkit.eigh_dense
-    monkeypatch.setattr(numkit, "eigh_dense", lambda h: calls.append(len(h)) or solve(h))
+def solves(monkeypatch):
+    """Dimensions of the chain's parity-sector solves, four per chain
+    (numkit.zero_diagonal_eigenvalues), and of the eigh_dense calls, which
+    only exact_transfer's (2l+3)-site matrices make (l = 24 here)."""
+    calls = {"sectors": [], "eigh": []}
+    sector_solve, dense_solve = numkit.zero_diagonal_eigenvalues, numkit.eigh_dense
+    monkeypatch.setattr(numkit, "zero_diagonal_eigenvalues",
+                        lambda b: calls["sectors"].append(len(b) + 1) or sector_solve(b))
+    monkeypatch.setattr(numkit, "eigh_dense",
+                        lambda h: calls["eigh"].append(len(h)) or dense_solve(h))
     return calls
 
 
@@ -50,15 +54,16 @@ class TestOneDiagonalisationPerChain:
     """attach_endpoints reuses the chain's spectrum, so a g sweep or a
     choose_g + attach_endpoints pair solves the two parity sectors once."""
 
-    def test_fig2a(self, tridiagonal_calls):
+    def test_fig2a(self, solves):
         experiments.fig2a()
-        assert [n for n in tridiagonal_calls if n != 51] == [25, 24]
+        assert solves["sectors"] == [25, 24, 24, 23]
+        assert set(solves["eigh"]) == {51}
 
-    def test_chain_transfer_command(self, tridiagonal_calls, tmp_path):
+    def test_chain_transfer_command(self, solves, tmp_path):
         argv = ["transfer", "--protocol", "chain", "--d", "1", "--alpha", "1.2", "--l", "24",
                 "--epsilon", "0.01", "--out-dir", str(tmp_path), "--reproducible"]
         assert cli.main(argv) == 0
-        assert tridiagonal_calls == [25, 24, 51]
+        assert solves == {"sectors": [25, 24, 24, 23], "eigh": [51]}
 
 
 class TestAttachEndpoints:
