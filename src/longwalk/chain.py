@@ -9,7 +9,8 @@ is bipartite, so Q and the zero mode both come from O(l) recursions.  The
 spectrum comes from the reflection-parity sectors, zero-diagonal
 tridiagonals whose eigenvalues numkit takes by dqds to high relative
 accuracy, with the endpoint weights from two interlacing spectra: no
-eigenvector is computed.
+eigenvector is computed.  Chains go to the float range (``max_depth``);
+only the spectrum applies the precision guard the dense exact transfer needs.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from .errors import DomainError, PrecisionGuardError
 
 EPS = 2.0**-52
 # an absolute eigensolver error ~eps*||H|| must stay 1000x below the smallest
-# gap.  The spectrum's error is relative, so it needs no guard; the guard
-# still protects the dense exact transfer (eigh on the (2l+3)-site matrix)
-# and bounds the depths of Q's sweep
+# gap.  The spectrum's error is relative, so it needs no guard; chain_spectrum
+# applies it for the dense exact transfer (eigh on the (2l+3)-site matrix)
 GUARD_THRESHOLD = 1e-3
-L_MAX = 100
 
 
 @dataclass(frozen=True)
@@ -90,36 +89,36 @@ class QReport:
 
 
 def _guard_ok(a: float, l: int) -> bool:
-    return EPS * max(1.0, a ** (l - 1)) <= GUARD_THRESHOLD * min(1.0, a**l)
+    # min(1, a)^l = min(1, a^l), which cannot overflow at max_depth
+    return EPS * max(1.0, a ** (l - 1)) <= GUARD_THRESHOLD * min(1.0, a) ** l
+
+
+def max_depth(d: int, alpha: float) -> int:
+    """Largest even depth within the float range (0 if l=2 leaves it): l <= 1022
+    keeps L = 3*2^l - 2 a finite float, and |d-alpha| (l-1) <= 1022 keeps every
+    bond 2^((d-alpha) j), j < l, a normal float."""
+    l = 1022 if alpha == d else min(1022, int(1022 / abs(d - alpha)) + 1)
+    return l - l % 2
 
 
 def max_admissible_l(d: int, alpha: float) -> int:
     """Largest even depth passing the precision guard (0 if even l=2 fails)."""
     a = 2.0 ** (d - alpha)
-    best = 0
-    for l in range(2, L_MAX + 1, 2):
-        if _guard_ok(a, l):
-            best = l
-    return best
+    return max((l for l in range(2, max_depth(d, alpha) + 1, 2) if _guard_ok(a, l)), default=0)
 
 
 def build_effective_chain(d: int, alpha: float, l: int) -> EffectiveChain:
-    """Bonds a^min(j, 2l-1-j) with a = 2^(d-alpha); rejects depths whose
-    smallest gap would drown in the dense exact transfer's roundoff."""
+    """Bonds a^min(j, 2l-1-j) with a = 2^(d-alpha), at any even depth up to
+    max_depth(d, alpha)."""
     if d not in (1, 2, 3):
         raise DomainError(f"d must be 1, 2 or 3, got {d}")
     if not 0 <= alpha < math.inf:  # NaN too; alpha = inf would cut every bond but the ends
         raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
-    if l % 2 != 0 or not (2 <= l <= L_MAX):
-        raise DomainError(f"l must be even with 2 <= l <= {L_MAX}, got {l}")
+    lmax = max_depth(d, alpha)
+    if l % 2 != 0 or not (2 <= l <= lmax):
+        raise DomainError(f"l must be even with 2 <= l <= {lmax} for d={d}, alpha={alpha} "
+                          f"(deeper chains leave the float range), got {l}")
     a = 2.0 ** (d - alpha)
-    if not _guard_ok(a, l):
-        lmax = max_admissible_l(d, alpha)
-        raise PrecisionGuardError(
-            f"depth l={l} fails the precision guard for d={d}, alpha={alpha} "
-            f"(a=2^{d - alpha:g}); maximal admissible l is {lmax}",
-            max_admissible_l=lmax,
-        )
     j = np.arange(2 * l)
     bonds = a ** np.minimum(j, 2 * l - 1 - j)
     return EffectiveChain(d=d, alpha=alpha, l=l, a=a, bonds=bonds, L=2 ** (l + 1) + 2**l - 2)
@@ -131,7 +130,15 @@ def _eps_gap(chain: EffectiveChain) -> float:
 
 def chain_spectrum(chain: EffectiveChain) -> ChannelSpectrum:
     """The channel eigensystem, computed on the first call for each chain and
-    then returned from it (its arrays are read-only)."""
+    then returned from it (its arrays are read-only).  Every transfer path
+    reads it, so it applies the precision guard (PrecisionGuardError)."""
+    if not _guard_ok(chain.a, chain.l):
+        lmax = max_admissible_l(chain.d, chain.alpha)
+        raise PrecisionGuardError(
+            f"depth l={chain.l} fails the precision guard for d={chain.d}, "
+            f"alpha={chain.alpha} (a=2^{chain.d - chain.alpha:g}); maximal admissible l is {lmax}",
+            max_admissible_l=lmax,
+        )
     return ChannelSpectrum(chain, *chain._eigensystem)
 
 

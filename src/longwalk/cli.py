@@ -177,7 +177,6 @@ def _sweep_fig2bcd(res):
     plot.add("Q", series.sizes, series.values, "line+dots")
     report = {key: res[key] for key in
               ("panel", "saturation", "convergence_ratio", "log_r2", "slope") if key in res}
-    report["warnings"] = series.metadata["warnings"]
     table = (stem, ["L", "Q"], [series.sizes, series.values])
     return "fig2bcd_report", [table], (stem, plot), report
 
@@ -282,8 +281,6 @@ def run_command(args) -> int:
 
 
 def _print_verdicts(report: dict) -> None:
-    for warning in report.get("warnings", []):
-        print(f"warning: {warning}")
     for key in ("relative_ok", "envelope_ok"):
         if key in report:
             print(f"{report['experiment']} {key}: {'PASS' if report[key] else 'FAIL'}")

@@ -10,10 +10,10 @@ class RegimeError(ValueError):
 
 
 class PrecisionGuardError(DomainError):
-    """Recursion depth too large for the working precision.
+    """Chain too deep for its spectrum and dense exact transfer: an absolute
+    eigensolver error would not stay 1000x below the smallest physical gap.
 
-    Carries ``max_admissible_l``, the largest even depth that still keeps
-    eigenvalue errors at least 1000x below the smallest physical gap.
+    Carries ``max_admissible_l``, the largest even depth that passes.
     """
 
     def __init__(self, message: str, max_admissible_l: int):

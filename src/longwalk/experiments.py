@@ -29,8 +29,8 @@ from .scaling import TOLERANCES
 FIG2A_G_RANGE = (1e-4, 0.03, 36)
 
 # fig2bcd per chain regime: (panel, default l_min, default l_max keyed by
-# round(alpha - d, 3), default l_max for any other alpha - d).  The depths are
-# guard-admissible and deep enough that the geometric transients have died off.
+# round(alpha - d, 3), default l_max for any other alpha - d).  The depths are deep
+# enough that the geometric transients have died off; l_max runs to chain.max_depth.
 _FIG2BCD_POWER = ("d", 4, {0.2: 60, 0.5: 50, 0.8: 40}, 40)
 FIG2BCD_REGIMES = {"constant": ("b", 8, {}, 80), "log": ("c", 8, {}, 64),
                    "power": _FIG2BCD_POWER, "nearest-neighbor": _FIG2BCD_POWER}

@@ -150,6 +150,24 @@ def test_criterion_5_fig2bcd():
     assert elapsed < 60
 
 
+@pytest.mark.parametrize("dalpha", [0.2, 0.5, 0.8])
+def test_criterion_5_fig2bcd_to_the_float_range(dalpha):
+    # Q takes no eigensolver, so fig2bcd runs to the deepest chain whose L
+    # and bonds stay in the float range (l = 1022, L ~ 1.3e308 here)
+    t0 = time.time()
+    l_max = chain.max_depth(1, 1.0 + dalpha)
+    res = experiments.fig2bcd(1, dalpha, l_max=l_max)
+    depths = range(experiments.FIG2BCD_REGIMES["power"][1], l_max + 1, 2)
+    sizes_ok = res["series"].sizes.tolist() == [float(3 * 2**l - 2) for l in depths]
+    sat = res["saturation"]
+    ok = sizes_ok and sat["passed"] and sat["tolerance"] == scaling.TOLERANCES["chain_slope"]
+    report(f"5 fig2bcd to l={l_max} (alpha-d={dalpha})", ok,
+           f"slope {res['slope']:.7f} (tol {sat['tolerance']}), {len(depths)} depths, "
+           f"{time.time() - t0:.2f}s")
+    assert sizes_ok and sat["passed"] is True
+    assert sat["tolerance"] == scaling.TOLERANCES["chain_slope"]
+
+
 def test_criterion_6_gap_scaling():
     t0 = time.time()
     # a > 1: gap bounded below by a positive constant

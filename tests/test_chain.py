@@ -87,18 +87,36 @@ class TestBuildEffectiveChain:
             assert ch.L == 2 ** (l + 1) + 2**l - 2
 
     def test_precision_guard_rejects_deep_growing_chain(self):
-        # d=3, alpha=1.5: a = 2^1.5, a^(l-1) = 2^88.5 at l=60 drowns the unit gap
+        # d=3, alpha=1.5: a = 2^1.5, a^(l-1) = 2^88.5 at l=60 drowns the unit
+        # gap in the spectrum's guard; the chain itself builds
+        ch = chain.build_effective_chain(3, 1.5, 60)
         with pytest.raises(PrecisionGuardError) as err:
-            chain.build_effective_chain(3, 1.5, 60)
+            chain.chain_spectrum(ch)
         assert err.value.max_admissible_l >= 2
         assert str(err.value.max_admissible_l) in str(err.value)
 
     def test_guard_reports_max_admissible_depth(self):
         lmax = chain.max_admissible_l(1, 1.8)  # a = 2^-0.8
         assert lmax % 2 == 0
-        chain.build_effective_chain(1, 1.8, lmax)
+        chain.chain_spectrum(chain.build_effective_chain(1, 1.8, lmax))
         with pytest.raises(PrecisionGuardError):
-            chain.build_effective_chain(1, 1.8, lmax + 2)
+            chain.chain_spectrum(chain.build_effective_chain(1, 1.8, lmax + 2))
+
+    @pytest.mark.parametrize("d, alpha, lmax", [
+        (1, 1.0, 1022), (1, 1.8, 1022), (1, 0.5, 1022), (3, 1.5, 682), (1, 3.0, 512),
+        (2, 14.0, 86), (3, 0.0, 340),
+    ])
+    def test_float_range_limit(self, d, alpha, lmax):
+        # L = 3 2^l - 2 stays a finite float for l <= 1022, and the bonds
+        # 2^((d-alpha) j), j < l, normal floats for |d-alpha| (l-1) <= 1022
+        assert chain.max_depth(d, alpha) == lmax
+        assert 0 <= chain.max_admissible_l(d, alpha) <= lmax  # its guard loop stays finite
+        ch = chain.build_effective_chain(d, alpha, lmax)
+        assert np.all(np.isfinite(ch.bonds)) and np.min(ch.bonds) >= np.finfo(float).tiny
+        assert np.isfinite(float(ch.L))
+        with pytest.raises(DomainError, match=f"2 <= l <= {lmax} for d={d}") as err:
+            chain.build_effective_chain(d, alpha, lmax + 2)
+        assert not isinstance(err.value, PrecisionGuardError)
 
     def test_odd_l_rejected(self):
         with pytest.raises(DomainError):
@@ -175,11 +193,11 @@ class TestChainSpectrum:
         for d in (1, 2, 3):
             for alpha in (0.5, 1.0, 1.5, 1.9, 2.5):
                 for l in (2, 4, 10, 24, 46, 64, 84, 100):
+                    ch = chain.build_effective_chain(d, alpha, l)
                     try:
-                        ch = chain.build_effective_chain(d, alpha, l)
+                        spec = chain.chain_spectrum(ch)
                     except PrecisionGuardError:
                         continue
-                    spec = chain.chain_spectrum(ch)
                     energies, amp, parities = loop_assembly(ch)
                     assert spec.parities.tobytes() == parities.tobytes(), (d, alpha, l)
                     assert not np.any(np.signbit(spec.endpoint_amplitudes)), (d, alpha, l)
@@ -423,9 +441,10 @@ class TestGuardEdgeAccuracy:
 
 
 class TestSpectrumAccuracy:
-    """chain_spectrum against 80-digit mpmath solves of the same parity
-    sectors, inside the precision guard, at its edge and past it (built
-    without it), the zero mode excluded from the relative checks.
+    """The chain's solver (``chain._diagonalise``, which chain_spectrum runs
+    once the guard passes) against 80-digit mpmath solves of the same parity
+    sectors, inside the precision guard, at its edge and past it, the zero
+    mode excluded from the relative checks.
 
     For a > 1 (alpha < d), the modes in the chain's middle have weights
     below 1e-17 that the weights formula cannot resolve and sets to 0: every
@@ -440,16 +459,15 @@ class TestSpectrumAccuracy:
     ])
     def test_against_mpmath_sectors(self, d, alpha, l):
         mp = pytest.importorskip("mpmath").mp
-        ch = unguarded_chain(d, alpha, l)
-        spec = chain.chain_spectrum(ch)
+        ch = chain.build_effective_chain(d, alpha, l)
+        e, t, _ = chain._diagonalise(ch)
         energies, t0 = mp_sector_oracle(ch, dps=80)
-        assert spec.energies[l] == 0.0
+        assert e[l] == 0.0
         nonzero = [k for k in range(2 * l + 1) if k != l]
         with mp.workdps(80):
-            e_err = max(abs(spec.energies[k] / energies[k] - 1) for k in nonzero)
+            e_err = max(abs(e[k] / energies[k] - 1) for k in nonzero)
             assert e_err <= 1e-14
             exact = mp.fsum((t0[k] / energies[k]) ** 2 for k in nonzero)
-            t, e = spec.endpoint_amplitudes, spec.energies
             ours = mp.fsum((mp.mpf(t[k]) / e[k]) ** 2 for k in nonzero)
             assert abs(ours / exact - 1) <= 1e-13
             rel = [abs(t[k] / t0[k] - 1) for k in range(2 * l + 1)]
@@ -484,17 +502,39 @@ def mp_bordered_q(ch, dps=40):
         return mp.sqrt(mp.fsum(sol[i] ** 2 for i in range(n))) / v[0]
 
 
-def unguarded_chain(d, alpha, l):
-    """The depth-l chain built without the precision guard."""
-    a = 2.0 ** (d - alpha)
-    j = np.arange(2 * l)
-    bonds = a ** np.minimum(j, 2 * l - 1 - j)
-    return chain.EffectiveChain(d=d, alpha=alpha, l=l, a=a, bonds=bonds, L=2 ** (l + 1) + 2**l - 2)
+def mp_forward_q(ch, dps=420):
+    """Oracle: Q = ||x|| / v_0 in O(l) at `dps` digits, with the bonds
+    a^min(j, 2l-1-j), a = 2^(d-alpha), rebuilt in mpmath.
+
+    x = H^+ e_0 lives on the odd sites and solves the even rows
+    b_{2i-1} x_{2i-1} + b_{2i} x_{2i+1} = r_{2i}, r = e_0 - v_0 v, which this
+    solves forward from row 0 (the library runs backward from row 2l).  The
+    last row, b_{2l-1} x_{2l-1} = r_{2l}, is left over and must hold.  The
+    lists hold nonzero components only: v[i] = v_{2i}, r[i] = r_{2i} and
+    x[i] = x_{2i+1}."""
+    mp = pytest.importorskip("mpmath").mp
+    l = ch.l
+    with mp.workdps(dps):
+        a = mp.mpf(2) ** (ch.d - mp.mpf(ch.alpha))
+        b = [a ** min(j, 2 * l - 1 - j) for j in range(2 * l)]
+        v = [mp.one]
+        for i in range(0, 2 * l, 2):
+            v.append(-v[-1] * b[i] / b[i + 1])
+        norm = mp.sqrt(mp.fsum(x * x for x in v))
+        v = [x / norm for x in v]
+        r = [-v[0] * x for x in v]
+        r[0] += 1
+        x = [r[0] / b[0]]
+        for i in range(1, l):
+            x.append((r[i] - b[2 * i - 1] * x[-1]) / b[2 * i])
+        assert abs(b[2 * l - 1] * x[-1] - r[l]) <= mp.mpf(10) ** (-40) * abs(r[l])
+        return mp.sqrt(mp.fsum(y * y for y in x)) / v[0]
 
 
 class TestQRecursion:
     """Q from the zero-mode recursion (``EffectiveChain.q``) against 40-digit
-    bordered solves, within and past the precision guard."""
+    bordered solves, within and past the precision guard, and against a
+    420-digit forward solve out to the float range."""
 
     @pytest.mark.parametrize("d, alpha, l",
                              [(1, 1.4, 40), (2, 1.5, 24), (1, 1.0, 20), (2, 4.0, 16)])
@@ -503,11 +543,23 @@ class TestQRecursion:
         assert abs(ch.q / float(mp_bordered_q(ch)) - 1.0) <= 1e-14
 
     def test_past_the_guard(self):
-        # the guard stops at l = 28 for d=3 alpha=1.5; the recursion does not need it
+        # the guard stops the spectrum at l = 28 for d=3 alpha=1.5; the
+        # recursion does not need it
+        ch = chain.build_effective_chain(3, 1.5, 36)
         with pytest.raises(PrecisionGuardError):
-            chain.build_effective_chain(3, 1.5, 36)
-        ch = unguarded_chain(3, 1.5, 36)
+            chain.chain_spectrum(ch)
         assert abs(ch.q / float(mp_bordered_q(ch)) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("d, alpha, l", [
+        (1, 0.8, 200), (1, 0.8, 500), (1, 0.8, 1000),
+        (1, 1.2, 200), (1, 1.2, 500), (1, 1.2, 1000),
+        (3, 1.5, 682),  # the float range's limit
+    ])
+    def test_to_the_float_range(self, d, alpha, l):
+        # 4.7e-14 at d=1 alpha=1.2 l=1000 is the largest difference seen:
+        # the float bonds a^999 carry the rounding of a 999 times
+        ch = chain.build_effective_chain(d, alpha, l)
+        assert abs(ch.q / float(mp_forward_q(ch)) - 1.0) <= 1e-13
 
     def test_computed_once_per_chain(self, monkeypatch):
         calls = []

@@ -338,21 +338,32 @@ class TestSweepCommand:
         assert abs(payload["slope"] - 0.2) <= 0.03
         assert payload["saturation"]["passed"] is True
         assert "manifest" in payload and "timestamp" not in payload["manifest"]
-        assert payload["warnings"] == []
+        assert "warnings" not in payload
         assert "warning" not in res.stdout
 
-    def test_fig2bcd_reports_skipped_depths(self, tmp_path):
-        # at alpha = 1.8 the precision guard admits l <= 52 only
+    def test_fig2bcd_writes_depths_past_the_guard(self, tmp_path):
+        # at alpha = 1.8 the precision guard admits l <= 52 only, for the
+        # spectrum; Q needs none, so all 39 depths 4, 6, ..., 80 are written
         res = run_cli(
             ["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "0.8",
              "--l-max", "80", "--out-dir", str(tmp_path), "--reproducible"], cwd=tmp_path,
         )
         assert res.returncode == 0, res.stderr
-        warnings = json.loads((tmp_path / "fig2bcd_report.json").read_text())["warnings"]
-        skipped = list(range(54, 81, 2))
-        assert [w.split(" ")[0] for w in warnings] == [f"l={l}" for l in skipped]
-        lines = [line for line in res.stdout.splitlines() if line.startswith("warning: ")]
-        assert lines == [f"warning: {w}" for w in warnings]
+        rows = (tmp_path / "fig2d_delta0.8.csv").read_text().splitlines()[2:]
+        sizes = [float(row.split(",")[0]) for row in rows]
+        assert sizes == [3.0 * 2**l - 2 for l in range(4, 81, 2)]
+        assert "warnings" not in json.loads((tmp_path / "fig2bcd_report.json").read_text())
+        assert "warning" not in res.stdout
+
+    def test_fig2bcd_past_the_float_range_exit_3(self, tmp_path):
+        # L = 3 2^l - 2 overflows a float above l = 1022
+        res = run_cli(
+            ["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "0.5",
+             "--l-max", "1024", "--out-dir", str(tmp_path / "out")], cwd=tmp_path,
+        )
+        assert res.returncode == 3
+        assert "2 <= l <= 1022 for d=1, alpha=1.5" in res.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_figs3_bandwidth_log_fit(self, tmp_path):
         res = run_cli(

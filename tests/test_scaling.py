@@ -159,10 +159,17 @@ class TestLrExponent:
 
 
 class TestQScalingSweep:
-    def test_guard_violations_become_warnings(self):
+    def test_depths_past_the_guard_are_kept(self):
+        # the precision guard stops alpha = 1.8's spectrum at l = 52; Q needs
+        # no spectrum, so the sweep keeps every depth
         series = scaling.q_scaling_sweep(1, 1.8, 4, 80)
-        assert len(series.metadata["warnings"]) > 0
-        assert series.sizes.shape[0] > 0
+        np.testing.assert_array_equal(series.sizes, [3.0 * 2**l - 2 for l in range(4, 81, 2)])
+        assert np.all(np.isfinite(series.values)) and np.all(series.values > 0)
+        assert series.metadata["warnings"] == []
+
+    def test_depth_past_the_float_range_raises(self):
+        with pytest.raises(DomainError, match="2 <= l <= 1022 for d=1, alpha=1.8"):
+            scaling.q_scaling_sweep(1, 1.8, 1020, 1024)
 
     def test_sizes_are_transfer_distances(self):
         series = scaling.q_scaling_sweep(1, 1.0, 4, 8)
