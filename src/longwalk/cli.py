@@ -185,7 +185,8 @@ def _sweep_figs2a(res):
     table = ("figS2a", ["g", "eps_exact", "eps_perturbative"],
              [res["g"], res["eps_exact"], res["eps_perturbative"]])
     plot = _infidelity_plot("ring transfer infidelity vs coupling", res)
-    report = {key: res[key] for key in ("L", "alpha", "max_relative_deviation", "relative_ok")}
+    report = {key: res[key] for key in ("L", "alpha", "max_relative_deviation", "relative_ok",
+                                        "unresolved_exact_points")}
     return "figS2a_report", [table], ("figS2a", plot), report
 
 

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit
+from . import numkit, transfer
 from .errors import DomainError
-from .transfer import TransferOutcome
 
 # largest side length of the spectrum per dimension d
 L_CAP = {1: 2**17, 2: 512, 3: 256}
@@ -31,16 +30,9 @@ class RingModel:
     L: int
     alpha: float
     N: int  # L^d channel modes
-    # on the orthant 0 <= k_i <= L/2, flat, row-major: index sum_i k_i (L/2+1)^(d-i)
-    detunings: np.ndarray  # Delta_k = E_0 - E_k >= 0
-    parities: np.ndarray  # (-1)^(sum_i k_i), int8: an eighth of float64's memory
-    weights: np.ndarray  # lattice modes of energy E_k: prod_i (1 at k_i in {0, L/2}, else 2)
-
-    def omega(self, g: float) -> float:
-        return np.sqrt(2.0) * g / np.sqrt(self.N)
-
-    def transfer_time(self, g: float) -> float:
-        return np.pi / self.omega(g)
+    # Delta_k = E_0 - E_k >= 0 on the orthant 0 <= k_i <= L/2, flat, row-major:
+    # index sum_i k_i (L/2+1)^(d-i)
+    detunings: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -87,34 +79,7 @@ def ring_spectrum(d: int, L: int, alpha: float) -> RingModel:
     """Exact circulant spectrum of the min-image power-law kernel, on the orthant."""
     _validate_spectrum(d, L, alpha)
     detunings = _detunings(_coupling_kernel(d, L, alpha)).ravel()
-    k = np.arange(L // 2 + 1)
-    p = np.where(k % 2, -1, 1).astype(np.int8)
-    w = np.where((k == 0) | (k == L // 2), 1.0, 2.0)
-    p, w = (functools.reduce(np.multiply.outer, (v,) * d).ravel() for v in (p, w))
-    return RingModel(d=d, L=L, alpha=alpha, N=L**d, detunings=detunings,
-                     parities=p, weights=w)
-
-
-def ring_mu(model: RingModel, g: float) -> float:
-    """Level-repulsion compensation Omega^2 sum_{k != 0} [1 - 3(-1)^k]/(2 Delta_k),
-    quoted in the frame where the resonant mode sits at zero energy."""
-    if not 0 < g < math.inf:
-        raise DomainError(f"g must be positive and finite, got {g}")
-    om = model.omega(g)
-    d, p, w = model.detunings[1:], model.parities[1:], model.weights[1:]
-    with np.errstate(over="ignore"):  # reported below
-        mu = float(om**2 * np.sum(w * (1.0 - 3.0 * p) / (2.0 * d)))
-    if not math.isfinite(mu):
-        raise ArithmeticError(f"the level-repulsion shift mu overflows at g={g}")
-    return mu
-
-
-def ring_perturbative_infidelity(model: RingModel, g: float) -> float:
-    """Omega^2 sum_{k != 0} [1 + (-1)^{sum k_i} cos(Delta_k T)] / Delta_k^2 at
-    T = pi / Omega."""
-    om, t = model.omega(g), model.transfer_time(g)
-    d, p, w = model.detunings[1:], model.parities[1:], model.weights[1:]
-    return float(om**2 * np.sum(w * (1.0 + p * np.cos(d * t)) / d**2))
+    return RingModel(d=d, L=L, alpha=alpha, N=L**d, detunings=detunings)
 
 
 def _summarize(detunings: np.ndarray, d: int) -> RingSpectralSummary:
@@ -170,9 +135,10 @@ def ring_spectral_summaries(d: int, alphas, sizes) -> list[list[RingSpectralSumm
     return table
 
 
-def _fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flat indices, multiplicities) of the modes the endpoints see, each
-    standing in for mult channel modes with endpoint overlap sqrt(mult/N).
+def _fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat indices, multiplicities, parities) of the modes the endpoints see,
+    each standing in for mult channel modes with endpoint overlap sqrt(mult/N)
+    and parity (-1)^(sum k_i) at Y.
 
     X (site 0) and Y (the antipode) see only the cosine combination of each
     k_i <-> L - k_i pair, and only the symmetric combination of the axis
@@ -180,7 +146,8 @@ def _fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     tuples k_1 <= ... <= k_d <= L/2 stand in: mult is the product of the axis
     weights (1 at k_i = 0 and L/2, 2 elsewhere) times the d!/prod(run!)
     distinct permutations (runs of equal adjacent entries).  Modes are merged
-    by index (into RingModel's orthant), never by comparing energies.
+    by index (into RingModel's orthant), never by comparing energies.  The
+    first kept mode is k = 0.
     """
     ks = np.indices((L // 2 + 1,) * d).reshape(d, -1)
     ks = ks[:, np.all(ks[:-1] <= ks[1:], axis=0)]
@@ -189,47 +156,66 @@ def _fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     for i in range(1, d):
         run = np.where(ks[i] == ks[i - 1], run + 1.0, 1.0)
         mult /= run
-    return np.ravel_multi_index(ks, (L // 2 + 1,) * d), mult
+    parities = 1.0 - 2.0 * (ks.sum(axis=0) % 2)
+    return np.ravel_multi_index(ks, (L // 2 + 1,) * d), mult, parities
 
 
-def _sector(d: int, L: int, flat: np.ndarray) -> int:
+def _sector(parities: np.ndarray) -> int:
     """Dimension of the larger parity sector: one endpoint state plus its modes."""
-    odd = np.sum(np.unravel_index(flat, (L // 2 + 1,) * d), axis=0) % 2
-    return 1 + int(np.bincount(odd, minlength=2).max())
+    odd = int(np.count_nonzero(parities < 0))
+    return 1 + max(odd, parities.size - odd)
 
 
-def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> TransferOutcome:
+def _channel(model: RingModel, g: float, fold, q2: float) -> transfer.EndpointChannel:
+    """The ring's channel: the folded modes in the frame where the k = 0 mode
+    sits at zero energy (channel -Delta_k, endpoints at -mu, the level-repulsion
+    shift sum_{k != 0} Omega_k^2 [1 - 3 p_k] / (2 Delta_k)), with
+    Omega_k = Omega sqrt(mult_k), Omega = sqrt(2) g / sqrt(N) and S = Omega^2 q2."""
+    if not 0 < g < math.inf:
+        raise DomainError(f"g must be positive and finite, got {g}")
+    flat, mult, parities = fold
+    om, delta = np.sqrt(2.0) * g / np.sqrt(model.N), model.detunings[flat]
+    with np.errstate(over="ignore"):  # mu is reported below, S where it is read
+        mu = float(om**2 * np.sum(mult[1:] * (1.0 - 3.0 * parities[1:]) / (2.0 * delta[1:])))
+        s = float(om**2 * q2)
+    if not math.isfinite(mu):
+        raise ArithmeticError(f"the level-repulsion shift mu overflows at g={g}")
+    return transfer.EndpointChannel(
+        energies=-delta, omegas=om * np.sqrt(mult), parities=parities, onsite=-mu,
+        resonant=0, g=g, L=model.L, offres_weight=s)
+
+
+def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> transfer.TransferOutcome:
     """Exact evolution of |X> for T = pi sqrt(N) / (sqrt(2) g), with the
-    perturbative prediction and the small-g envelope 2 Omega^2 q2 attached.
+    perturbative prediction and the small-g envelope 2 S = 2 Omega^2 q2 as
+    the bound, valid when delta0 >= 4 Omega and S < 3/4.
 
-    Uses numkit.endpoint_amplitude on the folded channel modes, in the frame
-    where the k = 0 mode sits at zero energy (channel -Delta_k, endpoints
-    -mu); the parity of Y at the antipode is (-1)^(sum k_i).  Parity sectors
-    above dimension 170 (d = 1 L >= 676, d = 2 L >= 50, d = 3 L >= 22) are
-    solved by the O(n^2) secular solver, smaller ones by dense eigh.  Sizes
-    whose larger parity sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250
-    and 68 at d = 1, 2 and 3) are rejected before the spectrum is computed.
+    Uses numkit.endpoint_amplitude on the folded channel modes (_channel).
+    Parity sectors above dimension 170 (d = 1 L >= 676, d = 2 L >= 50, d = 3
+    L >= 22) are solved by the O(n^2) secular solver, smaller ones by dense
+    eigh.  Sizes whose larger parity sector exceeds numkit.DENSE_DIM_CAP
+    (L > 16378, 250 and 68 at d = 1, 2 and 3) are rejected before the
+    spectrum is computed.
     """
     _validate(d, L, alpha)
     cap = numkit.DENSE_DIM_CAP
-    flat, mult = _fold(d, L) if L <= L_CAP[d] else (None, None)
-    if flat is None or _sector(d, L, flat) > cap:
+    fold = _fold(d, L) if L <= L_CAP[d] else None
+    if fold is None or _sector(fold[2]) > cap:
         # the sector grows with L, so bisection finds the largest exact size
         sizes = range(2, min(L, L_CAP[d]) + 1, 2)
-        n = bisect.bisect_right(sizes, cap, key=lambda size: _sector(d, size, _fold(d, size)[0]))
+        n = bisect.bisect_right(sizes, cap, key=lambda size: _sector(_fold(d, size)[2]))
         raise DomainError(
             f"ring d={d} L={L}: a parity sector of the exact solve would exceed "
             f"dimension {cap}; the largest exact size is L={sizes[n - 1]}"
         )
     model = ring_spectrum(d, L, alpha)
-    mu, t = ring_mu(model, g), model.transfer_time(g)
-    amplitude = numkit.endpoint_amplitude(
-        -model.detunings[flat], g * np.sqrt(mult / model.N), model.parities[flat], -mu, t)
-    fidelity = float(abs(amplitude) ** 2)
-    summ, om = ring_spectral_summary(model), model.omega(g)
-    conditions = (bool(summ.delta0 >= 4.0 * om), bool(om**2 * summ.q2 < 0.75))
-    return TransferOutcome(
-        T=t, g=g, L=L, fidelity_exact=fidelity, infidelity_exact=1.0 - fidelity,
-        infidelity_perturbative=ring_perturbative_infidelity(model, g),
-        infidelity_bound=2.0 * om**2 * summ.q2, bound_conditions_met=conditions,
-    )
+    summary = ring_spectral_summary(model)
+    channel = _channel(model, g, fold, summary.q2)
+    # Omega_k / sqrt(2) as g sqrt(mult/N), without the roundoff of sqrt(2)
+    couplings = g * np.sqrt(fold[1] / model.N)
+    amplitude = numkit.endpoint_amplitude(channel.energies, couplings, channel.parities,
+                                          channel.onsite, channel.T)
+    conditions = (bool(summary.delta0 >= 4.0 * channel.omegas[0]),
+                  bool(channel.offres_weight < 0.75))
+    return transfer.outcome(channel, float(abs(amplitude) ** 2),
+                            transfer.small_g_envelope(channel), conditions)

@@ -1,10 +1,11 @@
-"""Endpoint tunneling through the channel's zero mode (alpha >= d/2).
+"""Endpoint tunneling through a resonant channel mode.
 
-Attaching X and Y with coupling g turns the zero mode into a resonant bus;
-evolution for T = pi / Omega_l swaps the endpoint populations up to the
-infidelity contributed by off-resonant modes.  This module evaluates that
-infidelity three ways: exact evolution, leading-order perturbation theory,
-and the rigorous 3 * sum Omega_k^2/E_k^2 bound with its validity flags.
+Attaching X and Y with coupling g turns the resonant mode (the chain's zero
+mode, the ring's k = 0 mode) into a bus; evolution for T = pi / Omega_res
+swaps the endpoint populations up to the infidelity of the off-resonant
+modes.  On one EndpointChannel record per protocol this module evaluates the
+leading-order infidelity and the small-g envelope and assembles the outcome;
+for the chain also the exact evolution, the rigorous bound and choose_g.
 """
 
 from __future__ import annotations
@@ -20,15 +21,25 @@ from .errors import DomainError
 
 
 @dataclass(frozen=True)
-class TunnelingModel:
-    spectrum: chain_mod.ChannelSpectrum
+class EndpointChannel:
+    """What the endpoints X and Y see: the channel modes in the frame where the
+    resonant mode sits at zero energy.  X couples to mode k with
+    Omega_k / sqrt(2), Y with p_k Omega_k / sqrt(2)."""
+
+    energies: np.ndarray  # E_k, E_resonant = 0
+    omegas: np.ndarray  # Omega_k, the Rabi couplings to the mode pairs
+    parities: np.ndarray  # p_k = +-1, relative to the resonant mode
+    onsite: float  # the endpoints' on-site energy
+    resonant: int  # index of the resonant mode
     g: float
-    omegas: np.ndarray  # Omega_k = sqrt(2) g t_k^(0)
-    T: float  # pi / Omega_l
+    L: int  # chain: transfer distance; ring: side length
+    offres_weight: float  # S = sum_{k != res} Omega_k^2/E_k^2, from the protocol's closed form
+    chain: chain_mod.EffectiveChain | None = None  # the chain's bonds, for its dense exact step
 
     @property
-    def zero_index(self) -> int:
-        return self.spectrum.zero_index
+    def T(self) -> float:
+        """pi / Omega_res"""
+        return np.pi / self.omegas[self.resonant]
 
 
 @dataclass(frozen=True)
@@ -43,76 +54,69 @@ class TransferOutcome:
     bound_conditions_met: tuple[bool, bool]
 
 
-def attach_endpoints(chain: chain_mod.EffectiveChain, g: float) -> TunnelingModel:
+def attach_endpoints(chain: chain_mod.EffectiveChain, g: float) -> EndpointChannel:
+    """The chain's channel: its spectrum, whose zero mode k = l is the resonant
+    one (l is even, so the parities (-1)^k are relative to it), with
+    Omega_k = sqrt(2) g t_k^(0) and S = 2 (g t_l^(0) Q)^2."""
     if not 0 < g < np.inf:
         raise DomainError(f"coupling g must be positive and finite, got {g}")
     spectrum = chain_mod.chain_spectrum(chain)
-    omegas = np.sqrt(2.0) * g * spectrum.endpoint_amplitudes
-    return TunnelingModel(spectrum=spectrum, g=g, omegas=omegas, T=np.pi / omegas[chain.l])
+    with np.errstate(over="ignore"):  # an overflow is reported where S is read
+        s = float(2.0 * np.float64(g * spectrum.t_l_0 * chain.q) ** 2)
+    return EndpointChannel(
+        energies=spectrum.energies, omegas=np.sqrt(2.0) * g * spectrum.endpoint_amplitudes,
+        parities=spectrum.parities, onsite=0.0, resonant=chain.l, g=g, L=chain.L,
+        offres_weight=s, chain=chain)
 
 
-def _finite(value: float, name: str, model: TunnelingModel) -> float:
+def _finite(value: float, name: str, channel: EndpointChannel) -> float:
     if not math.isfinite(value):
-        raise ArithmeticError(f"the {name} overflows at g={model.g}")
+        raise ArithmeticError(f"the {name} overflows at g={channel.g}")
     return value
 
 
-def perturbative_infidelity(model: TunnelingModel) -> float:
-    """Leading-order result sum_{k != l} Omega_k^2 [1 + (-1)^k cos(E_k T)] / E_k^2
-    evaluated at T = pi / Omega_l; ArithmeticError if Omega_k^2 overflows."""
-    spec = model.spectrum
-    off = np.arange(spec.energies.shape[0]) != model.zero_index
-    ek, om, par = spec.energies[off], model.omegas[off], spec.parities[off]
+def perturbative_infidelity(channel: EndpointChannel) -> float:
+    """Leading-order result sum_{k != res} Omega_k^2 [1 + p_k cos(E_k T)] / E_k^2
+    evaluated at T = pi / Omega_res; ArithmeticError if Omega_k^2 overflows."""
+    off = np.arange(channel.energies.shape[0]) != channel.resonant
+    ek, om, par = channel.energies[off], channel.omegas[off], channel.parities[off]
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-        eps = float(np.sum(om**2 * (1.0 + par * np.cos(ek * model.T)) / ek**2))
-    return _finite(eps, "perturbative infidelity", model)
+        eps = float(np.sum(om**2 * (1.0 + par * np.cos(ek * channel.T)) / ek**2))
+    return _finite(eps, "perturbative infidelity", channel)
 
 
-def _offres_weight(model: TunnelingModel) -> float:
-    """sum_{k != l} Omega_k^2/E_k^2 = 2 (g t_l^(0) Q)^2, the sum that choose_g
-    inverts; ArithmeticError if it overflows."""
-    spec = model.spectrum
-    with np.errstate(over="ignore"):  # checked by _finite
-        s = float(2.0 * np.float64(model.g * spec.t_l_0 * spec.chain.q) ** 2)
-    return _finite(s, "sum of Omega_k^2/E_k^2", model)
+def small_g_envelope(channel: EndpointChannel) -> float:
+    """2 S: the termwise ceiling of the perturbative infidelity."""
+    return _finite(2.0 * channel.offres_weight, "sum of Omega_k^2/E_k^2", channel)
 
 
-def infidelity_rigorous_bound(model: TunnelingModel) -> tuple[float, tuple[bool, bool]]:
-    """3 sum_{k != l} Omega_k^2/E_k^2, valid when E_{l-2} >= 4 Omega_l and the
-    sum of Omega_k^2/E_k^2 stays below 3/4."""
-    s = _offres_weight(model)
-    l = model.zero_index
-    gap_ok = bool(model.spectrum.energies[l - 2] >= 4.0 * model.omegas[l])
-    sum_ok = bool(s < 0.75)
-    return 3.0 * s, (gap_ok, sum_ok)
+def infidelity_rigorous_bound(channel: EndpointChannel) -> tuple[float, tuple[bool, bool]]:
+    """The chain's bound 3 S, valid when E_{l-2} >= 4 Omega_l and S < 3/4."""
+    s = _finite(channel.offres_weight, "sum of Omega_k^2/E_k^2", channel)
+    l = channel.resonant
+    gap_ok = bool(channel.energies[l - 2] >= 4.0 * channel.omegas[l])
+    return 3.0 * s, (gap_ok, bool(s < 0.75))
 
 
-def small_g_envelope(model: TunnelingModel) -> float:
-    """2 sum_{k != l} Omega_k^2/E_k^2: the termwise ceiling of the
-    perturbative infidelity."""
-    return 2.0 * _offres_weight(model)
+def outcome(channel: EndpointChannel, fidelity: float, bound: float,
+            conditions: tuple[bool, bool]) -> TransferOutcome:
+    """An exact fidelity on the channel, with its perturbative prediction and
+    the protocol's bound and validity flags."""
+    return TransferOutcome(
+        T=channel.T, g=channel.g, L=channel.L, fidelity_exact=fidelity,
+        infidelity_exact=1.0 - fidelity, infidelity_perturbative=perturbative_infidelity(channel),
+        infidelity_bound=bound, bound_conditions_met=conditions)
 
 
-def exact_transfer(model: TunnelingModel) -> TransferOutcome:
-    """Evolve |X> for T by dense eigendecomposition of the (2l+3)-site matrix
-    over (X, 0..2l, Y) and fill in the perturbative and bound fields."""
-    bonds = np.concatenate([[model.g], model.spectrum.chain.bonds, [model.g]])
+def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
+    """Evolve |X> for T by dense eigendecomposition of the chain's (2l+3)-site
+    matrix over (X, 0..2l, Y) and fill in the perturbative and bound fields."""
+    bonds = np.concatenate([[channel.g], channel.chain.bonds, [channel.g]])
     dec = numkit.eigh_dense(np.diag(bonds, 1) + np.diag(bonds, -1))
     psi0 = np.zeros(dec.dim)
     psi0[0] = 1.0
-    psi = numkit.evolve(dec, psi0, model.T)
-    fidelity = float(abs(psi[-1]) ** 2)
-    bound, conditions = infidelity_rigorous_bound(model)
-    return TransferOutcome(
-        T=model.T,
-        g=model.g,
-        L=model.spectrum.chain.L,
-        fidelity_exact=fidelity,
-        infidelity_exact=1.0 - fidelity,
-        infidelity_perturbative=perturbative_infidelity(model),
-        infidelity_bound=bound,
-        bound_conditions_met=conditions,
-    )
+    psi = numkit.evolve(dec, psi0, channel.T)
+    return outcome(channel, float(abs(psi[-1]) ** 2), *infidelity_rigorous_bound(channel))
 
 
 def choose_g(spectrum: chain_mod.ChannelSpectrum, epsilon_target: float) -> float:

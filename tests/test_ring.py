@@ -6,18 +6,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from longwalk import experiments, numkit, ring
+from longwalk import experiments, numkit, ring, transfer
 from longwalk.errors import DomainError
 
 from closed_forms import ring_sector
+
+
+def ring_channel(d: int, L: int, alpha: float, g: float):
+    """The ring's EndpointChannel, built as ring_exact_transfer builds it."""
+    model = ring.ring_spectrum(d, L, alpha)
+    return ring._channel(model, g, ring._fold(d, L), ring.ring_spectral_summary(model).q2)
 
 
 def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
     """Oracle: |<Y|psi(T)>|^2 from the lab-frame (N+2) site matrix (power-law
     channel, endpoint bonds g to site 0 and to the antipode, endpoint
     diagonal E_0 - mu, E_0 from complex_fft_spectrum), diagonalised densely."""
-    model = ring.ring_spectrum(d, L, alpha)
-    n = model.N
+    channel = ring_channel(d, L, alpha, g)
+    n = L**d
     coords = np.indices((L,) * d).reshape(d, -1).T
     diff = np.abs(coords[:, None, :] - coords[None, :, :])
     diff = np.minimum(diff, L - diff)
@@ -29,10 +35,10 @@ def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
     h[n, 0] = h[0, n] = g
     h[n + 1, site_y] = h[site_y, n + 1] = g
     e0 = complex_fft_spectrum(d, L, alpha)[0]
-    h[n, n] = h[n + 1, n + 1] = e0 - ring.ring_mu(model, g)
+    h[n, n] = h[n + 1, n + 1] = e0 + channel.onsite
     psi0 = np.zeros(n + 2)
     psi0[n] = 1.0
-    psi = numkit.evolve(numkit.eigh_dense(h), psi0, model.transfer_time(g))
+    psi = numkit.evolve(numkit.eigh_dense(h), psi0, channel.T)
     return float(abs(psi[n + 1]) ** 2)
 
 
@@ -64,11 +70,13 @@ def folded_index(d: int, L: int) -> np.ndarray:
 
 class TestRingSpectrum:
     def test_L4_alpha1_hand_values(self):
-        # E = [2.5, -0.5, -1.5, -0.5]; the orthant keeps k = 0, 1, 2
+        # E = [2.5, -0.5, -1.5, -0.5]; the orthant and the fold keep k = 0, 1, 2
         model = ring.ring_spectrum(1, 4, 1.0)
         np.testing.assert_allclose(model.detunings, [0, 3, 4], atol=1e-14)
-        np.testing.assert_array_equal(model.weights, [1, 2, 1])
-        np.testing.assert_array_equal(model.parities, [1, -1, 1])
+        flat, mult, parities = ring._fold(1, 4)
+        np.testing.assert_array_equal(flat, [0, 1, 2])
+        np.testing.assert_array_equal(mult, [1, 2, 1])
+        np.testing.assert_array_equal(parities, [1, -1, 1])
 
     def test_inversion_symmetry(self):
         # the orthant value at k stands in for the lattice mode L - k too
@@ -79,10 +87,11 @@ class TestRingSpectrum:
             np.testing.assert_allclose(model.detunings[1:], inverted, rtol=1e-12, atol=1e-12)
 
     def test_traceless(self):
-        # sum_k E_k = 0 over the lattice, so E_0 = sum_k w_k Delta_k / N
+        # sum_k E_k = 0 over the lattice, so E_0 = sum_k mult_k Delta_k / N on the fold
         for d, L, alpha in [(1, 16, 0.7), (1, 128, 1.5), (2, 12, 1.0), (3, 6, 2.2)]:
             model = ring.ring_spectrum(d, L, alpha)
-            e0 = np.sum(model.weights * model.detunings) / model.N
+            flat, mult, _ = ring._fold(d, L)
+            e0 = np.sum(mult * model.detunings[flat]) / model.N
             assert abs(e0 - complex_fft_spectrum(d, L, alpha)[0]) <= 1e-9  # max |J| = 1
 
     def test_closed_form_match(self):
@@ -114,30 +123,12 @@ class TestRingSpectrum:
             assert np.all(model.detunings[1:] > 0), (d, L, alpha)
 
     def test_d2_parities(self):
-        model = ring.ring_spectrum(2, 4, 1.0)
-        k = np.arange(3)
-        expect = ((-1.0) ** (k[:, None] + k[None, :])).ravel()
-        np.testing.assert_array_equal(model.parities, expect)
-        np.testing.assert_array_equal(model.weights, [1, 2, 1, 2, 4, 2, 1, 2, 1])
-        np.testing.assert_array_equal(ring.ring_spectrum(1, 6, 1.0).parities,
-                                      (-1.0) ** np.arange(4))
-
-    @pytest.mark.parametrize("d, L", [(1, 256), (2, 32), (3, 16)])
-    def test_int8_parities_give_the_float64_results_bit_for_bit(self, d, L):
-        model = ring.ring_spectrum(d, L, 1.3)
-        assert model.parities.dtype == np.int8
-        wide = dataclasses.replace(model, parities=model.parities.astype(float))
-        expect = (-1.0) ** np.indices((L // 2 + 1,) * d).sum(axis=0).ravel()
-        np.testing.assert_array_equal(wide.parities, expect)
-        g = 1e-3
-        assert ring.ring_mu(model, g) == ring.ring_mu(wide, g)
-        assert (ring.ring_perturbative_infidelity(model, g)
-                == ring.ring_perturbative_infidelity(wide, g))
-        flat, mult = ring._fold(d, L)
-        args = (-model.detunings[flat], g * np.sqrt(mult / model.N))
-        t = model.transfer_time(g)
-        assert (numkit.endpoint_amplitude(*args, model.parities[flat], 0.0, t)
-                == numkit.endpoint_amplitude(*args, wide.parities[flat], 0.0, t))
+        # the fold keeps (0,0), (0,1), (0,2), (1,1), (1,2), (2,2) of the 3x3 orthant
+        flat, mult, parities = ring._fold(2, 4)
+        np.testing.assert_array_equal(flat, [0, 1, 2, 4, 5, 8])
+        np.testing.assert_array_equal(parities, [1, -1, 1, 1, -1, 1])
+        np.testing.assert_array_equal(mult, [1, 4, 2, 4, 4, 1])
+        np.testing.assert_array_equal(ring._fold(1, 6)[2], (-1.0) ** np.arange(4))
 
     def test_d2_closed_form_modulo_boundary_terms(self):
         # the quoted 2D cosine-sum form drops the x,y = L/2 boundary terms;
@@ -264,19 +255,19 @@ class TestRingSpectralSummaries:
 
 
 class TestRingMu:
+    """mu, the level-repulsion shift: the endpoints sit at -mu."""
+
     def test_hand_value_L4(self):
-        model = ring.ring_spectrum(1, 4, 1.0)
         for g in (0.1, 1.0):
-            mu = ring.ring_mu(model, g)
+            mu = -ring_channel(1, 4, 1.0, g).onsite
             assert abs(mu - 13 * g**2 / 24) <= 1e-14 * max(1.0, g**2)
 
     def test_quadratic_in_g(self):
-        model = ring.ring_spectrum(1, 50, 1.2)
-        assert abs(ring.ring_mu(model, 0.2) - 4 * ring.ring_mu(model, 0.1)) <= 1e-15
+        mu = [-ring_channel(1, 50, 1.2, g).onsite for g in (0.1, 0.2)]
+        assert abs(mu[1] - 4 * mu[0]) <= 1e-15
 
     def test_near_nearest_neighbor_limit(self):
-        model = ring.ring_spectrum(1, 12, 50.0)
-        assert np.isfinite(ring.ring_mu(model, 0.05))
+        assert np.isfinite(ring_channel(1, 12, 50.0, 0.05).onsite)
 
 
 class TestRingSpectralSummary:
@@ -298,7 +289,8 @@ class TestRingSpectralSummary:
         # all-to-all: E_0 = L - 1 and E_k = -1, so every Delta_k (k != 0) is L
         for L in (8, 50, 256):
             model = ring.ring_spectrum(1, L, 0.0)
-            assert abs(np.sum(model.weights * model.detunings) / model.N - (L - 1)) <= 1e-9 * L
+            flat, mult, _ = ring._fold(1, L)
+            assert abs(np.sum(mult * model.detunings[flat]) / model.N - (L - 1)) <= 1e-9 * L
             np.testing.assert_allclose(model.detunings[1:], L, rtol=1e-9)
             s = ring.ring_spectral_summary(model)
             ref = complex_fft_spectrum(1, L, 0.0)
@@ -402,12 +394,13 @@ class TestRingExactTransfer:
                 assert rel <= 0.2 * out.infidelity_exact, g
 
     def test_perturbative_within_envelope(self):
-        model = ring.ring_spectrum(1, 64, 1.4)
-        s = ring.ring_spectral_summary(model)
+        q2 = ring.ring_spectral_summary(ring.ring_spectrum(1, 64, 1.4)).q2
         for g in (0.01, 0.1, 0.5):
-            eps = ring.ring_perturbative_infidelity(model, g)
-            om = model.omega(g)
-            assert 0.0 <= eps <= 2 * om**2 * s.q2 + 1e-15
+            channel = ring_channel(1, 64, 1.4, g)
+            eps = transfer.perturbative_infidelity(channel)
+            om = np.sqrt(2.0) * g / 8.0
+            assert transfer.small_g_envelope(channel) == pytest.approx(2 * om**2 * q2, rel=1e-15)
+            assert 0.0 <= eps <= transfer.small_g_envelope(channel) + 1e-15
 
     @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 102), (1, 1026), (2, 6), (2, 12),
                                       (2, 20), (3, 4), (3, 6), (3, 8)])
@@ -422,20 +415,21 @@ class TestRingExactTransfer:
         # each folded mode stands in for mult channel modes: the multiplicities
         # add up to N, and the fold keeps only the sorted tuples k_1 <= ... <= k_d
         model = ring.ring_spectrum(d, L, 1.2)
-        flat, mult = ring._fold(d, L)
+        flat, mult, parities = ring._fold(d, L)
         assert mult.sum() == model.N
         half = L // 2 + 1
         assert flat.size == math.comb(half + d - 1, d)
+        k = np.array(np.unravel_index(flat, (half,) * d))
+        np.testing.assert_array_equal(parities, (-1.0) ** k.sum(axis=0))
         # the size check counts the larger sector from the fold's parities
-        parities = model.parities[flat]
-        sector = ring._sector(d, L, flat)
+        sector = ring._sector(parities)
         assert sector == 1 + max(np.sum(parities > 0), np.sum(parities < 0))
         if d < 3:
             assert sector == ring_sector(d, L)
         if L == 68:
             assert sector == 3895  # the largest d=3 sector within numkit.DENSE_DIM_CAP
         # each multiplicity is the mode's axis weight times its permutations
-        assert np.all(mult % model.weights[flat] == 0)
+        assert np.all(mult % np.where((k == 0) | (k == L // 2), 1, 2).prod(axis=0) == 0)
         # every axis permutation of a mode has, up to roundoff, the energy of
         # the sorted tuple that stands in for it
         e = model.detunings.reshape((half,) * d)

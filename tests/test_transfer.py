@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from longwalk import chain, cli, experiments, numkit, transfer
+from longwalk import chain, cli, experiments, numkit, ring, transfer
 from longwalk.errors import DomainError
+
+from closed_forms import uniform_chain_analytic
 
 
 def build_model(d, alpha, l, g):
@@ -13,7 +15,7 @@ def build_model(d, alpha, l, g):
 
 def loop_site_matrix(model):
     """Oracle: the (2l+3)-site matrix over (X, 0..2l, Y), bond by bond."""
-    ch = model.spectrum.chain
+    ch = model.chain
     n = ch.n_sites
     h = np.zeros((n + 2, n + 2))
     for j in range(n - 1):
@@ -106,6 +108,32 @@ class TestPerturbativeInfidelity:
             model = build_model(1, 0.8, 10, g)
             eps = transfer.perturbative_infidelity(model)
             assert 0.0 <= eps <= transfer.small_g_envelope(model) + 1e-15
+
+    @pytest.mark.parametrize("l", [4, 24])
+    @pytest.mark.parametrize("g", [1e-3, 1e-2, 3e-2])
+    def test_uniform_chain_closed_form(self, l, g):
+        # alpha = d: E_k = 2 cos theta_k, t_k^(0) = sqrt(2/(2l+2)) sin theta_k,
+        # Omega_k = sqrt(2) g t_k^(0), T = pi / Omega_l and parity (-1)^k
+        energies, ratios = np.array(uniform_chain_analytic(l)).T
+        omegas = np.sqrt(2.0) * g * np.sqrt(2.0 / (2 * l + 2)) * ratios
+        t = np.pi / omegas[l]
+        k = np.delete(np.arange(2 * l + 1), l)
+        expect = np.sum(omegas[k] ** 2 * (1.0 + (-1.0) ** k * np.cos(energies[k] * t))
+                        / energies[k] ** 2)
+        eps = transfer.perturbative_infidelity(build_model(1, 1.0, l, g))
+        assert abs(eps - expect) <= 1e-11 * expect
+
+    @pytest.mark.parametrize("g", [1e-3, 1e-2, 3e-2])
+    def test_ring_L4_hand_modes(self, g):
+        # d=1 L=4 alpha=1: the folded modes k = 1 (two lattice modes, odd) and
+        # k = 2 (one, even) at detunings 3 and 4; Omega = sqrt(2) g / 2 and
+        # sum Omega_k^2/E_k^2 = Omega^2 q2, q2 = 2/9 + 1/16
+        om = np.sqrt(2.0) * g / 2.0
+        t = np.pi / om
+        expect = om**2 * (2.0 * (1.0 - np.cos(3.0 * t)) / 9.0 + (1.0 + np.cos(4.0 * t)) / 16.0)
+        out = ring.ring_exact_transfer(1, 4, 1.0, g)
+        assert abs(out.infidelity_perturbative - expect) <= 1e-11 * expect
+        assert out.infidelity_bound == pytest.approx(2.0 * om**2 * 0.2847222222222222, rel=1e-15)
 
 
 class TestExactTransfer:
@@ -246,7 +274,7 @@ class TestProtocolSymmetries:
         g = 0.03
         model = transfer.attach_endpoints(ch, g)
         out = transfer.exact_transfer(model)
-        spec = model.spectrum
+        spec = chain.chain_spectrum(ch)
         amplitude = numkit.endpoint_amplitude(
             spec.energies, g * spec.endpoint_amplitudes, spec.parities, 0.0, model.T
         )
