@@ -164,8 +164,8 @@ def _sweep_fig2a(res):
              [res["g"], res["eps_exact"], res["eps_perturbative"], res["envelope"],
               res["bound"], res["bound_conditions"]])
     plot = _infidelity_plot("transfer infidelity vs coupling", res)
-    report = {key: res[key] for key in
-              ("max_relative_deviation", "relative_ok", "envelope_ok", "g_star")}
+    report = {key: res[key] for key in ("max_relative_deviation", "relative_ok",
+                                        "unresolved_exact_points", "envelope_ok", "g_star")}
     return "fig2a_report", [table], ("fig2a", plot), report
 
 

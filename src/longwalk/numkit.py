@@ -1,7 +1,9 @@
-"""Numerical kernels: symmetric eigensolvers, spectral time evolution, the
-endpoint-coupled-channel transfer amplitude, spectra of even circulants
-in d dimensions (by real FFT on the orthant), and least-squares fits (the
-power-law offset fit finds its exponent by Brent's bounded minimisation).
+"""Numerical kernels: symmetric eigensolvers, the amplitude
+sum_j w_j exp(-i lambda_j t) of a spectral measure (the step every exact
+transfer ends in), the endpoint-coupled-channel transfer amplitude, spectra
+of even circulants in d dimensions (by real FFT on the orthant), and
+least-squares fits (the power-law offset fit finds its exponent by Brent's
+bounded minimisation).
 
 Everything here is pure and deterministic.  Dense eigensolves, and the
 parity sectors of endpoint_amplitude up to dimension _SECULAR_MIN_DIM,
@@ -149,30 +151,24 @@ def jacobi_endpoint_weights(eigenvalues, minor_eigenvalues) -> np.ndarray:
     return np.maximum(weights, 0.0)
 
 
-def _check_phases(lam_max: float, time: float) -> None:
-    # a rounded eigenvalue puts its phase off by up to eps max|lambda| |t|: at 1
-    # no digit is left (in Python floats an overflow is inf, with no warning)
-    err = math.ulp(1.0) * float(lam_max) * abs(float(time))
+def spectral_amplitude(eigenvalues, weights, time: float) -> complex:
+    """sum_j w_j exp(-i lambda_j t): the amplitude <a|exp(-iHt)|b> of the
+    spectral measure with w_j = v_j[a] v_j[b].
+
+    ArithmeticError if the sum is not finite, or if eps max|lambda| |t| >= 1:
+    a rounded eigenvalue puts its phase off by up to that much, so at 1 no
+    digit is left (in Python floats an overflow is inf, with no warning).
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        amplitude = complex(np.sum(weights * np.exp(-1j * lam * time)))
+    if not np.isfinite(amplitude):
+        raise ArithmeticError(f"non-finite endpoint amplitude {amplitude} from finite input")
+    err = math.ulp(1.0) * float(np.max(np.abs(lam))) * abs(float(time))
     if err >= 1.0:
         raise ArithmeticError(
             f"the phases lambda*t keep no correct digit: eps*max|lambda|*|t| = {err:.3g}")
-
-
-def evolve(decomposition: SymmetricEigenDecomposition, initial, time: float) -> np.ndarray:
-    """psi(t) = V exp(-i lambda t) V^T psi0, for a normalized initial vector;
-    ArithmeticError if eps max|lambda| |t| >= 1."""
-    psi0 = np.asarray(initial)
-    if psi0.shape != (decomposition.dim,):
-        raise DomainError(
-            f"state dimension {psi0.shape} does not match decomposition dim {decomposition.dim}"
-        )
-    nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-12:
-        raise DomainError(f"initial state norm {nrm!r} is not 1 within 1e-12")
-    _check_phases(np.max(np.abs(decomposition.eigenvalues)), time)
-    v = decomposition.eigenvectors
-    phases = np.exp(-1j * decomposition.eigenvalues * time)
-    return v @ (phases * (v.T @ psi0))
+    return amplitude
 
 
 def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float) -> complex:
@@ -183,10 +179,10 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     (|X> +- |Y>)/sqrt(2) couples only to the modes of parity +-1, with
     strength sqrt(2) c_k, so each sector is the arrowhead matrix
     [[onsite, sqrt(2) c], [sqrt(2) c, diag(E)]] and the amplitude is
-    (A+ - A-)/2 with A = sum_j v_j[0]^2 exp(-i lambda_j t).  A sector of
-    dimension above _SECULAR_MIN_DIM is solved by arrowhead_spectrum in
-    O(n^2), a smaller one by eigh_dense, each of dimension <= DENSE_DIM_CAP.
-    ArithmeticError if the amplitude is not finite or eps max|lambda| |t| >= 1.
+    (A+ - A-)/2 with A = spectral_amplitude(lambda, v[0]^2, t) of its sector.
+    A sector of dimension above _SECULAR_MIN_DIM is solved by
+    arrowhead_spectrum in O(n^2), a smaller one by eigh_dense, each of
+    dimension <= DENSE_DIM_CAP.  ArithmeticError as in spectral_amplitude.
     """
     e = np.asarray(energies, dtype=float)
     c = np.asarray(couplings, dtype=float)
@@ -198,7 +194,7 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(c))
             and math.isfinite(onsite) and math.isfinite(time)):
         raise DomainError("non-finite energies, couplings, onsite energy or time")
-    sectors, lam_max = [], 0.0
+    sectors = []
     for sign in (1.0, -1.0):
         keep = p == sign
         dim = 1 + int(np.count_nonzero(keep))
@@ -212,14 +208,8 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
             h[0, 1:] = h[1:, 0] = z
             dec = eigh_dense(h)
             lam, w = dec.eigenvalues, dec.eigenvectors[0] ** 2
-        lam_max = max(lam_max, float(np.max(np.abs(lam))))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            sectors.append(np.sum(w * np.exp(-1j * lam * time)))
-    amplitude = complex((sectors[0] - sectors[1]) / 2.0)
-    if not np.isfinite(amplitude):
-        raise ArithmeticError(f"non-finite endpoint amplitude {amplitude} from finite input")
-    _check_phases(lam_max, time)
-    return amplitude
+        sectors.append(spectral_amplitude(lam, w, time))
+    return (sectors[0] - sectors[1]) / 2.0
 
 
 # Sectors above this dimension go to arrowhead_spectrum, smaller ones to

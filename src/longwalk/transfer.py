@@ -5,7 +5,8 @@ mode, the ring's k = 0 mode) into a bus; evolution for T = pi / Omega_res
 swaps the endpoint populations up to the infidelity of the off-resonant
 modes.  On one EndpointChannel record per protocol this module evaluates the
 leading-order infidelity and the small-g envelope and assembles the outcome;
-for the chain also the exact evolution, the rigorous bound and choose_g.
+for the chain also the exact transfer (its site matrix's spectral measure),
+the rigorous bound and choose_g.
 """
 
 from __future__ import annotations
@@ -109,14 +110,14 @@ def outcome(channel: EndpointChannel, fidelity: float, bound: float,
 
 
 def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
-    """Evolve |X> for T by dense eigendecomposition of the chain's (2l+3)-site
-    matrix over (X, 0..2l, Y) and fill in the perturbative and bound fields."""
+    """<Y| exp(-iHT) |X> from the dense eigendecomposition of the chain's
+    (2l+3)-site matrix over (X, 0..2l, Y), as the spectral measure
+    (lambda_j, v_j[X] v_j[Y]), with the perturbative and bound fields."""
     bonds = np.concatenate([[channel.g], channel.chain.bonds, [channel.g]])
     dec = numkit.eigh_dense(np.diag(bonds, 1) + np.diag(bonds, -1))
-    psi0 = np.zeros(dec.dim)
-    psi0[0] = 1.0
-    psi = numkit.evolve(dec, psi0, channel.T)
-    return outcome(channel, float(abs(psi[-1]) ** 2), *infidelity_rigorous_bound(channel))
+    v = dec.eigenvectors
+    amplitude = numkit.spectral_amplitude(dec.eigenvalues, v[0] * v[-1], channel.T)
+    return outcome(channel, float(abs(amplitude) ** 2), *infidelity_rigorous_bound(channel))
 
 
 def choose_g(spectrum: chain_mod.ChannelSpectrum, epsilon_target: float) -> float:

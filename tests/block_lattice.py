@@ -19,6 +19,8 @@ from longwalk import chain as chain_mod
 from longwalk import numkit
 from longwalk.errors import DomainError
 
+from site_oracle import evolve
+
 SITE_CAP = 20000
 
 
@@ -197,7 +199,7 @@ def verify_reduction_dynamics(lattice: BlockLattice, g: float, t_grid=None) -> f
     psi_red[0] = 1.0
     dev = 0.0
     for t in np.asarray(t_grid, dtype=float):
-        ff = abs(numkit.evolve(dec_full, psi_full, t)[-1]) ** 2
-        fr = abs(numkit.evolve(dec_red, psi_red, t)[-1]) ** 2
+        ff = abs(evolve(dec_full, psi_full, t)[-1]) ** 2
+        fr = abs(evolve(dec_red, psi_red, t)[-1]) ** 2
         dev = max(dev, abs(ff - fr))
     return dev

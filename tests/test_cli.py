@@ -384,25 +384,33 @@ class TestSweepCommand:
         )
         assert res.returncode == 2
 
-    def test_figs2a_counts_an_exact_infidelity_of_zero(self, tmp_path, capsys):
-        # at d=1 L=100 alpha=1 this g gives 1 - F = 0.0 exactly: the point has no
-        # relative deviation, so it is counted in the report instead of divided
-        # by (which wrote Infinity, no JSON, and failed the verdict)
-        g = "1.1489510001873085e-07"
-        argv = ["sweep", "--experiment", "figS2a", "--g-min", g, "--g-max", g,
+    @staticmethod
+    def one_unresolved_point(experiment, g, args, tmp_path, capsys):
+        # the point has no relative deviation, so it is counted in the report
+        # instead of divided by (which wrote Infinity, no JSON, and failed the
+        # verdict)
+        argv = ["sweep", "--experiment", experiment, *args, "--g-min", g, "--g-max", g,
                 "--g-points", "1", "--reproducible", "--out-dir", str(tmp_path)]
         assert cli.main(argv) == 0
-        row = (tmp_path / "figS2a.csv").read_text().splitlines()[2].split(",")
+        row = (tmp_path / f"{experiment}.csv").read_text().splitlines()[2].split(",")
         assert float(row[1]) == 0.0 and float(row[2]) > 0.0
 
         def no_constant(name):
             raise AssertionError(f"{name} is not JSON")
 
-        report = json.loads((tmp_path / "figS2a_report.json").read_text(),
+        report = json.loads((tmp_path / f"{experiment}_report.json").read_text(),
                             parse_constant=no_constant)
         assert report["unresolved_exact_points"] == 1
         assert report["max_relative_deviation"] == 0.0 and report["relative_ok"] is True
-        assert "figS2a relative_ok: PASS" in capsys.readouterr().out
+        assert f"{experiment} relative_ok: PASS" in capsys.readouterr().out
+
+    def test_figs2a_counts_an_exact_infidelity_of_zero(self, tmp_path, capsys):
+        # at d=1 L=100 alpha=1 this g gives 1 - F = 0.0 exactly
+        self.one_unresolved_point("figS2a", "1.1489510001873085e-07", [], tmp_path, capsys)
+
+    def test_fig2a_counts_an_exact_infidelity_of_zero(self, tmp_path, capsys):
+        # at d=1 alpha=0.8 l=8 this g gives 1 - F = 0.0 exactly
+        self.one_unresolved_point("fig2a", "1.03e-08", ["--l", "8"], tmp_path, capsys)
 
     def test_fig2a_two_curve_csv(self, tmp_path):
         res = run_cli(

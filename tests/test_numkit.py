@@ -4,6 +4,8 @@ import pytest
 from longwalk import experiments, numkit
 from longwalk.errors import DomainError
 
+from site_oracle import evolve
+
 
 def tridiagonal(diagonal, offdiagonal):
     d = np.asarray(diagonal, dtype=float)
@@ -140,15 +142,26 @@ class TestEighDense:
 
 
 class TestEvolve:
+    """spectral_amplitude as time evolution: <a|exp(-iHt)|b> is the sum over
+    the measure (lambda_j, v_j[a] v_j[b]) of H's eigendecomposition."""
+
+    @staticmethod
+    def amplitude(dec, a, b, t):
+        v = dec.eigenvectors
+        return numkit.spectral_amplitude(dec.eigenvalues, v[a] * v[b], t)
+
     def test_time_zero_identity(self):
-        dec = numkit.eigh_dense([[0, 1], [1, 0]])
-        psi0 = np.array([0.6, 0.8])
-        np.testing.assert_allclose(numkit.evolve(dec, psi0, 0.0), psi0, atol=1e-15)
+        rng = np.random.default_rng(2)
+        h = rng.standard_normal((6, 6))
+        dec = numkit.eigh_dense(h + h.T)
+        for a in range(6):
+            for b in range(6):
+                assert abs(self.amplitude(dec, a, b, 0.0) - (a == b)) <= 1e-14, (a, b)
 
     def test_rabi_half_period(self):
         dec = numkit.eigh_dense([[0, 1], [1, 0]])
-        psi = numkit.evolve(dec, np.array([1.0, 0.0]), np.pi / 2)
-        np.testing.assert_allclose(psi, [0, -1j], atol=1e-14)
+        assert abs(self.amplitude(dec, 0, 0, np.pi / 2)) <= 1e-14
+        assert abs(self.amplitude(dec, 1, 0, np.pi / 2) + 1j) <= 1e-14
 
     def test_three_level_perfect_transfer(self):
         # W |X><col| + W |col><Y| transfers perfectly at T = pi/(sqrt(2) W)
@@ -156,37 +169,28 @@ class TestEvolve:
         h = w * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         dec = numkit.eigh_dense(h)
         t = np.pi / (np.sqrt(2) * w)
-        psi = numkit.evolve(dec, np.array([1.0, 0, 0]), t)
-        assert abs(abs(psi[2]) ** 2 - 1.0) <= 1e-9
+        assert abs(abs(self.amplitude(dec, 0, 2, t)) - 1.0) <= 1e-9
 
     def test_norm_conserved_long_times(self):
+        # sum_b |<b|exp(-iHt)|a>|^2 = 1
         rng = np.random.default_rng(3)
         a = rng.standard_normal((12, 12))
-        h = a + a.T
-        dec = numkit.eigh_dense(h)
-        psi0 = rng.standard_normal(12)
-        psi0 /= np.linalg.norm(psi0)
+        dec = numkit.eigh_dense(a + a.T)
         hnorm = np.max(np.abs(dec.eigenvalues))
         for t in [0.0, 1.0, 1e3 / hnorm, 1e6 / hnorm]:
-            psi = numkit.evolve(dec, psi0, t)
-            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
+            norm = sum(abs(self.amplitude(dec, 4, b, t)) ** 2 for b in range(12))
+            assert abs(norm - 1.0) <= 1e-10, t
 
     def test_phases_without_a_correct_digit_raise(self):
-        # eigenvalues +-1: eps |t| is 0.22 at t = 1e15 and 22 at t = 1e17
-        dec = numkit.eigh_dense([[0, 1], [1, 0]])
-        numkit.evolve(dec, np.array([1.0, 0.0]), 1e15)
-        with pytest.raises(ArithmeticError, match="no correct digit"):
-            numkit.evolve(dec, np.array([1.0, 0.0]), 1e17)
-        numkit.endpoint_amplitude([0.0], [1.0 / np.sqrt(2.0)], [1.0], 0.0, -1e15)
-        with pytest.raises(ArithmeticError, match="no correct digit"):
-            numkit.endpoint_amplitude([0.0], [1.0 / np.sqrt(2.0)], [1.0], 0.0, -1e17)
-
-    def test_dimension_and_norm_checks(self):
-        dec = numkit.eigh_dense([[0, 1], [1, 0]])
-        with pytest.raises(DomainError):
-            numkit.evolve(dec, np.array([1.0, 0, 0]), 1.0)
-        with pytest.raises(DomainError):
-            numkit.evolve(dec, np.array([1.0, 1.0]), 1.0)
+        # eigenvalues +-1: eps |t| is 0.22 at |t| = 1e15 and 22 at |t| = 1e17
+        for t in (1e15, -1e15):
+            numkit.spectral_amplitude([-1.0, 1.0], [0.5, 0.5], t)
+            numkit.endpoint_amplitude([0.0], [1.0 / np.sqrt(2.0)], [1.0], 0.0, t)
+        for t in (1e17, -1e17):
+            with pytest.raises(ArithmeticError, match="no correct digit"):
+                numkit.spectral_amplitude([-1.0, 1.0], [0.5, 0.5], t)
+            with pytest.raises(ArithmeticError, match="no correct digit"):
+                numkit.endpoint_amplitude([0.0], [1.0 / np.sqrt(2.0)], [1.0], 0.0, t)
 
 
 class TestEndpointAmplitude:
@@ -201,7 +205,7 @@ class TestEndpointAmplitude:
         h[0, 0] = h[-1, -1] = onsite
         psi0 = np.zeros(n + 2)
         psi0[0] = 1.0
-        return numkit.evolve(numkit.eigh_dense(h), psi0, t)[-1]
+        return evolve(numkit.eigh_dense(h), psi0, t)[-1]
 
     def test_random_channel_matches_full_matrix(self):
         rng = np.random.default_rng(5)

@@ -10,6 +10,7 @@ from longwalk import experiments, numkit, ring, transfer
 from longwalk.errors import DomainError
 
 from closed_forms import ring_sector
+from site_oracle import evolve
 
 
 def ring_channel(d: int, L: int, alpha: float, g: float):
@@ -38,7 +39,7 @@ def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
     h[n, n] = h[n + 1, n + 1] = e0 + channel.onsite
     psi0 = np.zeros(n + 2)
     psi0[n] = 1.0
-    psi = numkit.evolve(numkit.eigh_dense(h), psi0, channel.T)
+    psi = evolve(numkit.eigh_dense(h), psi0, channel.T)
     return float(abs(psi[n + 1]) ** 2)
 
 
