@@ -71,9 +71,10 @@ def _map(fn, args_list):
         return list(pool.map(fn, args_list))
 
 
-def ring_q2_target(d: int, alpha: float) -> float:
+def ring_q2_target(d: int, alpha: float) -> tuple[float, bool]:
     """Asymptotic exponent of q2 = sum_{k != 0} 1/Delta_k^2 for the ring (d = 1)
-    and the torus (d = 2).
+    and the torus (d = 2), and whether its finite-size correction is a log
+    (at alpha = d), the form ``scaling.extrapolate_exponent`` fits.
 
     Small-|k| detunings follow the polylog expansion of the power-law
     kernel, Delta_k ~ C p^(alpha-d) + O(p^2), p = 2 pi |k| / L (at d = 1,
@@ -89,12 +90,12 @@ def ring_q2_target(d: int, alpha: float) -> float:
       correction).
     """
     if alpha < d:
-        return 2.0 * alpha - d
+        return 2.0 * alpha - d, False
     if alpha < 1.5 * d:
-        return float(d)
+        return float(d), alpha == d
     if alpha < d + 2.0:
-        return 2.0 * (alpha - d)
-    return 4.0
+        return 2.0 * (alpha - d), False
+    return 4.0, False
 
 
 def small_g_threshold(spectrum: chain_mod.ChannelSpectrum) -> float:
@@ -165,18 +166,25 @@ def fig2bcd(d: int = 1, alpha_minus_d: float = 0.2, l_min: int | None = None,
     l_min = l_lo if l_min is None else l_min
     l_max = l_hi_by_delta.get(round(alpha_minus_d, 3), l_hi) if l_max is None else l_max
     series = scaling.q_scaling_sweep(d, alpha, l_min, l_max)
-    q = series.values
+
+    def admissible(what: str, needed: int, keep=slice(None)):
+        sizes, q = series.sizes[keep], series.values[keep]
+        if q.shape[0] < needed:
+            raise DomainError(f"{what} needs {needed} admissible depths; "
+                              f"[{l_min}, {l_max}] has {q.shape[0]}")
+        return sizes, q
+
     if target.regime == "constant":
         # converges to a constant: compare the last depth against 8 steps back
-        if q.shape[0] < 5:
-            raise DomainError(f"the convergence ratio (Q 8 depth steps back) needs 5 "
-                              f"admissible depths; [{l_min}, {l_max}] has {q.shape[0]}")
+        _, q = admissible("the convergence ratio (Q 8 depth steps back)", 5)
         key, value = "convergence_ratio", float(abs(q[-1] - q[-5]) / q[-1])
-    elif target.is_log:
-        key, value = "log_r2", scaling.fit_semilog(series).r_squared
+    elif target.regime == "log":
+        sizes, q = admissible("the log fit (Q against ln L)", 2)
+        key, value = "log_r2", numkit.linear_fit(np.log(sizes), q).r_squared
     else:
-        size_min = 2.0 ** (scaling.CHAIN_SLOPE_FIT_MIN_L + 1)
-        key, value = "slope", scaling.fit_loglog_slope(series, size_min=size_min).slope
+        l_fit = scaling.CHAIN_SLOPE_FIT_MIN_L + 1
+        sizes, q = admissible(f"the slope fit (L >= 2^{l_fit})", 2, series.sizes >= 2.0**l_fit)
+        key, value = "slope", numkit.linear_fit(np.log(sizes), np.log(q)).slope
     measured = {"protocol": "chain", "exponent" if key == "slope" else key: value}
     return {"d": d, "alpha": alpha, "alpha_minus_d": alpha_minus_d, "series": series,
             "regime": target.regime, "panel": panel, key: value,
@@ -202,22 +210,14 @@ def fig_s2a(L: int = 100, alpha: float = 1.0, g_grid=None) -> dict:
     }
 
 
-def _ring_q2_series(d: int, alpha: float, sizes, summaries) -> scaling.ScalingSeries:
-    return scaling.ScalingSeries(
-        points=np.column_stack([np.asarray(sizes, float), [s.q2 for s in summaries]]),
-        metadata={"protocol": "ring", "d": d, "alpha": alpha},
-    )
-
-
 def _q2_extrapolation(d: int, alpha: float, sizes, window: int, summaries) -> dict:
-    series = scaling.local_exponents(_ring_q2_series(d, alpha, sizes, summaries), window)
-    exponent, fit = scaling.extrapolate_exponent(series)
-    series = series.with_fit(extrapolated_exponent=exponent)
-    target = ring_q2_target(d, alpha)
+    target, log_correction = ring_q2_target(d, alpha)
+    local = scaling.local_exponents(sizes, [s.q2 for s in summaries], window)
+    exponent, fit = scaling.extrapolate_exponent(local, log_correction)
     return {
         "d": d,
         "alpha": alpha,
-        "series": series,
+        "local_exponents": local,
         "exponent": exponent,
         "target": target,
         "error": abs(exponent - target),
@@ -250,7 +250,7 @@ def fig_s2b(alphas=RING_1D_ALPHAS) -> dict:
 
 
 def fig_s2c(alphas=RING_2D_ALPHAS) -> dict:
-    """d=2 extrapolated q2 exponents (target ring_q2_target(2, alpha))."""
+    """d=2 extrapolated q2 exponents (target ring_q2_target(2, alpha)[0])."""
     sizes = list(RING_2D_SIZES)
     results = _q2_exponents(2, alphas, sizes, RING_2D_WINDOW)
     return {"alphas": list(alphas), "sizes": sizes, "window": RING_2D_WINDOW, "results": results}
@@ -299,8 +299,7 @@ def uniform_slope_check(d: int, alpha: float) -> dict:
     sqrt(N-2) alone shifts the slope by ~1e-4)."""
     exps = np.linspace(8.0, 10.0, 6) / d
     grid = np.round(10.0**exps)
-    series = uniform.uniform_time_scaling(d, alpha, grid)
-    slope = series.extrapolated_exponent
+    slope = numkit.linear_fit(np.log(grid), np.log(uniform.transfer_time(d, alpha, grid))).slope
     target = alpha - d / 2.0
     return {
         "d": d,

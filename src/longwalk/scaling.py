@@ -1,15 +1,16 @@
-"""Sweep harness: Q and q2 series, sliding-window local exponents,
+"""Sweep harness: the Q series, sliding-window local exponents,
 finite-size extrapolation, and comparison against the free-particle
 light-cone exponent table.
 
-Sliding windows run over the geometric (power-of-two) size grids used by
-the fast spectral paths, not over arithmetic intervals; that deviation is
-recorded in each series' metadata.
+Every fit takes plain (size, value) arrays, and the extrapolation takes
+its correction form from the caller.  Sliding windows run over
+consecutive points of the geometric (power-of-two) size grids used by the
+fast spectral paths, not over arithmetic intervals in L.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,18 +32,16 @@ TOLERANCES = {
     "uniform_slope": 1e-6,      # analytic log T vs log L slope vs alpha - d/2
 }
 
-# Default fit window: drop depths below this before fitting chain slopes
-# (transients die geometrically; see the sweep metadata).
+# fig2bcd's slope fit reads only L >= 2^(CHAIN_SLOPE_FIT_MIN_L + 1), the depths
+# l >= 12, where the geometric transients have died off.
 CHAIN_SLOPE_FIT_MIN_L = 12
 
 
 @dataclass(frozen=True)
 class ScalingSeries:
-    """(size, value) samples plus derived local/asymptotic exponents."""
+    """(size, value) samples."""
 
     points: np.ndarray  # (n, 2): column 0 size L, column 1 value
-    local_exponents: np.ndarray | None = None  # (m, 2): (window midpoint, slope)
-    extrapolated_exponent: float | None = None
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -53,9 +52,6 @@ class ScalingSeries:
     def values(self) -> np.ndarray:
         return self.points[:, 1]
 
-    def with_fit(self, **kw) -> "ScalingSeries":
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class LRExponent:
@@ -63,7 +59,6 @@ class LRExponent:
 
     regime: str  # "uniform" | "constant" | "log" | "power" | "nearest-neighbor"
     time_exponent: float  # exponent of L in the optimal T (0 for log regime)
-    is_log: bool = False
 
 
 def q_scaling_sweep(d: int, alpha: float, l_min: int, l_max: int) -> ScalingSeries:
@@ -73,77 +68,53 @@ def q_scaling_sweep(d: int, alpha: float, l_min: int, l_max: int) -> ScalingSeri
     pts = [(float(ch.L), ch.q) for ch in chains]
     if not pts:
         raise DomainError(f"no depths in [{l_min}, {l_max}] for d={d}, alpha={alpha}")
-    return ScalingSeries(
-        points=np.array(pts),
-        metadata={
-            "protocol": "chain",
-            "d": d,
-            "alpha": alpha,
-            "l_grid": [l_min, l_max, 2],
-            # every depth is in the series; perfbench's tracer still reads this key
-            "warnings": [],
-            "window_convention": "geometric grid points (not arithmetic intervals)",
-        },
-    )
+    # every depth is in the series; perfbench's tracer still reads "warnings"
+    return ScalingSeries(points=np.array(pts), metadata={"warnings": []})
 
 
-def local_exponents(series: ScalingSeries, window: int) -> ScalingSeries:
-    """Slope of log value vs log size over each window of consecutive points;
-    the midpoint is the geometric mean of the window sizes."""
+def local_exponents(sizes, values, window: int) -> np.ndarray:
+    """(window midpoint, slope) rows: the slope of log value vs log size over
+    each window of consecutive points; the midpoint is the geometric mean of
+    the window sizes."""
     if window < 3:
         raise DomainError(f"window must be >= 3, got {window}")
-    n = series.points.shape[0]
+    ls = np.log(np.asarray(sizes, dtype=float))
+    lv = np.log(np.asarray(values, dtype=float))
+    n = ls.shape[0]
     if window > n:
         raise DomainError(f"window {window} exceeds series length {n}")
-    ls = np.log(series.sizes)
-    lv = np.log(series.values)
     if np.any(np.diff(ls) <= 0):
         raise DomainError("points must be sorted by increasing size")
     rows = []
     for i in range(n - window + 1):
         fit = numkit.linear_fit(ls[i : i + window], lv[i : i + window])
         rows.append((np.exp(np.mean(ls[i : i + window])), fit.slope))
-    return series.with_fit(local_exponents=np.array(rows))
+    return np.array(rows)
 
 
-def extrapolate_exponent(series: ScalingSeries) -> tuple[float, numkit.PowerLawOffsetFit | None]:
-    """Asymptotic exponent, and the power-law fit it is the offset of (None at
-    a log regime): the offset c of a finite-size fit to the local exponents
-    y(L_mid), with the correction form set by the regime.
+def extrapolate_exponent(local: np.ndarray, log_correction: bool
+                         ) -> tuple[float, numkit.PowerLawOffsetFit | None]:
+    """Asymptotic exponent, and the power-law fit it is the offset of (None
+    for a log correction): the offset c of a finite-size fit to the local
+    exponents y(L_mid), the rows of ``local_exponents``.
 
-    - At a log regime (``lr_exponent(d, alpha).is_log`` for the ``d`` and
-      ``alpha`` in the series metadata) the corrections are logarithmic:
-      y = c + p / ln L_mid, by least squares.
-    - Everywhere else, and for a series without (d, alpha) metadata, two
-      power-law corrections: y = c + a1 x^b + a2 x^(2b), x = 1 / L_mid,
-      with b in ``numkit.POWERLAW_B_RANGE``.  The second term lets the
-      local exponents turn over (two corrections of opposite sign), which a
-      single correction can only follow by pinning b to its floor.
+    - ``log_correction``: y = c + p / ln L_mid, by least squares.
+    - Otherwise two power-law corrections: y = c + a1 x^b + a2 x^(2b),
+      x = 1 / L_mid, with b in ``numkit.POWERLAW_B_RANGE``.  The second
+      term lets the local exponents turn over (two corrections of opposite
+      sign), which a single correction can only follow by pinning b to its
+      floor.
 
     Needs at least 5 local exponents (one more than the power-law fit's
     four parameters).
     """
-    if series.local_exponents is None or series.local_exponents.shape[0] < 5:
-        raise DomainError("need >= 5 local exponents; run local_exponents first")
-    l_mid = series.local_exponents[:, 0]
-    y = series.local_exponents[:, 1]
-    meta = series.metadata
-    if "d" in meta and "alpha" in meta and lr_exponent(meta["d"], meta["alpha"]).is_log:
+    if local.shape[0] < 5:
+        raise DomainError(f"need >= 5 local exponents, got {local.shape[0]}")
+    l_mid, y = local[:, 0], local[:, 1]
+    if log_correction:
         return numkit.linear_fit(1.0 / np.log(l_mid), y).intercept, None
     fit = numkit.powerlaw_offset_fit(1.0 / l_mid, y, corrections=2)
     return fit.offset, fit
-
-
-def fit_loglog_slope(series: ScalingSeries, size_min: float = 0.0) -> numkit.FitResult:
-    """Plain least-squares slope of log value vs log size, optionally
-    restricted to sizes >= size_min."""
-    mask = series.sizes >= size_min
-    return numkit.linear_fit(np.log(series.sizes[mask]), np.log(series.values[mask]))
-
-
-def fit_semilog(series: ScalingSeries) -> numkit.FitResult:
-    """Least squares of value vs log size (the alpha = d channel is linear here)."""
-    return numkit.linear_fit(np.log(series.sizes), series.values)
 
 
 def lr_exponent(d: int, alpha: float) -> LRExponent:
@@ -159,7 +130,7 @@ def lr_exponent(d: int, alpha: float) -> LRExponent:
     if alpha < d:
         return LRExponent("constant", 0.0)
     if alpha == d:
-        return LRExponent("log", 0.0, is_log=True)
+        return LRExponent("log", 0.0)
     if alpha < d + 1:
         return LRExponent("power", alpha - d)
     return LRExponent("nearest-neighbor", 1.0)
@@ -186,7 +157,7 @@ def saturation_report(d: int, alpha: float, target: LRExponent, measured: dict) 
         "alpha": alpha,
         "protocol": "chain",
         "regime": target.regime,
-        "optimal_time_exponent": "log" if target.is_log else target.time_exponent,
+        "optimal_time_exponent": "log" if target.regime == "log" else target.time_exponent,
         "measured": measured,
         "note": (
             "finite-size trend check at stated tolerance; "

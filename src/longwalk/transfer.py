@@ -39,8 +39,10 @@ class EndpointChannel:
 
     @property
     def T(self) -> float:
-        """pi / Omega_res"""
-        return np.pi / self.omegas[self.resonant]
+        """pi / Omega_res; ArithmeticError if it overflows (Omega_res
+        underflows to 0 at a subnormal g)."""
+        with np.errstate(divide="ignore", over="ignore"):  # checked by _finite
+            return _finite(np.pi / self.omegas[self.resonant], "transfer time", self)
 
 
 @dataclass(frozen=True)

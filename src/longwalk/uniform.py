@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit, scaling
+from . import numkit
 from .errors import DomainError, RegimeError
 
 
@@ -76,20 +76,9 @@ def simulate_uniform(protocol: UniformProtocol) -> float:
 
 
 def transfer_time(d: int, alpha: float, L) -> np.ndarray:
-    """T(L) from the closed form, valid for any L (no simulation involved)."""
+    """T(L) from the closed form, valid for any L (no simulation involved), so
+    a scaling grid may reach any size."""
+    _check_alpha(d, alpha)
     L = np.asarray(L, dtype=float)
     n = L**d
     return (np.pi / np.sqrt(2.0)) * (np.sqrt(d) * L) ** alpha / np.sqrt(n - 2.0)
-
-
-def uniform_time_scaling(d: int, alpha: float, L_grid):
-    """(L, T) series with its fitted log-log slope; analytic, so the grid may
-    reach any size."""
-    _check_alpha(d, alpha)
-    L = np.asarray(L_grid, dtype=float)
-    t = transfer_time(d, alpha, L)
-    series = scaling.ScalingSeries(
-        points=np.column_stack([L, t]),
-        metadata={"protocol": "uniform", "d": d, "alpha": alpha},
-    )
-    return series.with_fit(extrapolated_exponent=scaling.fit_loglog_slope(series).slope)

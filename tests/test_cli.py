@@ -15,8 +15,10 @@ import longwalk
 from longwalk import cli, experiments, numkit
 from longwalk.svgplot import SvgPlot
 
-# children run in tmp_path, so a relative PYTHONPATH would not find the package
-CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(longwalk.__file__).resolve().parent.parent))
+# children run in tmp_path, so a relative PYTHONPATH would not find the package;
+# a RuntimeWarning fails a child as pyproject's filterwarnings fails a test
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(longwalk.__file__).resolve().parent.parent),
+               PYTHONWARNINGS="error::RuntimeWarning")
 
 
 def run_cli(args, cwd):
@@ -227,6 +229,11 @@ class TestTransferCommand:
          "alpha must be >= 0, got nan"),
         (["transfer", "--protocol", "chain", "--d", "1", "--alpha", "1.2", "--l", "8",
           "--g", "1e300"], 4, "overflows at g=1e+300"),
+        # Omega_res underflows to 0, so T = pi / Omega_res overflows
+        (["transfer", "--protocol", "chain", "--d", "1", "--alpha", "1.2", "--l", "24",
+          "--g", "5e-324"], 4, "the transfer time overflows at g=5e-324"),
+        (["transfer", "--protocol", "ring", "--d", "1", "--alpha", "1", "--L", "100",
+          "--g", "5e-324"], 4, "the transfer time overflows at g=5e-324"),
     ])
     def test_non_finite_exits(self, tmp_path, capsys, argv, code, message):
         # a non-finite input is a domain error (3), a non-finite result from

@@ -366,7 +366,7 @@ def pinned_q2_series():
     out = []
     for driver in (experiments.fig_s2b, experiments.fig_s2c):
         for r in driver()["results"]:
-            local = r["series"].local_exponents
+            local = r["local_exponents"]
             out.append((f"d={r['d']} alpha={r['alpha']}", 1.0 / local[:, 0], local[:, 1]))
     return out
 

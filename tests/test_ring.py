@@ -339,7 +339,7 @@ class TestQ2Scaling:
     def test_two_point_q2_slope_matches_target(self, alpha):
         q2 = [ring.ring_spectral_summary(ring.ring_spectrum(1, L, alpha)).q2
               for L in (2**16, 2**17)]
-        assert abs(np.log2(q2[1] / q2[0]) - experiments.ring_q2_target(1, alpha)) <= 0.02
+        assert abs(np.log2(q2[1] / q2[0]) - experiments.ring_q2_target(1, alpha)[0]) <= 0.02
 
     @pytest.mark.parametrize("alpha, exponent", [
         (0.5, 0.0), (0.8, 0.6),   # 2 alpha - 1
@@ -348,7 +348,7 @@ class TestQ2Scaling:
         (3.0, 4.0), (3.5, 4.0),   # 4
     ])
     def test_q2_target_branches(self, alpha, exponent):
-        assert abs(experiments.ring_q2_target(1, alpha) - exponent) <= 1e-12
+        assert abs(experiments.ring_q2_target(1, alpha)[0] - exponent) <= 1e-12
 
     @pytest.mark.parametrize("alpha, exponent", [
         (0.6, -0.8), (1.5, 1.0),  # 2 alpha - 2
@@ -357,7 +357,7 @@ class TestQ2Scaling:
         (4.0, 4.0), (4.5, 4.0),   # 4
     ])
     def test_q2_target_branches_d2(self, alpha, exponent):
-        assert abs(experiments.ring_q2_target(2, alpha) - exponent) <= 1e-12
+        assert abs(experiments.ring_q2_target(2, alpha)[0] - exponent) <= 1e-12
 
     @pytest.mark.parametrize("alpha, slopes", [
         (2.5, (1.877, 1.912)), (3.5, (2.834, 2.883)), (4.5, (3.862, 3.908)),
@@ -369,7 +369,7 @@ class TestQ2Scaling:
               for L in (128, 256, 512)]
         got = np.log2(np.array(q2[1:]) / np.array(q2[:-1]))
         np.testing.assert_allclose(got, slopes, atol=1e-3)
-        target = experiments.ring_q2_target(2, alpha)
+        target = experiments.ring_q2_target(2, alpha)[0]
         assert got[0] < got[1] < target
         assert (2 * alpha - 2) - got[1] >= 1.0
 

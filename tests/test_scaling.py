@@ -5,47 +5,41 @@ from longwalk import cli, experiments, numkit, scaling
 from longwalk.errors import DomainError, RegimeError
 
 
-def series_from(Ls, ys):
-    return scaling.ScalingSeries(points=np.column_stack([Ls, ys]))
-
-
 class TestLocalExponents:
     def test_exact_power_law(self):
         Ls = np.geomspace(10, 1e4, 12)
-        s = scaling.local_exponents(series_from(Ls, Ls**1.5), window=4)
-        assert np.max(np.abs(s.local_exponents[:, 1] - 1.5)) <= 1e-10
+        local = scaling.local_exponents(Ls, Ls**1.5, window=4)
+        assert np.max(np.abs(local[:, 1] - 1.5)) <= 1e-10
 
     def test_offset_model_slopes_increase(self):
         Ls = np.geomspace(10, 1e5, 14)
-        s = scaling.local_exponents(series_from(Ls, Ls + 100.0), window=3)
-        slopes = s.local_exponents[:, 1]
+        slopes = scaling.local_exponents(Ls, Ls + 100.0, window=3)[:, 1]
         assert np.all(np.diff(slopes) > 0)
         assert slopes[-1] < 1.0
 
     def test_window_validation(self):
         Ls = np.geomspace(1, 100, 5)
         with pytest.raises(DomainError):
-            scaling.local_exponents(series_from(Ls, Ls), window=2)
+            scaling.local_exponents(Ls, Ls, window=2)
         with pytest.raises(DomainError):
-            scaling.local_exponents(series_from(Ls, Ls), window=6)
+            scaling.local_exponents(Ls, Ls, window=6)
 
     def test_count(self):
         Ls = np.geomspace(1, 100, 9)
-        s = scaling.local_exponents(series_from(Ls, Ls**2), window=4)
-        assert s.local_exponents.shape[0] == 9 - 4 + 1
+        assert scaling.local_exponents(Ls, Ls**2, window=4).shape[0] == 9 - 4 + 1
 
 
 class TestExtrapolateExponent:
     def test_exact_power_law(self):
         Ls = np.geomspace(10, 1e4, 10)
-        s = scaling.local_exponents(series_from(Ls, 3.0 * Ls**0.8), window=3)
-        assert abs(scaling.extrapolate_exponent(s)[0] - 0.8) <= 1e-6
+        local = scaling.local_exponents(Ls, 3.0 * Ls**0.8, window=3)
+        assert abs(scaling.extrapolate_exponent(local, False)[0] - 0.8) <= 1e-6
 
     def test_known_asymptote_with_correction(self):
         Ls = np.geomspace(16, 2**17, 13)
         y = Ls**0.6 * (1.0 + 5.0 / Ls)
-        s = scaling.local_exponents(series_from(Ls, y), window=3)
-        assert abs(scaling.extrapolate_exponent(s)[0] - 0.6) <= 0.01
+        local = scaling.local_exponents(Ls, y, window=3)
+        assert abs(scaling.extrapolate_exponent(local, False)[0] - 0.6) <= 0.01
 
     def test_invariant_under_value_rescaling(self):
         # scale-freeness of the estimator: exact on identifiable fits; when
@@ -59,17 +53,17 @@ class TestExtrapolateExponent:
         ]
         for y, tol in cases:
             for c in (7.25, 1e3):
-                s1 = scaling.local_exponents(series_from(Ls, y), window=3)
-                s2 = scaling.local_exponents(series_from(Ls, c * y), window=3)
-                e1 = scaling.extrapolate_exponent(s1)[0]
-                e2 = scaling.extrapolate_exponent(s2)[0]
+                l1 = scaling.local_exponents(Ls, y, window=3)
+                l2 = scaling.local_exponents(Ls, c * y, window=3)
+                e1 = scaling.extrapolate_exponent(l1, False)[0]
+                e2 = scaling.extrapolate_exponent(l2, False)[0]
                 assert abs(e1 - e2) <= tol
 
     def test_needs_enough_exponents(self):
         Ls = np.geomspace(10, 100, 5)
-        s = scaling.local_exponents(series_from(Ls, Ls), window=3)
+        local = scaling.local_exponents(Ls, Ls, window=3)
         with pytest.raises(DomainError):
-            scaling.extrapolate_exponent(s)
+            scaling.extrapolate_exponent(local, False)
 
 
 class TestExtrapolateExponentSynthetic:
@@ -77,38 +71,46 @@ class TestExtrapolateExponentSynthetic:
 
     Ls = 2.0 ** np.arange(8, 18)
 
-    def local(self, y, **meta):
-        series = scaling.ScalingSeries(points=np.column_stack([self.Ls, y]), metadata=meta)
-        return scaling.local_exponents(series, window=5)
+    def local(self, y):
+        return scaling.local_exponents(self.Ls, y, window=5)
 
     @pytest.mark.parametrize("c, b, a1, a2", [(0.4, 0.3, 1.0, -2.0), (1.0, 0.25, 1.5, -2.0)])
     def test_two_corrections_of_opposite_sign(self, c, b, a1, a2):
         # L^c (1 + a1 L^-b + a2 L^-2b): the local exponents stay flat over
         # the small sizes, then climb toward c (the ring's alpha = 1.4 shape)
-        s = self.local(self.Ls**c * (1.0 + a1 * self.Ls**-b + a2 * self.Ls ** (-2 * b)))
-        x, y = 1.0 / s.local_exponents[:, 0], s.local_exponents[:, 1]
+        local = self.local(self.Ls**c * (1.0 + a1 * self.Ls**-b + a2 * self.Ls ** (-2 * b)))
+        x, y = 1.0 / local[:, 0], local[:, 1]
         # a single correction cannot follow the turn: b sits on its floor and
         # the offset lands above every local exponent
         one = numkit.powerlaw_offset_fit(x, y)
         assert one.exponent <= numkit.POWERLAW_B_RANGE[0] + 1e-6
         assert one.offset - c > 0.1
-        assert abs(scaling.extrapolate_exponent(s)[0] - c) <= 0.005
+        assert abs(scaling.extrapolate_exponent(local, False)[0] - c) <= 0.005
 
     @pytest.mark.parametrize("d, alpha", [(1, 1.0), (2, 2.0)])
     @pytest.mark.parametrize("c, p", [(1.0, 2.0), (0.5, -1.0)])
     def test_log_correction_at_log_regime(self, d, alpha, c, p):
         # L^c / (ln L)^p: local exponent c - p / ln L, no power of 1/L fits it
-        y = self.Ls**c / np.log(self.Ls) ** p
-        assert abs(scaling.extrapolate_exponent(self.local(y, d=d, alpha=alpha))[0] - c) <= 0.005
-        power = scaling.extrapolate_exponent(self.local(y, d=d, alpha=alpha + 0.2))[0]
+        local = self.local(self.Ls**c / np.log(self.Ls) ** p)
+        log = scaling.extrapolate_exponent(local, experiments.ring_q2_target(d, alpha)[1])[0]
+        assert abs(log - c) <= 0.005
+        power = scaling.extrapolate_exponent(
+            local, experiments.ring_q2_target(d, alpha + 0.2)[1])[0]
         assert abs(power - c) > 0.04
 
-    def test_regime_taken_from_metadata(self):
+    def test_form_taken_from_ring_q2_target(self):
+        # the target table sets the form: a log at alpha = d, power laws on
+        # either side of it; the q2 estimator fits the form it names
+        grids = {1: ([2**e for e in experiments.RING_1D_L_EXPONENTS], experiments.RING_1D_WINDOW),
+                 2: (list(experiments.RING_2D_SIZES), experiments.RING_2D_WINDOW)}
+        for d, (sizes, window) in grids.items():
+            forms = {a: experiments.ring_q2_target(d, a)[1] for a in (d - 0.2, d, d + 0.2)}
+            assert forms == {d - 0.2: False, d: True, d + 0.2: False}
+            for alpha, log in forms.items():
+                res = experiments.ring_q2_extrapolation(d, alpha, sizes, window)
+                assert (res["b"] is None) is log
         y = self.Ls**0.6 * (1.0 + 5.0 / self.Ls)
-        bare = scaling.extrapolate_exponent(self.local(y))[0]
-        off_log = scaling.extrapolate_exponent(self.local(y, d=1, alpha=1.2))[0]
-        assert bare == off_log
-        assert abs(bare - 0.6) <= 1e-3
+        assert abs(scaling.extrapolate_exponent(self.local(y), False)[0] - 0.6) <= 1e-3
 
 
 class TestLrExponent:
@@ -120,7 +122,6 @@ class TestLrExponent:
     def test_log_marker(self):
         e = scaling.lr_exponent(2, 2.0)
         assert e.regime == "log"
-        assert e.is_log
 
     def test_power_regime(self):
         e = scaling.lr_exponent(1, 1.7)
@@ -249,6 +250,16 @@ class TestFig2bcdRegime:
         with pytest.raises(DomainError, match="needs 5 admissible depths; \\[8, 10\\] has 2"):
             experiments.fig2bcd(1, -0.2, l_max=10)
         assert "convergence_ratio" in experiments.fig2bcd(1, -0.2, l_max=16)
+        # the log fit needs two depths
+        with pytest.raises(DomainError, match="log fit .* needs 2 admissible depths; "
+                                              "\\[8, 8\\] has 1"):
+            experiments.fig2bcd(1, 0.0, l_min=8, l_max=8)
+        assert "log_r2" in experiments.fig2bcd(1, 0.0, l_min=8, l_max=10)
+        # the slope fit reads only L >= 2^13, the depths l >= 12
+        with pytest.raises(DomainError, match="slope fit \\(L >= 2\\^13\\) needs 2 "
+                                              "admissible depths; \\[4, 12\\] has 1"):
+            experiments.fig2bcd(1, 0.5, l_max=12)
+        assert "slope" in experiments.fig2bcd(1, 0.5, l_max=14)
 
 
 class TestSaturationReport:
