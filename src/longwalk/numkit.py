@@ -9,7 +9,10 @@ Everything here is pure and deterministic.  Dense eigensolves, and the
 parity sectors of endpoint_amplitude up to dimension _SECULAR_MIN_DIM,
 run through numpy's LAPACK eigh, with an absolute-accuracy model
 eps*||H||.  Larger sectors, arrowhead matrices, go to arrowhead_spectrum,
-an O(n^2) secular-equation solver with the same backward error.
+an O(n^2) secular-equation solver with the same backward error: each of
+its sweeps sums the secular function and its derivative at every
+unconverged root in row blocks (_secular_sums, its only O(n^2) step), then
+steps all those roots at once on whole vectors.
 Zero-diagonal tridiagonals (the chain's parity sectors) go to
 zero_diagonal_eigenvalues, LAPACK's dqds on their bidiagonal half, with a
 relative-accuracy model eps*|lambda|, and jacobi_endpoint_weights takes
@@ -180,9 +183,10 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     strength sqrt(2) c_k, so each sector is the arrowhead matrix
     [[onsite, sqrt(2) c], [sqrt(2) c, diag(E)]] and the amplitude is
     (A+ - A-)/2 with A = spectral_amplitude(lambda, v[0]^2, t) of its sector.
-    A sector of dimension above _SECULAR_MIN_DIM is solved by
-    arrowhead_spectrum in O(n^2), a smaller one by eigh_dense, each of
-    dimension <= DENSE_DIM_CAP.  ArithmeticError as in spectral_amplitude.
+    A sector of dimension above _SECULAR_MIN_DIM (110: the two solvers tie
+    near there on the ring's sectors) is solved by arrowhead_spectrum in
+    O(n^2), a smaller one by eigh_dense, each of dimension <= DENSE_DIM_CAP.
+    ArithmeticError as in spectral_amplitude.
     """
     e = np.asarray(energies, dtype=float)
     c = np.asarray(couplings, dtype=float)
@@ -213,13 +217,15 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
 
 
 # Sectors above this dimension go to arrowhead_spectrum, smaller ones to
-# eigh_dense: below it LAPACK's O(n^3) eigh beats the O(n^2) secular solver,
-# whose numpy overhead per iteration does not shrink with n.
-_SECULAR_MIN_DIM = 170
-# roots per block of the secular iteration: a block holds (block, n) arrays
-_SECULAR_BLOCK = 64
+# eigh_dense.  On the ring's sectors the two tie between dimension 100 and
+# 111 (1.4-1.6 ms a transfer); below, LAPACK's O(n^3) eigh wins, because the
+# secular solver's numpy overhead per sweep does not shrink with n.
+_SECULAR_MIN_DIM = 110
+# entries per row block of _secular_sums: a block holds (rows, n) arrays of
+# about this many floats
+_SECULAR_BLOCK = 2**16
 # random arrowheads with graded gaps, clusters and couplings down to 1e-15
-# of the scale took at most 16 iterations
+# of the scale took at most 18 iterations
 _SECULAR_MAX_ITER = 50
 
 
@@ -237,8 +243,13 @@ def arrowhead_spectrum(onsite: float, poles, couplings) -> tuple[np.ndarray, np.
     offset tau (the dlaed4 origin shift), so the distances (d_k - origin) -
     tau keep their relative accuracy, and is found by the middle way (Li
     1994): the poles left and right of the root are each modelled by one
-    pole matched in value and slope, safeguarded by bisection.  Its weight
-    is 1/f'(x) = 1 / (1 + sum_k z_k^2 / ((d_k - origin) - tau)^2), a sum of
+    pole matched in value and slope, safeguarded by bisection.  A root in a
+    gap starts from the gap's midpoint with dlaed4's first step: the gap's
+    two poles kept exact, the others the constant they sum to there.  The
+    end roots start inside a bracket from the secular equation itself,
+    |tau| <= (sqrt(s^2 + 4 ||z||^2) - s) / 2 with s = onsite - d_1 for the
+    first root and d_m - onsite for the last.  The weight of a root x is
+    1/f'(x) = 1 / (1 + sum_k z_k^2 / ((d_k - origin) - tau)^2), a sum of
     positive terms.
     """
     d = np.asarray(poles, dtype=float)
@@ -274,103 +285,151 @@ def arrowhead_spectrum(onsite: float, poles, couplings) -> tuple[np.ndarray, np.
     return lam[order], w[order]
 
 
+def _end_bracket(s: float, znorm2: float) -> float:
+    """Bound on the distance r of an end root from its pole.  For the first
+    root x = d_1 - r, f(x) = 0 reads s + r = sum_k z2_k / (d_k - x) with
+    s = a - d_1, and d_k - x >= r gives r^2 + s r <= ||z||^2, so
+    r <= (sqrt(s^2 + 4 ||z||^2) - s) / 2; the last root mirrors it with
+    s = d_m - a.  Widened by 4 eps, so that a root on the bound (one pole)
+    stays inside."""
+    h = math.hypot(s, 2.0 * math.sqrt(znorm2))
+    r = 0.5 * (h - s) if s <= 0.0 else 2.0 * znorm2 / (h + s)
+    return r * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+def _secular_sums(d: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.ndarray,
+                  tau: np.ndarray) -> np.ndarray:
+    """Rows sum_k z2_k/delta_k, its part over the poles left of the root,
+    sum_k z2_k/delta_k^2 and its left part, delta_k = (d_k - origin) - tau,
+    for the estimates origin + tau of the roots with these ascending indices
+    (root j lies between poles j - 1 and j): the O(n^2) part of
+    _secular_roots.
+
+    Rows go in blocks of about _SECULAR_BLOCK entries.  The poles below a
+    block's first root are left of every row and those at or above its last
+    root right of every row; only the band between needs the sign test
+    (1/delta < 0 left of the root).
+    """
+    m, n = d.shape[0], roots.shape[0]
+    out = np.empty((4, n))
+    rows = min(n, max(1, _SECULAR_BLOCK // m))
+    buf = np.empty((rows, m))
+    with np.errstate():  # restores numpy's ufunc buffer size on exit
+        # numpy's default buffer (8192 elements) takes the broadcast
+        # subtractions below through a slower loop: with 256, one sweep of
+        # all roots took 14-35% less time at n = 501 to 4096 (numpy 2.4)
+        np.setbufsize(256)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            first, last = roots[start], roots[stop - 1]
+            inv = buf[:stop - start]
+            np.subtract(d, origin[start:stop, None], out=inv)
+            inv -= tau[start:stop, None]
+            np.reciprocal(inv, out=inv)
+            left = inv[:, :first]
+            band = np.minimum(inv[:, first:last], 0.0)
+            out[0, start:stop] = inv @ z2
+            out[1, start:stop] = left @ z2[:first] + band @ z2[first:last]
+            np.square(inv, out=inv)
+            np.square(band, out=band)
+            out[2, start:stop] = inv @ z2
+            out[3, start:stop] = left @ z2[:first] + band @ z2[first:last]
+    return out
+
+
 def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The m + 1 roots and weights of x - a + sum_k z2_k / (d_k - x) for sorted,
-    distinct poles d with z2 > 0 (see arrowhead_spectrum)."""
+    distinct poles d with z2 > 0 (see arrowhead_spectrum).
+
+    Every sweep evaluates the sums at all unconverged roots at once
+    (_secular_sums) and then takes one step for each of them on whole
+    vectors; converged roots leave the vectors."""
     m = d.shape[0]
     if m == 0:
         return np.array([a]), np.array([1.0])
     eps = np.finfo(float).eps
-    znorm = math.sqrt(float(np.sum(z2)))
-    # root j lies between poles j - 1 and j; its origin starts at the left
-    # pole (the only one for the last root), the first root's at pole 0.
-    # left/right are the pole distances from the origin (0 on a missing side)
-    # and (lo, hi) the bracket of tau.
+    znorm2 = float(np.sum(z2))
+    # Per unconverged root, in ascending order: its index j (it lies between
+    # poles j - 1 and j), its origin, which starts at the left pole (the
+    # only one for the last root; pole 0 for the first), the distances
+    # left/right of the poles beside it from the origin (0 on a missing
+    # side), the bracket (lo, hi) of tau and tau itself.
+    j = np.arange(m + 1)
     gaps = np.diff(d)
     origin = np.concatenate([d[:1], d])
     left = np.zeros(m + 1)
     right = np.concatenate([[0.0], gaps, [0.0]])
-    lo = np.concatenate([[min(a - d[0], 0.0) - 2.0 * znorm], np.zeros(m)])
-    hi = np.concatenate([[0.0], gaps, [max(a - d[-1], 0.0) + 2.0 * znorm]])
-    tau = 0.5 * (lo + hi)
-    side = np.zeros(m + 1, dtype=int)  # -1: below every pole, +1: above, 0: a gap
-    side[0], side[-1] = -1, 1
+    lo = np.concatenate([[-_end_bracket(a - d[0], znorm2)], np.zeros(m)])
+    hi = np.concatenate([[0.0], gaps, [_end_bracket(d[-1] - a, znorm2)]])
+    t = 0.5 * (lo + hi)
     lam = np.empty(m + 1)
     w = np.empty(m + 1)
-    ones, inv_z2 = np.ones(m), 1.0 / z2
-    rows = min(_SECULAR_BLOCK, m + 1)
-    terms_buf, left_buf = np.empty((rows, m)), np.empty((rows, m))
-    active = np.arange(m + 1)
     for it in range(_SECULAR_MAX_ITER):
-        converged = []
-        for start in range(0, active.shape[0], _SECULAR_BLOCK):
-            j = active[start:start + _SECULAR_BLOCK]
-            t = tau[j]
-            # f and f' at the root estimates.  The terms z2/delta are < 0 for
-            # the poles left of the root and > 0 right of it, so their
-            # negative parts give the left sums psi and dpsi; and
-            # z2/delta^2 = (z2/delta)^2 / z2.
-            terms, low = terms_buf[:j.shape[0]], left_buf[:j.shape[0]]
-            np.subtract(d, origin[j, None], out=terms)
-            terms -= t[:, None]
-            np.divide(z2, terms, out=terms)
-            np.minimum(terms, 0.0, out=low)
-            total, psi = terms @ ones, low @ ones
-            terms *= terms
-            low *= low
-            df, dpsi = 1.0 + terms @ inv_z2, low @ inv_z2
-            shift = origin[j] - a
-            f = shift + t + total
-            if it == 0:
-                # a root right of its gap's midpoint takes the right pole as origin
-                flip = (side[j] == 0) & (f < 0.0)
-                if np.any(flip):
-                    jf = j[flip]
-                    origin[jf] = d[jf]
-                    left[jf], right[jf] = -right[jf], 0.0
-                    lo[jf], hi[jf], t[flip] = left[jf], 0.0, 0.5 * left[jf]
-                    shift = origin[j] - a
-            lo[j] = np.where(f < 0.0, t, lo[j])
-            hi[j] = np.where(f > 0.0, t, hi[j])
-            err = eps * (8.0 * (total - 2.0 * psi + abs(shift) + abs(t)) + abs(t) * df)
+        total, psi, df, dpsi = _secular_sums(d, z2, j, origin, t)
+        df += 1.0
+        f = origin - a + t + total
+        if it == 0:
+            # a root right of its gap's midpoint takes the right pole as origin
+            flip = np.flatnonzero(f[1:-1] < 0.0) + 1
+            origin[flip] = d[flip]
+            left[flip], right[flip] = -right[flip], 0.0
+            lo[flip], hi[flip], t[flip] = left[flip], 0.0, 0.5 * left[flip]
+        shift = origin - a
+        lo = np.where(f < 0.0, t, lo)
+        hi = np.where(f > 0.0, t, hi)
+        abs_t = np.abs(t)
+        err = eps * (8.0 * (total - 2.0 * psi + np.abs(shift) + abs_t) + abs_t * df)
+        # Each new tau is tau + eta, eta a root of qa eta^2 - qb eta + qc = 0.
+        dl, dr = left - t, right - t
+        if it == 0:
+            # the first step from a gap's midpoint (dlaed4; Li 1994): its two
+            # poles kept exact, the rest the constant c they sum to there
+            zl, zr = np.concatenate([[0.0], z2]), np.concatenate([z2, [0.0]])
+            c = f - zl / dl - zr / dr
+            qa, qb, qc = c, c * (dl + dr) + zl + zr, c * dl * dr + zl * dr + zr * dl
+        else:
             # the middle way: the left poles as psi + s/(left - x), the right
             # ones as phi + S/(right - x), each matched in value and slope at
-            # tau; its root x = tau + eta solves qa eta^2 - qb eta + qc = 0.
-            # The linear term joins the side away from the origin: modelled
-            # by the origin's pole it would halve tau per step when that
-            # pole's coupling is tiny.  Outside a gap it is kept exact
-            # beside the one pole model.
-            dl, dr = left[j] - t, right[j] - t
-            near = np.where(side[j] < 0, dr, dl)
-            dpsi += right[j] == 0.0
-            qa = np.where(side[j] == 0, f - dpsi * dl - (df - dpsi) * dr, 1.0)
-            qb = np.where(side[j] == 0, (dl + dr) * f - dl * dr * df, df * near - f)
-            qc = np.where(side[j] == 0, dl * dr * f, -f * near)
-            # eta_- solves the gaps and the first root, eta_+ the last one
-            sgn = np.where(side[j] > 0, 1.0, -1.0)
-            root = np.sqrt(np.abs(qb * qb - 4.0 * qa * qc))
-            with np.errstate(divide="ignore", invalid="ignore"):  # qa or the denominator may be 0
-                eta = np.where(sgn * qb >= 0.0, (qb + sgn * root) / (2.0 * qa),
-                               2.0 * qc / (qb - sgn * root))
-            # one step closes at most 40 bits of the distance to the origin's
-            # pole: a root next to it is approached geometrically, and
-            # z2/delta^2 cannot overflow.  A step that leaves the bracket
-            # otherwise is replaced by bisection.
-            new, lj, hj = t + eta, lo[j], hi[j]
-            new = np.where((new * t <= 0.0) | (np.abs(new) < np.abs(t) * 2.0**-40),
-                           t * 2.0**-40, new)
-            new = np.where((new > lj) & (new < hj), new, 0.5 * (lj + hj))
-            conv = ((np.abs(f) <= err) | (new == t)
-                    | (hj - lj <= 4.0 * eps * np.maximum(abs(lj), abs(hj))))
-            lam[j[conv]] = origin[j[conv]] + t[conv]
-            w[j[conv]] = 1.0 / df[conv]
-            tau[j] = np.where(conv, t, new)
-            converged.append(conv)
-        active = active[~np.concatenate(converged)]
-        if active.shape[0] == 0:
-            return lam, w
+            # tau.  The linear term joins the side away from the origin:
+            # modelled by the origin's pole it would halve tau per step when
+            # that pole's coupling is tiny.
+            dpsi += right == 0.0
+            qa = f - dpsi * dl - (df - dpsi) * dr
+            qb = (dl + dr) * f - dl * dr * df
+            qc = dl * dr * f
+        # Outside a gap the linear term is kept exact beside a one pole model
+        # of the poles, at the first root's right and the last root's left.
+        for row, near, end in ((0, dr, j[0] == 0), (-1, dl, j[-1] == m)):
+            if end:
+                qa[row], qb[row], qc[row] = 1.0, df[row] * near[row] - f[row], -f[row] * near[row]
+        # eta_- solves the gaps and the first root, eta_+ the last one
+        root = np.sqrt(np.abs(qb * qb - 4.0 * qa * qc))
+        with np.errstate(divide="ignore", invalid="ignore"):  # qa or the denominator may be 0
+            eta = np.where(qb <= 0.0, (qb - root) / (2.0 * qa), 2.0 * qc / (qb + root))
+            if j[-1] == m:
+                eta[-1] = ((qb[-1] + root[-1]) / (2.0 * qa[-1]) if qb[-1] >= 0.0
+                           else 2.0 * qc[-1] / (qb[-1] - root[-1]))
+        # one step closes at most 40 bits of the distance to the origin's
+        # pole: a root next to it is approached geometrically, and
+        # z2/delta^2 cannot overflow.  A step that leaves the bracket
+        # otherwise is replaced by bisection.
+        new = t + eta
+        new = np.where((new * t <= 0.0) | (np.abs(new) < abs_t * 2.0**-40), t * 2.0**-40, new)
+        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+        conv = ((np.abs(f) <= err) | (new == t)
+                | (hi - lo <= 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))))
+        if np.any(conv):
+            done = j[conv]
+            lam[done] = origin[conv] + t[conv]
+            w[done] = 1.0 / df[conv]
+            keep = ~conv
+            if not np.any(keep):
+                return lam, w
+            j, origin, left, right, lo, hi, new = (
+                v[keep] for v in (j, origin, left, right, lo, hi, new))
+        t = new
     raise ArithmeticError(
-        f"secular equation: {active.shape[0]} of {m + 1} roots did not converge "
+        f"secular equation: {j.shape[0]} of {m + 1} roots did not converge "
         f"in {_SECULAR_MAX_ITER} iterations")
 
 

@@ -191,8 +191,8 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> transfer.Tran
     the bound, valid when delta0 >= 4 Omega and S < 3/4.
 
     Uses numkit.endpoint_amplitude on the folded channel modes (_channel).
-    Parity sectors above dimension 170 (d = 1 L >= 676, d = 2 L >= 50, d = 3
-    L >= 22) are solved by the O(n^2) secular solver, smaller ones by dense
+    Parity sectors above dimension 110 (d = 1 L >= 436, d = 2 L >= 38, d = 3
+    L >= 18) are solved by the O(n^2) secular solver, smaller ones by dense
     eigh.  Sizes whose larger parity sector exceeds numkit.DENSE_DIM_CAP
     (L > 16378, 250 and 68 at d = 1, 2 and 3) are rejected before the
     spectrum is computed.

@@ -1,7 +1,9 @@
 """The O(n^2) arrowhead solver (numkit.arrowhead_spectrum) and the kernel
 that sends large parity sectors to it: against 40-digit mpmath on hard
-arrowheads, against eigh_dense around the crossover and at large n, and
-property tests of endpoint_amplitude on both sides of the crossover."""
+arrowheads, against eigh_dense around the crossover and at large n, its
+secular sums against a long-double sum and its end-root brackets against
+eigh, and property tests of endpoint_amplitude on both sides of the
+crossover."""
 
 import numpy as np
 import pytest
@@ -112,6 +114,93 @@ class TestArrowheadSpectrum:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
             numkit.arrowhead_spectrum(0.0, [0.0, 1.0], [1.0])
+
+
+class TestSecularSums:
+    """numkit._secular_sums, the O(n^2) part of the secular sweep, against a
+    direct long-double sum of the same terms, for every row block shape."""
+
+    @staticmethod
+    def estimates(seed, m):
+        """Sorted poles, couplings over eight decades, and one root estimate
+        in every gap (origin at its left or right pole, tau a random share
+        of the gap) plus the two end roots."""
+        rng = np.random.default_rng(seed)
+        d = np.sort(rng.standard_normal(m))
+        z2 = (0.3 * rng.standard_normal(m) * 10.0 ** rng.uniform(-8, 0, m)) ** 2
+        share, right = rng.uniform(0.05, 0.95, m - 1), rng.random(m - 1) < 0.5
+        gaps = np.diff(d)
+        origin = np.concatenate([d[:1], np.where(right, d[1:], d[:-1]), d[-1:]])
+        tau = np.concatenate([[-rng.uniform(0.01, 1.0)],
+                              np.where(right, (share - 1.0) * gaps, share * gaps),
+                              [rng.uniform(0.01, 1.0)]])
+        return d, z2, origin, tau
+
+    @staticmethod
+    def direct(d, z2, roots, origin, tau):
+        """The four sums in long double, with delta = (d - origin) - tau
+        rounded as the kernel rounds it, and the sums of |terms|."""
+        delta = ((d - origin[:, None]) - tau[:, None]).astype(np.longdouble)
+        terms = z2.astype(np.longdouble) / delta
+        left = np.arange(d.shape[0]) < roots[:, None]
+        rows = [terms, np.where(left, terms, 0.0), terms / delta,
+                np.where(left, terms / delta, 0.0)]
+        return (np.array([r.sum(axis=1) for r in rows]),
+                np.array([np.abs(r).sum(axis=1) for r in rows]))
+
+    def check(self, d, z2, roots, origin, tau):
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("long double is no wider than double here")
+        exact, size = self.direct(d, z2, roots, origin, tau)
+        sums = numkit._secular_sums(d, z2, roots, origin, tau)
+        # relative to the sum of |terms|: the plain relative error for the
+        # three one-signed sums
+        assert np.all(np.abs(sums - exact) <= 1e-15 * size)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rows", [1, 3, "all"])
+    def test_every_block_shape(self, monkeypatch, seed, rows):
+        m = 24
+        d, z2, origin, tau = self.estimates(seed, m)
+        monkeypatch.setattr(numkit, "_SECULAR_BLOCK", (m + 1 if rows == "all" else rows) * m)
+        self.check(d, z2, np.arange(m + 1), origin, tau)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_rows_whose_band_spans_every_pole(self, monkeypatch, seed):
+        # the first root, one gap root and the last, in one block: no pole
+        # lies below the first or at or above the last, so every pole is in
+        # the band
+        m = 24
+        d, z2, origin, tau = self.estimates(seed, m)
+        monkeypatch.setattr(numkit, "_SECULAR_BLOCK", (m + 1) * m)
+        roots = np.array([0, 7, m])
+        self.check(d, z2, roots, origin[roots], tau[roots])
+
+
+@st.composite
+def end_root_arrowheads(draw):
+    """(onsite, sorted poles, couplings) with the onsite energy below, among
+    or above the poles and couplings from 1e-15 to 1 of the scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    poles = np.sort(rng.standard_normal(n))
+    couplings = 0.5 * rng.standard_normal(n) * 10.0 ** rng.uniform(-15, 0, n)
+    onsite = {"below": poles[0] - rng.exponential(),
+              "among": rng.uniform(poles[0], poles[-1]),
+              "above": poles[-1] + rng.exponential()}
+    return float(onsite[draw(st.sampled_from(sorted(onsite)))]), poles, couplings
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@hypothesis.given(data=st.data())
+def test_end_root_brackets_hold_the_extreme_eigenvalues(data):
+    onsite, poles, couplings = data.draw(end_root_arrowheads())
+    lam, _ = dense_spectrum(onsite, poles, couplings)
+    znorm2 = couplings @ couplings
+    # eigh's own error, eps ||H||, on a bound that is attained for n = 1
+    slack = 4.0 * np.finfo(float).eps * scale_of(onsite, poles, couplings)
+    assert lam[0] >= poles[0] - numkit._end_bracket(onsite - poles[0], znorm2) - slack
+    assert lam[-1] <= poles[-1] + numkit._end_bracket(poles[-1] - onsite, znorm2) + slack
 
 
 @st.composite
