@@ -17,6 +17,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 CROSSOVER = numkit._SECULAR_MIN_DIM
+# the crossover before the vectorised secular sweep: sizes around it stay
+# covered, now on the secular side
+EARLIER_CROSSOVER = 170
 
 
 def dense_spectrum(onsite, poles, couplings):
@@ -72,7 +75,8 @@ class TestAgainstMpmath:
 
 
 class TestAgainstEigh:
-    @pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER + 1, 1025, 4096])
+    @pytest.mark.parametrize("n", sorted({CROSSOVER - 1, CROSSOVER + 1, EARLIER_CROSSOVER - 1,
+                                          EARLIER_CROSSOVER + 1, 1025, 4096}))
     def test_random_arrowhead(self, n):
         rng = np.random.default_rng(n)
         onsite, poles, couplings = 0.1, rng.standard_normal(n - 1), 0.1 * rng.standard_normal(n - 1)
@@ -229,7 +233,8 @@ def arrowheads(draw, n):
     return float(onsite), poles, couplings
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, CROSSOVER - 1, CROSSOVER + 1, 1025, 4096])
+@pytest.mark.parametrize("n", sorted({1, 2, 9, CROSSOVER - 1, CROSSOVER + 1, EARLIER_CROSSOVER - 1,
+                                      EARLIER_CROSSOVER + 1, 1025, 4096}))
 @hypothesis.settings(derandomize=True, database=None, max_examples=8, deadline=None)
 @hypothesis.given(data=st.data())
 def test_moment_identities(n, data):
@@ -255,7 +260,8 @@ def channels(draw, n):
     return energies, couplings, parities, onsite, draw(st.sampled_from([0.0, 0.7, 25.0]))
 
 
-@pytest.mark.parametrize("modes", [5, 60, CROSSOVER + 5, 2 * CROSSOVER + 40])
+@pytest.mark.parametrize("modes", sorted({5, 60, CROSSOVER + 5, 2 * CROSSOVER + 40,
+                                          EARLIER_CROSSOVER + 5, 2 * EARLIER_CROSSOVER + 40}))
 @hypothesis.settings(derandomize=True, database=None, max_examples=10, deadline=None)
 @hypothesis.given(data=st.data())
 def test_kernel_matches_the_full_matrix(modes, data):
@@ -270,9 +276,14 @@ def test_kernel_matches_the_full_matrix(modes, data):
 
 
 class TestSectorDispatch:
-    @pytest.mark.parametrize("modes, secular", [(CROSSOVER - 1, False), (CROSSOVER, True)])
-    def test_sector_dimension_picks_the_solver(self, monkeypatch, modes, secular):
+    # at the shipped crossover and, set by monkeypatch, at the earlier one:
+    # the dispatch reads _SECULAR_MIN_DIM and hard-codes no dimension
+    @pytest.mark.parametrize("modes, secular, crossover", [
+        pytest.param(c + shift, shift == 0, c, id=f"{c + shift}-{shift == 0}")
+        for c in sorted({CROSSOVER, EARLIER_CROSSOVER}) for shift in (-1, 0)])
+    def test_sector_dimension_picks_the_solver(self, monkeypatch, modes, secular, crossover):
         # one even sector of dimension modes + 1; the odd one is the endpoint alone
+        monkeypatch.setattr(numkit, "_SECULAR_MIN_DIM", crossover)
         calls = []
         solve = numkit.arrowhead_spectrum
         monkeypatch.setattr(numkit, "arrowhead_spectrum",
@@ -282,7 +293,7 @@ class TestSectorDispatch:
                                   np.ones(modes), 0.0, 1.0)
         assert calls == ([modes] if secular else [])
 
-    @pytest.mark.parametrize("modes", [10, CROSSOVER + 10])
+    @pytest.mark.parametrize("modes", sorted({10, CROSSOVER + 10, EARLIER_CROSSOVER + 10}))
     def test_non_finite_input_rejected_on_both_paths(self, modes):
         e, c, p = np.linspace(-1, 1, modes), np.full(modes, 0.05), np.ones(modes)
         for bad in (dict(e=np.where(e > 0.5, np.nan, e)), dict(c=np.where(e > 0.5, np.inf, c)),
