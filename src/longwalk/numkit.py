@@ -198,7 +198,7 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(c))
             and math.isfinite(onsite) and math.isfinite(time)):
         raise DomainError("non-finite energies, couplings, onsite energy or time")
-    sectors = []
+    spectra, secular = {}, []
     for sign in (1.0, -1.0):
         keep = p == sign
         dim = 1 + int(np.count_nonzero(keep))
@@ -206,14 +206,17 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
             raise DomainError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
         z = np.sqrt(2.0) * c[keep]
         if dim > _SECULAR_MIN_DIM:
-            lam, w = arrowhead_spectrum(onsite, e[keep], z)
+            secular.append((sign, (e[keep], z)))
         else:
             h = np.diag(np.concatenate([[onsite], e[keep]]))
             h[0, 1:] = h[1:, 0] = z
             dec = eigh_dense(h)
-            lam, w = dec.eigenvalues, dec.eigenvectors[0] ** 2
-        sectors.append(spectral_amplitude(lam, w, time))
-    return (sectors[0] - sectors[1]) / 2.0
+            spectra[sign] = dec.eigenvalues, dec.eigenvectors[0] ** 2
+    if secular:
+        spectra.update(zip([sign for sign, _ in secular],
+                           arrowhead_spectra(onsite, [sector for _, sector in secular])))
+    plus, minus = (spectral_amplitude(*spectra[sign], time) for sign in (1.0, -1.0))
+    return (plus - minus) / 2.0
 
 
 # Sectors above this dimension go to arrowhead_spectrum, smaller ones to
@@ -252,12 +255,38 @@ def arrowhead_spectrum(onsite: float, poles, couplings) -> tuple[np.ndarray, np.
     1/f'(x) = 1 / (1 + sum_k z_k^2 / ((d_k - origin) - tau)^2), a sum of
     positive terms.
     """
-    d = np.asarray(poles, dtype=float)
-    z = np.asarray(couplings, dtype=float)
-    if not (d.ndim == 1 and d.shape == z.shape):
-        raise DomainError("poles and couplings must be equal-length 1-d arrays")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z)) and math.isfinite(onsite)):
-        raise DomainError("non-finite entries in arrowhead input")
+    return arrowhead_spectra(onsite, [(poles, couplings)])[0]
+
+
+def arrowhead_spectra(onsite: float, sectors) -> list[tuple[np.ndarray, np.ndarray]]:
+    """arrowhead_spectrum of [[onsite, z^T], [z, diag(poles)]] for each
+    (poles, couplings) pair in `sectors`, with every sector's roots found in
+    one secular iteration; each result is bit for bit the one sector's
+    alone."""
+    prepared = []
+    for poles, couplings in sectors:
+        d = np.asarray(poles, dtype=float)
+        z = np.asarray(couplings, dtype=float)
+        if not (d.ndim == 1 and d.shape == z.shape):
+            raise DomainError("poles and couplings must be equal-length 1-d arrays")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z)) and math.isfinite(onsite)):
+            raise DomainError("non-finite entries in arrowhead input")
+        prepared.append(_deflate(onsite, d, z))
+    spectra = []
+    for (e, _, _, _, deflated), (lam, w) in zip(
+            prepared, _secular_roots([p[1:4] for p in prepared])):
+        lam = np.ldexp(np.concatenate([lam, *deflated]), e)
+        w = np.concatenate([w, np.zeros(lam.shape[0] - w.shape[0])])
+        order = np.argsort(lam, kind="stable")
+        spectra.append((lam[order], w[order]))
+    return spectra
+
+
+def _deflate(onsite: float, d: np.ndarray, z: np.ndarray):
+    """(e, a, d, z2, deflated): the arrowhead scaled by 2^-e, its sorted
+    poles d and squared couplings z2 left after deflation (see
+    arrowhead_spectrum), and the deflated poles, which are eigenvalues of
+    weight 0."""
     # scaling by the power of two 2^-e just above the largest entry is
     # exact, and keeps z^2 and the squared distances in range
     e = math.frexp(max(abs(onsite), np.max(np.abs(d), initial=0.0),
@@ -277,12 +306,7 @@ def arrowhead_spectrum(onsite: float, poles, couplings) -> tuple[np.ndarray, np.
             d[i], d[i + 1] = d[i] + z2[i] / r2 * gap, d[i] + z2[i + 1] / r2 * gap
             z2[i], z2[i + 1] = 0.0, r2
     deflated.append(d[z2 == 0.0])
-    d, z2 = d[z2 > 0.0], z2[z2 > 0.0]
-    lam, w = _secular_roots(a, d, z2)
-    lam = np.ldexp(np.concatenate([lam, *deflated]), e)
-    w = np.concatenate([w, np.zeros(lam.shape[0] - w.shape[0])])
-    order = np.argsort(lam, kind="stable")
-    return lam[order], w[order]
+    return e, a, d[z2 > 0.0], z2[z2 > 0.0], deflated
 
 
 def _end_bracket(s: float, znorm2: float) -> float:
@@ -321,7 +345,7 @@ def _secular_sums(d: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.n
         np.setbufsize(256)
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            first, last = roots[start], roots[stop - 1]
+            first, last = int(roots[start]), int(roots[stop - 1])
             inv = buf[:stop - start]
             np.subtract(d, origin[start:stop, None], out=inv)
             inv -= tau[start:stop, None]
@@ -337,46 +361,66 @@ def _secular_sums(d: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.n
     return out
 
 
-def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The m + 1 roots and weights of x - a + sum_k z2_k / (d_k - x) for sorted,
-    distinct poles d with z2 > 0 (see arrowhead_spectrum).
+def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The m + 1 roots and weights of x - a + sum_k z2_k / (d_k - x) for each
+    (a, d, z2) in `sectors`, with sorted, distinct poles d and z2 > 0 (see
+    arrowhead_spectrum).
 
-    Every sweep evaluates the sums at all unconverged roots at once
-    (_secular_sums) and then takes one step for each of them on whole
-    vectors; converged roots leave the vectors."""
-    m = d.shape[0]
-    if m == 0:
-        return np.array([a]), np.array([1.0])
+    One loop serves every sector.  Each sweep evaluates the sums at all
+    unconverged roots (_secular_sums, sector by sector) and then takes one
+    step for each of them on whole vectors; converged roots leave the
+    vectors.  The rows of the state stay grouped by sector and ascending
+    within it, so every sector's sums see the rows they would alone."""
     eps = np.finfo(float).eps
-    znorm2 = float(np.sum(z2))
-    # Per unconverged root, in ascending order: its index j (it lies between
-    # poles j - 1 and j), its origin, which starts at the left pole (the
-    # only one for the last root; pole 0 for the first), the distances
-    # left/right of the poles beside it from the origin (0 on a missing
-    # side), the bracket (lo, hi) of tau and tau itself.
-    j = np.arange(m + 1)
-    gaps = np.diff(d)
-    origin = np.concatenate([d[:1], d])
-    left = np.zeros(m + 1)
-    right = np.concatenate([[0.0], gaps, [0.0]])
-    lo = np.concatenate([[-_end_bracket(a - d[0], znorm2)], np.zeros(m)])
-    hi = np.concatenate([[0.0], gaps, [_end_bracket(d[-1] - a, znorm2)]])
-    t = 0.5 * (lo + hi)
-    lam = np.empty(m + 1)
-    w = np.empty(m + 1)
-    for it in range(_SECULAR_MAX_ITER):
-        total, psi, df, dpsi = _secular_sums(d, z2, j, origin, t)
+    # Per root, a column of the state: its origin, which starts at the left
+    # pole (the only one for the last root; pole 0 for the first), the
+    # distances left/right of the poles beside it from the origin (0 on a
+    # missing side), the bracket (lo, hi) of tau, tau itself, the sector's a
+    # and m, the root's index j in its sector (it lies between poles j - 1
+    # and j) and its place in the output.  A sector with no pole has the
+    # root a of weight 1 and no column.
+    columns, start, starts = [], 0, []
+    first_step = []  # the right pole and the couplings of the gap's poles
+    for a, d, z2 in sectors:
+        m = d.shape[0]
+        starts.append(start)
+        if m > 0:
+            znorm2 = float(np.sum(z2))
+            gaps = np.diff(d)
+            lo = np.concatenate([[-_end_bracket(a - d[0], znorm2)], np.zeros(m)])
+            hi = np.concatenate([[0.0], gaps, [_end_bracket(d[-1] - a, znorm2)]])
+            columns.append(np.stack([
+                np.concatenate([d[:1], d]), np.zeros(m + 1), np.concatenate([[0.0], gaps, [0.0]]),
+                lo, hi, 0.5 * (lo + hi), np.full(m + 1, a), np.full(m + 1, float(m)),
+                np.arange(m + 1.0), start + np.arange(m + 1.0)]))
+            first_step.append(np.stack([np.concatenate([d, d[-1:]]), np.concatenate([[0.0], z2]),
+                                        np.concatenate([z2, [0.0]])]))
+        start += m + 1
+    lam, w = np.empty(start), np.empty(start)
+    if columns:
+        state = np.concatenate(columns, axis=1)
+        right_pole, zl, zr = np.concatenate(first_step, axis=1)
+    starts.append(start)
+    for it in range(_SECULAR_MAX_ITER if columns else 0):
+        origin, left, right, lo, hi, t, a, m, j, pos = state
+        sums = np.empty((4, state.shape[1]))
+        bounds = np.searchsorted(pos, starts)
+        for (_, d, z2), b0, b1 in zip(sectors, bounds[:-1], bounds[1:]):
+            if b1 > b0:
+                sums[:, b0:b1] = _secular_sums(d, z2, j[b0:b1], origin[b0:b1], t[b0:b1])
+        total, psi, df, dpsi = sums
         df += 1.0
         f = origin - a + t + total
+        first, last = j == 0.0, j == m
         if it == 0:
             # a root right of its gap's midpoint takes the right pole as origin
-            flip = np.flatnonzero(f[1:-1] < 0.0) + 1
-            origin[flip] = d[flip]
+            flip = (f < 0.0) & ~first & ~last
+            origin[flip] = right_pole[flip]
             left[flip], right[flip] = -right[flip], 0.0
             lo[flip], hi[flip], t[flip] = left[flip], 0.0, 0.5 * left[flip]
         shift = origin - a
-        lo = np.where(f < 0.0, t, lo)
-        hi = np.where(f > 0.0, t, hi)
+        np.copyto(lo, t, where=f < 0.0)
+        np.copyto(hi, t, where=f > 0.0)
         abs_t = np.abs(t)
         err = eps * (8.0 * (total - 2.0 * psi + np.abs(shift) + abs_t) + abs_t * df)
         # Each new tau is tau + eta, eta a root of qa eta^2 - qb eta + qc = 0.
@@ -384,7 +428,6 @@ def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray,
         if it == 0:
             # the first step from a gap's midpoint (dlaed4; Li 1994): its two
             # poles kept exact, the rest the constant c they sum to there
-            zl, zr = np.concatenate([[0.0], z2]), np.concatenate([z2, [0.0]])
             c = f - zl / dl - zr / dr
             qa, qb, qc = c, c * (dl + dr) + zl + zr, c * dl * dr + zl * dr + zr * dl
         else:
@@ -399,16 +442,17 @@ def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray,
             qc = dl * dr * f
         # Outside a gap the linear term is kept exact beside a one pole model
         # of the poles, at the first root's right and the last root's left.
-        for row, near, end in ((0, dr, j[0] == 0), (-1, dl, j[-1] == m)):
-            if end:
-                qa[row], qb[row], qc[row] = 1.0, df[row] * near[row] - f[row], -f[row] * near[row]
+        ends = first | last
+        near = np.where(first, dr, dl)
+        qa = np.where(ends, 1.0, qa)
+        qb = np.where(ends, df * near - f, qb)
+        qc = np.where(ends, -f * near, qc)
         # eta_- solves the gaps and the first root, eta_+ the last one
         root = np.sqrt(np.abs(qb * qb - 4.0 * qa * qc))
         with np.errstate(divide="ignore", invalid="ignore"):  # qa or the denominator may be 0
-            eta = np.where(qb <= 0.0, (qb - root) / (2.0 * qa), 2.0 * qc / (qb + root))
-            if j[-1] == m:
-                eta[-1] = ((qb[-1] + root[-1]) / (2.0 * qa[-1]) if qb[-1] >= 0.0
-                           else 2.0 * qc[-1] / (qb[-1] - root[-1]))
+            eta = np.where(last, np.where(qb >= 0.0, (qb + root) / (2.0 * qa),
+                                          2.0 * qc / (qb - root)),
+                           np.where(qb <= 0.0, (qb - root) / (2.0 * qa), 2.0 * qc / (qb + root)))
         # one step closes at most 40 bits of the distance to the origin's
         # pole: a root next to it is approached geometrically, and
         # z2/delta^2 cannot overflow.  A step that leaves the bracket
@@ -418,19 +462,22 @@ def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray,
         new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
         conv = ((np.abs(f) <= err) | (new == t)
                 | (hi - lo <= 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))))
-        if np.any(conv):
-            done = j[conv]
-            lam[done] = origin[conv] + t[conv]
-            w[done] = 1.0 / df[conv]
-            keep = ~conv
-            if not np.any(keep):
-                return lam, w
-            j, origin, left, right, lo, hi, new = (
-                v[keep] for v in (j, origin, left, right, lo, hi, new))
-        t = new
-    raise ArithmeticError(
-        f"secular equation: {j.shape[0]} of {m + 1} roots did not converge "
-        f"in {_SECULAR_MAX_ITER} iterations")
+        done = pos[conv].astype(np.intp)
+        lam[done] = origin[conv] + t[conv]
+        w[done] = 1.0 / df[conv]
+        t[:] = new
+        state = state[:, ~conv]
+        if state.shape[1] == 0:
+            break
+    else:
+        if columns:
+            raise ArithmeticError(
+                f"secular equation: {state.shape[1]} of {start} roots did not converge "
+                f"in {_SECULAR_MAX_ITER} iterations")
+    for (a, d, _), s0 in zip(sectors, starts):
+        if d.shape[0] == 0:
+            lam[s0], w[s0] = a, 1.0
+    return [(lam[s0:s1], w[s0:s1]) for s0, s1 in zip(starts[:-1], starts[1:])]
 
 
 def dft_workspace(shape) -> tuple[np.ndarray, np.ndarray]:

@@ -285,13 +285,13 @@ class TestSectorDispatch:
         # one even sector of dimension modes + 1; the odd one is the endpoint alone
         monkeypatch.setattr(numkit, "_SECULAR_MIN_DIM", crossover)
         calls = []
-        solve = numkit.arrowhead_spectrum
-        monkeypatch.setattr(numkit, "arrowhead_spectrum",
-                            lambda *args: calls.append(len(args[1])) or solve(*args))
+        solve = numkit.arrowhead_spectra
+        monkeypatch.setattr(numkit, "arrowhead_spectra", lambda onsite, sectors: calls.append(
+            [len(poles) for poles, _ in sectors]) or solve(onsite, sectors))
         rng = np.random.default_rng(modes)
         numkit.endpoint_amplitude(rng.standard_normal(modes), np.full(modes, 0.05),
                                   np.ones(modes), 0.0, 1.0)
-        assert calls == ([modes] if secular else [])
+        assert calls == ([[modes]] if secular else [])
 
     @pytest.mark.parametrize("modes", sorted({10, CROSSOVER + 10, EARLIER_CROSSOVER + 10}))
     def test_non_finite_input_rejected_on_both_paths(self, modes):
