@@ -321,44 +321,78 @@ def _end_bracket(s: float, znorm2: float) -> float:
     return r * (1.0 + 4.0 * np.finfo(float).eps)
 
 
+def _end_starts(a: float, d: np.ndarray, z2: np.ndarray, znorm2: float) -> np.ndarray:
+    """Starting offsets of the first and the last root from their poles.
+
+    The distance r of an end root from its pole lies between _end_bracket
+    with the nearest pole's coupling alone (the other terms of the secular
+    equation have the same sign) and with all of them.  Two rounds of eight
+    log-spaced probes of f between those bounds each keep the two probes
+    around the sign change, in O(n); the start is their geometric mean."""
+    probes = 8
+    s = (a - d[0], d[-1] - a)
+    lo = np.array([_end_bracket(s[0], z2[0]), _end_bracket(s[1], z2[-1])])
+    hi = np.array([_end_bracket(s[0], znorm2), _end_bracket(s[1], znorm2)])
+    origin = np.repeat([d[0], d[-1]], probes)
+    # the first root lies below its pole, the last above; f increases
+    # with x, so side * f < 0 at the probes between the pole and the root
+    side = np.repeat([-1.0, 1.0], probes)
+    steps = np.arange(probes) / (probes - 1.0)
+    delta = np.empty((2 * probes, d.shape[0]))
+    for _ in range(2):
+        r = lo[:, None] * (hi / lo)[:, None] ** steps
+        t = side * r.reshape(-1)
+        np.subtract(d, origin[:, None], out=delta)
+        delta -= t[:, None]
+        f = origin - a + t + np.reciprocal(delta, out=delta) @ z2
+        inside = np.count_nonzero((side * f < 0.0).reshape(2, probes), axis=1)
+        k = np.minimum(np.maximum(inside, 1), probes - 1)
+        lo, hi = r[(0, 1), k - 1], r[(0, 1), k]
+    return np.array([-1.0, 1.0]) * np.sqrt(lo * hi)
+
+
 def _secular_sums(d: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.ndarray,
-                  tau: np.ndarray) -> np.ndarray:
+                  tau: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Rows sum_k z2_k/delta_k, its part over the poles left of the root,
     sum_k z2_k/delta_k^2 and its left part, delta_k = (d_k - origin) - tau,
     for the estimates origin + tau of the roots with these ascending indices
     (root j lies between poles j - 1 and j): the O(n^2) part of
     _secular_roots.
 
-    Rows go in blocks of about _SECULAR_BLOCK entries.  The poles below a
-    block's first root are left of every row and those at or above its last
-    root right of every row; only the band between needs the sign test
-    (1/delta < 0 left of the root).
+    Rows go in blocks of _secular_block_rows(m, n), through a flat `work`
+    buffer of 2 _secular_block_rows(m, n) m entries or more (allocated when
+    None).  The poles below a block's first root are left of every row and
+    those at or above its last root right of every row; only the band
+    between needs the sign test (1/delta < 0 left of the root).
     """
     m, n = d.shape[0], roots.shape[0]
     out = np.empty((4, n))
-    rows = min(n, max(1, _SECULAR_BLOCK // m))
-    buf = np.empty((rows, m))
-    with np.errstate():  # restores numpy's ufunc buffer size on exit
-        # numpy's default buffer (8192 elements) takes the broadcast
-        # subtractions below through a slower loop: with 256, one sweep of
-        # all roots took 14-35% less time at n = 501 to 4096 (numpy 2.4)
-        np.setbufsize(256)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            first, last = int(roots[start]), int(roots[stop - 1])
-            inv = buf[:stop - start]
-            np.subtract(d, origin[start:stop, None], out=inv)
-            inv -= tau[start:stop, None]
-            np.reciprocal(inv, out=inv)
-            left = inv[:, :first]
-            band = np.minimum(inv[:, first:last], 0.0)
-            out[0, start:stop] = inv @ z2
-            out[1, start:stop] = left @ z2[:first] + band @ z2[first:last]
-            np.square(inv, out=inv)
-            np.square(band, out=band)
-            out[2, start:stop] = inv @ z2
-            out[3, start:stop] = left @ z2[:first] + band @ z2[first:last]
+    rows = _secular_block_rows(m, n)
+    if work is None:
+        work = np.empty(2 * rows * m)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        first, last = int(roots[start]), int(roots[stop - 1])
+        inv = work[:(stop - start) * m].reshape(stop - start, m)
+        np.subtract(d, origin[start:stop, None], out=inv)
+        inv -= tau[start:stop, None]
+        np.reciprocal(inv, out=inv)
+        band = work[(stop - start) * m:][:(stop - start) * (last - first)]
+        band = np.minimum(inv[:, first:last], 0.0, out=band.reshape(stop - start, -1))
+        left = inv[:, :first]
+        out[0, start:stop] = inv @ z2
+        out[1, start:stop] = left @ z2[:first] + band @ z2[first:last]
+        np.square(inv, out=inv)
+        np.square(band, out=band)
+        out[2, start:stop] = inv @ z2
+        out[3, start:stop] = left @ z2[:first] + band @ z2[first:last]
     return out
+
+
+def _secular_block_rows(m: int, n: int) -> int:
+    """Rows per block of _secular_sums for m poles and n roots: a block holds
+    (rows, m) arrays of about _SECULAR_BLOCK entries."""
+    return min(n, max(1, _SECULAR_BLOCK // m))
 
 
 def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -367,117 +401,136 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     arrowhead_spectrum).
 
     One loop serves every sector.  Each sweep evaluates the sums at all
-    unconverged roots (_secular_sums, sector by sector) and then takes one
-    step for each of them on whole vectors; converged roots leave the
-    vectors.  The rows of the state stay grouped by sector and ascending
-    within it, so every sector's sums see the rows they would alone."""
+    unconverged roots (_secular_sums, sector by sector, through one
+    workspace) and then takes one step for each of them on whole vectors;
+    converged roots leave the vectors.  The columns of the state stay
+    grouped by sector and ascending within it, so every sector's sums see
+    the rows they would alone."""
     eps = np.finfo(float).eps
     # Per root, a column of the state: its origin, which starts at the left
-    # pole (the only one for the last root; pole 0 for the first), the
-    # distances left/right of the poles beside it from the origin (0 on a
-    # missing side), the bracket (lo, hi) of tau, tau itself, the sector's a
-    # and m, the root's index j in its sector (it lies between poles j - 1
-    # and j) and its place in the output.  A sector with no pole has the
-    # root a of weight 1 and no column.
-    columns, start, starts = [], 0, []
-    first_step = []  # the right pole and the couplings of the gap's poles
+    # pole (the only one for the last root; pole 0 for the first), origin - a,
+    # the distances left/right of the poles beside it from the origin (0 on
+    # a missing side), the bracket (lo, hi) of tau, tau itself, -1 for a
+    # first root, 1 for a last one and 0 in a gap, the root's index j in its
+    # sector (it lies between poles j - 1 and j) and its place in the
+    # output.  A sector with no pole has the root a of weight 1 and no column.
+    columns, first_step, starts, size = [], [], [], 0
     for a, d, z2 in sectors:
         m = d.shape[0]
-        starts.append(start)
+        starts.append(size)
         if m > 0:
             znorm2 = float(np.sum(z2))
-            gaps = np.diff(d)
-            lo = np.concatenate([[-_end_bracket(a - d[0], znorm2)], np.zeros(m)])
-            hi = np.concatenate([[0.0], gaps, [_end_bracket(d[-1] - a, znorm2)]])
-            columns.append(np.stack([
-                np.concatenate([d[:1], d]), np.zeros(m + 1), np.concatenate([[0.0], gaps, [0.0]]),
-                lo, hi, 0.5 * (lo + hi), np.full(m + 1, a), np.full(m + 1, float(m)),
-                np.arange(m + 1.0), start + np.arange(m + 1.0)]))
-            first_step.append(np.stack([np.concatenate([d, d[-1:]]), np.concatenate([[0.0], z2]),
+            col = np.zeros((10, m + 1))
+            origin, shift, _, right, lo, hi, t, kind, j, pos = col
+            origin[0], origin[1:] = d[0], d
+            np.subtract(origin, a, out=shift)
+            right[1:-1] = np.diff(d)
+            lo[0] = -_end_bracket(a - d[0], znorm2)
+            hi[:-1], hi[-1] = right[:-1], _end_bracket(d[-1] - a, znorm2)
+            np.multiply(lo + hi, 0.5, out=t)
+            #t[[0, -1]] = _end_starts(a, d, z2, znorm2)
+            kind[0], kind[-1] = -1.0, 1.0
+            j[:] = np.arange(m + 1)
+            np.add(j, size, out=pos)
+            columns.append(col)
+            # for the first step: the right pole, its origin - a and the
+            # couplings of the gap's two poles
+            right_pole = np.concatenate([d, d[-1:]])
+            first_step.append(np.stack([right_pole, right_pole - a, np.concatenate([[0.0], z2]),
                                         np.concatenate([z2, [0.0]])]))
-        start += m + 1
-    lam, w = np.empty(start), np.empty(start)
-    if columns:
-        state = np.concatenate(columns, axis=1)
-        right_pole, zl, zr = np.concatenate(first_step, axis=1)
-    starts.append(start)
-    for it in range(_SECULAR_MAX_ITER if columns else 0):
-        origin, left, right, lo, hi, t, a, m, j, pos = state
-        sums = np.empty((4, state.shape[1]))
-        bounds = np.searchsorted(pos, starts)
-        for (_, d, z2), b0, b1 in zip(sectors, bounds[:-1], bounds[1:]):
-            if b1 > b0:
-                sums[:, b0:b1] = _secular_sums(d, z2, j[b0:b1], origin[b0:b1], t[b0:b1])
-        total, psi, df, dpsi = sums
-        df += 1.0
-        f = origin - a + t + total
-        first, last = j == 0.0, j == m
-        if it == 0:
-            # a root right of its gap's midpoint takes the right pole as origin
-            flip = (f < 0.0) & ~first & ~last
-            origin[flip] = right_pole[flip]
-            left[flip], right[flip] = -right[flip], 0.0
-            lo[flip], hi[flip], t[flip] = left[flip], 0.0, 0.5 * left[flip]
-        shift = origin - a
-        np.copyto(lo, t, where=f < 0.0)
-        np.copyto(hi, t, where=f > 0.0)
-        abs_t = np.abs(t)
-        err = eps * (8.0 * (total - 2.0 * psi + np.abs(shift) + abs_t) + abs_t * df)
-        # Each new tau is tau + eta, eta a root of qa eta^2 - qb eta + qc = 0.
-        dl, dr = left - t, right - t
-        if it == 0:
-            # the first step from a gap's midpoint (dlaed4; Li 1994): its two
-            # poles kept exact, the rest the constant c they sum to there
-            c = f - zl / dl - zr / dr
-            qa, qb, qc = c, c * (dl + dr) + zl + zr, c * dl * dr + zl * dr + zr * dl
-        else:
-            # the middle way: the left poles as psi + s/(left - x), the right
-            # ones as phi + S/(right - x), each matched in value and slope at
-            # tau.  The linear term joins the side away from the origin:
-            # modelled by the origin's pole it would halve tau per step when
-            # that pole's coupling is tiny.
-            dpsi += right == 0.0
-            qa = f - dpsi * dl - (df - dpsi) * dr
-            qb = (dl + dr) * f - dl * dr * df
-            qc = dl * dr * f
-        # Outside a gap the linear term is kept exact beside a one pole model
-        # of the poles, at the first root's right and the last root's left.
-        ends = first | last
-        near = np.where(first, dr, dl)
-        qa = np.where(ends, 1.0, qa)
-        qb = np.where(ends, df * near - f, qb)
-        qc = np.where(ends, -f * near, qc)
-        # eta_- solves the gaps and the first root, eta_+ the last one
-        root = np.sqrt(np.abs(qb * qb - 4.0 * qa * qc))
-        with np.errstate(divide="ignore", invalid="ignore"):  # qa or the denominator may be 0
-            eta = np.where(last, np.where(qb >= 0.0, (qb + root) / (2.0 * qa),
-                                          2.0 * qc / (qb - root)),
-                           np.where(qb <= 0.0, (qb - root) / (2.0 * qa), 2.0 * qc / (qb + root)))
-        # one step closes at most 40 bits of the distance to the origin's
-        # pole: a root next to it is approached geometrically, and
-        # z2/delta^2 cannot overflow.  A step that leaves the bracket
-        # otherwise is replaced by bisection.
-        new = t + eta
-        new = np.where((new * t <= 0.0) | (np.abs(new) < abs_t * 2.0**-40), t * 2.0**-40, new)
-        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
-        conv = ((np.abs(f) <= err) | (new == t)
-                | (hi - lo <= 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))))
-        done = pos[conv].astype(np.intp)
-        lam[done] = origin[conv] + t[conv]
-        w[done] = 1.0 / df[conv]
-        t[:] = new
-        state = state[:, ~conv]
-        if state.shape[1] == 0:
-            break
-    else:
-        if columns:
-            raise ArithmeticError(
-                f"secular equation: {state.shape[1]} of {start} roots did not converge "
-                f"in {_SECULAR_MAX_ITER} iterations")
+        size += m + 1
+    starts.append(size)
+    lam, w = np.empty(size), np.empty(size)
     for (a, d, _), s0 in zip(sectors, starts):
         if d.shape[0] == 0:
             lam[s0], w[s0] = a, 1.0
-    return [(lam[s0:s1], w[s0:s1]) for s0, s1 in zip(starts[:-1], starts[1:])]
+    spectra = [(lam[s0:s1], w[s0:s1]) for s0, s1 in zip(starts[:-1], starts[1:])]
+    if not columns:
+        return spectra
+    state = np.concatenate(columns, axis=1)
+    right_pole, right_shift, zl, zr = np.concatenate(first_step, axis=1)
+    work = np.empty(2 * max(_secular_block_rows(d.shape[0], d.shape[0] + 1) * d.shape[0]
+                            for _, d, _ in sectors))
+    with np.errstate():  # restores numpy's ufunc buffer size on exit
+        # numpy's default buffer (8192 elements) takes the broadcast
+        # subtractions of _secular_sums through a slower loop: with 256, one
+        # sweep of all roots took 14-35% less time at n = 501 to 4096 (numpy 2.4)
+        np.setbufsize(256)
+        for it in range(_SECULAR_MAX_ITER):
+            origin, shift, left, right, lo, hi, t, kind, j, pos = state
+            sums = np.empty((4, state.shape[1]))
+            bounds = np.searchsorted(pos, starts)
+            for (_, d, z2), b0, b1 in zip(sectors, bounds[:-1], bounds[1:]):
+                if b1 > b0:
+                    sums[:, b0:b1] = _secular_sums(d, z2, j[b0:b1], origin[b0:b1], t[b0:b1],
+                                                   work)
+            total, psi, df, dpsi = sums
+            df += 1.0
+            f = shift + t
+            f += total
+            if it == 0:
+                # a root right of its gap's midpoint takes the right pole as origin
+                flip = (f < 0.0) & (kind == 0.0)
+                origin[flip], shift[flip] = right_pole[flip], right_shift[flip]
+                left[flip], right[flip] = -right[flip], 0.0
+                lo[flip], hi[flip], t[flip] = left[flip], 0.0, 0.5 * left[flip]
+            np.copyto(lo, t, where=f < 0.0)
+            np.copyto(hi, t, where=f > 0.0)
+            abs_t = np.abs(t)
+            err = eps * (8.0 * (total - 2.0 * psi + np.abs(shift) + abs_t) + abs_t * df)
+            # Each new tau is tau + eta, eta a root of qa eta^2 - qb eta + qc = 0.
+            dl, dr = left - t, right - t
+            if it == 0:
+                # the first step from a gap's midpoint (dlaed4; Li 1994): its two
+                # poles kept exact, the rest the constant c they sum to there
+                c = f - zl / dl - zr / dr
+                qa, qb, qc = c, c * (dl + dr) + zl + zr, c * dl * dr + zl * dr + zr * dl
+            else:
+                # the middle way: the left poles as psi + s/(left - x), the right
+                # ones as phi + S/(right - x), each matched in value and slope at
+                # tau.  The linear term joins the side away from the origin:
+                # modelled by the origin's pole it would halve tau per step when
+                # that pole's coupling is tiny.
+                dpsi += right == 0.0
+                qa = f - dpsi * dl - (df - dpsi) * dr
+                qb = (dl + dr) * f - dl * dr * df
+                qc = dl * dr * f
+            # Outside a gap the linear term is kept exact beside a one pole
+            # model of the poles, at the end root's pole (at -tau).
+            ends = kind != 0.0
+            qa = np.where(ends, 1.0, qa)
+            qb = np.where(ends, -df * t - f, qb)
+            qc = np.where(ends, f * t, qc)
+            # eta_- solves the gaps and the first root; eta_+, which is eta_-
+            # of -qb negated, the last one
+            sign = np.where(kind > 0.0, -1.0, 1.0)
+            qb *= sign
+            root = np.sqrt(np.abs(qb * qb - 4.0 * qa * qc))
+            with np.errstate(divide="ignore", invalid="ignore"):  # qa or the denominator may be 0
+                eta = np.where(qb <= 0.0, (qb - root) / (2.0 * qa), 2.0 * qc / (qb + root))
+            eta *= sign
+            # one step closes at most 40 bits of the distance to the origin's
+            # pole: a root next to it is approached geometrically, and
+            # z2/delta^2 cannot overflow.  A step that leaves the bracket
+            # otherwise is replaced by bisection.
+            new = t + eta
+            new = np.where((new * t <= 0.0) | (np.abs(new) < abs_t * 2.0**-40), t * 2.0**-40, new)
+            new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+            conv = ((np.abs(f) <= err) | (new == t)
+                    | (hi - lo <= 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))))
+            if np.any(conv):
+                done = pos[conv].astype(np.intp)
+                lam[done] = origin[conv] + t[conv]
+                w[done] = 1.0 / df[conv]
+                t[:] = new
+                state = state[:, ~conv]
+                if state.shape[1] == 0:
+                    return spectra
+            else:
+                t[:] = new
+    raise ArithmeticError(
+        f"secular equation: {state.shape[1]} of {size} roots did not converge "
+        f"in {_SECULAR_MAX_ITER} iterations")
 
 
 def dft_workspace(shape) -> tuple[np.ndarray, np.ndarray]:
