@@ -321,36 +321,6 @@ def _end_bracket(s: float, znorm2: float) -> float:
     return r * (1.0 + 4.0 * np.finfo(float).eps)
 
 
-def _end_starts(a: float, d: np.ndarray, z2: np.ndarray, znorm2: float) -> np.ndarray:
-    """Starting offsets of the first and the last root from their poles.
-
-    The distance r of an end root from its pole lies between _end_bracket
-    with the nearest pole's coupling alone (the other terms of the secular
-    equation have the same sign) and with all of them.  Two rounds of eight
-    log-spaced probes of f between those bounds each keep the two probes
-    around the sign change, in O(n); the start is their geometric mean."""
-    probes = 8
-    s = (a - d[0], d[-1] - a)
-    lo = np.array([_end_bracket(s[0], z2[0]), _end_bracket(s[1], z2[-1])])
-    hi = np.array([_end_bracket(s[0], znorm2), _end_bracket(s[1], znorm2)])
-    origin = np.repeat([d[0], d[-1]], probes)
-    # the first root lies below its pole, the last above; f increases
-    # with x, so side * f < 0 at the probes between the pole and the root
-    side = np.repeat([-1.0, 1.0], probes)
-    steps = np.arange(probes) / (probes - 1.0)
-    delta = np.empty((2 * probes, d.shape[0]))
-    for _ in range(2):
-        r = lo[:, None] * (hi / lo)[:, None] ** steps
-        t = side * r.reshape(-1)
-        np.subtract(d, origin[:, None], out=delta)
-        delta -= t[:, None]
-        f = origin - a + t + np.reciprocal(delta, out=delta) @ z2
-        inside = np.count_nonzero((side * f < 0.0).reshape(2, probes), axis=1)
-        k = np.minimum(np.maximum(inside, 1), probes - 1)
-        lo, hi = r[(0, 1), k - 1], r[(0, 1), k]
-    return np.array([-1.0, 1.0]) * np.sqrt(lo * hi)
-
-
 def _secular_sums(d: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.ndarray,
                   tau: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Rows sum_k z2_k/delta_k, its part over the poles left of the root,
@@ -405,39 +375,59 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     workspace) and then takes one step for each of them on whole vectors;
     converged roots leave the vectors.  The columns of the state stay
     grouped by sector and ascending within it, so every sector's sums see
-    the rows they would alone."""
+    the columns they would alone.
+
+    A gap root starts at its gap's midpoint.  An end root's first sweep
+    evaluates f at 16 probes, log-spaced in the distance r from its pole
+    between _end_bracket with the nearest pole's coupling alone (the other
+    terms of the secular equation have the same sign there) and with all of
+    them; its first step fits one pole to the sum at the two probes around
+    the sign change, and only the nearer of them stays in the state.
+    """
     eps = np.finfo(float).eps
+    probes = 16
+    steps = np.arange(probes) / (probes - 1.0)
     # Per root, a column of the state: its origin, which starts at the left
     # pole (the only one for the last root; pole 0 for the first), origin - a,
     # the distances left/right of the poles beside it from the origin (0 on
-    # a missing side), the bracket (lo, hi) of tau, tau itself, -1 for a
-    # first root, 1 for a last one and 0 in a gap, the root's index j in its
-    # sector (it lies between poles j - 1 and j) and its place in the
-    # output.  A sector with no pole has the root a of weight 1 and no column.
-    columns, first_step, starts, size = [], [], [], 0
+    # a missing side), the bracket (lo, hi) of tau, tau itself, 1 where the
+    # origin is the root's right pole, -1 for the last root and 1 otherwise,
+    # 1 for an end root and 0 in a gap, the root's index j in its sector (it
+    # lies between poles j - 1 and j) and its place in the output; for the
+    # first step only, the right pole, its origin - a and the couplings of
+    # the gap's two poles.  A sector with no pole has the root a of weight 1
+    # and no column.
+    columns, groups, bound, starts, size, width = [], [], [], [], 0, 0
     for a, d, z2 in sectors:
         m = d.shape[0]
         starts.append(size)
         if m > 0:
             znorm2 = float(np.sum(z2))
-            col = np.zeros((10, m + 1))
-            origin, shift, _, right, lo, hi, t, kind, j, pos = col
-            origin[0], origin[1:] = d[0], d
+            col = np.zeros((16, m - 1 + 2 * probes))
+            (origin, shift, left, right, lo, hi, t, right_origin, sign, end, j, pos,
+             right_pole, right_shift, zl, zr) = col
+            first, gap, last = (slice(0, probes), slice(probes, probes + m - 1),
+                                slice(probes + m - 1, None))
+            origin[first], origin[gap], origin[last] = d[0], d[:-1], d[-1]
             np.subtract(origin, a, out=shift)
-            right[1:-1] = np.diff(d)
-            lo[0] = -_end_bracket(a - d[0], znorm2)
-            hi[:-1], hi[-1] = right[:-1], _end_bracket(d[-1] - a, znorm2)
-            np.multiply(lo + hi, 0.5, out=t)
-            #t[[0, -1]] = _end_starts(a, d, z2, znorm2)
-            kind[0], kind[-1] = -1.0, 1.0
-            j[:] = np.arange(m + 1)
+            right[gap] = hi[gap] = np.diff(d)
+            np.multiply(right, 0.5, out=t)
+            # the end roots' distances from their poles lie in [r_lo, r_hi]
+            r_lo = np.array([_end_bracket(a - d[0], z2[0]), _end_bracket(d[-1] - a, z2[-1])])
+            r_hi = np.array([_end_bracket(a - d[0], znorm2), _end_bracket(d[-1] - a, znorm2)])
+            r = r_lo[:, None] * (r_hi / r_lo)[:, None] ** steps
+            t[first], t[last], lo[first], hi[last] = -r[0], r[1], -r_hi[0], r_hi[1]
+            right_origin[first] = right_origin[last] = end[first] = end[last] = 1.0
+            sign[:], sign[last] = 1.0, -1.0
+            j[gap], j[last] = np.arange(1, m), m
             np.add(j, size, out=pos)
+            right_pole[gap] = d[1:]
+            np.subtract(right_pole, a, out=right_shift)
+            zl[gap], zr[gap] = z2[:-1], z2[1:]
             columns.append(col)
-            # for the first step: the right pole, its origin - a and the
-            # couplings of the gap's two poles
-            right_pole = np.concatenate([d, d[-1:]])
-            first_step.append(np.stack([right_pole, right_pole - a, np.concatenate([[0.0], z2]),
-                                        np.concatenate([z2, [0.0]])]))
+            groups += [width + np.arange(probes), width + m - 1 + probes + np.arange(probes)]
+            bound += [-r_hi[0], r_hi[1]]
+            width += col.shape[1]
         size += m + 1
     starts.append(size)
     lam, w = np.empty(size), np.empty(size)
@@ -448,18 +438,22 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     if not columns:
         return spectra
     state = np.concatenate(columns, axis=1)
-    right_pole, right_shift, zl, zr = np.concatenate(first_step, axis=1)
-    work = np.empty(2 * max(_secular_block_rows(d.shape[0], d.shape[0] + 1) * d.shape[0]
-                            for _, d, _ in sectors))
-    with np.errstate():  # restores numpy's ufunc buffer size on exit
+    groups, rows = np.array(groups), np.arange(len(groups))
+    # per end root: the pole (tau = 0), its probes and the far end of its bracket
+    edges = np.concatenate([np.zeros((rows.shape[0], 1)), state[6, groups], np.array(bound)[:, None]],
+                           axis=1)
+    bounds = np.searchsorted(state[11], starts)
+    work = np.empty(2 * max(_secular_block_rows(col.shape[1] + 1 - 2 * probes, col.shape[1])
+                            * (col.shape[1] + 1 - 2 * probes) for col in columns))
+    # qa, or the denominator of eta, may be 0, where eta is not used
+    with np.errstate(divide="ignore", invalid="ignore"):  # and restores the buffer size
         # numpy's default buffer (8192 elements) takes the broadcast
         # subtractions of _secular_sums through a slower loop: with 256, one
         # sweep of all roots took 14-35% less time at n = 501 to 4096 (numpy 2.4)
         np.setbufsize(256)
         for it in range(_SECULAR_MAX_ITER):
-            origin, shift, left, right, lo, hi, t, kind, j, pos = state
+            origin, shift, left, right, lo, hi, t, right_origin, sign, end, j, pos = state[:12]
             sums = np.empty((4, state.shape[1]))
-            bounds = np.searchsorted(pos, starts)
             for (_, d, z2), b0, b1 in zip(sectors, bounds[:-1], bounds[1:]):
                 if b1 > b0:
                     sums[:, b0:b1] = _secular_sums(d, z2, j[b0:b1], origin[b0:b1], t[b0:b1],
@@ -470,9 +464,9 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
             f += total
             if it == 0:
                 # a root right of its gap's midpoint takes the right pole as origin
-                flip = (f < 0.0) & (kind == 0.0)
-                origin[flip], shift[flip] = right_pole[flip], right_shift[flip]
-                left[flip], right[flip] = -right[flip], 0.0
+                flip = (f < 0.0) & (end == 0.0)
+                origin[flip], shift[flip] = state[12, flip], state[13, flip]
+                left[flip], right[flip], right_origin[flip] = -right[flip], 0.0, 1.0
                 lo[flip], hi[flip], t[flip] = left[flip], 0.0, 0.5 * left[flip]
             np.copyto(lo, t, where=f < 0.0)
             np.copyto(hi, t, where=f > 0.0)
@@ -481,33 +475,46 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
             # Each new tau is tau + eta, eta a root of qa eta^2 - qb eta + qc = 0.
             dl, dr = left - t, right - t
             if it == 0:
-                # the first step from a gap's midpoint (dlaed4; Li 1994): its two
-                # poles kept exact, the rest the constant c they sum to there
+                # the first step from a gap's midpoint (dlaed4; Li 1994): its
+                # two poles kept exact, the rest the constant c they sum to there
+                zl, zr = state[14:]
                 c = f - zl / dl - zr / dr
                 qa, qb, qc = c, c * (dl + dr) + zl + zr, c * dl * dr + zl * dr + zr * dl
             else:
-                # the middle way: the left poles as psi + s/(left - x), the right
-                # ones as phi + S/(right - x), each matched in value and slope at
-                # tau.  The linear term joins the side away from the origin:
-                # modelled by the origin's pole it would halve tau per step when
-                # that pole's coupling is tiny.
-                dpsi += right == 0.0
+                # the middle way: the left poles as psi + s/(left - x), the
+                # right ones as phi + S/(right - x), each matched in value and
+                # slope at tau.  The linear term joins the side away from the
+                # origin: modelled by the origin's pole it would halve tau per
+                # step when that pole's coupling is tiny.
+                dpsi += right_origin
                 qa = f - dpsi * dl - (df - dpsi) * dr
                 qb = (dl + dr) * f - dl * dr * df
                 qc = dl * dr * f
             # Outside a gap the linear term is kept exact beside a one pole
             # model of the poles, at the end root's pole (at -tau).
-            ends = kind != 0.0
+            ends = end > 0.0
             qa = np.where(ends, 1.0, qa)
             qb = np.where(ends, -df * t - f, qb)
             qc = np.where(ends, f * t, qc)
+            if it == 0:
+                # Of an end root's probes, the first `inside` lie between its
+                # pole and the root (tau f < 0); the one next to the sign
+                # change stays, with the probes around the root as bracket and
+                # the sum through them fitted by one pole, A / (P - tau), as
+                # model.
+                inside = np.count_nonzero(t[groups] * f[groups] < 0.0, axis=1)
+                k = np.minimum(np.maximum(inside, 1), probes - 1)
+                near, far = groups[rows, k - 1], groups[rows, k]
+                p = (total[near] * t[near] - total[far] * t[far]) / (total[near] - total[far])
+                qb[near] = p - t[near] - f[near] + total[near]
+                qc[near] = -f[near] * (p - t[near])
+                lo[near] = np.minimum(edges[rows, inside], edges[rows, inside + 1])
+                hi[near] = np.maximum(edges[rows, inside], edges[rows, inside + 1])
             # eta_- solves the gaps and the first root; eta_+, which is eta_-
             # of -qb negated, the last one
-            sign = np.where(kind > 0.0, -1.0, 1.0)
             qb *= sign
             root = np.sqrt(np.abs(qb * qb - 4.0 * qa * qc))
-            with np.errstate(divide="ignore", invalid="ignore"):  # qa or the denominator may be 0
-                eta = np.where(qb <= 0.0, (qb - root) / (2.0 * qa), 2.0 * qc / (qb + root))
+            eta = np.where(qb <= 0.0, (qb - root) / (2.0 * qa), 2.0 * qc / (qb + root))
             eta *= sign
             # one step closes at most 40 bits of the distance to the origin's
             # pole: a root next to it is approached geometrically, and
@@ -518,16 +525,21 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
             new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
             conv = ((np.abs(f) <= err) | (new == t)
                     | (hi - lo <= 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))))
-            if np.any(conv):
-                done = pos[conv].astype(np.intp)
-                lam[done] = origin[conv] + t[conv]
-                w[done] = 1.0 / df[conv]
-                t[:] = new
-                state = state[:, ~conv]
+            keep = ~conv
+            if it == 0:
+                # the other probes leave
+                keep[groups] = conv[groups] = False
+                keep[near], conv[near] = ~conv[near], conv[near]
+                state = state[:12]
+            done = pos[conv].astype(np.intp)
+            lam[done] = origin[conv] + t[conv]
+            w[done] = 1.0 / df[conv]
+            t[:] = new
+            if not np.all(keep):
+                state = state[:, keep]
                 if state.shape[1] == 0:
                     return spectra
-            else:
-                t[:] = new
+                bounds = np.searchsorted(state[11], starts)
     raise ArithmeticError(
         f"secular equation: {state.shape[1]} of {size} roots did not converge "
         f"in {_SECULAR_MAX_ITER} iterations")
