@@ -322,40 +322,45 @@ def _end_bracket(s: float, znorm2: float) -> float:
 
 
 def _secular_sums(d: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.ndarray,
-                  tau: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+                  tau: np.ndarray, work: np.ndarray | None = None,
+                  cubes: bool = False) -> np.ndarray:
     """Rows sum_k z2_k/delta_k, its part over the poles left of the root,
-    sum_k z2_k/delta_k^2 and its left part, delta_k = (d_k - origin) - tau,
-    for the estimates origin + tau of the roots with these ascending indices
-    (root j lies between poles j - 1 and j): the O(n^2) part of
-    _secular_roots.
+    sum_k z2_k/delta_k^2, its left part and, with `cubes`, sum_k
+    z2_k/delta_k^3, delta_k = (d_k - origin) - tau, for the estimates
+    origin + tau of the roots with these ascending indices (root j lies
+    between poles j - 1 and j): the O(n^2) part of _secular_roots.
 
     Rows go in blocks of _secular_block_rows(m, n), through a flat `work`
-    buffer of 2 _secular_block_rows(m, n) m entries or more (allocated when
+    buffer of 3 _secular_block_rows(m, n) m entries or more (allocated when
     None).  The poles below a block's first root are left of every row and
     those at or above its last root right of every row; only the band
     between needs the sign test (1/delta < 0 left of the root).
     """
     m, n = d.shape[0], roots.shape[0]
-    out = np.empty((4, n))
+    out = np.empty((5 if cubes else 4, n))
     rows = _secular_block_rows(m, n)
     if work is None:
-        work = np.empty(2 * rows * m)
+        work = np.empty(3 * rows * m)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
+        size = (stop - start) * m
         first, last = int(roots[start]), int(roots[stop - 1])
-        inv = work[:(stop - start) * m].reshape(stop - start, m)
+        inv = work[:size].reshape(stop - start, m)
         np.subtract(d, origin[start:stop, None], out=inv)
         inv -= tau[start:stop, None]
         np.reciprocal(inv, out=inv)
-        band = work[(stop - start) * m:][:(stop - start) * (last - first)]
+        # 1/delta^2 in place, unless 1/delta is still needed for the cubes
+        square = work[size:2 * size].reshape(stop - start, m) if cubes else inv
+        band = work[(2 if cubes else 1) * size:][:(stop - start) * (last - first)]
         band = np.minimum(inv[:, first:last], 0.0, out=band.reshape(stop - start, -1))
-        left = inv[:, :first]
         out[0, start:stop] = inv @ z2
-        out[1, start:stop] = left @ z2[:first] + band @ z2[first:last]
-        np.square(inv, out=inv)
+        out[1, start:stop] = inv[:, :first] @ z2[:first] + band @ z2[first:last]
+        np.square(inv, out=square)
         np.square(band, out=band)
-        out[2, start:stop] = inv @ z2
-        out[3, start:stop] = left @ z2[:first] + band @ z2[first:last]
+        out[2, start:stop] = square @ z2
+        out[3, start:stop] = square[:, :first] @ z2[:first] + band @ z2[first:last]
+        if cubes:
+            out[4, start:stop] = np.multiply(square, inv, out=inv) @ z2
     return out
 
 
@@ -377,48 +382,56 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     grouped by sector and ascending within it, so every sector's sums see
     the columns they would alone.
 
-    A gap root starts at its gap's midpoint.  An end root's first sweep
-    evaluates f at 16 probes, log-spaced in the distance r from its pole
-    between _end_bracket with the nearest pole's coupling alone (the other
-    terms of the secular equation have the same sign there) and with all of
-    them; its first step fits one pole to the sum at the two probes around
-    the sign change, and only the nearer of them stays in the state.
+    A root in a gap starts at the gap's midpoint.  An end root is stepped as
+    a gap root whose outer pole lies 2^40 away, beyond every distance of the
+    scaled problem, where the pole the middle way fits to it is the linear
+    term.  Its first sweep evaluates f at 16 probes, log-spaced in the
+    distance r from its pole between _end_bracket with the nearest pole's
+    coupling alone (the other terms of the secular equation have the same
+    sign there) and with all of them; its first step fits one pole to the
+    sum at the two probes around the sign change, and only the one on the
+    pole's side stays.
+
+    In a sector whose sweep is one block of _secular_sums, the second and
+    third step are third-order (Gragg) steps where they can be, and the
+    first is the middle way's; other sectors take dlaed4's first step and
+    then the middle way, as an extra pass for sum z2/delta^3 over many
+    blocks costs more than the sweeps it saves.
     """
     eps = np.finfo(float).eps
-    probes = 16
+    probes, far = 16, 2.0**40
     steps = np.arange(probes) / (probes - 1.0)
     # Per root, a column of the state: its origin, which starts at the left
-    # pole (the only one for the last root; pole 0 for the first), origin - a,
-    # the distances left/right of the poles beside it from the origin (0 on
-    # a missing side), the bracket (lo, hi) of tau, tau itself, 1 where the
-    # origin is the root's right pole, -1 for the last root and 1 otherwise,
-    # 1 for an end root and 0 in a gap, the root's index j in its sector (it
-    # lies between poles j - 1 and j) and its place in the output; for the
-    # first step only, the right pole, its origin - a and the couplings of
-    # the gap's two poles.  A sector with no pole has the root a of weight 1
-    # and no column.
-    columns, groups, bound, starts, size, width = [], [], [], [], 0, 0
-    for a, d, z2 in sectors:
+    # pole (pole 0 for the first root), origin - a, the distances left/right
+    # of the poles beside it from the origin, the bracket (lo, hi) of tau,
+    # tau itself, 1 where the origin is the root's right pole, the root's
+    # index j in its sector (it lies between poles j - 1 and j) and its
+    # place in the output; for the first sweep only, 1 in a gap, the right
+    # pole, its origin - a and the couplings of the gap's two poles.  A
+    # sector with no pole has the root a of weight 1 and no column.
+    columns, groups, side, bound, starts, size, width = [], [], [], [], [], 0, 0
+    small = [d.shape[0] * (d.shape[0] + 1) <= _SECULAR_BLOCK for _, d, _ in sectors]
+    for (a, d, z2), one in zip(sectors, small):
         m = d.shape[0]
         starts.append(size)
         if m > 0:
             znorm2 = float(np.sum(z2))
-            col = np.zeros((16, m - 1 + 2 * probes))
-            (origin, shift, left, right, lo, hi, t, right_origin, sign, end, j, pos,
-             right_pole, right_shift, zl, zr) = col
+            col = np.zeros((15, m - 1 + 2 * probes))
+            (origin, shift, left, right, lo, hi, t, right_origin, j, pos,
+             gap_root, right_pole, right_shift, zl, zr) = col
             first, gap, last = (slice(0, probes), slice(probes, probes + m - 1),
                                 slice(probes + m - 1, None))
             origin[first], origin[gap], origin[last] = d[0], d[:-1], d[-1]
             np.subtract(origin, a, out=shift)
+            left[first], right[last] = -far, far
             right[gap] = hi[gap] = np.diff(d)
-            np.multiply(right, 0.5, out=t)
+            np.multiply(right[gap], 0.5, out=t[gap])
             # the end roots' distances from their poles lie in [r_lo, r_hi]
             r_lo = np.array([_end_bracket(a - d[0], z2[0]), _end_bracket(d[-1] - a, z2[-1])])
             r_hi = np.array([_end_bracket(a - d[0], znorm2), _end_bracket(d[-1] - a, znorm2)])
             r = r_lo[:, None] * (r_hi / r_lo)[:, None] ** steps
             t[first], t[last], lo[first], hi[last] = -r[0], r[1], -r_hi[0], r_hi[1]
-            right_origin[first] = right_origin[last] = end[first] = end[last] = 1.0
-            sign[:], sign[last] = 1.0, -1.0
+            right_origin[first] = gap_root[gap] = 1.0
             j[gap], j[last] = np.arange(1, m), m
             np.add(j, size, out=pos)
             right_pole[gap] = d[1:]
@@ -426,6 +439,7 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
             zl[gap], zr[gap] = z2[:-1], z2[1:]
             columns.append(col)
             groups += [width + np.arange(probes), width + m - 1 + probes + np.arange(probes)]
+            side += [1.0, -1.0]
             bound += [-r_hi[0], r_hi[1]]
             width += col.shape[1]
         size += m + 1
@@ -438,12 +452,14 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     if not columns:
         return spectra
     state = np.concatenate(columns, axis=1)
-    groups, rows = np.array(groups), np.arange(len(groups))
+    gragg_sector = np.repeat([one for one, (_, d, _) in zip(small, sectors) if d.shape[0] > 0],
+                             [col.shape[1] for col in columns])
+    groups, side, rows = np.array(groups), np.array(side), np.arange(len(groups))
     # per end root: the pole (tau = 0), its probes and the far end of its bracket
-    edges = np.concatenate([np.zeros((rows.shape[0], 1)), state[6, groups], np.array(bound)[:, None]],
-                           axis=1)
-    bounds = np.searchsorted(state[11], starts)
-    work = np.empty(2 * max(_secular_block_rows(col.shape[1] + 1 - 2 * probes, col.shape[1])
+    edges = np.concatenate([np.zeros((rows.shape[0], 1)), state[6, groups],
+                            np.array(bound)[:, None]], axis=1)
+    bounds = np.searchsorted(state[9], starts)
+    work = np.empty(3 * max(_secular_block_rows(col.shape[1] + 1 - 2 * probes, col.shape[1])
                             * (col.shape[1] + 1 - 2 * probes) for col in columns))
     # qa, or the denominator of eta, may be 0, where eta is not used
     with np.errstate(divide="ignore", invalid="ignore"):  # and restores the buffer size
@@ -452,94 +468,99 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
         # sweep of all roots took 14-35% less time at n = 501 to 4096 (numpy 2.4)
         np.setbufsize(256)
         for it in range(_SECULAR_MAX_ITER):
-            origin, shift, left, right, lo, hi, t, right_origin, sign, end, j, pos = state[:12]
-            sums = np.empty((4, state.shape[1]))
-            for (_, d, z2), b0, b1 in zip(sectors, bounds[:-1], bounds[1:]):
+            origin, shift, left, right, lo, hi, t, right_origin, j, pos = state[:10]
+            cubes = 1 <= it < 3
+            sums = np.full((5, state.shape[1]), np.nan) if cubes else np.empty((4, state.shape[1]))
+            for (_, d, z2), one, b0, b1 in zip(sectors, small, bounds[:-1], bounds[1:]):
                 if b1 > b0:
-                    sums[:, b0:b1] = _secular_sums(d, z2, j[b0:b1], origin[b0:b1], t[b0:b1],
-                                                   work)
-            total, psi, df, dpsi = sums
+                    sums[:4 + (cubes and one), b0:b1] = _secular_sums(
+                        d, z2, j[b0:b1], origin[b0:b1], t[b0:b1], work, cubes and one)
+            total, psi, df, dpsi = sums[:4]
             df += 1.0
             f = shift + t
             f += total
             if it == 0:
                 # a root right of its gap's midpoint takes the right pole as origin
-                flip = (f < 0.0) & (end == 0.0)
-                origin[flip], shift[flip] = state[12, flip], state[13, flip]
+                flip = (f < 0.0) & (state[10] > 0.0)
+                origin[flip], shift[flip] = state[11, flip], state[12, flip]
                 left[flip], right[flip], right_origin[flip] = -right[flip], 0.0, 1.0
                 lo[flip], hi[flip], t[flip] = left[flip], 0.0, 0.5 * left[flip]
             np.copyto(lo, t, where=f < 0.0)
             np.copyto(hi, t, where=f > 0.0)
             abs_t = np.abs(t)
             err = eps * (8.0 * (total - 2.0 * psi + np.abs(shift) + abs_t) + abs_t * df)
-            # Each new tau is tau + eta, eta a root of qa eta^2 - qb eta + qc = 0.
+            # Each new tau is tau + eta, eta the root of qa eta^2 - qb eta + qc
+            # = 0 between the two poles.  f is modelled as
+            # c + s/(left - x) + S/(right - x); with f and f' matched at tau,
+            # qb and qc follow, and qa = c.
             dl, dr = left - t, right - t
+            dldr = dl * dr
+            qb = (dl + dr) * f - dldr * df
+            qc = dldr * f
+            # The middle way (Li 1994): the left poles as psi + s/(left - x),
+            # the right ones as phi + S/(right - x), each matched in value and
+            # slope at tau.  The linear term joins the side away from the
+            # origin: modelled by the origin's pole it would halve tau per
+            # step when that pole's coupling is tiny.
+            dpsi += right_origin
+            qa = f - dpsi * dl - (df - dpsi) * dr
+            if cubes:
+                # Gragg's step matches f''/2 = sum z2/delta^3 too,
+                # c = f - f' (dl + dr) + f''/2 dl dr.  It needs s, S > 0, and is
+                # taken where the linear term carries under a tenth of f'.
+                d2f = sums[4]
+                gragg = (df > 11.0) & (df > d2f * dl) & (df > d2f * dr)
+                qa = np.where(gragg, f - df * (dl + dr) + d2f * dldr, qa)
             if it == 0:
-                # the first step from a gap's midpoint (dlaed4; Li 1994): its
-                # two poles kept exact, the rest the constant c they sum to there
-                zl, zr = state[14:]
+                # Outside the small sectors, the first step from a gap's
+                # midpoint is dlaed4's: its two poles kept exact, the rest the
+                # constant c they sum to there.
+                zl, zr = state[13:15]
                 c = f - zl / dl - zr / dr
-                qa, qb, qc = c, c * (dl + dr) + zl + zr, c * dl * dr + zl * dr + zr * dl
-            else:
-                # the middle way: the left poles as psi + s/(left - x), the
-                # right ones as phi + S/(right - x), each matched in value and
-                # slope at tau.  The linear term joins the side away from the
-                # origin: modelled by the origin's pole it would halve tau per
-                # step when that pole's coupling is tiny.
-                dpsi += right_origin
-                qa = f - dpsi * dl - (df - dpsi) * dr
-                qb = (dl + dr) * f - dl * dr * df
-                qc = dl * dr * f
-            # Outside a gap the linear term is kept exact beside a one pole
-            # model of the poles, at the end root's pole (at -tau).
-            ends = end > 0.0
-            qa = np.where(ends, 1.0, qa)
-            qb = np.where(ends, -df * t - f, qb)
-            qc = np.where(ends, f * t, qc)
-            if it == 0:
+                qa = np.where(gragg_sector, qa, c)
+                qb = np.where(gragg_sector, qb, c * (dl + dr) + zl + zr)
+                qc = np.where(gragg_sector, qc, c * dldr + zl * dr + zr * dl)
                 # Of an end root's probes, the first `inside` lie between its
-                # pole and the root (tau f < 0); the one next to the sign
-                # change stays, with the probes around the root as bracket and
-                # the sum through them fitted by one pole, A / (P - tau), as
-                # model.
+                # pole and the root (tau f < 0); the last of them stays, with
+                # the probes around the root as bracket and, as model, the
+                # linear term plus the sum fitted by one pole, A/(p - tau),
+                # through the two probes (the first root's eta_-, and the
+                # last root's eta_+ as eta_- of the negated quadratic).
                 inside = np.count_nonzero(t[groups] * f[groups] < 0.0, axis=1)
                 k = np.minimum(np.maximum(inside, 1), probes - 1)
-                near, far = groups[rows, k - 1], groups[rows, k]
-                p = (total[near] * t[near] - total[far] * t[far]) / (total[near] - total[far])
-                qb[near] = p - t[near] - f[near] + total[near]
-                qc[near] = -f[near] * (p - t[near])
+                near, out = groups[rows, k - 1], groups[rows, k]
+                p = (total[near] * t[near] - total[out] * t[out]) / (total[near] - total[out])
+                qa[near] = side
+                qb[near] = side * (p - t[near] - f[near] + total[near])
+                qc[near] = -side * f[near] * (p - t[near])
                 lo[near] = np.minimum(edges[rows, inside], edges[rows, inside + 1])
                 hi[near] = np.maximum(edges[rows, inside], edges[rows, inside + 1])
-            # eta_- solves the gaps and the first root; eta_+, which is eta_-
-            # of -qb negated, the last one
-            qb *= sign
             root = np.sqrt(np.abs(qb * qb - 4.0 * qa * qc))
             eta = np.where(qb <= 0.0, (qb - root) / (2.0 * qa), 2.0 * qc / (qb + root))
-            eta *= sign
             # one step closes at most 40 bits of the distance to the origin's
             # pole: a root next to it is approached geometrically, and
             # z2/delta^2 cannot overflow.  A step that leaves the bracket
             # otherwise is replaced by bisection.
             new = t + eta
-            new = np.where((new * t <= 0.0) | (np.abs(new) < abs_t * 2.0**-40), t * 2.0**-40, new)
+            new = np.where(new / t < 2.0**-40, t * 2.0**-40, new)
             new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
             conv = ((np.abs(f) <= err) | (new == t)
-                    | (hi - lo <= 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))))
+                    | (hi - lo <= 4.0 * eps * np.maximum(-lo, hi)))
             keep = ~conv
             if it == 0:
                 # the other probes leave
                 keep[groups] = conv[groups] = False
                 keep[near], conv[near] = ~conv[near], conv[near]
-                state = state[:12]
-            done = pos[conv].astype(np.intp)
-            lam[done] = origin[conv] + t[conv]
-            w[done] = 1.0 / df[conv]
+            if conv.any():
+                done = pos[conv].astype(np.intp)
+                lam[done] = origin[conv] + t[conv]
+                w[done] = 1.0 / df[conv]
             t[:] = new
-            if not np.all(keep):
-                state = state[:, keep]
+            if it == 0 or not keep.all():
+                state = state[:10, keep]
                 if state.shape[1] == 0:
                     return spectra
-                bounds = np.searchsorted(state[11], starts)
+                bounds = np.searchsorted(state[9], starts)
     raise ArithmeticError(
         f"secular equation: {state.shape[1]} of {size} roots did not converge "
         f"in {_SECULAR_MAX_ITER} iterations")
