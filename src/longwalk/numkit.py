@@ -208,10 +208,12 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
         if dim > _SECULAR_MIN_DIM:
             secular.append((sign, (e[keep], z)))
         else:
+            # built symmetric from inputs checked above, so eigh_dense's
+            # finiteness and symmetry passes would only repeat those checks
             h = np.diag(np.concatenate([[onsite], e[keep]]))
             h[0, 1:] = h[1:, 0] = z
-            dec = eigh_dense(h)
-            spectra[sign] = dec.eigenvalues, dec.eigenvectors[0] ** 2
+            lam, v = np.linalg.eigh(h)
+            spectra[sign] = lam, v[0] ** 2
     if secular:
         spectra.update(zip([sign for sign, _ in secular],
                            arrowhead_spectra(onsite, [sector for _, sector in secular])))
@@ -219,11 +221,13 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     return (plus - minus) / 2.0
 
 
-# Sectors above this dimension go to arrowhead_spectrum, smaller ones to
-# eigh_dense.  On the ring's sectors the two tie between dimension 100 and
-# 111 (1.4-1.6 ms a transfer); below, LAPACK's O(n^3) eigh wins, because the
-# secular solver's numpy overhead per sweep does not shrink with n.
-_SECULAR_MIN_DIM = 110
+# Sectors above this dimension go to the joint secular solve, smaller ones
+# to numpy's eigh.  With both of the ring's sectors in one loop, the two tie
+# near dimension 80 (about 1 ms a transfer); below, LAPACK's O(n^3) eigh
+# wins, because the secular solver's numpy overhead per sweep does not
+# shrink with n.  A lone secular sector beside an eigh one costs most, as
+# it pays the loop's overhead alone.
+_SECULAR_MIN_DIM = 80
 # entries per row block of _secular_sums: a block holds (rows, n) arrays of
 # about this many floats
 _SECULAR_BLOCK = 2**16

@@ -17,9 +17,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 CROSSOVER = numkit._SECULAR_MIN_DIM
-# the crossover before the vectorised secular sweep: sizes around it stay
-# covered, now on the secular side
-EARLIER_CROSSOVER = 170
+# the crossovers before the joint secular solve (110) and before the
+# vectorised secular sweep (170): sizes around them stay covered, now on the
+# secular side
+EARLIER_CROSSOVERS = (110, 170)
 
 
 def dense_spectrum(onsite, poles, couplings):
@@ -75,8 +76,8 @@ class TestAgainstMpmath:
 
 
 class TestAgainstEigh:
-    @pytest.mark.parametrize("n", sorted({CROSSOVER - 1, CROSSOVER + 1, EARLIER_CROSSOVER - 1,
-                                          EARLIER_CROSSOVER + 1, 1025, 4096}))
+    @pytest.mark.parametrize("n", sorted({CROSSOVER - 1, CROSSOVER + 1, 1025, 4096,
+                                          *(c + s for c in EARLIER_CROSSOVERS for s in (-1, 1))}))
     def test_random_arrowhead(self, n):
         rng = np.random.default_rng(n)
         onsite, poles, couplings = 0.1, rng.standard_normal(n - 1), 0.1 * rng.standard_normal(n - 1)
@@ -233,8 +234,8 @@ def arrowheads(draw, n):
     return float(onsite), poles, couplings
 
 
-@pytest.mark.parametrize("n", sorted({1, 2, 9, CROSSOVER - 1, CROSSOVER + 1, EARLIER_CROSSOVER - 1,
-                                      EARLIER_CROSSOVER + 1, 1025, 4096}))
+@pytest.mark.parametrize("n", sorted({1, 2, 9, CROSSOVER - 1, CROSSOVER + 1, 1025, 4096,
+                                      *(c + s for c in EARLIER_CROSSOVERS for s in (-1, 1))}))
 @hypothesis.settings(derandomize=True, database=None, max_examples=8, deadline=None)
 @hypothesis.given(data=st.data())
 def test_moment_identities(n, data):
@@ -260,8 +261,8 @@ def channels(draw, n):
     return energies, couplings, parities, onsite, draw(st.sampled_from([0.0, 0.7, 25.0]))
 
 
-@pytest.mark.parametrize("modes", sorted({5, 60, CROSSOVER + 5, 2 * CROSSOVER + 40,
-                                          EARLIER_CROSSOVER + 5, 2 * EARLIER_CROSSOVER + 40}))
+@pytest.mark.parametrize("modes", sorted({5, 60, *(c + 5 for c in (CROSSOVER, *EARLIER_CROSSOVERS)),
+                                          *(2 * c + 40 for c in (CROSSOVER, *EARLIER_CROSSOVERS))}))
 @hypothesis.settings(derandomize=True, database=None, max_examples=10, deadline=None)
 @hypothesis.given(data=st.data())
 def test_kernel_matches_the_full_matrix(modes, data):
@@ -276,11 +277,11 @@ def test_kernel_matches_the_full_matrix(modes, data):
 
 
 class TestSectorDispatch:
-    # at the shipped crossover and, set by monkeypatch, at the earlier one:
+    # at the shipped crossover and, set by monkeypatch, at the earlier ones:
     # the dispatch reads _SECULAR_MIN_DIM and hard-codes no dimension
     @pytest.mark.parametrize("modes, secular, crossover", [
         pytest.param(c + shift, shift == 0, c, id=f"{c + shift}-{shift == 0}")
-        for c in sorted({CROSSOVER, EARLIER_CROSSOVER}) for shift in (-1, 0)])
+        for c in sorted({CROSSOVER, *EARLIER_CROSSOVERS}) for shift in (-1, 0)])
     def test_sector_dimension_picks_the_solver(self, monkeypatch, modes, secular, crossover):
         # one even sector of dimension modes + 1; the odd one is the endpoint alone
         monkeypatch.setattr(numkit, "_SECULAR_MIN_DIM", crossover)
@@ -293,7 +294,7 @@ class TestSectorDispatch:
                                   np.ones(modes), 0.0, 1.0)
         assert calls == ([[modes]] if secular else [])
 
-    @pytest.mark.parametrize("modes", sorted({10, CROSSOVER + 10, EARLIER_CROSSOVER + 10}))
+    @pytest.mark.parametrize("modes", sorted({10, *(c + 10 for c in (CROSSOVER, *EARLIER_CROSSOVERS))}))
     def test_non_finite_input_rejected_on_both_paths(self, modes):
         e, c, p = np.linspace(-1, 1, modes), np.full(modes, 0.05), np.ones(modes)
         for bad in (dict(e=np.where(e > 0.5, np.nan, e)), dict(c=np.where(e > 0.5, np.inf, c)),
