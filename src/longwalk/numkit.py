@@ -8,10 +8,11 @@ bounded minimisation).
 Everything here is pure and deterministic.  Dense eigensolves, and the
 parity sectors of endpoint_amplitude up to dimension _SECULAR_MIN_DIM,
 run through numpy's LAPACK eigh, with an absolute-accuracy model
-eps*||H||.  Larger sectors, arrowhead matrices, go to arrowhead_spectrum,
-an O(n^2) secular-equation solver with the same backward error: each of
-its sweeps sums the secular function and its derivative at every
-unconverged root in row blocks (_secular_sums, its only O(n^2) step), then
+eps*||H||.  Larger sectors, arrowhead matrices, go together to
+arrowhead_spectra, an O(n^2) secular-equation solver with the same
+backward error: one loop serves all of them, and each of its sweeps sums
+the secular function and its derivatives at every unconverged root of
+every sector in row blocks (_secular_sums, its only O(n^2) step), then
 steps all those roots at once on whole vectors.
 Zero-diagonal tridiagonals (the chain's parity sectors) go to
 zero_diagonal_eigenvalues, LAPACK's dqds on their bidiagonal half, with a
@@ -183,10 +184,10 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     strength sqrt(2) c_k, so each sector is the arrowhead matrix
     [[onsite, sqrt(2) c], [sqrt(2) c, diag(E)]] and the amplitude is
     (A+ - A-)/2 with A = spectral_amplitude(lambda, v[0]^2, t) of its sector.
-    A sector of dimension above _SECULAR_MIN_DIM (110: the two solvers tie
-    near there on the ring's sectors) is solved by arrowhead_spectrum in
-    O(n^2), a smaller one by eigh_dense, each of dimension <= DENSE_DIM_CAP.
-    ArithmeticError as in spectral_amplitude.
+    The sectors of dimension above _SECULAR_MIN_DIM (80: the two solvers
+    tie near there on the ring's sectors) are solved together by
+    arrowhead_spectra in O(n^2), a smaller one by numpy's eigh, each of
+    dimension <= DENSE_DIM_CAP.  ArithmeticError as in spectral_amplitude.
     """
     e = np.asarray(energies, dtype=float)
     c = np.asarray(couplings, dtype=float)
@@ -251,13 +252,17 @@ def arrowhead_spectrum(onsite: float, poles, couplings) -> tuple[np.ndarray, np.
     tau keep their relative accuracy, and is found by the middle way (Li
     1994): the poles left and right of the root are each modelled by one
     pole matched in value and slope, safeguarded by bisection.  A root in a
-    gap starts from the gap's midpoint with dlaed4's first step: the gap's
-    two poles kept exact, the others the constant they sum to there.  The
-    end roots start inside a bracket from the secular equation itself,
-    |tau| <= (sqrt(s^2 + 4 ||z||^2) - s) / 2 with s = onsite - d_1 for the
-    first root and d_m - onsite for the last.  The weight of a root x is
-    1/f'(x) = 1 / (1 + sum_k z_k^2 / ((d_k - origin) - tau)^2), a sum of
-    positive terms.
+    gap starts from the gap's midpoint.  With at most about 255 poles (one
+    row block of the sums per sweep), its first step is the middle way's
+    and the next two are Gragg's third-order steps where they apply;
+    otherwise its first step is dlaed4's, the gap's two poles kept exact
+    and the others the constant they sum to there.  An end root starts from
+    16 probes of f across the bracket from the secular equation itself,
+    r_1 <= |tau| <= r_all with r = (sqrt(s^2 + 4 z^2) - s) / 2 for the
+    nearest pole's z^2 and for ||z||^2, s = onsite - d_1 for the first root
+    and d_m - onsite for the last (see _secular_roots).  The weight of a
+    root x is 1/f'(x) = 1 / (1 + sum_k z_k^2 / ((d_k - origin) - tau)^2), a
+    sum of positive terms.
     """
     return arrowhead_spectra(onsite, [(poles, couplings)])[0]
 
@@ -265,8 +270,8 @@ def arrowhead_spectrum(onsite: float, poles, couplings) -> tuple[np.ndarray, np.
 def arrowhead_spectra(onsite: float, sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     """arrowhead_spectrum of [[onsite, z^T], [z, diag(poles)]] for each
     (poles, couplings) pair in `sectors`, with every sector's roots found in
-    one secular iteration; each result is bit for bit the one sector's
-    alone."""
+    one secular loop, so the loop's per-sweep cost is paid once for all of
+    them; each result is bit for bit that of the sector alone."""
     prepared = []
     for poles, couplings in sectors:
         d = np.asarray(poles, dtype=float)

@@ -5,10 +5,12 @@ secular sums against a long-double sum and its end-root brackets against
 eigh, and property tests of endpoint_amplitude on both sides of the
 crossover."""
 
+import math
+
 import numpy as np
 import pytest
 
-from longwalk import numkit
+from longwalk import numkit, ring
 from longwalk.errors import DomainError
 
 import test_numkit
@@ -149,18 +151,20 @@ class TestSecularSums:
         terms = z2.astype(np.longdouble) / delta
         left = np.arange(d.shape[0]) < roots[:, None]
         rows = [terms, np.where(left, terms, 0.0), terms / delta,
-                np.where(left, terms / delta, 0.0)]
+                np.where(left, terms / delta, 0.0), terms / delta**2]
         return (np.array([r.sum(axis=1) for r in rows]),
                 np.array([np.abs(r).sum(axis=1) for r in rows]))
 
-    def check(self, d, z2, roots, origin, tau):
+    def check(self, d, z2, roots, origin, tau, cubes=False):
         if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
             pytest.skip("long double is no wider than double here")
         exact, size = self.direct(d, z2, roots, origin, tau)
-        sums = numkit._secular_sums(d, z2, roots, origin, tau)
+        sums = numkit._secular_sums(d, z2, roots, origin, tau, cubes=cubes)
+        rows = 5 if cubes else 4
+        assert sums.shape == (rows, roots.shape[0])
         # relative to the sum of |terms|: the plain relative error for the
         # three one-signed sums
-        assert np.all(np.abs(sums - exact) <= 1e-15 * size)
+        assert np.all(np.abs(sums - exact[:rows]) <= 1e-15 * size[:rows])
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("rows", [1, 3, "all"])
@@ -169,6 +173,18 @@ class TestSecularSums:
         d, z2, origin, tau = self.estimates(seed, m)
         monkeypatch.setattr(numkit, "_SECULAR_BLOCK", (m + 1 if rows == "all" else rows) * m)
         self.check(d, z2, np.arange(m + 1), origin, tau)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rows", [1, 3, "all"])
+    def test_cubes_in_every_block_shape(self, monkeypatch, seed, rows):
+        # sum z2/delta^3 beside the four sums, which it must leave unchanged
+        m = 24
+        d, z2, origin, tau = self.estimates(seed, m)
+        monkeypatch.setattr(numkit, "_SECULAR_BLOCK", (m + 1 if rows == "all" else rows) * m)
+        self.check(d, z2, np.arange(m + 1), origin, tau, cubes=True)
+        assert np.array_equal(numkit._secular_sums(d, z2, np.arange(m + 1), origin, tau)[:4],
+                              numkit._secular_sums(d, z2, np.arange(m + 1), origin, tau,
+                                                   cubes=True)[:4])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sparse_rows_whose_band_spans_every_pole(self, monkeypatch, seed):
@@ -274,6 +290,58 @@ def test_kernel_matches_the_full_matrix(modes, data):
     assert abs(amplitude) <= 1.0 + 1e-12
     flipped = numkit.endpoint_amplitude(energies, couplings, -parities, onsite, t)
     assert abs(flipped + amplitude) <= 1e-14
+
+
+@st.composite
+def sector_sets(draw):
+    """(onsite, sectors): one to four (poles, couplings) sectors, drawn as in
+    arrowheads, of sizes that take Gragg's steps (up to 255 poles) or not,
+    a sector with no pole and, in some, a pole on the shared onsite
+    energy."""
+    onsite, poles, couplings = draw(arrowheads(draw(st.sampled_from([2, 9, 40, 120, 300]))))
+    sectors = [(poles, couplings)]
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.sampled_from([0, 1, 9, 40, 120, 300]))
+        if n == 0:
+            sectors.append((np.zeros(0), np.zeros(0)))
+            continue
+        _, poles, couplings = draw(arrowheads(n))
+        if draw(st.booleans()):
+            poles[draw(st.integers(0, n - 1))] = onsite
+        sectors.append((poles, couplings))
+    return onsite, draw(st.permutations(sectors))
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@hypothesis.given(data=st.data())
+def test_joint_solve_is_each_sector_alone(data):
+    # one secular loop for several sectors changes no bit of any of them
+    onsite, sectors = data.draw(sector_sets())
+    joint = numkit.arrowhead_spectra(onsite, sectors)
+    assert len(joint) == len(sectors)
+    for (poles, couplings), (lam, w) in zip(sectors, joint):
+        alone_lam, alone_w = numkit.arrowhead_spectrum(onsite, poles, couplings)
+        assert np.array_equal(lam, alone_lam) and np.array_equal(w, alone_w)
+
+
+class TestSweepCounts:
+    """_secular_sums calls per ring transfer (one per sweep and sector with
+    unconverged roots) at alpha = 1.1 and the g of small-g envelope 0.02, as
+    reached by the joint loop with its end-root probes and Gragg's steps
+    (the parent loop took 14, 13 and 14)."""
+
+    @pytest.mark.parametrize("d, L, calls", [(1, 2000, 10), (2, 44, 10), (3, 20, 11)])
+    def test_calls_per_transfer(self, monkeypatch, d, L, calls):
+        rows = []
+        sums = numkit._secular_sums
+        monkeypatch.setattr(numkit, "_secular_sums", lambda poles, z2, roots, *args: rows.append(
+            roots.shape[0]) or sums(poles, z2, roots, *args))
+        q2 = ring.ring_spectral_summary(ring.ring_spectrum(d, L, 1.1)).q2
+        ring.ring_exact_transfer(d, L, 1.1, math.sqrt(0.02 * L**d / (4.0 * q2)))
+        assert len(rows) <= calls, rows
+        if d == 1:
+            # no root of a d = 1 sector trails the others by a one-row sweep
+            assert min(rows) > 1, rows
 
 
 class TestSectorDispatch:
