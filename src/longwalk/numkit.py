@@ -340,8 +340,8 @@ def _secular_sums(d: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.n
     between poles j - 1 and j): the O(n^2) part of _secular_roots.
 
     Rows go in blocks of _secular_block_rows(m, n), through a flat `work`
-    buffer of 3 _secular_block_rows(m, n) m entries or more (allocated when
-    None).  The poles below a block's first root are left of every row and
+    buffer of (3 with cubes, else 2) _secular_block_rows(m, n) m entries or
+    more (allocated when None).  The poles below a block's first root are left of every row and
     those at or above its last root right of every row; only the band
     between needs the sign test (1/delta < 0 left of the root).
     """
@@ -349,7 +349,7 @@ def _secular_sums(d: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.n
     out = np.empty((5 if cubes else 4, n))
     rows = _secular_block_rows(m, n)
     if work is None:
-        work = np.empty(3 * rows * m)
+        work = np.empty((3 if cubes else 2) * rows * m)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         size = (stop - start) * m
@@ -416,18 +416,19 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     # tau itself, 1 where the origin is the root's right pole, the root's
     # index j in its sector (it lies between poles j - 1 and j) and its
     # place in the output; for the first sweep only, 1 in a gap, the right
-    # pole, its origin - a and the couplings of the gap's two poles.  A
-    # sector with no pole has the root a of weight 1 and no column.
-    columns, groups, side, bound, starts, size, width = [], [], [], [], [], 0, 0
+    # pole, its origin - a, the couplings of the gap's two poles and 1 in a
+    # sector that takes Gragg's steps.  A sector with no pole has the root a
+    # of weight 1 and no column.
+    columns, groups, side, bound, starts, size, width, need = [], [], [], [], [], 0, 0, 0
     small = [d.shape[0] * (d.shape[0] + 1) <= _SECULAR_BLOCK for _, d, _ in sectors]
     for (a, d, z2), one in zip(sectors, small):
         m = d.shape[0]
         starts.append(size)
         if m > 0:
             znorm2 = float(np.sum(z2))
-            col = np.zeros((15, m - 1 + 2 * probes))
+            col = np.zeros((16, m - 1 + 2 * probes))
             (origin, shift, left, right, lo, hi, t, right_origin, j, pos,
-             gap_root, right_pole, right_shift, zl, zr) = col
+             gap_root, right_pole, right_shift, zl, zr, gragg_sector) = col
             first, gap, last = (slice(0, probes), slice(probes, probes + m - 1),
                                 slice(probes + m - 1, None))
             origin[first], origin[gap], origin[last] = d[0], d[:-1], d[-1]
@@ -446,11 +447,13 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
             right_pole[gap] = d[1:]
             np.subtract(right_pole, a, out=right_shift)
             zl[gap], zr[gap] = z2[:-1], z2[1:]
+            gragg_sector[:] = one
             columns.append(col)
             groups += [width + np.arange(probes), width + m - 1 + probes + np.arange(probes)]
             side += [1.0, -1.0]
             bound += [-r_hi[0], r_hi[1]]
             width += col.shape[1]
+            need = max(need, (3 if one else 2) * _secular_block_rows(m, col.shape[1]) * m)
         size += m + 1
     starts.append(size)
     lam, w = np.empty(size), np.empty(size)
@@ -461,15 +464,12 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     if not columns:
         return spectra
     state = np.concatenate(columns, axis=1)
-    gragg_sector = np.repeat([one for one, (_, d, _) in zip(small, sectors) if d.shape[0] > 0],
-                             [col.shape[1] for col in columns])
     groups, side, rows = np.array(groups), np.array(side), np.arange(len(groups))
     # per end root: the pole (tau = 0), its probes and the far end of its bracket
     edges = np.concatenate([np.zeros((rows.shape[0], 1)), state[6, groups],
                             np.array(bound)[:, None]], axis=1)
     bounds = np.searchsorted(state[9], starts)
-    work = np.empty(3 * max(_secular_block_rows(col.shape[1] + 1 - 2 * probes, col.shape[1])
-                            * (col.shape[1] + 1 - 2 * probes) for col in columns))
+    work = np.empty(need)
     # qa, or the denominator of eta, may be 0, where eta is not used
     with np.errstate(divide="ignore", invalid="ignore"):  # and restores the buffer size
         # numpy's default buffer (8192 elements) takes the broadcast
@@ -524,11 +524,11 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
                 # Outside the small sectors, the first step from a gap's
                 # midpoint is dlaed4's: its two poles kept exact, the rest the
                 # constant c they sum to there.
-                zl, zr = state[13:15]
+                zl, zr, gragg_sector = state[13:16]
                 c = f - zl / dl - zr / dr
-                qa = np.where(gragg_sector, qa, c)
-                qb = np.where(gragg_sector, qb, c * (dl + dr) + zl + zr)
-                qc = np.where(gragg_sector, qc, c * dldr + zl * dr + zr * dl)
+                qa = np.where(gragg_sector > 0.0, qa, c)
+                qb = np.where(gragg_sector > 0.0, qb, c * (dl + dr) + zl + zr)
+                qc = np.where(gragg_sector > 0.0, qc, c * dldr + zl * dr + zr * dl)
                 # Of an end root's probes, the first `inside` lie between its
                 # pole and the root (tau f < 0); the last of them stays, with
                 # the probes around the root as bracket and, as model, the
@@ -557,9 +557,10 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
                     | (hi - lo <= 4.0 * eps * np.maximum(-lo, hi)))
             keep = ~conv
             if it == 0:
-                # the other probes leave
+                # the other probes leave; the kept one takes its step, as a
+                # probe on a bound of _end_bracket lies 4 eps off the root
                 keep[groups] = conv[groups] = False
-                keep[near], conv[near] = ~conv[near], conv[near]
+                keep[near] = True
             if conv.any():
                 done = pos[conv].astype(np.intp)
                 lam[done] = origin[conv] + t[conv]
