@@ -200,8 +200,8 @@ def _sweep_q2_exponents(experiment, res):
     report = {
         "window": res["window"],
         "sizes": list(res["sizes"]),
-        "results": [{key: r[key] for key in ("alpha", "exponent", "target", "error", "passed",
-                                             "b", "sse", "b_on_bracket_edge")}
+        "results": [{key: r[key] for key in ("alpha", "corrections", "exponent", "target",
+                                             "error", "passed")}
                     for r in res["results"]],
     }
     return f"{experiment}_report", [table], (experiment, plot), report

@@ -5,13 +5,16 @@ them to CSV/JSON/SVG and the acceptance suite asserts the verdicts.  Grid
 points are independent and run serially by default; setting
 LONGWALK_THREADS fans them out over a thread pool of that size (numpy
 releases the GIL inside LAPACK/FFT).  The ring's scaling sweeps (figS2b,
-figS2c, figS3) compute all their spectra in one serial pass first, so the
-pool fans out only their per-alpha fits.  Results are aggregated in grid
-order, so output is identical for any thread count.
+figS2c, figS3) compute all their spectra in one serial pass first.  figS2b
+and figS2c then fit each alpha serially, one small least-squares solve on
+known correction terms; only figS3 fans its per-alpha fits out on the
+pool.  Results are aggregated in grid order, so output is identical for
+any thread count.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -71,31 +74,63 @@ def _map(fn, args_list):
         return list(pool.map(fn, args_list))
 
 
-def ring_q2_target(d: int, alpha: float) -> tuple[float, bool]:
-    """Asymptotic exponent of q2 = sum_{k != 0} 1/Delta_k^2 for the ring (d = 1)
-    and the torus (d = 2), and whether its finite-size correction is a log
-    (at alpha = d), the form ``scaling.extrapolate_exponent`` fits.
+# 1/ln L and 1/ln^2 L: the corrections at alpha = 3d/2 and alpha = d+2
+_LOG_TERMS = ((0.0, 1), (0.0, 2))
+
+
+def _power_terms(b1: float, b2: float) -> tuple[tuple[float, int], ...]:
+    """x^b, x^(2b) and x^b' for {b <= b'} = {b1, b2}, x = 1/L, ascending.  Each
+    exponent is rounded to 12 decimals, so that 2b = b' or b = b' leaves one
+    term; an infinite one (alpha = inf) is dropped."""
+    b = min(b1, b2)
+    exponents = sorted({round(e, 12) for e in (b, 2.0 * b, max(b1, b2))})
+    return tuple((e, 0) for e in exponents if math.isfinite(e))
+
+
+def ring_q2_target(d: int, alpha: float) -> tuple[float, tuple[tuple[float, int], ...]]:
+    """Asymptotic exponent of q2 = sum_{k != 0} 1/Delta_k^2 for the ring and
+    the torus, and its finite-size corrections, the terms that
+    ``scaling.extrapolate_exponent`` fits: (b, k) names L^(-b) / ln^k L.
 
     Small-|k| detunings follow the polylog expansion of the power-law
-    kernel, Delta_k ~ C p^(alpha-d) + O(p^2), p = 2 pi |k| / L (at d = 1,
-    C = -2 Gamma(1-alpha) sin(pi alpha / 2)), so that:
+    kernel, Delta_k ~ C p^(alpha-d) + D p^2 + ..., p = 2 pi |k| / L (at
+    d = 1, C = -2 Gamma(1-alpha) sin(pi alpha / 2)).  With x = 1/L:
 
     - alpha < d: every Delta_k scales as L^(d-alpha) across the band, so
-      q2 ~ L^d * L^(2(alpha-d)) = L^(2 alpha - d);
-    - d <= alpha < 3d/2: sum_k |k|^(-2(alpha-d)) diverges, the whole band
-      contributes and q2 ~ L^d (at alpha = d with a 1/ln^2 L correction);
-    - 3d/2 <= alpha < d+2: that sum converges, the smallest |k| dominate
-      and q2 ~ L^(2(alpha-d));
-    - alpha >= d+2: Delta_k ~ p^2, so q2 ~ L^4 (at alpha = d+2 with a log
-      correction).
+      q2 ~ L^d * L^(2(alpha-d)) = L^(2 alpha - d).  The kernel's O(1)
+      lattice part sits beside that growing sum in every Delta_k: x^(d-alpha)
+      in Delta_k, and its square x^(2(d-alpha)) in 1/Delta_k^2.
+    - alpha = d: Delta_k ~ 2 ln L across the band, q2 ~ L^d / (4 ln^2 L):
+      1/ln L in the local exponents.
+    - d < alpha < 3d/2: sum_k |k|^(-2(alpha-d)) diverges, the whole band
+      contributes and q2 ~ L^d.  The small-k sum, L^(2(alpha-d)), against
+      the band gives x^(3d-2 alpha); truncating the kernel at L/2 drops its
+      tail, ~ L^(d-alpha), from every band Delta_k: x^(alpha-d).
+    - alpha = 3d/2: q2 ~ L^d ln L: 1/ln L and 1/ln^2 L.
+    - 3d/2 < alpha < d+2: that sum converges, the smallest |k| dominate and
+      q2 ~ L^(2(alpha-d)).  The band against the small-k sum is now the
+      correction, x^(2 alpha-3d), and the p^2 term of Delta_k against its
+      leading one gives p^(d+2-alpha): x^(d+2-alpha).
+    - alpha = d+2: Delta_k ~ p^2 ln(1/p): 1/ln L and 1/ln^2 L.
+    - alpha > d+2: Delta_k ~ D p^2, so q2 ~ L^4, with C p^(alpha-d) against
+      it, x^(alpha-d-2), and the p^4 term, x^2.
+
+    Each power-law pair {b <= b'} enters as x^b, x^(2b) and x^b' (the
+    square of the leading correction in 1/Delta_k^2, see ``_power_terms``).
     """
     if alpha < d:
-        return 2.0 * alpha - d, False
+        return 2.0 * alpha - d, _power_terms(d - alpha, 2.0 * (d - alpha))
+    if alpha == d:
+        return float(d), ((0.0, 1),)
     if alpha < 1.5 * d:
-        return float(d), alpha == d
+        return float(d), _power_terms(3.0 * d - 2.0 * alpha, alpha - d)
+    if alpha == 1.5 * d:
+        return float(d), _LOG_TERMS
     if alpha < d + 2.0:
-        return 2.0 * (alpha - d), False
-    return 4.0, False
+        return 2.0 * (alpha - d), _power_terms(2.0 * alpha - 3.0 * d, d + 2.0 - alpha)
+    if alpha == d + 2.0:
+        return 4.0, _LOG_TERMS
+    return 4.0, _power_terms(alpha - d - 2.0, 2.0)
 
 
 def small_g_threshold(spectrum: chain_mod.ChannelSpectrum) -> float:
@@ -211,21 +246,18 @@ def fig_s2a(L: int = 100, alpha: float = 1.0, g_grid=None) -> dict:
 
 
 def _q2_extrapolation(d: int, alpha: float, sizes, window: int, summaries) -> dict:
-    target, log_correction = ring_q2_target(d, alpha)
+    target, corrections = ring_q2_target(d, alpha)
     local = scaling.local_exponents(sizes, [s.q2 for s in summaries], window)
-    exponent, fit = scaling.extrapolate_exponent(local, log_correction)
+    exponent = scaling.extrapolate_exponent(local, corrections)
     return {
         "d": d,
         "alpha": alpha,
         "local_exponents": local,
+        "corrections": corrections,
         "exponent": exponent,
         "target": target,
         "error": abs(exponent - target),
         "passed": bool(abs(exponent - target) <= TOLERANCES["ring_extrapolation"]),
-        # the power-law fit's diagnostics; None where the correction is a log
-        "b": None if fit is None else fit.exponent,
-        "sse": None if fit is None else fit.residual_sse,
-        "b_on_bracket_edge": None if fit is None else fit.on_bracket_edge,
     }
 
 
@@ -235,11 +267,11 @@ def ring_q2_extrapolation(d: int, alpha: float, sizes, window: int) -> dict:
 
 
 def _q2_exponents(d: int, alphas, sizes, window: int) -> list[dict]:
-    """ring_q2_extrapolation at each alpha: the spectra in one serial pass,
-    then the fits on the pool."""
+    """ring_q2_extrapolation at each alpha: the spectra in one pass, then
+    one small least-squares solve per alpha."""
     table = ring.ring_spectral_summaries(d, alphas, sizes)
-    return _map(lambda job: _q2_extrapolation(d, job[0], sizes, window, job[1]),
-                list(zip(alphas, table)))
+    return [_q2_extrapolation(d, alpha, sizes, window, summaries)
+            for alpha, summaries in zip(alphas, table)]
 
 
 def fig_s2b(alphas=RING_1D_ALPHAS) -> dict:

@@ -1,9 +1,8 @@
 """Numerical kernels: symmetric eigensolvers, the amplitude
 sum_j w_j exp(-i lambda_j t) of a spectral measure (the step every exact
 transfer ends in), the endpoint-coupled-channel transfer amplitude, spectra
-of even circulants in d dimensions (by real FFT on the orthant), and
-least-squares fits (the power-law offset fit finds its exponent by Brent's
-bounded minimisation).
+of even circulants in d dimensions (by real FFT on the orthant), and the
+ordinary least-squares line.
 
 Everything here is pure and deterministic.  Dense eigensolves, and the
 parity sectors of endpoint_amplitude up to dimension _SECULAR_MIN_DIM,
@@ -51,29 +50,6 @@ class FitResult:
     intercept: float
     r_squared: float
     residual_sse: float
-
-
-@dataclass(frozen=True)
-class PowerLawOffsetFit:
-    """Parameters of y = sum_j amplitudes[j-1] * x**(j*exponent) + offset,
-    j = 1..len(amplitudes)."""
-
-    amplitudes: tuple[float, ...]
-    exponent: float
-    offset: float
-    residual_sse: float
-
-    @property
-    def amplitude(self) -> float:
-        """Amplitude of the leading correction x**exponent."""
-        return self.amplitudes[0]
-
-    @property
-    def on_bracket_edge(self) -> bool:
-        """Whether the exponent lies within one scan step of either end of
-        POWERLAW_B_RANGE, where the bracket, not the data, may have set it."""
-        grid = _powerlaw_b_grid()
-        return not grid[1] < self.exponent < grid[-2]
 
 
 def eigh_dense(matrix) -> SymmetricEigenDecomposition:
@@ -632,120 +608,3 @@ def linear_fit(x, y) -> FitResult:
     sst = float(np.sum((y - ym) ** 2))
     r2 = 1.0 if sst <= 1e-300 else 1.0 - sse / sst
     return FitResult(float(slope), float(intercept), float(min(max(r2, 0.0), 1.0)), sse)
-
-
-def _basis(x: np.ndarray, b, corrections: int) -> np.ndarray:
-    """Design matrix [x^b, x^(2b), ..., x^(n b), 1], n = corrections; an
-    array of b gives one matrix per b along a leading axis."""
-    powers = np.asarray(b, dtype=float)[..., None, None] * np.arange(1, corrections + 1)
-    cols = x[:, None] ** powers
-    return np.concatenate([cols, np.ones(cols.shape[:-1] + (1,))], axis=-1)
-
-
-def _profiled_fit(x: np.ndarray, y: np.ndarray, b: float, corrections: int):
-    """For fixed b, solve the linear subproblem
-    min ||y - sum_j a_j x^(j b) - c||^2; returns (sse, [a_1..a_n, c])."""
-    basis = _basis(x, b, corrections)
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    r = y - basis @ coef
-    return float(r @ r), coef
-
-
-def _scan_sse(x: np.ndarray, y: np.ndarray, bs: np.ndarray, corrections: int) -> np.ndarray:
-    """Residual of the same subproblem at every b in bs, in one batched QR
-    (a lstsq call per scan point would double the cost of the fit)."""
-    q = np.linalg.qr(_basis(x, bs, corrections))[0]
-    r = y - (q @ (y @ q)[..., None])[..., 0]
-    return (r * r).sum(axis=-1)
-
-
-# exponent search bracket: every exponent appearing in the sweeps lies in (0, 2]
-POWERLAW_B_RANGE = (0.01, 4.0)
-# log-spaced scan of the bracket that locates the best valley before Brent's
-# refinement: with two corrections the profile in b can have more than one
-# local minimum
-_POWERLAW_B_SCAN = 48
-# absolute part of Brent's tolerance in b; tighter than strictly needed so the
-# exact-data recovery contract (1e-6 relative) and the rescaling-invariance
-# contract (1e-10) hold with margin
-_POWERLAW_B_TOL = 1e-11
-# relative part of Brent's tolerance, below which SSE differences are roundoff
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-
-
-def _powerlaw_b_grid() -> np.ndarray:
-    return np.geomspace(*POWERLAW_B_RANGE, _POWERLAW_B_SCAN)
-
-
-def _brent_minimize(f, a: float, b: float, tol: float):
-    """Brent's minimiser (Algorithms for Minimization without Derivatives, 1973,
-    ch. 5) of f(t)[0] over [a, b]; returns (t, f(t)) at the best point found.
-
-    Each step fits a parabola through the three best points and takes its
-    vertex when that falls inside the bracket and moves less than half the
-    step before last; otherwise it takes a golden-section step into the
-    larger part of the bracket.  It stops once the best point lies within
-    2 tol1 - (b - a)/2 of the bracket's middle, tol1 = sqrt(eps) |t| + tol/3.
-    """
-    c = 0.5 * (3.0 - math.sqrt(5.0))
-    x = w = v = a + c * (b - a)
-    best = f(x)
-    fx = fw = fv = best[0]
-    step = prev = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
-        if abs(x - m) <= 2.0 * tol1 - 0.5 * (b - a):
-            return x, best
-        p = q = r = 0.0
-        if abs(prev) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p, q) if q > 0.0 else (p, -q)
-            r, prev = prev, step
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            step = p / q
-            if min(x + step - a, b - x - step) < 2.0 * tol1:
-                step = math.copysign(tol1, m - x)
-        else:
-            prev = (b if x < m else a) - x
-            step = c * prev
-        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
-        out = f(u)
-        if out[0] <= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx, best = w, fw, x, fx, u, out[0], out
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if out[0] <= fw or w == x:
-                v, fv, w, fw = w, fw, u, out[0]
-            elif out[0] <= fv or v == x or v == w:
-                v, fv = u, out[0]
-
-
-def powerlaw_offset_fit(x, y, corrections: int = 1) -> PowerLawOffsetFit:
-    """Fit y = sum_{j=1..corrections} a_j x^(j b) + c with (a_j, c) profiled out.
-
-    b is found by a log-spaced scan of POWERLAW_B_RANGE, then Brent's
-    bounded minimisation between the neighbours of the best scan point.
-    Needs at least corrections + 3 points (one more than the parameters).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.shape[0] < corrections + 3:
-        raise DomainError(
-            f"powerlaw_offset_fit with {corrections} correction(s) needs "
-            f">= {corrections + 3} points"
-        )
-    if np.any(x <= 0):
-        raise DomainError("all x must be positive")
-    if np.unique(x).shape[0] != x.shape[0]:
-        raise DomainError("x values must be distinct")
-    grid = _powerlaw_b_grid()
-    best = int(np.argmin(_scan_sse(x, y, grid, corrections)))
-    b, (res, coef) = _brent_minimize(
-        lambda t: _profiled_fit(x, y, t, corrections),
-        grid[max(best - 1, 0)], grid[min(best + 1, grid.shape[0] - 1)], _POWERLAW_B_TOL)
-    return PowerLawOffsetFit(tuple(float(a) for a in coef[:-1]), float(b), float(coef[-1]), res)

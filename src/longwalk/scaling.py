@@ -3,7 +3,7 @@ finite-size extrapolation, and comparison against the free-particle
 light-cone exponent table.
 
 Every fit takes plain (size, value) arrays, and the extrapolation takes
-its correction form from the caller.  Sliding windows run over
+its correction terms from the caller.  Sliding windows run over
 consecutive points of the geometric (power-of-two) size grids used by the
 fast spectral paths, not over arithmetic intervals in L.
 """
@@ -92,29 +92,22 @@ def local_exponents(sizes, values, window: int) -> np.ndarray:
     return np.array(rows)
 
 
-def extrapolate_exponent(local: np.ndarray, log_correction: bool
-                         ) -> tuple[float, numkit.PowerLawOffsetFit | None]:
-    """Asymptotic exponent, and the power-law fit it is the offset of (None
-    for a log correction): the offset c of a finite-size fit to the local
-    exponents y(L_mid), the rows of ``local_exponents``.
+def extrapolate_exponent(local: np.ndarray, corrections) -> float:
+    """Asymptotic exponent: the offset c of the least-squares fit
+    y = c + sum_j a_j L_mid^(-b_j) / ln^(k_j) L_mid to the local exponents
+    y(L_mid), the rows of ``local_exponents``, with one term for each
+    (b_j, k_j) in ``corrections`` (``experiments.ring_q2_target`` names
+    them for the ring's q2).  The terms are known, so the fit is linear.
 
-    - ``log_correction``: y = c + p / ln L_mid, by least squares.
-    - Otherwise two power-law corrections: y = c + a1 x^b + a2 x^(2b),
-      x = 1 / L_mid, with b in ``numkit.POWERLAW_B_RANGE``.  The second
-      term lets the local exponents turn over (two corrections of opposite
-      sign), which a single correction can only follow by pinning b to its
-      floor.
-
-    Needs at least 5 local exponents (one more than the power-law fit's
-    four parameters).
+    Needs one more local exponent than the fit has parameters.
     """
-    if local.shape[0] < 5:
-        raise DomainError(f"need >= 5 local exponents, got {local.shape[0]}")
+    if local.shape[0] < len(corrections) + 2:
+        raise DomainError(f"{len(corrections)} correction(s) need >= {len(corrections) + 2} "
+                          f"local exponents, got {local.shape[0]}")
     l_mid, y = local[:, 0], local[:, 1]
-    if log_correction:
-        return numkit.linear_fit(1.0 / np.log(l_mid), y).intercept, None
-    fit = numkit.powerlaw_offset_fit(1.0 / l_mid, y, corrections=2)
-    return fit.offset, fit
+    basis = np.column_stack([l_mid**-b / np.log(l_mid) ** k for b, k in corrections]
+                            + [np.ones_like(y)])
+    return float(np.linalg.lstsq(basis, y, rcond=None)[0][-1])
 
 
 def lr_exponent(d: int, alpha: float) -> LRExponent:

@@ -319,8 +319,8 @@ class TestSweepCommand:
         assert "2 points left out" in svg and "<circle" not in svg
 
     def test_q2_report_carries_fit_diagnostics(self, tmp_path):
-        # each report entry gains the fitted b, its SSE and the bracket-edge
-        # flag (null where the correction is a log); the CSV keeps its columns
+        # each report entry names the correction terms its fit took, as
+        # [b, k] pairs for L^-b / ln^k L; the CSV keeps its columns
         argv = ["sweep", "--experiment", "figS2b", "--reproducible", "--out-dir", str(tmp_path)]
         assert cli.main(argv) == 0
         rows = (tmp_path / "figS2b.csv").read_text().splitlines()
@@ -328,12 +328,9 @@ class TestSweepCommand:
         results = json.loads((tmp_path / "figS2b_report.json").read_text())["results"]
         assert [r["alpha"] for r in results] == list(experiments.RING_1D_ALPHAS)
         for r in results:
-            if r["alpha"] == 1.0:  # alpha = d: c + p / ln L, a linear fit
-                assert (r["b"], r["sse"], r["b_on_bracket_edge"]) == (None, None, None)
-            else:
-                lo, hi = numkit.POWERLAW_B_RANGE
-                assert lo <= r["b"] <= hi and r["sse"] >= 0.0
-                assert r["b_on_bracket_edge"] is False
+            assert sorted(r) == ["alpha", "corrections", "error", "exponent", "passed", "target"]
+            terms = experiments.ring_q2_target(1, r["alpha"])[1]
+            assert r["corrections"] == [list(term) for term in terms]
 
     def test_fig2bcd_slope_report(self, tmp_path):
         res = run_cli(

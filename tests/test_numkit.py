@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from longwalk import experiments, numkit
+from longwalk import numkit
 from longwalk.errors import DomainError
 
 from site_oracle import evolve
@@ -326,106 +326,3 @@ class TestLinearFit:
     def test_degenerate_x(self):
         with pytest.raises(DomainError):
             numkit.linear_fit([2, 2, 2], [1, 2, 3])
-
-
-def golden_section_offset_fit(x, y, corrections: int = 1) -> numkit.PowerLawOffsetFit:
-    """Oracle: powerlaw_offset_fit with golden-section refinement, as it ran
-    before Brent's method: the same scan and bracket, then golden-section steps
-    until the bracket in b is narrower than _POWERLAW_B_TOL, b at its middle."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def sse(b):
-        return numkit._profiled_fit(x, y, b, corrections)[0]
-
-    grid = np.geomspace(*numkit.POWERLAW_B_RANGE, numkit._POWERLAW_B_SCAN)
-    best = int(np.argmin(numkit._scan_sse(x, y, grid, corrections)))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.shape[0] - 1)]
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c1 = hi - gr * (hi - lo)
-    c2 = lo + gr * (hi - lo)
-    f1, f2 = sse(c1), sse(c2)
-    while hi - lo > numkit._POWERLAW_B_TOL:
-        if f1 < f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - gr * (hi - lo)
-            f1 = sse(c1)
-        else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + gr * (hi - lo)
-            f2 = sse(c2)
-    b = 0.5 * (lo + hi)
-    res, coef = numkit._profiled_fit(x, y, b, corrections)
-    return numkit.PowerLawOffsetFit(tuple(coef[:-1]), b, coef[-1], res)
-
-
-def pinned_q2_series():
-    """(label, x, y) of the extrapolator's fit on each figS2b and figS2c
-    alpha: x = 1 / L_mid, y the local q2 exponents."""
-    out = []
-    for driver in (experiments.fig_s2b, experiments.fig_s2c):
-        for r in driver()["results"]:
-            local = r["local_exponents"]
-            out.append((f"d={r['d']} alpha={r['alpha']}", 1.0 / local[:, 0], local[:, 1]))
-    return out
-
-
-class TestBrentSearch:
-    """Brent's minimiser in powerlaw_offset_fit against the golden-section oracle."""
-
-    def test_pinned_series_against_golden_section(self, monkeypatch):
-        series = pinned_q2_series()
-        assert len(series) == len(experiments.RING_1D_ALPHAS) + len(experiments.RING_2D_ALPHAS)
-        profiled = numkit._profiled_fit
-        for label, x, y in series:
-            oracle = golden_section_offset_fit(x, y, corrections=2)
-            calls = []
-            monkeypatch.setattr(numkit, "_profiled_fit",
-                                lambda *a: calls.append(a) or profiled(*a))
-            fit = numkit.powerlaw_offset_fit(x, y, corrections=2)
-            monkeypatch.setattr(numkit, "_profiled_fit", profiled)
-            # 49-54 calls for golden section on these series
-            assert len(calls) <= 20, label
-            assert abs(fit.offset - oracle.offset) <= 1e-7, label
-            assert fit.residual_sse <= oracle.residual_sse * (1.0 + 1e-6), label
-
-    def test_bracket_edge_flag(self):
-        # a log correction is the limit b -> 0 of (x^b - 1) / b: b is pinned
-        # to its floor
-        x = 1.0 / 2.0 ** np.arange(8, 18)
-        fit = numkit.powerlaw_offset_fit(x, 1.0 + 0.1 * np.log(x))
-        assert fit.exponent <= numkit.POWERLAW_B_RANGE[0] + 1e-6
-        assert fit.on_bracket_edge
-
-
-class TestPowerLawOffsetFit:
-    def test_exact_model_recovery(self):
-        x = np.linspace(0.5, 9.0, 12)
-        y = 2.0 * x**0.5 + 1.0
-        fit = numkit.powerlaw_offset_fit(x, y)
-        assert abs(fit.amplitude - 2.0) <= 1e-6 * 2.0
-        assert abs(fit.exponent - 0.5) <= 1e-6 * 0.5
-        assert abs(fit.offset - 1.0) <= 1e-6
-        assert fit.residual_sse <= 1e-10 * np.sum(y**2)
-
-    def test_constant_data(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        fit = numkit.powerlaw_offset_fit(x, np.full(4, 7.0))
-        assert abs(fit.amplitude) <= 1e-9
-        assert abs(fit.offset - 7.0) <= 1e-9
-
-    def test_negative_amplitude_recovery(self):
-        x = np.geomspace(0.01, 1.0, 10)
-        y = -0.5 * x**1.3 + 2.0
-        fit = numkit.powerlaw_offset_fit(x, y)
-        assert abs(fit.exponent - 1.3) <= 1e-5
-        assert abs(fit.offset - 2.0) <= 1e-6
-
-    def test_input_validation(self):
-        with pytest.raises(DomainError):
-            numkit.powerlaw_offset_fit([1, 2, 3], [1, 2, 3])
-        with pytest.raises(DomainError):
-            numkit.powerlaw_offset_fit([0, 1, 2, 3], [1, 2, 3, 4])
-        with pytest.raises(DomainError):
-            numkit.powerlaw_offset_fit([1, 1, 2, 3], [1, 2, 3, 4])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from longwalk import cli, experiments, numkit, scaling
+from longwalk import cli, experiments, numkit, ring, scaling
 from longwalk.errors import DomainError, RegimeError
 
 
@@ -29,41 +29,48 @@ class TestLocalExponents:
         assert scaling.local_exponents(Ls, Ls**2, window=4).shape[0] == 9 - 4 + 1
 
 
+# x^0.5 and x^1, x = 1/L: a power-law correction and its square
+POWER_TERMS = ((0.5, 0), (1.0, 0))
+
+
 class TestExtrapolateExponent:
     def test_exact_power_law(self):
         Ls = np.geomspace(10, 1e4, 10)
         local = scaling.local_exponents(Ls, 3.0 * Ls**0.8, window=3)
-        assert abs(scaling.extrapolate_exponent(local, False)[0] - 0.8) <= 1e-6
+        assert abs(scaling.extrapolate_exponent(local, POWER_TERMS) - 0.8) <= 1e-6
 
     def test_known_asymptote_with_correction(self):
         Ls = np.geomspace(16, 2**17, 13)
         y = Ls**0.6 * (1.0 + 5.0 / Ls)
         local = scaling.local_exponents(Ls, y, window=3)
-        assert abs(scaling.extrapolate_exponent(local, False)[0] - 0.6) <= 0.01
+        assert abs(scaling.extrapolate_exponent(local, ((1.0, 0), (2.0, 0))) - 0.6) <= 0.01
 
     def test_invariant_under_value_rescaling(self):
-        # scale-freeness of the estimator: exact on identifiable fits; when
-        # the profile valley in b is nearly flat (mis-specified corrections),
-        # rounding of the rescaled inputs is amplified, so only a looser
-        # bound is achievable there in float64
+        # scale-freeness of the estimator: rescaling the values changes the
+        # local exponents by rounding only, and the linear fit passes that on
+        # unamplified, also where its terms do not describe the series
         Ls = np.geomspace(16, 2**14, 11)
-        cases = [
-            (3.0 * Ls**0.8, 1e-10),
-            (Ls**0.37 * (1 + 30.0 / Ls), 1e-8),
-        ]
-        for y, tol in cases:
+        for y in (3.0 * Ls**0.8, Ls**0.37 * (1 + 30.0 / Ls)):
             for c in (7.25, 1e3):
                 l1 = scaling.local_exponents(Ls, y, window=3)
                 l2 = scaling.local_exponents(Ls, c * y, window=3)
-                e1 = scaling.extrapolate_exponent(l1, False)[0]
-                e2 = scaling.extrapolate_exponent(l2, False)[0]
-                assert abs(e1 - e2) <= tol
+                e1 = scaling.extrapolate_exponent(l1, POWER_TERMS)
+                e2 = scaling.extrapolate_exponent(l2, POWER_TERMS)
+                assert abs(e1 - e2) <= 1e-10
 
     def test_needs_enough_exponents(self):
+        # one more local exponent than the fit's parameters (terms and offset)
         Ls = np.geomspace(10, 100, 5)
         local = scaling.local_exponents(Ls, Ls, window=3)
         with pytest.raises(DomainError):
-            scaling.extrapolate_exponent(local, False)
+            scaling.extrapolate_exponent(local, POWER_TERMS)
+        assert abs(scaling.extrapolate_exponent(local, ((1.0, 0),)) - 1.0) <= 1e-12
+
+
+PINNED_Q2_GRIDS = {
+    1: ([2**e for e in experiments.RING_1D_L_EXPONENTS], experiments.RING_1D_WINDOW),
+    2: (list(experiments.RING_2D_SIZES), experiments.RING_2D_WINDOW),
+}
 
 
 class TestExtrapolateExponentSynthetic:
@@ -79,38 +86,121 @@ class TestExtrapolateExponentSynthetic:
         # L^c (1 + a1 L^-b + a2 L^-2b): the local exponents stay flat over
         # the small sizes, then climb toward c (the ring's alpha = 1.4 shape)
         local = self.local(self.Ls**c * (1.0 + a1 * self.Ls**-b + a2 * self.Ls ** (-2 * b)))
-        x, y = 1.0 / local[:, 0], local[:, 1]
-        # a single correction cannot follow the turn: b sits on its floor and
-        # the offset lands above every local exponent
-        one = numkit.powerlaw_offset_fit(x, y)
-        assert one.exponent <= numkit.POWERLAW_B_RANGE[0] + 1e-6
-        assert one.offset - c > 0.1
-        assert abs(scaling.extrapolate_exponent(local, False)[0] - c) <= 0.005
+        assert abs(scaling.extrapolate_exponent(local, ((b, 0), (2 * b, 0))) - c) <= 0.005
 
     @pytest.mark.parametrize("d, alpha", [(1, 1.0), (2, 2.0)])
     @pytest.mark.parametrize("c, p", [(1.0, 2.0), (0.5, -1.0)])
     def test_log_correction_at_log_regime(self, d, alpha, c, p):
-        # L^c / (ln L)^p: local exponent c - p / ln L, no power of 1/L fits it
+        # L^c / (ln L)^p: local exponent c - p / ln L, which the power-law
+        # terms of the neighbouring regime cannot follow
         local = self.local(self.Ls**c / np.log(self.Ls) ** p)
-        log = scaling.extrapolate_exponent(local, experiments.ring_q2_target(d, alpha)[1])[0]
+        log = scaling.extrapolate_exponent(local, experiments.ring_q2_target(d, alpha)[1])
         assert abs(log - c) <= 0.005
         power = scaling.extrapolate_exponent(
-            local, experiments.ring_q2_target(d, alpha + 0.2)[1])[0]
+            local, experiments.ring_q2_target(d, alpha + 0.2)[1])
         assert abs(power - c) > 0.04
 
     def test_form_taken_from_ring_q2_target(self):
-        # the target table sets the form: a log at alpha = d, power laws on
-        # either side of it; the q2 estimator fits the form it names
-        grids = {1: ([2**e for e in experiments.RING_1D_L_EXPONENTS], experiments.RING_1D_WINDOW),
-                 2: (list(experiments.RING_2D_SIZES), experiments.RING_2D_WINDOW)}
-        for d, (sizes, window) in grids.items():
-            forms = {a: experiments.ring_q2_target(d, a)[1] for a in (d - 0.2, d, d + 0.2)}
-            assert forms == {d - 0.2: False, d: True, d + 0.2: False}
-            for alpha, log in forms.items():
+        # the target table sets the terms; the q2 estimator fits the ones it names
+        for d, (sizes, window) in PINNED_Q2_GRIDS.items():
+            for alpha in (d - 0.2, d, d + 0.2):
                 res = experiments.ring_q2_extrapolation(d, alpha, sizes, window)
-                assert (res["b"] is None) is log
-        y = self.Ls**0.6 * (1.0 + 5.0 / self.Ls)
-        assert abs(scaling.extrapolate_exponent(self.local(y), False)[0] - 0.6) <= 1e-3
+                assert res["corrections"] == experiments.ring_q2_target(d, alpha)[1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("regime", ["below d", "d", "d..3d/2", "3d/2", "3d/2..d+2",
+                                        "d+2", "above d+2"])
+    def test_every_regime_and_breakpoint(self, d, regime):
+        # a synthetic q2 with the asymptote and the corrections that
+        # ring_q2_target names
+        alpha = {"below d": 0.7 * d, "d": d, "d..3d/2": 1.2 * d, "3d/2": 1.5 * d,
+                 "3d/2..d+2": 1.25 * d + 1.0, "d+2": d + 2.0, "above d+2": d + 2.5}[regime]
+        c, terms = experiments.ring_q2_target(d, alpha)
+        L, ln = self.Ls, np.log(self.Ls)
+        if terms[0][1] == 0:  # power laws: L^c (1 + sum_j a_j L^-b_j)
+            y = L**c * (1.0 + sum(a * L**-b for a, (b, _) in zip((0.5, -0.3, 0.2), terms)))
+            tol = 1e-3
+        elif len(terms) == 1:  # alpha = d: L^c / ln^2 L
+            y, tol = L**c / ln**2, 0.005
+        else:  # alpha = 3d/2 and d+2: L^c ln L (1 + 0.5 / ln L)
+            y, tol = L**c * (ln + 0.5), 0.005
+        assert abs(scaling.extrapolate_exponent(self.local(y), terms) - c) <= tol
+
+
+def expected_q2_terms(d, alpha):
+    """The correction terms of each q2 regime, (b, 0) for x^b, x = 1/L, and
+    (0, k) for 1/ln^k L, from the table in README.md ("Ring q2 exponents")."""
+    def powers(b1, b2):
+        b, b_prime = sorted((b1, b2))
+        exps = sorted({round(e, 9) for e in (b, 2 * b, b_prime)})
+        return [(e, 0) for e in exps]
+
+    if alpha < d:
+        return powers(d - alpha, 2 * (d - alpha))
+    if alpha == d:
+        return [(0, 1)]
+    if alpha < 1.5 * d:
+        return powers(3 * d - 2 * alpha, alpha - d)
+    if alpha == 1.5 * d or alpha == d + 2:
+        return [(0, 1), (0, 2)]
+    if alpha < d + 2:
+        return powers(2 * alpha - 3 * d, d + 2 - alpha)
+    return powers(alpha - d - 2, 2)
+
+
+class TestRingQ2Target:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("side", [-0.1, 0.0, 0.1])
+    @pytest.mark.parametrize("breakpoint", ["d", "3d/2", "d+2"])
+    def test_terms_on_both_sides_of_each_breakpoint(self, d, side, breakpoint):
+        alpha = {"d": d, "3d/2": 1.5 * d, "d+2": d + 2.0}[breakpoint] + side
+        target, terms = experiments.ring_q2_target(d, alpha)
+        want = expected_q2_terms(d, alpha)
+        assert [k for _, k in terms] == [k for _, k in want]
+        assert np.allclose([b for b, _ in terms], [b for b, _ in want], rtol=0, atol=1e-12)
+        want_target = {"d": 2 * alpha - d if side < 0 else d,
+                       "3d/2": d if side <= 0 else 2 * (alpha - d),
+                       "d+2": 2 * (alpha - d) if side < 0 else 4.0}[breakpoint]
+        assert abs(target - want_target) <= 1e-12
+
+    @pytest.mark.parametrize("d, alpha, terms", [
+        (1, 0.5, ((0.5, 0), (1.0, 0))),
+        (1, 1.4, ((0.2, 0), (0.4, 0))),    # 2b = b': one x^0.4 column
+        (1, 1.8, ((0.6, 0), (1.2, 0))),    # 2b = b'
+        (2, 8 / 3, ((2 / 3, 0), (4 / 3, 0))),  # b = b'
+        (1, float("inf"), ((2.0, 0), (4.0, 0))),  # nearest neighbour: x^inf = 0
+    ])
+    def test_duplicate_and_infinite_terms_dropped(self, d, alpha, terms):
+        got = experiments.ring_q2_target(d, alpha)[1]
+        assert [k for _, k in got] == [k for _, k in terms]
+        assert np.allclose([b for b, _ in got], [b for b, _ in terms], rtol=0, atol=1e-12)
+
+
+class TestRingQ2Extrapolation:
+    @pytest.mark.parametrize("d, alpha", [(1, 3.0), (1, 1.5), (2, 3.0), (2, 3.5), (2, 4.0)])
+    def test_off_grid_breakpoints(self, d, alpha):
+        # the log corrections at alpha = 3d/2 and d+2 (d = 1 alpha = 3, d = 2
+        # alpha = 3.5 and 4 missed the tolerance with a fitted power-law exponent)
+        sizes, window = PINNED_Q2_GRIDS[d]
+        res = experiments.ring_q2_extrapolation(d, alpha, sizes, window)
+        assert res["error"] <= scaling.TOLERANCES["ring_extrapolation"], res["exponent"]
+
+    @pytest.mark.parametrize("d, alphas", [(1, experiments.RING_1D_ALPHAS),
+                                           (2, experiments.RING_2D_ALPHAS)])
+    def test_pinned_exponents_stable_under_q2_roundoff(self, d, alphas):
+        # a relative change of up to 6e-16 in q2 (a different summation
+        # order) moves each pinned exponent by at most 1e-10
+        sizes, window = PINNED_Q2_GRIDS[d]
+        rng = np.random.default_rng(2)
+        table = ring.ring_spectral_summaries(d, alphas, sizes)
+        pinned = (experiments.fig_s2b if d == 1 else experiments.fig_s2c)()["results"]
+        for alpha, summaries, res in zip(alphas, table, pinned):
+            q2 = np.array([s.q2 for s in summaries])
+            terms = experiments.ring_q2_target(d, alpha)[1]
+            for _ in range(20):
+                jitter = 1.0 + rng.uniform(-6e-16, 6e-16, q2.shape)
+                local = scaling.local_exponents(sizes, q2 * jitter, window)
+                assert abs(scaling.extrapolate_exponent(local, terms) - res["exponent"]) <= 1e-10
 
 
 class TestLrExponent:
