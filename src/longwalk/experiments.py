@@ -113,7 +113,8 @@ def ring_q2_target(d: int, alpha: float) -> tuple[float, tuple[tuple[float, int]
       leading one gives p^(d+2-alpha): x^(d+2-alpha).
     - alpha = d+2: Delta_k ~ p^2 ln(1/p): 1/ln L and 1/ln^2 L.
     - alpha > d+2: Delta_k ~ D p^2, so q2 ~ L^4, with C p^(alpha-d) against
-      it, x^(alpha-d-2), and the p^4 term, x^2.
+      it, x^(alpha-d-2), the p^4 term, x^2, and the band's share of q2,
+      L^d against L^4: x^(4-d), which at d = 2 is the x^2 already named.
 
     Each power-law pair {b <= b'} enters as x^b, x^(2b) and x^b' (the
     square of the leading correction in 1/Delta_k^2, see ``_power_terms``).
@@ -130,7 +131,7 @@ def ring_q2_target(d: int, alpha: float) -> tuple[float, tuple[tuple[float, int]
         return 2.0 * (alpha - d), _power_terms(2.0 * alpha - 3.0 * d, d + 2.0 - alpha)
     if alpha == d + 2.0:
         return 4.0, _LOG_TERMS
-    return 4.0, _power_terms(alpha - d - 2.0, 2.0)
+    return 4.0, tuple(sorted({*_power_terms(alpha - d - 2.0, 2.0), (4.0 - d, 0)}))
 
 
 def small_g_threshold(spectrum: chain_mod.ChannelSpectrum) -> float:

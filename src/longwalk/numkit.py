@@ -1,18 +1,19 @@
-"""Numerical kernels: symmetric eigensolvers, the amplitude
-sum_j w_j exp(-i lambda_j t) of a spectral measure (the step every exact
-transfer ends in), the endpoint-coupled-channel transfer amplitude, spectra
-of even circulants in d dimensions (by real FFT on the orthant), and the
-ordinary least-squares line.
+"""Numerical kernels: the amplitude sum_j w_j exp(-i lambda_j t) of a
+spectral measure (the step every exact transfer ends in), the
+endpoint-coupled-channel transfer amplitude, eigenvalues of zero-diagonal
+tridiagonals and their endpoint weights, spectra of even circulants in d
+dimensions (by real FFT on the orthant), and the ordinary least-squares
+line.
 
-Everything here is pure and deterministic.  Dense eigensolves, and the
-parity sectors of endpoint_amplitude up to dimension _SECULAR_MIN_DIM,
-run through numpy's LAPACK eigh, with an absolute-accuracy model
-eps*||H||.  Larger sectors, arrowhead matrices, go together to
-arrowhead_spectra, an O(n^2) secular-equation solver with the same
-backward error: one loop serves all of them, and each of its sweeps sums
-the secular function and its derivatives at every unconverged root of
-every sector in row blocks (_secular_sums, its only O(n^2) step), then
-steps all those roots at once on whole vectors.
+Everything here is pure and deterministic.  endpoint_amplitude picks one
+solver per transfer from its larger parity sector: up to dimension
+_SECULAR_MIN_DIM both sectors go to numpy's LAPACK eigh, with an
+absolute-accuracy model eps*||H||; above it both go to arrowhead_spectra,
+an O(n^2) secular-equation solver with the same backward error.  Its one
+loop serves every sector, and each of its sweeps sums the secular function
+and its derivatives at every unconverged root of every sector in row blocks
+(_secular_sums, its only O(n^2) step), then steps all those roots at once
+on whole vectors.
 Zero-diagonal tridiagonals (the chain's parity sectors) go to
 zero_diagonal_eigenvalues, LAPACK's dqds on their bidiagonal half, with a
 relative-accuracy model eps*|lambda|, and jacobi_endpoint_weights takes
@@ -33,40 +34,10 @@ DENSE_DIM_CAP = 4096
 
 
 @dataclass(frozen=True)
-class SymmetricEigenDecomposition:
-    """Eigenvalues ascending; eigenvector column j pairs with eigenvalue j."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-@dataclass(frozen=True)
 class FitResult:
     slope: float
     intercept: float
     r_squared: float
-    residual_sse: float
-
-
-def eigh_dense(matrix) -> SymmetricEigenDecomposition:
-    """Eigendecomposition of a dense real symmetric matrix (dim <= 4096)."""
-    h = np.asarray(matrix, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {h.shape}")
-    if h.shape[0] > DENSE_DIM_CAP:
-        raise DomainError(f"dense dimension {h.shape[0]} exceeds cap {DENSE_DIM_CAP}")
-    hmax = np.max(np.abs(h))  # NaN if any entry is
-    if not np.isfinite(hmax):
-        raise DomainError("non-finite entries in matrix")
-    scale = max(1.0, hmax)
-    if np.max(np.abs(h - h.T)) > 1e-12 * scale:
-        raise DomainError("matrix is not symmetric to 1e-12 relative")
-    w, v = np.linalg.eigh(h)
-    return SymmetricEigenDecomposition(w, v)
 
 
 def zero_diagonal_eigenvalues(offdiag) -> np.ndarray:
@@ -160,10 +131,10 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     strength sqrt(2) c_k, so each sector is the arrowhead matrix
     [[onsite, sqrt(2) c], [sqrt(2) c, diag(E)]] and the amplitude is
     (A+ - A-)/2 with A = spectral_amplitude(lambda, v[0]^2, t) of its sector.
-    The sectors of dimension above _SECULAR_MIN_DIM (80: the two solvers
-    tie near there on the ring's sectors) are solved together by
-    arrowhead_spectra in O(n^2), a smaller one by numpy's eigh, each of
-    dimension <= DENSE_DIM_CAP.  ArithmeticError as in spectral_amplitude.
+    Both sectors go to one solver, picked by the larger: above
+    _SECULAR_MIN_DIM they are solved together by arrowhead_spectra in
+    O(n^2), otherwise each by numpy's eigh; each is of dimension
+    <= DENSE_DIM_CAP.  ArithmeticError as in spectral_amplitude.
     """
     e = np.asarray(energies, dtype=float)
     c = np.asarray(couplings, dtype=float)
@@ -175,35 +146,28 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(c))
             and math.isfinite(onsite) and math.isfinite(time)):
         raise DomainError("non-finite energies, couplings, onsite energy or time")
-    spectra, secular = {}, []
-    for sign in (1.0, -1.0):
-        keep = p == sign
-        dim = 1 + int(np.count_nonzero(keep))
-        if dim > DENSE_DIM_CAP:
-            raise DomainError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
-        z = np.sqrt(2.0) * c[keep]
-        if dim > _SECULAR_MIN_DIM:
-            secular.append((sign, (e[keep], z)))
-        else:
-            # built symmetric from inputs checked above, so eigh_dense's
-            # finiteness and symmetry passes would only repeat those checks
-            h = np.diag(np.concatenate([[onsite], e[keep]]))
+    sectors = [(e[p == sign], np.sqrt(2.0) * c[p == sign]) for sign in (1.0, -1.0)]
+    dim = 1 + max(poles.shape[0] for poles, _ in sectors)
+    if dim > DENSE_DIM_CAP:
+        raise DomainError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
+    if dim > _SECULAR_MIN_DIM:
+        spectra = arrowhead_spectra(onsite, sectors)
+    else:
+        spectra = []
+        for poles, z in sectors:
+            h = np.diag(np.concatenate([[onsite], poles]))
             h[0, 1:] = h[1:, 0] = z
             lam, v = np.linalg.eigh(h)
-            spectra[sign] = lam, v[0] ** 2
-    if secular:
-        spectra.update(zip([sign for sign, _ in secular],
-                           arrowhead_spectra(onsite, [sector for _, sector in secular])))
-    plus, minus = (spectral_amplitude(*spectra[sign], time) for sign in (1.0, -1.0))
+            spectra.append((lam, v[0] ** 2))
+    plus, minus = (spectral_amplitude(lam, w, time) for lam, w in spectra)
     return (plus - minus) / 2.0
 
 
-# Sectors above this dimension go to the joint secular solve, smaller ones
-# to numpy's eigh.  With both of the ring's sectors in one loop, the two tie
-# near dimension 80 (about 1 ms a transfer); below, LAPACK's O(n^3) eigh
-# wins, because the secular solver's numpy overhead per sweep does not
-# shrink with n.  A lone secular sector beside an eigh one costs most, as
-# it pays the loop's overhead alone.
+# A transfer whose larger sector is above this dimension goes to the joint
+# secular solve, a smaller one to numpy's eigh.  With both of the ring's
+# sectors in one loop, the two tie near dimension 80 (about 1 ms a
+# transfer); below, LAPACK's O(n^3) eigh wins, because the secular solver's
+# numpy overhead per sweep does not shrink with n.
 _SECULAR_MIN_DIM = 80
 # entries per row block of _secular_sums: a block holds (rows, n) arrays of
 # about this many floats
@@ -213,15 +177,19 @@ _SECULAR_BLOCK = 2**16
 _SECULAR_MAX_ITER = 50
 
 
-def arrowhead_spectrum(onsite: float, poles, couplings) -> tuple[np.ndarray, np.ndarray]:
+def arrowhead_spectra(onsite: float, sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues (ascending) of the arrowhead [[onsite, z^T], [z, diag(poles)]]
-    and the weights v_j[0]^2 of their eigenvectors, in O(n^2) time and with
-    no n x n array.
+    and the weights v_j[0]^2 of their eigenvectors, for each (poles,
+    couplings) pair in `sectors`, in O(n^2) time and with no n x n array.
+    Every sector's roots are found in one secular loop, so the loop's
+    per-sweep cost is paid once for all of them; each result is bit for bit
+    that of the sector alone.
 
     Couplings |z_k| <= 8 eps max(|onsite|, |poles|, ||z||), at most
-    8 eps ||H||, are deflated: their pole is an eigenvalue of weight 0.  So are poles within that distance of the next one, after a
-    Givens rotation merges the pair's couplings into one.  The remaining
-    poles d_1 < ... < d_m give m + 1 roots of the secular equation
+    8 eps ||H||, are deflated: their pole is an eigenvalue of weight 0.  So
+    are poles within that distance of the next one, after a Givens rotation
+    merges the pair's couplings into one.  The remaining poles
+    d_1 < ... < d_m give m + 1 roots of the secular equation
     f(x) = x - onsite + sum_k z_k^2 / (d_k - x), one below d_1, one in each
     gap and one above d_m.  Each root is kept as its nearer pole plus an
     offset tau (the dlaed4 origin shift), so the distances (d_k - origin) -
@@ -240,14 +208,6 @@ def arrowhead_spectrum(onsite: float, poles, couplings) -> tuple[np.ndarray, np.
     root x is 1/f'(x) = 1 / (1 + sum_k z_k^2 / ((d_k - origin) - tau)^2), a
     sum of positive terms.
     """
-    return arrowhead_spectra(onsite, [(poles, couplings)])[0]
-
-
-def arrowhead_spectra(onsite: float, sectors) -> list[tuple[np.ndarray, np.ndarray]]:
-    """arrowhead_spectrum of [[onsite, z^T], [z, diag(poles)]] for each
-    (poles, couplings) pair in `sectors`, with every sector's roots found in
-    one secular loop, so the loop's per-sweep cost is paid once for all of
-    them; each result is bit for bit that of the sector alone."""
     prepared = []
     for poles, couplings in sectors:
         d = np.asarray(poles, dtype=float)
@@ -270,7 +230,7 @@ def arrowhead_spectra(onsite: float, sectors) -> list[tuple[np.ndarray, np.ndarr
 def _deflate(onsite: float, d: np.ndarray, z: np.ndarray):
     """(e, a, d, z2, deflated): the arrowhead scaled by 2^-e, its sorted
     poles d and squared couplings z2 left after deflation (see
-    arrowhead_spectrum), and the deflated poles, which are eigenvalues of
+    arrowhead_spectra), and the deflated poles, which are eigenvalues of
     weight 0."""
     # scaling by the power of two 2^-e just above the largest entry is
     # exact, and keeps z^2 and the squared distances in range
@@ -358,7 +318,7 @@ def _secular_block_rows(m: int, n: int) -> int:
 def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     """The m + 1 roots and weights of x - a + sum_k z2_k / (d_k - x) for each
     (a, d, z2) in `sectors`, with sorted, distinct poles d and z2 > 0 (see
-    arrowhead_spectrum).
+    arrowhead_spectra).
 
     One loop serves every sector.  Each sweep evaluates the sums at all
     unconverged roots (_secular_sums, sector by sector, through one
@@ -607,4 +567,4 @@ def linear_fit(x, y) -> FitResult:
     sse = float(resid @ resid)
     sst = float(np.sum((y - ym) ** 2))
     r2 = 1.0 if sst <= 1e-300 else 1.0 - sse / sst
-    return FitResult(float(slope), float(intercept), float(min(max(r2, 0.0), 1.0)), sse)
+    return FitResult(float(slope), float(intercept), float(min(max(r2, 0.0), 1.0)))

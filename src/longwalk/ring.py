@@ -191,11 +191,11 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> transfer.Tran
     the bound, valid when delta0 >= 4 Omega and S < 3/4.
 
     Uses numkit.endpoint_amplitude on the folded channel modes (_channel).
-    Parity sectors above dimension 80 (d = 1 L >= 316, d = 2 L >= 32, d = 3
-    L >= 16) are solved together by the O(n^2) secular solver, smaller ones
-    by dense eigh.  Sizes whose larger parity sector exceeds numkit.DENSE_DIM_CAP
-    (L > 16378, 250 and 68 at d = 1, 2 and 3) are rejected before the
-    spectrum is computed.
+    Where the larger parity sector is above dimension 80 (d = 1 L >= 316,
+    d = 2 L >= 32, d = 3 L >= 16), both sectors are solved together by the
+    O(n^2) secular solver, otherwise both by dense eigh.  Sizes whose larger
+    parity sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250 and 68 at
+    d = 1, 2 and 3) are rejected before the spectrum is computed.
     """
     _validate(d, L, alpha)
     cap = numkit.DENSE_DIM_CAP

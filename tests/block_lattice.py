@@ -191,8 +191,8 @@ def verify_reduction_dynamics(lattice: BlockLattice, g: float, t_grid=None) -> f
         raise DomainError(f"full model dimension {n + 2} exceeds {numkit.DENSE_DIM_CAP}")
     if t_grid is None:
         t_grid = np.linspace(0.0, 2.0 * transfer_time(lattice, g), 50)
-    dec_full = numkit.eigh_dense(full_hamiltonian(lattice, g))
-    dec_red = numkit.eigh_dense(reduced_hamiltonian(lattice, g))
+    dec_full = np.linalg.eigh(full_hamiltonian(lattice, g))
+    dec_red = np.linalg.eigh(reduced_hamiltonian(lattice, g))
     psi_full = np.zeros(n + 2)
     psi_full[0] = 1.0
     psi_red = np.zeros(2 * lattice.l + 3)

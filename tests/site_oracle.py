@@ -6,7 +6,7 @@ import numpy as np
 
 
 def evolve(decomposition, initial, time: float) -> np.ndarray:
-    """psi(t) = V exp(-i lambda t) V^T psi0 for a numkit.eigh_dense result."""
+    """psi(t) = V exp(-i lambda t) V^T psi0 for an np.linalg.eigh result."""
     v = decomposition.eigenvectors
     phases = np.exp(-1j * decomposition.eigenvalues * time)
     return v @ (phases * (v.T @ np.asarray(initial)))

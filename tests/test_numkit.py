@@ -14,29 +14,23 @@ def tridiagonal(diagonal, offdiagonal):
 
 
 class TestEighTridiagonal:
-    """eigh_dense on tridiagonal matrices, the chain's parity sectors."""
+    """numpy's eigh on zero-diagonal tridiagonals, the chain's site matrix,
+    which transfer.exact_transfer hands to LAPACK unchecked: eigenvalues
+    ascending, each paired with its orthonormal column."""
 
     def test_three_site_uniform(self):
-        dec = numkit.eigh_dense(tridiagonal([0, 0, 0], [1, 1]))
+        dec = np.linalg.eigh(tridiagonal([0, 0, 0], [1, 1]))
         np.testing.assert_allclose(dec.eigenvalues, [-np.sqrt(2), 0, np.sqrt(2)], atol=1e-14)
 
     def test_single_site(self):
-        dec = numkit.eigh_dense(tridiagonal([5.0], []))
+        dec = np.linalg.eigh(tridiagonal([5.0], []))
         np.testing.assert_allclose(dec.eigenvalues, [5.0])
         np.testing.assert_allclose(dec.eigenvectors, [[1.0]])
 
     def test_parity_decomposable_chain(self):
         # bonds (1,2,2,1): even sector gives {0, +-3}, odd sector {+-1}
-        dec = numkit.eigh_dense(tridiagonal(np.zeros(5), [1, 2, 2, 1]))
+        dec = np.linalg.eigh(tridiagonal(np.zeros(5), [1, 2, 2, 1]))
         np.testing.assert_allclose(dec.eigenvalues, [-3, -1, 0, 1, 3], atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError, match="square"):
-            numkit.eigh_dense(tridiagonal([0, 0, 0], [1, 1])[:2])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            numkit.eigh_dense(tridiagonal([0, np.nan, 0], [1, 1]))
 
     def test_random_matrix_invariants(self):
         # reconstruction and orthonormality over 1000 random tridiagonals
@@ -44,7 +38,7 @@ class TestEighTridiagonal:
         for _ in range(1000):
             n = int(rng.integers(1, 65))
             h = tridiagonal(rng.standard_normal(n), rng.standard_normal(max(n - 1, 0)))
-            dec = numkit.eigh_dense(h)
+            dec = np.linalg.eigh(h)
             v, w = dec.eigenvectors, dec.eigenvalues
             scale = max(1.0, np.max(np.abs(h)))
             assert np.max(np.abs(v @ np.diag(w) @ v.T - h)) <= 1e-12 * scale
@@ -54,7 +48,7 @@ class TestEighTridiagonal:
 
 class TestZeroDiagonalTridiagonal:
     """zero_diagonal_eigenvalues and jacobi_endpoint_weights, the chain's
-    parity-sector kernels, against eigh_dense."""
+    parity-sector kernels, against numpy's eigh."""
 
     def test_parity_decomposable_chain(self):
         # bonds (1,2,2,1): even sector gives {0, +-3}, odd sector {+-1}
@@ -72,7 +66,7 @@ class TestZeroDiagonalTridiagonal:
         for _ in range(300):
             n = int(rng.integers(1, 65))
             b = rng.uniform(0.1, 2.0, n - 1)
-            dec = numkit.eigh_dense(tridiagonal(np.zeros(n), b))
+            dec = np.linalg.eigh(tridiagonal(np.zeros(n), b))
             lam = numkit.zero_diagonal_eigenvalues(b)
             assert np.array_equal(lam, -lam[::-1])
             np.testing.assert_allclose(lam, dec.eigenvalues[::-1], rtol=0, atol=1e-13)
@@ -97,12 +91,15 @@ class TestZeroDiagonalTridiagonal:
 
 
 class TestEighDense:
+    """numpy's eigh on dense symmetric matrices, as endpoint_amplitude's
+    small sectors and the site oracles call it."""
+
     def test_two_site_hop(self):
-        dec = numkit.eigh_dense([[0, 1], [1, 0]])
+        dec = np.linalg.eigh([[0, 1], [1, 0]])
         np.testing.assert_allclose(dec.eigenvalues, [-1, 1], atol=1e-15)
 
     def test_already_diagonal(self):
-        dec = numkit.eigh_dense(np.diag([3.0, 1.0, 2.0]))
+        dec = np.linalg.eigh(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(dec.eigenvalues, [1, 2, 3], atol=1e-15)
 
     def test_cross_solver_oracle(self):
@@ -110,23 +107,10 @@ class TestEighDense:
         # {0, +-3} and an odd sector {+-1}
         bonds = np.array([1.0, 2.0, 2.0, 1.0])
         h = np.diag(bonds, 1) + np.diag(bonds, -1)
-        dec = numkit.eigh_dense(h)
+        dec = np.linalg.eigh(h)
         np.testing.assert_allclose(dec.eigenvalues, [-3, -1, 0, 1, 3], atol=1e-13)
         v = dec.eigenvectors
         np.testing.assert_allclose(h @ v, v * dec.eigenvalues, atol=1e-13)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(DomainError):
-            numkit.eigh_dense([[0, 1], [2, 0]])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(DomainError, match="non-finite"):
-            numkit.eigh_dense([[0.0, bad], [bad, 1.0]])
-
-    def test_dimension_cap(self):
-        with pytest.raises(DomainError):
-            numkit.eigh_dense(np.zeros((4097, 4097)))
 
     def test_random_matrix_invariants(self):
         rng = np.random.default_rng(11)
@@ -134,7 +118,7 @@ class TestEighDense:
             n = int(rng.integers(2, 65))
             a = rng.standard_normal((n, n))
             h = a + a.T
-            dec = numkit.eigh_dense(h)
+            dec = np.linalg.eigh(h)
             v, w = dec.eigenvectors, dec.eigenvalues
             scale = max(1.0, np.max(np.abs(h)))
             assert np.max(np.abs(v @ np.diag(w) @ v.T - h)) <= 1e-12 * scale
@@ -153,13 +137,13 @@ class TestEvolve:
     def test_time_zero_identity(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((6, 6))
-        dec = numkit.eigh_dense(h + h.T)
+        dec = np.linalg.eigh(h + h.T)
         for a in range(6):
             for b in range(6):
                 assert abs(self.amplitude(dec, a, b, 0.0) - (a == b)) <= 1e-14, (a, b)
 
     def test_rabi_half_period(self):
-        dec = numkit.eigh_dense([[0, 1], [1, 0]])
+        dec = np.linalg.eigh([[0, 1], [1, 0]])
         assert abs(self.amplitude(dec, 0, 0, np.pi / 2)) <= 1e-14
         assert abs(self.amplitude(dec, 1, 0, np.pi / 2) + 1j) <= 1e-14
 
@@ -167,7 +151,7 @@ class TestEvolve:
         # W |X><col| + W |col><Y| transfers perfectly at T = pi/(sqrt(2) W)
         w = 0.37
         h = w * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        dec = numkit.eigh_dense(h)
+        dec = np.linalg.eigh(h)
         t = np.pi / (np.sqrt(2) * w)
         assert abs(abs(self.amplitude(dec, 0, 2, t)) - 1.0) <= 1e-9
 
@@ -175,7 +159,7 @@ class TestEvolve:
         # sum_b |<b|exp(-iHt)|a>|^2 = 1
         rng = np.random.default_rng(3)
         a = rng.standard_normal((12, 12))
-        dec = numkit.eigh_dense(a + a.T)
+        dec = np.linalg.eigh(a + a.T)
         hnorm = np.max(np.abs(dec.eigenvalues))
         for t in [0.0, 1.0, 1e3 / hnorm, 1e6 / hnorm]:
             norm = sum(abs(self.amplitude(dec, 4, b, t)) ** 2 for b in range(12))
@@ -205,7 +189,7 @@ class TestEndpointAmplitude:
         h[0, 0] = h[-1, -1] = onsite
         psi0 = np.zeros(n + 2)
         psi0[0] = 1.0
-        return evolve(numkit.eigh_dense(h), psi0, t)[-1]
+        return evolve(np.linalg.eigh(h), psi0, t)[-1]
 
     def test_random_channel_matches_full_matrix(self):
         rng = np.random.default_rng(5)

@@ -39,7 +39,7 @@ def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
     h[n, n] = h[n + 1, n + 1] = e0 + channel.onsite
     psi0 = np.zeros(n + 2)
     psi0[n] = 1.0
-    psi = evolve(numkit.eigh_dense(h), psi0, channel.T)
+    psi = evolve(np.linalg.eigh(h), psi0, channel.T)
     return float(abs(psi[n + 1]) ** 2)
 
 
@@ -403,8 +403,11 @@ class TestRingExactTransfer:
             assert transfer.small_g_envelope(channel) == pytest.approx(2 * om**2 * q2, rel=1e-15)
             assert 0.0 <= eps <= transfer.small_g_envelope(channel) + 1e-15
 
-    @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 102), (1, 1026), (2, 6), (2, 12),
-                                      (2, 20), (3, 4), (3, 6), (3, 8)])
+    # (1, 316) and (2, 32) are the sizes whose parity sectors lie on both
+    # sides of numkit._SECULAR_MIN_DIM, (81, 80) and (82, 73): both go to
+    # the secular solver
+    @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 102), (1, 316), (1, 1026), (2, 6),
+                                      (2, 12), (2, 20), (2, 32), (3, 4), (3, 6), (3, 8)])
     def test_matches_dense_site_oracle(self, d, L):
         for alpha, g in [(1.0, 0.02), (0.7, 0.3), (1.6, 0.1)]:
             out = ring.ring_exact_transfer(d, L, alpha, g)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from longwalk import cli, experiments, numkit, ring, scaling
+from longwalk import cli, experiments, ring, scaling
 from longwalk.errors import DomainError, RegimeError
 
 
@@ -145,7 +145,8 @@ def expected_q2_terms(d, alpha):
         return [(0, 1), (0, 2)]
     if alpha < d + 2:
         return powers(2 * alpha - 3 * d, d + 2 - alpha)
-    return powers(alpha - d - 2, 2)
+    # the band's share of q2, x^(4-d), is x^2 at d = 2
+    return sorted({*powers(alpha - d - 2, 2), (4 - d, 0)})
 
 
 class TestRingQ2Target:
@@ -168,7 +169,9 @@ class TestRingQ2Target:
         (1, 1.4, ((0.2, 0), (0.4, 0))),    # 2b = b': one x^0.4 column
         (1, 1.8, ((0.6, 0), (1.2, 0))),    # 2b = b'
         (2, 8 / 3, ((2 / 3, 0), (4 / 3, 0))),  # b = b'
-        (1, float("inf"), ((2.0, 0), (4.0, 0))),  # nearest neighbour: x^inf = 0
+        (1, float("inf"), ((2.0, 0), (3.0, 0), (4.0, 0))),  # nearest neighbour: x^inf = 0
+        (2, 5.0, ((1.0, 0), (2.0, 0))),    # the band's x^(4-d) is the named x^2
+        (3, 7.0, ((1.0, 0), (2.0, 0), (4.0, 0))),  # x^(4-d) = x^1 outranks x^2
     ])
     def test_duplicate_and_infinite_terms_dropped(self, d, alpha, terms):
         got = experiments.ring_q2_target(d, alpha)[1]
@@ -184,6 +187,13 @@ class TestRingQ2Extrapolation:
         sizes, window = PINNED_Q2_GRIDS[d]
         res = experiments.ring_q2_extrapolation(d, alpha, sizes, window)
         assert res["error"] <= scaling.TOLERANCES["ring_extrapolation"], res["exponent"]
+
+    def test_d3_above_d_plus_2(self):
+        # alpha > d+2 at d = 3: the band's x^(4-d) = x^1 is the leading
+        # correction; with only x^2 and x^4 named the exponent was 3.9685
+        sizes = [16, 22, 32, 46, 64, 90, 128, 182, 256]
+        res = experiments.ring_q2_extrapolation(3, 7.0, sizes, 3)
+        assert res["error"] <= 0.01, res["exponent"]
 
     @pytest.mark.parametrize("d, alphas", [(1, experiments.RING_1D_ALPHAS),
                                            (2, experiments.RING_2D_ALPHAS)])
@@ -277,7 +287,7 @@ class TestQScalingSweep:
         def no_eigensolver(matrix):
             raise AssertionError("Q needs no eigensolver")
 
-        monkeypatch.setattr(numkit, "eigh_dense", no_eigensolver)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
         assert experiments.fig2bcd(1, alpha_minus_d)["saturation"]["passed"]
 
 

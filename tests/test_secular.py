@@ -1,9 +1,9 @@
-"""The O(n^2) arrowhead solver (numkit.arrowhead_spectrum) and the kernel
-that sends large parity sectors to it: against 40-digit mpmath on hard
-arrowheads, against eigh_dense around the crossover and at large n, its
-secular sums against a long-double sum and its end-root brackets against
-eigh, and property tests of endpoint_amplitude on both sides of the
-crossover."""
+"""The O(n^2) arrowhead solver (numkit.arrowhead_spectra) and the kernel
+that sends both parity sectors of a transfer to it when the larger is
+above the crossover: against 40-digit mpmath on hard arrowheads, against
+numpy's eigh around the crossover and at large n, its secular sums against
+a long-double sum and its end-root brackets against eigh, and property
+tests of endpoint_amplitude on both sides of the crossover."""
 
 import math
 
@@ -25,10 +25,15 @@ CROSSOVER = numkit._SECULAR_MIN_DIM
 EARLIER_CROSSOVERS = (110, 170)
 
 
+def arrowhead_spectrum(onsite, poles, couplings):
+    """The secular solver on one sector."""
+    return numkit.arrowhead_spectra(onsite, [(poles, couplings)])[0]
+
+
 def dense_spectrum(onsite, poles, couplings):
     h = np.diag(np.concatenate([[onsite], poles]))
     h[0, 1:] = h[1:, 0] = couplings
-    dec = numkit.eigh_dense(h)
+    dec = np.linalg.eigh(h)
     return dec.eigenvalues, dec.eigenvectors[0] ** 2
 
 
@@ -69,7 +74,7 @@ class TestAgainstMpmath:
                 h[0, k] = h[k, 0] = mp.mpf(couplings[k - 1])
             values, vectors = mp.eigsy(h)
             exact = sorted((values[j], vectors[0, j] ** 2) for j in range(n))
-            lam, w = numkit.arrowhead_spectrum(onsite, poles, couplings)
+            lam, w = arrowhead_spectrum(onsite, poles, couplings)
             scale = max(abs(onsite), np.max(np.abs(poles)), np.max(np.abs(couplings)))
             for j, (value, weight) in enumerate(exact):
                 assert abs(lam[j] - value) <= 1e-15 * scale, (j, lam[j], value)
@@ -83,7 +88,7 @@ class TestAgainstEigh:
     def test_random_arrowhead(self, n):
         rng = np.random.default_rng(n)
         onsite, poles, couplings = 0.1, rng.standard_normal(n - 1), 0.1 * rng.standard_normal(n - 1)
-        lam, w = numkit.arrowhead_spectrum(onsite, poles, couplings)
+        lam, w = arrowhead_spectrum(onsite, poles, couplings)
         lam_d, w_d = dense_spectrum(onsite, poles, couplings)
         scale = scale_of(onsite, poles, couplings)
         assert np.max(np.abs(lam - lam_d)) <= 1e-12 * scale
@@ -94,20 +99,20 @@ class TestAgainstEigh:
 
 class TestArrowheadSpectrum:
     def test_no_poles(self):
-        lam, w = numkit.arrowhead_spectrum(0.7, [], [])
+        lam, w = arrowhead_spectrum(0.7, [], [])
         assert lam.tolist() == [0.7] and w.tolist() == [1.0]
 
     def test_two_level_closed_form(self):
         # [[a, z], [z, d]]: lambda = (a + d)/2 +- r, r = sqrt(((a - d)/2)^2 + z^2)
         a, d, z = 0.3, -0.2, 0.4
         r = np.hypot((a - d) / 2, z)
-        lam, w = numkit.arrowhead_spectrum(a, [d], [z])
+        lam, w = arrowhead_spectrum(a, [d], [z])
         np.testing.assert_allclose(lam, [(a + d) / 2 - r, (a + d) / 2 + r], rtol=0, atol=4e-16)
         np.testing.assert_allclose(w, [(r - (a - d) / 2) / (2 * r), (r + (a - d) / 2) / (2 * r)],
                                    rtol=1e-14)
 
     def test_zero_couplings_deflate_to_their_poles(self):
-        lam, w = numkit.arrowhead_spectrum(0.0, [2.0, -1.0, 0.5], [0.0, 0.0, 0.0])
+        lam, w = arrowhead_spectrum(0.0, [2.0, -1.0, 0.5], [0.0, 0.0, 0.0])
         assert lam.tolist() == [-1.0, 0.0, 0.5, 2.0]
         assert w.tolist() == [0.0, 1.0, 0.0, 0.0]
 
@@ -116,11 +121,11 @@ class TestArrowheadSpectrum:
     ])
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(DomainError, match="non-finite"):
-            numkit.arrowhead_spectrum(*bad)
+            arrowhead_spectrum(*bad)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            numkit.arrowhead_spectrum(0.0, [0.0, 1.0], [1.0])
+            arrowhead_spectrum(0.0, [0.0, 1.0], [1.0])
 
 
 class TestSecularSums:
@@ -257,7 +262,7 @@ def arrowheads(draw, n):
 def test_moment_identities(n, data):
     # sum_j v_j[0]^2 lambda_j^k = (H^k)_00 for k = 0, 1, 2
     onsite, poles, couplings = data.draw(arrowheads(n))
-    lam, w = numkit.arrowhead_spectrum(onsite, poles, couplings)
+    lam, w = arrowhead_spectrum(onsite, poles, couplings)
     scale = scale_of(onsite, poles, couplings)
     assert lam.shape == w.shape == (poles.shape[0] + 1,)
     assert np.all(np.diff(lam) >= 0.0) and np.all(w >= 0.0)
@@ -320,7 +325,7 @@ def test_joint_solve_is_each_sector_alone(data):
     joint = numkit.arrowhead_spectra(onsite, sectors)
     assert len(joint) == len(sectors)
     for (poles, couplings), (lam, w) in zip(sectors, joint):
-        alone_lam, alone_w = numkit.arrowhead_spectrum(onsite, poles, couplings)
+        alone_lam, alone_w = arrowhead_spectrum(onsite, poles, couplings)
         assert np.array_equal(lam, alone_lam) and np.array_equal(w, alone_w)
 
 
@@ -346,7 +351,8 @@ class TestSweepCounts:
 
 class TestSectorDispatch:
     # at the shipped crossover and, set by monkeypatch, at the earlier ones:
-    # the dispatch reads _SECULAR_MIN_DIM and hard-codes no dimension
+    # the dispatch reads _SECULAR_MIN_DIM and hard-codes no dimension, and
+    # sends both sectors to the solver the larger one picks
     @pytest.mark.parametrize("modes, secular, crossover", [
         pytest.param(c + shift, shift == 0, c, id=f"{c + shift}-{shift == 0}")
         for c in sorted({CROSSOVER, *EARLIER_CROSSOVERS}) for shift in (-1, 0)])
@@ -360,7 +366,29 @@ class TestSectorDispatch:
         rng = np.random.default_rng(modes)
         numkit.endpoint_amplitude(rng.standard_normal(modes), np.full(modes, 0.05),
                                   np.ones(modes), 0.0, 1.0)
-        assert calls == ([[modes]] if secular else [])
+        assert calls == ([[modes, 0]] if secular else [])
+
+    @pytest.mark.parametrize("crossover", sorted({CROSSOVER, *EARLIER_CROSSOVERS}))
+    @pytest.mark.parametrize("larger", [0, 1])
+    def test_one_solver_for_both_sectors(self, monkeypatch, crossover, larger):
+        # an even sector of dimension crossover + larger beside an odd one of
+        # dimension crossover - 9: the larger picks the solver for both
+        monkeypatch.setattr(numkit, "_SECULAR_MIN_DIM", crossover)
+        calls, eighs = [], []
+        solve, eigh = numkit.arrowhead_spectra, np.linalg.eigh
+        monkeypatch.setattr(numkit, "arrowhead_spectra", lambda onsite, sectors: calls.append(
+            [len(poles) for poles, _ in sectors]) or solve(onsite, sectors))
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(len(h)) or eigh(h))
+        even, odd = crossover + larger - 1, crossover - 10
+        rng = np.random.default_rng(crossover)
+        channel = (rng.standard_normal(even + odd), np.full(even + odd, 0.05),
+                   np.repeat([1.0, -1.0], [even, odd]), 0.0, 1.0)
+        got = numkit.endpoint_amplitude(*channel)
+        if larger:
+            assert (calls, eighs) == ([[even, odd]], [])
+        else:
+            assert (calls, eighs) == ([], [even + 1, odd + 1])
+        assert abs(got - test_numkit.TestEndpointAmplitude.full_amplitude(*channel)) <= 1e-12
 
     @pytest.mark.parametrize("modes", sorted({10, *(c + 10 for c in (CROSSOVER, *EARLIER_CROSSOVERS))}))
     def test_non_finite_input_rejected_on_both_paths(self, modes):

@@ -30,10 +30,10 @@ def site_matrix(model, monkeypatch):
     """The site matrix that exact_transfer diagonalises, checked against
     loop_site_matrix bit for bit."""
     seen = []
-    solve = numkit.eigh_dense
-    monkeypatch.setattr(numkit, "eigh_dense", lambda h: seen.append(h) or solve(h))
+    solve = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: seen.append(h) or solve(h))
     transfer.exact_transfer(model)
-    monkeypatch.setattr(numkit, "eigh_dense", solve)
+    monkeypatch.setattr(np.linalg, "eigh", solve)
     (h,) = seen
     assert h.tobytes() == loop_site_matrix(model).tobytes()
     return h
@@ -42,13 +42,13 @@ def site_matrix(model, monkeypatch):
 @pytest.fixture
 def solves(monkeypatch):
     """Dimensions of the chain's parity-sector solves, four per chain
-    (numkit.zero_diagonal_eigenvalues), and of the eigh_dense calls, which
+    (numkit.zero_diagonal_eigenvalues), and of numpy's eigh calls, which
     only exact_transfer's (2l+3)-site matrices make (l = 24 here)."""
     calls = {"sectors": [], "eigh": []}
-    sector_solve, dense_solve = numkit.zero_diagonal_eigenvalues, numkit.eigh_dense
+    sector_solve, dense_solve = numkit.zero_diagonal_eigenvalues, np.linalg.eigh
     monkeypatch.setattr(numkit, "zero_diagonal_eigenvalues",
                         lambda b: calls["sectors"].append(len(b) + 1) or sector_solve(b))
-    monkeypatch.setattr(numkit, "eigh_dense",
+    monkeypatch.setattr(np.linalg, "eigh",
                         lambda h: calls["eigh"].append(len(h)) or dense_solve(h))
     return calls
 
@@ -265,8 +265,8 @@ class TestExactTransferAgainstSiteOracle:
     def test_matches_the_evolved_site_vector(self, d, alpha, l, eps):
         ch = chain.build_effective_chain(d, alpha, l)
         model = transfer.attach_endpoints(ch, transfer.choose_g(chain.chain_spectrum(ch), eps))
-        dec = numkit.eigh_dense(loop_site_matrix(model))
-        psi0 = np.zeros(dec.dim)
+        dec = np.linalg.eigh(loop_site_matrix(model))
+        psi0 = np.zeros(len(dec.eigenvalues))
         psi0[0] = 1.0
         expect = 1.0 - abs(evolve(dec, psi0, model.T)[-1]) ** 2
         got = transfer.exact_transfer(model).infidelity_exact
@@ -276,8 +276,8 @@ class TestExactTransferAgainstSiteOracle:
 class TestProtocolSymmetries:
     def test_swap_property(self, monkeypatch):
         model = build_model(1, 0.9, 8, 0.04)
-        dec = numkit.eigh_dense(site_matrix(model, monkeypatch))
-        n = dec.dim
+        dec = np.linalg.eigh(site_matrix(model, monkeypatch))
+        n = len(dec.eigenvalues)
         x = np.zeros(n)
         x[0] = 1.0
         y = np.zeros(n)
