@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -70,6 +69,9 @@ def _map(fn, args_list):
     workers = min(thread_count(), max(1, len(args_list)))
     if workers == 1:
         return [fn(a) for a in args_list]
+    # imported here: a serial run does not pay for concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
 

@@ -13,7 +13,9 @@ an O(n^2) secular-equation solver with the same backward error.  Its one
 loop serves every sector, and each of its sweeps sums the secular function
 and its derivatives at every unconverged root of every sector in row blocks
 (_secular_sums, its only O(n^2) step), then steps all those roots at once
-on whole vectors.
+on whole vectors.  A call whose rows fit one block takes each pair of sums
+in one product over whole rows; only a call over several blocks narrows
+the left sums to a band of poles per block.
 Zero-diagonal tridiagonals (the chain's parity sectors) go to
 zero_diagonal_eigenvalues, LAPACK's dqds on their bidiagonal half, with a
 relative-accuracy model eps*|lambda|, and jacobi_endpoint_weights takes
@@ -165,9 +167,9 @@ def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float
 
 # A transfer whose larger sector is above this dimension goes to the joint
 # secular solve, a smaller one to numpy's eigh.  With both of the ring's
-# sectors in one loop, the two tie near dimension 80 (about 1 ms a
-# transfer); below, LAPACK's O(n^3) eigh wins, because the secular solver's
-# numpy overhead per sweep does not shrink with n.
+# sectors in one loop and one-block sums, the two tie near dimension 75-80
+# (about 0.75 ms a transfer); below, LAPACK's O(n^3) eigh wins, because the
+# secular solver's numpy overhead per sweep does not shrink with n.
 _SECULAR_MIN_DIM = 80
 # entries per row block of _secular_sums: a block holds (rows, n) arrays of
 # about this many floats
@@ -277,9 +279,14 @@ def _secular_sums(d: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.n
 
     Rows go in blocks of _secular_block_rows(m, n), through a flat `work`
     buffer of (3 with cubes, else 2) _secular_block_rows(m, n) m entries or
-    more (allocated when None).  The poles below a block's first root are left of every row and
-    those at or above its last root right of every row; only the band
-    between needs the sign test (1/delta < 0 left of the root).
+    more (allocated when None).  A left part takes the terms with
+    1/delta < 0 (left of the root) over a band of poles, stored right after
+    the block's 1/delta.  When the rows fit one block, the band is the whole
+    row, so the two are one (2, n, m) stack and each sum with its left part
+    is one product.  The band split is for calls that span several blocks,
+    where the saved work outweighs the extra products: the poles below a
+    block's first root are left of every row and those at or above its
+    last root right of every row, so the band is the poles between.
     """
     m, n = d.shape[0], roots.shape[0]
     out = np.empty((5 if cubes else 4, n))
@@ -289,23 +296,27 @@ def _secular_sums(d: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.n
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         size = (stop - start) * m
-        first, last = int(roots[start]), int(roots[stop - 1])
-        inv = work[:size].reshape(stop - start, m)
+        first, last = (0, m) if rows == n else (int(roots[start]), int(roots[stop - 1]))
+        # 1/delta and the band right after it, one prefix of the buffer
+        head = work[:size + (stop - start) * (last - first)]
+        inv, band = head[:size].reshape(stop - start, m), head[size:].reshape(stop - start, -1)
         np.subtract(d, origin[start:stop, None], out=inv)
         inv -= tau[start:stop, None]
         np.reciprocal(inv, out=inv)
-        # 1/delta^2 in place, unless 1/delta is still needed for the cubes
-        square = work[size:2 * size].reshape(stop - start, m) if cubes else inv
-        band = work[(2 if cubes else 1) * size:][:(stop - start) * (last - first)]
-        band = np.minimum(inv[:, first:last], 0.0, out=band.reshape(stop - start, -1))
-        out[0, start:stop] = inv @ z2
-        out[1, start:stop] = inv[:, :first] @ z2[:first] + band @ z2[first:last]
-        np.square(inv, out=square)
-        np.square(band, out=band)
-        out[2, start:stop] = square @ z2
-        out[3, start:stop] = square[:, :first] @ z2[:first] + band @ z2[first:last]
+        np.minimum(inv[:, first:last], 0.0, out=band)
         if cubes:
-            out[4, start:stop] = np.multiply(square, inv, out=inv) @ z2
+            cube = work[head.shape[0]:][:size].reshape(stop - start, m)
+            out[4, start:stop] = np.multiply(np.square(inv, out=cube), inv, out=cube) @ z2
+        for row in (0, 2):  # the sums of 1/delta, then of 1/delta^2
+            if row:
+                np.square(head, out=head)
+            if rows == n:
+                # one block: its band is the whole row, so each pair of sums
+                # is one product of the (2, n, m) stack
+                out[row:row + 2] = head.reshape(2, n, m) @ z2
+            else:
+                out[row, start:stop] = inv @ z2
+                out[row + 1, start:stop] = inv[:, :first] @ z2[:first] + band @ z2[first:last]
     return out
 
 

@@ -166,6 +166,26 @@ def _sector(parities: np.ndarray) -> int:
     return 1 + max(odd, parities.size - odd)
 
 
+@functools.lru_cache(maxsize=8)
+def _exact_fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_fold(d, L), read-only and cached, for a size whose larger parity
+    sector fits numkit.DENSE_DIM_CAP; DomainError otherwise.  The check runs
+    inside the cache, which keeps nothing from a call that raises."""
+    cap = numkit.DENSE_DIM_CAP
+    fold = _fold(d, L) if L <= L_CAP[d] else None
+    if fold is None or _sector(fold[2]) > cap:
+        # the sector grows with L, so bisection finds the largest exact size
+        sizes = range(2, min(L, L_CAP[d]) + 1, 2)
+        n = bisect.bisect_right(sizes, cap, key=lambda size: _sector(_fold(d, size)[2]))
+        raise DomainError(
+            f"ring d={d} L={L}: a parity sector of the exact solve would exceed "
+            f"dimension {cap}; the largest exact size is L={sizes[n - 1]}"
+        )
+    for array in fold:
+        array.flags.writeable = False
+    return fold
+
+
 def _channel(model: RingModel, g: float, fold, q2: float) -> transfer.EndpointChannel:
     """The ring's channel: the folded modes in the frame where the k = 0 mode
     sits at zero energy (channel -Delta_k, endpoints at -mu, the level-repulsion
@@ -195,19 +215,11 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> transfer.Tran
     d = 2 L >= 32, d = 3 L >= 16), both sectors are solved together by the
     O(n^2) secular solver, otherwise both by dense eigh.  Sizes whose larger
     parity sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250 and 68 at
-    d = 1, 2 and 3) are rejected before the spectrum is computed.
+    d = 1, 2 and 3) are rejected before the spectrum is computed.  The fold
+    of a size is built once (_exact_fold), so a repeated (d, L) reuses it.
     """
     _validate(d, L, alpha)
-    cap = numkit.DENSE_DIM_CAP
-    fold = _fold(d, L) if L <= L_CAP[d] else None
-    if fold is None or _sector(fold[2]) > cap:
-        # the sector grows with L, so bisection finds the largest exact size
-        sizes = range(2, min(L, L_CAP[d]) + 1, 2)
-        n = bisect.bisect_right(sizes, cap, key=lambda size: _sector(_fold(d, size)[2]))
-        raise DomainError(
-            f"ring d={d} L={L}: a parity sector of the exact solve would exceed "
-            f"dimension {cap}; the largest exact size is L={sizes[n - 1]}"
-        )
+    fold = _exact_fold(d, L)
     model = ring_spectrum(d, L, alpha)
     summary = ring_spectral_summary(model)
     channel = _channel(model, g, fold, summary.q2)

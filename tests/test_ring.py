@@ -465,6 +465,31 @@ class TestRingExactTransfer:
         with pytest.raises(DomainError, match="largest exact size"):
             ring.ring_exact_transfer(2, 252, 1.0, 0.1)
 
+    def test_a_transfer_cannot_write_into_its_cached_fold(self):
+        ring.ring_exact_transfer(2, 12, 1.0, 0.05)
+        fold = ring._exact_fold(2, 12)
+        for cached, built in zip(fold, ring._fold(2, 12)):
+            np.testing.assert_array_equal(cached, built)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
+        # and a second transfer sees the same, unchanged fold
+        ring.ring_exact_transfer(2, 12, 1.3, 0.05)
+        assert all(a is b for a, b in zip(ring._exact_fold(2, 12), fold))
+
+    def test_a_repeated_size_reuses_its_fold(self):
+        fold = ring._exact_fold(1, 100)
+        assert all(a is b for a, b in zip(ring._exact_fold(1, 100), fold))
+
+    def test_an_inadmissible_size_leaves_the_fold_cache_alone(self):
+        # from an empty cache, so that no eviction can hide an entry
+        ring._exact_fold.cache_clear()
+        ring._exact_fold(1, 100)
+        before = ring._exact_fold.cache_info().currsize
+        with pytest.raises(DomainError, match="largest exact size is L=68"):
+            ring.ring_exact_transfer(3, 256, 1.0, 0.1)
+        assert ring._exact_fold.cache_info().currsize == before
+
     def test_transfer_time_value(self):
         out = ring.ring_exact_transfer(1, 100, 1.0, 0.05)
         assert abs(out.T - np.pi * np.sqrt(100) / (np.sqrt(2) * 0.05)) <= 1e-9 * out.T

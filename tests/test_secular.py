@@ -202,6 +202,17 @@ class TestSecularSums:
         roots = np.array([0, 7, m])
         self.check(d, z2, roots, origin[roots], tau[roots])
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cubes", [False, True])
+    def test_one_block_of_gap_roots_only(self, seed, cubes):
+        # roots 5..18 of m = 24 in one block: poles lie left of every row and
+        # right of every row, and the band is still the whole row
+        m = 24
+        d, z2, origin, tau = self.estimates(seed, m)
+        roots = np.arange(5, 19)
+        assert numkit._secular_block_rows(m, roots.shape[0]) == roots.shape[0]
+        self.check(d, z2, roots, origin[roots], tau[roots], cubes=cubes)
+
 
 @st.composite
 def end_root_arrowheads(draw):
