@@ -1,15 +1,17 @@
 """Named desk-scale reproductions of the scaling experiments.
 
 Each driver returns a plain dict of arrays and verdicts; the CLI writes
-them to CSV/JSON/SVG and the acceptance suite asserts the verdicts.  Grid
-points are independent and run serially by default; setting
-LONGWALK_THREADS fans them out over a thread pool of that size (numpy
-releases the GIL inside LAPACK/FFT).  The ring's scaling sweeps (figS2b,
-figS2c, figS3) compute all their spectra in one serial pass first.  figS2b
-and figS2c then fit each alpha serially, one small least-squares solve on
-known correction terms; only figS3 fans its per-alpha fits out on the
-pool.  Results are aggregated in grid order, so output is identical for
-any thread count.
+them to CSV/JSON/SVG and the acceptance suite asserts the verdicts.
+fig2bcd judges the chain's Q scaling in its own regime branches, each with
+its statistic, tolerance and verdict.  figS2b, figS2c and
+``ring_q2_extrapolation`` share one q2 path (``_q2_sweep``).  Grid points
+are independent and run serially by default; setting LONGWALK_THREADS fans
+them out over a thread pool of that size (numpy releases the GIL inside
+LAPACK/FFT).  The ring's scaling sweeps (figS2b, figS2c, figS3) compute all
+their spectra in one serial pass first.  figS2b and figS2c then fit each
+alpha serially, one small least-squares solve on known correction terms;
+only figS3 fans its per-alpha fits out on the pool.  Results are
+aggregated in grid order, so output is identical for any thread count.
 """
 
 from __future__ import annotations
@@ -197,7 +199,11 @@ def fig2a(d: int = 1, alpha_minus_d: float = -0.2, l: int = 24, g_grid=None) -> 
 def fig2bcd(d: int = 1, alpha_minus_d: float = 0.2, l_min: int | None = None,
             l_max: int | None = None) -> dict:
     """Q scaling in the regime ``scaling.chain_regime(d, d + alpha_minus_d)``
-    picks: converging (panel b), log (c) or power (d)."""
+    picks: converging (panel b), log (c) or power (d), and its verdict, the
+    ``saturation`` report.  Asymptotic Omega/Theta statements are not
+    decidable at desk scale; the report states the finite-size check and the
+    tolerance applied.  The nearest-neighbor regime (alpha >= d+1) reports
+    its slope with no verdict: it is outside the sweeps' scope."""
     alpha = d + alpha_minus_d
     target = scaling.chain_regime(d, alpha)
     panel, l_lo, l_hi_by_delta, l_hi = FIG2BCD_REGIMES[target.regime]
@@ -216,17 +222,33 @@ def fig2bcd(d: int = 1, alpha_minus_d: float = 0.2, l_min: int | None = None,
         # converges to a constant: compare the last depth against 8 steps back
         _, q = admissible("the convergence ratio (Q 8 depth steps back)", 5)
         key, value = "convergence_ratio", float(abs(q[-1] - q[-5]) / q[-1])
+        tolerance = TOLERANCES["chain_q_convergence"]
+        passed, verdict = bool(value <= tolerance), "T = O(1): Q converged"
     elif target.regime == "log":
         sizes, q = admissible("the log fit (Q against ln L)", 2)
         key, value = "log_r2", numkit.linear_fit(np.log(sizes), q).r_squared
+        tolerance = TOLERANCES["chain_log_r2"]
+        passed, verdict = bool(value >= tolerance), "T = O(log L)"
     else:
         l_fit = scaling.CHAIN_SLOPE_FIT_MIN_L + 1
         sizes, q = admissible(f"the slope fit (L >= 2^{l_fit})", 2, series.sizes >= 2.0**l_fit)
         key, value = "slope", numkit.linear_fit(np.log(sizes), np.log(q)).slope
-    measured = {"protocol": "chain", "exponent" if key == "slope" else key: value}
+        if target.regime == "power":
+            tolerance = TOLERANCES["chain_slope"]
+            passed, verdict = bool(abs(value - target.time_exponent) <= tolerance), "pass"
+        else:
+            tolerance = passed = None
+            verdict = "nearest-neighbor regime: outside sweep scope"
+    saturation = {
+        "d": d, "alpha": alpha, "protocol": "chain", "regime": target.regime,
+        "optimal_time_exponent": "log" if target.regime == "log" else target.time_exponent,
+        "measured": {"protocol": "chain", "exponent" if key == "slope" else key: value},
+        "note": "finite-size trend check at stated tolerance; "
+                "asymptotic statements are not decidable at desk scale",
+        "tolerance": tolerance, "passed": passed, "verdict": "fail" if passed is False else verdict,
+    }
     return {"d": d, "alpha": alpha, "alpha_minus_d": alpha_minus_d, "series": series,
-            "regime": target.regime, "panel": panel, key: value,
-            "saturation": scaling.saturation_report(d, alpha, target, measured)}
+            "regime": target.regime, "panel": panel, key: value, "saturation": saturation}
 
 
 def fig_s2a(L: int = 100, alpha: float = 1.0, g_grid=None) -> dict:
@@ -248,47 +270,34 @@ def fig_s2a(L: int = 100, alpha: float = 1.0, g_grid=None) -> dict:
     }
 
 
-def _q2_extrapolation(d: int, alpha: float, sizes, window: int, summaries) -> dict:
-    target, corrections = ring_q2_target(d, alpha)
-    local = scaling.local_exponents(sizes, [s.q2 for s in summaries], window)
-    exponent = scaling.extrapolate_exponent(local, corrections)
-    return {
-        "d": d,
-        "alpha": alpha,
-        "local_exponents": local,
-        "corrections": corrections,
-        "exponent": exponent,
-        "target": target,
-        "error": abs(exponent - target),
-        "passed": bool(abs(exponent - target) <= TOLERANCES["ring_extrapolation"]),
-    }
+def _q2_sweep(d: int, alphas, sizes, window: int) -> dict:
+    """The extrapolated q2 exponent at each alpha against ``ring_q2_target``:
+    the spectra in one pass, then one small least-squares solve per alpha."""
+    sizes, results = list(sizes), []
+    for alpha, summaries in zip(alphas, ring.ring_spectral_summaries(d, alphas, sizes)):
+        target, corrections = ring_q2_target(d, alpha)
+        local = scaling.local_exponents(sizes, [s.q2 for s in summaries], window)
+        exponent = scaling.extrapolate_exponent(local, corrections)
+        error = abs(exponent - target)
+        results.append({"d": d, "alpha": alpha, "local_exponents": local,
+                        "corrections": corrections, "exponent": exponent, "target": target,
+                        "error": error, "passed": bool(error <= TOLERANCES["ring_extrapolation"])})
+    return {"alphas": list(alphas), "sizes": sizes, "window": window, "results": results}
 
 
 def ring_q2_extrapolation(d: int, alpha: float, sizes, window: int) -> dict:
-    summaries = ring.ring_spectral_summaries(d, [alpha], sizes)[0]
-    return _q2_extrapolation(d, alpha, sizes, window, summaries)
-
-
-def _q2_exponents(d: int, alphas, sizes, window: int) -> list[dict]:
-    """ring_q2_extrapolation at each alpha: the spectra in one pass, then
-    one small least-squares solve per alpha."""
-    table = ring.ring_spectral_summaries(d, alphas, sizes)
-    return [_q2_extrapolation(d, alpha, sizes, window, summaries)
-            for alpha, summaries in zip(alphas, table)]
+    """``_q2_sweep``'s result at one alpha."""
+    return _q2_sweep(d, [alpha], sizes, window)["results"][0]
 
 
 def fig_s2b(alphas=RING_1D_ALPHAS) -> dict:
     """d=1 extrapolated q2 exponents across the alpha regimes."""
-    sizes = [2**e for e in RING_1D_L_EXPONENTS]
-    results = _q2_exponents(1, alphas, sizes, RING_1D_WINDOW)
-    return {"alphas": list(alphas), "sizes": sizes, "window": RING_1D_WINDOW, "results": results}
+    return _q2_sweep(1, alphas, [2**e for e in RING_1D_L_EXPONENTS], RING_1D_WINDOW)
 
 
 def fig_s2c(alphas=RING_2D_ALPHAS) -> dict:
     """d=2 extrapolated q2 exponents (target ring_q2_target(2, alpha)[0])."""
-    sizes = list(RING_2D_SIZES)
-    results = _q2_exponents(2, alphas, sizes, RING_2D_WINDOW)
-    return {"alphas": list(alphas), "sizes": sizes, "window": RING_2D_WINDOW, "results": results}
+    return _q2_sweep(2, alphas, RING_2D_SIZES, RING_2D_WINDOW)
 
 
 def fig_s3(alphas=FIGS3_ALPHAS) -> dict:

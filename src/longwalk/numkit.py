@@ -363,9 +363,8 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     # tau itself, 1 where the origin is the root's right pole, the root's
     # index j in its sector (it lies between poles j - 1 and j) and its
     # place in the output; for the first sweep only, 1 in a gap, the right
-    # pole, its origin - a, the couplings of the gap's two poles and 1 in a
-    # sector that takes Gragg's steps.  A sector with no pole has the root a
-    # of weight 1 and no column.
+    # pole and its origin - a.  A sector with no pole has the root a of
+    # weight 1 and no column.
     columns, groups, side, bound, starts, size, width, need = [], [], [], [], [], 0, 0, 0
     small = [d.shape[0] * (d.shape[0] + 1) <= _SECULAR_BLOCK for _, d, _ in sectors]
     for (a, d, z2), one in zip(sectors, small):
@@ -373,9 +372,9 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
         starts.append(size)
         if m > 0:
             znorm2 = float(np.sum(z2))
-            col = np.zeros((16, m - 1 + 2 * probes))
+            col = np.zeros((13, m - 1 + 2 * probes))
             (origin, shift, left, right, lo, hi, t, right_origin, j, pos,
-             gap_root, right_pole, right_shift, zl, zr, gragg_sector) = col
+             gap_root, right_pole, right_shift) = col
             first, gap, last = (slice(0, probes), slice(probes, probes + m - 1),
                                 slice(probes + m - 1, None))
             origin[first], origin[gap], origin[last] = d[0], d[:-1], d[-1]
@@ -393,8 +392,6 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
             np.add(j, size, out=pos)
             right_pole[gap] = d[1:]
             np.subtract(right_pole, a, out=right_shift)
-            zl[gap], zr[gap] = z2[:-1], z2[1:]
-            gragg_sector[:] = one
             columns.append(col)
             groups += [width + np.arange(probes), width + m - 1 + probes + np.arange(probes)]
             side += [1.0, -1.0]
@@ -471,11 +468,14 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
                 # Outside the small sectors, the first step from a gap's
                 # midpoint is dlaed4's: its two poles kept exact, the rest the
                 # constant c they sum to there.
-                zl, zr, gragg_sector = state[13:16]
-                c = f - zl / dl - zr / dr
-                qa = np.where(gragg_sector > 0.0, qa, c)
-                qb = np.where(gragg_sector > 0.0, qb, c * (dl + dr) + zl + zr)
-                qc = np.where(gragg_sector > 0.0, qc, c * dldr + zl * dr + zr * dl)
+                for (_, d, z2), one, b0 in zip(sectors, small, bounds[:-1]):
+                    if not one:
+                        gap = slice(b0 + probes, b0 + probes + d.shape[0] - 1)
+                        zl, zr = z2[:-1], z2[1:]
+                        c = f[gap] - zl / dl[gap] - zr / dr[gap]
+                        qa[gap] = c
+                        qb[gap] = c * (dl[gap] + dr[gap]) + zl + zr
+                        qc[gap] = c * dldr[gap] + zl * dr[gap] + zr * dl[gap]
                 # Of an end root's probes, the first `inside` lie between its
                 # pole and the root (tau f < 0); the last of them stays, with
                 # the probes around the root as bracket and, as model, the

@@ -136,44 +136,3 @@ def chain_regime(d: int, alpha: float) -> LRExponent:
         raise RegimeError(f"alpha={alpha} < d/2: the chain protocol covers alpha >= d/2")
     return lr_exponent(d, alpha)
 
-
-def saturation_report(d: int, alpha: float, target: LRExponent, measured: dict) -> dict:
-    """Pair a measured chain sweep verdict with its ``chain_regime(d, alpha)``.
-
-    ``measured`` carries whichever of ``convergence_ratio`` (constant regime),
-    ``log_r2`` (log) or ``exponent`` (power) the sweep produced.  Asymptotic
-    Omega/Theta statements themselves are not decidable at desk scale; the
-    report states the finite-size check and tolerance actually applied.
-    """
-    rep = {
-        "d": d,
-        "alpha": alpha,
-        "protocol": "chain",
-        "regime": target.regime,
-        "optimal_time_exponent": "log" if target.regime == "log" else target.time_exponent,
-        "measured": measured,
-        "note": (
-            "finite-size trend check at stated tolerance; "
-            "asymptotic statements are not decidable at desk scale"
-        ),
-    }
-    if target.regime == "constant":
-        ratio = measured["convergence_ratio"]
-        rep["tolerance"] = TOLERANCES["chain_q_convergence"]
-        rep["passed"] = bool(ratio <= rep["tolerance"])
-        rep["verdict"] = "T = O(1): Q converged" if rep["passed"] else "fail"
-    elif target.regime == "log":
-        r2 = measured["log_r2"]
-        rep["tolerance"] = TOLERANCES["chain_log_r2"]
-        rep["passed"] = bool(r2 >= rep["tolerance"])
-        rep["verdict"] = "T = O(log L)" if rep["passed"] else "fail"
-    elif target.regime == "power":
-        exp = measured["exponent"]
-        rep["tolerance"] = TOLERANCES["chain_slope"]
-        rep["passed"] = bool(abs(exp - target.time_exponent) <= rep["tolerance"])
-        rep["verdict"] = "pass" if rep["passed"] else "fail"
-    else:
-        rep["tolerance"] = None
-        rep["passed"] = None
-        rep["verdict"] = "nearest-neighbor regime: outside sweep scope"
-    return rep

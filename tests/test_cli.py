@@ -345,6 +345,16 @@ class TestSweepCommand:
         assert "warnings" not in payload
         assert "warning" not in res.stdout
 
+    def test_fig2bcd_nearest_neighbor_verdict(self, tmp_path, capsys):
+        # alpha >= d+1 is outside the sweeps' scope: a run with no pass flag
+        argv = ["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "1.5",
+                "--out-dir", str(tmp_path), "--reproducible"]
+        assert cli.main(argv) == 0
+        assert ("saturation [nearest-neighbor]: nearest-neighbor regime: outside sweep scope\n"
+                in capsys.readouterr().out)
+        sat = json.loads((tmp_path / "fig2bcd_report.json").read_text())["saturation"]
+        assert sat["tolerance"] is None and sat["passed"] is None
+
     def test_fig2bcd_writes_depths_past_the_guard(self, tmp_path):
         # at alpha = 1.8 the precision guard admits l <= 52 only, for the
         # spectrum; Q needs none, so all 39 depths 4, 6, ..., 80 are written

@@ -362,24 +362,53 @@ class TestFig2bcdRegime:
         assert "slope" in experiments.fig2bcd(1, 0.5, l_max=14)
 
 
-class TestSaturationReport:
-    def report(self, d, alpha, measured):
-        return scaling.saturation_report(d, alpha, scaling.chain_regime(d, alpha), measured)
+class TestFig2bcdVerdict:
+    """fig2bcd's verdict on a synthetic Q series, set by the statistic its
+    regime reads."""
 
-    def test_power_regime_pass(self):
-        rep = self.report(1, 1.2, {"protocol": "chain", "exponent": 0.21})
+    def run(self, monkeypatch, alpha, sizes, q):
+        series = scaling.ScalingSeries(points=np.column_stack([sizes, q]))
+        monkeypatch.setattr(scaling, "q_scaling_sweep", lambda *args: series)
+        return experiments.fig2bcd(1, alpha - 1.0)["saturation"]
+
+    def test_power_regime_pass(self, monkeypatch):
+        sizes = 2.0 ** np.arange(13, 21)
+        rep = self.run(monkeypatch, 1.2, sizes, sizes**0.21)
+        assert rep["measured"]["exponent"] == pytest.approx(0.21, abs=1e-12)
         assert rep["passed"] is True
         assert rep["regime"] == "power"
+        assert rep["verdict"] == "pass"
 
-    def test_power_regime_fail(self):
-        rep = self.report(1, 1.2, {"protocol": "chain", "exponent": 0.3})
+    def test_power_regime_fail(self, monkeypatch):
+        sizes = 2.0 ** np.arange(13, 21)
+        rep = self.run(monkeypatch, 1.2, sizes, sizes**0.3)
         assert rep["passed"] is False
+        assert rep["verdict"] == "fail"
 
-    def test_log_regime(self):
-        rep = self.report(1, 1.0, {"protocol": "chain", "log_r2": 0.9999})
+    def test_log_regime(self, monkeypatch):
+        # Q = ln L plus a residual orthogonal to 1 and ln L, scaled so that
+        # the fit's R^2 is 0.9999
+        x = np.log(2.0 ** np.arange(3, 11))
+        residual = (x - x.mean()) ** 2
+        residual -= residual.mean()
+        sxx = np.sum((x - x.mean()) ** 2)
+        q = x + np.sqrt(sxx * (1.0 / 0.9999 - 1.0) / np.sum(residual**2)) * residual
+        rep = self.run(monkeypatch, 1.0, np.exp(x), q)
+        assert rep["measured"]["log_r2"] == pytest.approx(0.9999, abs=1e-12)
         assert rep["passed"] is True
         assert rep["optimal_time_exponent"] == "log"
+        assert rep["verdict"] == "T = O(log L)"
 
-    def test_constant_regime(self):
-        rep = self.report(1, 0.7, {"protocol": "chain", "convergence_ratio": 0.004})
+    def test_constant_regime(self, monkeypatch):
+        q = [1.004, 1.003, 1.002, 1.001, 1.0]
+        rep = self.run(monkeypatch, 0.7, 2.0 ** np.arange(5, 10), q)
+        assert rep["measured"]["convergence_ratio"] == pytest.approx(0.004, abs=1e-12)
         assert rep["passed"] is True
+        assert rep["verdict"] == "T = O(1): Q converged"
+
+    def test_nearest_neighbor_regime_has_no_verdict(self):
+        # alpha >= d+1: the slope is reported outside the sweeps' scope
+        rep = experiments.fig2bcd(1, 1.5)["saturation"]
+        assert rep["regime"] == "nearest-neighbor"
+        assert rep["tolerance"] is None and rep["passed"] is None
+        assert rep["verdict"] == "nearest-neighbor regime: outside sweep scope"
