@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -700,3 +701,49 @@ class TestSvgPlot:
         plot = SvgPlot("t", "x", "y")
         plot.add("a", [1.0, 2.0], [0.0, -1.0])
         assert "left out" not in plot.render()
+
+    @staticmethod
+    def synthetic_plot(case):
+        """Plots that reach each branch of render() that no CLI reference
+        reaches: empty frames, the left-out note, a comment, every style and
+        more series than colours."""
+        xs, ys = [0.5, 1.0, 2.5, 4.0, 7.5], [-1.25, 0.5, 2.0, 1.5, 3.75]
+        logs = dict(xlog=True, ylog=True)
+        plot = SvgPlot(case, "x", "y", **(logs if "log" in case else {}))
+        if case in ("linear", "comment"):
+            plot.add("a", xs, ys)
+        elif case == "log":
+            plot.add("a", [1e-3, 0.02, 0.5, 7.0, 300.0], [2e-9, 3e-7, 4e-4, 0.05, 0.9],
+                     "line+dots")
+        elif case == "log one left out":
+            plot.add("a", [0.0, 1.0, 10.0], [1.0, 2.0, 30.0])
+        elif case == "log left out":
+            plot.add("a", [1.0, 2.0, 3.0, 4.0], [1.0, 0.0, np.nan, 20.0], "dots")
+            plot.add("b", [np.inf, 5.0], [1.0, -2.0])
+        elif case in ("line", "dots", "line+dots"):
+            plot.add(case, xs, ys, case)
+        elif case == "seven series":
+            for i in range(7):
+                plot.add(f"s{i}", xs, [y + i for y in ys], ("line", "dots", "line+dots")[i % 3])
+        return plot.render("generated 2026-01-01T00:00:00+00:00" if case == "comment" else None)
+
+    # sha256 of each synthetic plot's SVG, as rendered before the writer was
+    # rewritten around one axis map and one template per element
+    SYNTHETIC_SHA256 = {
+        "comment": "a8d4b7c3f0dc9342dd3559398415a3585b7a5c4c20f6a645fb141b976396f0f7",
+        "dots": "faab543cd5a1bd6c9b7e201cbe69b87141e0c9b88f0b354d3aadde3c6aa0531b",
+        "line": "f03819318aee2a94dd53b1ecca0a48e852f1f8e27f337b8aa3fb0b6d8da82d4e",
+        "line+dots": "c46d204633e48d6c351dbcbc99731759225850a4fbcc6511e9741b43f02d2656",
+        "linear": "2ed8df1a70cf79adb406c0ebadf80e12c180d90b22eaa0d195165287b9839f59",
+        "linear empty": "2654a0a23c24d177722106e1f22636072f7c646b35f3395b34b82c311836b978",
+        "log": "8b8b93e0901595a012ffa7be44a457f8bbc3d6303d171493de24b38b5f1a1788",
+        "log empty": "0834682770e582ed2529e57ed43ce3e677e9d103e260a5c6d6c15f5a4482b694",
+        "log left out": "33f58bda2c354a8e173269977be790cd461af388c0bbc76a2d24e3e154c452d2",
+        "log one left out": "9e8f81fb820f3dc805c4f815144654164d6b554dd54978a02f792aea425437ac",
+        "seven series": "5a074a9be5d70b3d2f1a3e295898146107b9928bfe36267e37a8f0b26766be67",
+    }
+
+    @pytest.mark.parametrize("case", sorted(SYNTHETIC_SHA256))
+    def test_synthetic_plots_are_unchanged(self, case):
+        svg = self.synthetic_plot(case).encode()
+        assert hashlib.sha256(svg).hexdigest() == self.SYNTHETIC_SHA256[case]
