@@ -42,6 +42,24 @@ def _range(values: list[np.ndarray], log: bool) -> tuple[float, float]:
     return float(v.min()), float(v.max())
 
 
+def _axis(v, lo: float, hi: float, log: bool, start: float, span: float):
+    """Pixel positions of values v on an axis that maps lo..hi onto
+    start..start + span (a negative span runs up the page)."""
+    if log:
+        v, lo, hi = np.log10(v), np.log10(lo), np.log10(hi)
+    return start + (v - lo) / max(hi - lo, 1e-300) * span
+
+
+def _text(x, y, body: str, size: int, anchor: str | None = None, extra: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke: str, extra: str = "") -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{extra}/>'
+
+
 class SvgPlot:
     def __init__(self, title: str, xlabel: str, ylabel: str,
                  xlog: bool = False, ylog: bool = False):
@@ -61,100 +79,53 @@ class SvgPlot:
         self.left_out += int(np.count_nonzero(~keep))
         self.series.append((label, x[keep], y[keep], style))
 
-    def _tx(self, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        if self.xlog:
-            x, lo, hi = np.log10(x), np.log10(lo), np.log10(hi)
-        w = _WIDTH - _MARGIN_L - _MARGIN_R
-        return _MARGIN_L + (x - lo) / max(hi - lo, 1e-300) * w
-
-    def _ty(self, y: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        if self.ylog:
-            y, lo, hi = np.log10(y), np.log10(lo), np.log10(hi)
-        h = _HEIGHT - _MARGIN_T - _MARGIN_B
-        return _HEIGHT - _MARGIN_B - (y - lo) / max(hi - lo, 1e-300) * h
-
     def render(self, comment: str | None = None) -> str:
         xlo, xhi = _range([s[1] for s in self.series], self.xlog)
         ylo, yhi = _range([s[2] for s in self.series], self.ylog)
         if not self.ylog:
             pad = 0.05 * max(yhi - ylo, 1e-300)
             ylo, yhi = ylo - pad, yhi + pad
-        out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-            f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-        ]
+        # the axes box: x runs right from x0 to x1, y up from y0 to y1
+        x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
+        x1, y1 = _WIDTH - _MARGIN_R, _MARGIN_T
+        out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+               f'viewBox="0 0 {_WIDTH} {_HEIGHT}">']
         if comment:
             out.append(f"<!-- {comment} -->")
         out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-        out.append(
-            f'<text x="{_WIDTH // 2}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{self.title}</text>'
-        )
-        # axes box
-        x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
-        x1, y1 = _WIDTH - _MARGIN_R, _MARGIN_T
-        out.append(
-            f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-            f'fill="none" stroke="black" stroke-width="1"/>'
-        )
+        out.append(_text(_WIDTH // 2, 18, self.title, 14, "middle"))
+        out.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
+                   'fill="none" stroke="black" stroke-width="1"/>')
         if self.left_out:
             n = self.left_out
-            out.append(
-                f'<text x="{x0 + 8}" y="{y1 + 16}" font-family="sans-serif" '
-                f'font-size="11">{n} point{"s" * (n != 1)} left out (not finite, or not '
-                f'positive on a log axis)</text>'
-            )
+            out.append(_text(x0 + 8, y1 + 16, f'{n} point{"s" * (n != 1)} left out '
+                             '(not finite, or not positive on a log axis)', 11))
         for tv in _ticks(xlo, xhi, self.xlog):
-            if not (xlo <= tv <= xhi):
-                continue
-            px = float(self._tx(np.array([tv]), xlo, xhi)[0])
-            out.append(
-                f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="black"/>'
-            )
-            out.append(
-                f'<text x="{px:.1f}" y="{y0 + 18}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{_fmt(tv)}</text>'
-            )
+            if xlo <= tv <= xhi:
+                px = f"{_axis(tv, xlo, xhi, self.xlog, x0, x1 - x0):.1f}"
+                out.append(_line(px, y0, px, y0 + 5, "black"))
+                out.append(_text(px, y0 + 18, _fmt(tv), 11, "middle"))
         for tv in _ticks(ylo, yhi, self.ylog):
-            if not (ylo <= tv <= yhi):
-                continue
-            py = float(self._ty(np.array([tv]), ylo, yhi)[0])
-            out.append(
-                f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>'
-            )
-            out.append(
-                f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{_fmt(tv)}</text>'
-            )
-        out.append(
-            f'<text x="{(x0 + x1) // 2}" y="{_HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{self.xlabel}</text>'
-        )
-        out.append(
-            f'<text x="16" y="{(y0 + y1) // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {(y0 + y1) // 2})">{self.ylabel}</text>'
-        )
+            if ylo <= tv <= yhi:
+                py = _axis(tv, ylo, yhi, self.ylog, y0, y1 - y0)
+                out.append(_line(x0 - 5, f"{py:.1f}", x0, f"{py:.1f}", "black"))
+                out.append(_text(x0 - 8, f"{py + 4:.1f}", _fmt(tv), 11, "end"))
+        out.append(_text((x0 + x1) // 2, _HEIGHT - 10, self.xlabel, 12, "middle"))
+        ym = (y0 + y1) // 2
+        out.append(_text(16, ym, self.ylabel, 12, "middle", f' transform="rotate(-90 16 {ym})"'))
         for i, (label, x, y, style) in enumerate(self.series):
             color = _COLORS[i % len(_COLORS)]
-            px = self._tx(x, xlo, xhi)
-            py = self._ty(y, ylo, yhi)
+            px = _axis(x, xlo, xhi, self.xlog, x0, x1 - x0)
+            py = _axis(y, ylo, yhi, self.ylog, y0, y1 - y0)
             if style in ("line", "line+dots"):
                 pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-                out.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-                )
+                out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                           'stroke-width="1.5"/>')
             if style in ("dots", "line+dots"):
                 for a, b in zip(px, py):
                     out.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="{color}"/>')
             ly = _MARGIN_T + 16 + 16 * i
-            out.append(
-                f'<line x1="{x1 - 130}" y1="{ly - 4}" x2="{x1 - 110}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            out.append(
-                f'<text x="{x1 - 105}" y="{ly}" font-family="sans-serif" '
-                f'font-size="11">{label}</text>'
-            )
+            out.append(_line(x1 - 130, ly - 4, x1 - 110, ly - 4, color, ' stroke-width="2"'))
+            out.append(_text(x1 - 105, ly, label, 11))
         out.append("</svg>")
         return "\n".join(out) + "\n"
