@@ -40,10 +40,6 @@ class EffectiveChain:
     bonds: np.ndarray  # length 2l, palindromic, bonds[0] = 1
     L: int  # transfer distance 2^(l+1) + 2^l - 2
 
-    @property
-    def n_sites(self) -> int:
-        return 2 * self.l + 1
-
     @cached_property
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # the chain is immutable, so chain_spectrum diagonalises it only once;
@@ -197,14 +193,6 @@ def _zero_mode_evens(bonds: list[float]) -> list[float]:
         v.append(-v[-1] * bonds[i] / bonds[i + 1])
     norm = math.hypot(*v)
     return [x / norm for x in v]
-
-
-def zero_mode(chain: EffectiveChain) -> np.ndarray:
-    """The channel's unit zero mode on its 2l+1 sites, endpoint amplitude
-    t_l^(0) = v_0 > 0."""
-    amps = np.zeros(chain.n_sites)
-    amps[::2] = _zero_mode_evens(chain.bonds.tolist())
-    return amps
 
 
 def _q_from_zero_mode(bonds: list[float]) -> float:

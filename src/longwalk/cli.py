@@ -36,7 +36,7 @@ CSV_SCHEMA_VERSION = 1
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _manifest(command: str, params: dict, outputs: list[str], reproducible: bool) -> dict:
+def _manifest(command: str, params: dict, outputs: list[str], timestamp: str | None) -> dict:
     man = {
         "command": command,
         "parameters": params,
@@ -44,8 +44,8 @@ def _manifest(command: str, params: dict, outputs: list[str], reproducible: bool
         "outputs": outputs,
         "deviation_notes": [],
     }
-    if not reproducible:
-        man["timestamp"] = datetime.now(timezone.utc).isoformat()
+    if timestamp:
+        man["timestamp"] = timestamp
     return man
 
 
@@ -82,12 +82,6 @@ def write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
-
-
-def _svg_comment(reproducible: bool) -> str | None:
-    if reproducible:
-        return None
-    return f"generated {datetime.now(timezone.utc).isoformat()}"
 
 
 def _chain_spectrum_out(ch: chain_mod.EffectiveChain):
@@ -260,6 +254,8 @@ def run_command(args) -> int:
     command = args.command
     if command == "sweep":  # sweep reports and manifests name their experiment
         command, fields = f"sweep:{choice}", {"experiment": choice, **fields}
+    # one stamp per run, for the manifest and the SVG comment alike
+    stamp = None if args.reproducible else datetime.now(timezone.utc).isoformat()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -268,9 +264,9 @@ def run_command(args) -> int:
         write_csv(paths[-1], choice or command, header, columns)
     if plot is not None:
         paths.append(out_dir / f"{plot[0]}.svg")
-        paths[-1].write_text(plot[1].render(_svg_comment(args.reproducible)))
+        paths[-1].write_text(plot[1].render(stamp and f"generated {stamp}"))
     paths.append(out_dir / f"{stem}.json")
-    manifest = _manifest(command, params, [str(p) for p in paths[:-1]], args.reproducible)
+    manifest = _manifest(command, params, [str(p) for p in paths[:-1]], stamp)
     write_json(paths[-1], {**fields, "manifest": manifest})
     numbers = [f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in fields.items()
                if isinstance(v, (int, float)) and not isinstance(v, bool)]

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from longwalk.chain import _zero_mode_evens
+
 
 def uniform_chain_analytic(l: int) -> list[tuple[float, float]]:
     """alpha = d closed form: (E_k, t_k^(0)/t_l^(0)) for k = 0..2l,
@@ -27,6 +29,15 @@ def zero_mode_analytic(chain) -> np.ndarray:
         amps[2 * j] = (-a) ** (-j) / radical
     for site in range(l + 1, n):
         amps[site] = amps[2 * l - site]
+    return amps
+
+
+def zero_mode(chain) -> np.ndarray:
+    """The channel's unit zero mode on its 2l+1 sites, endpoint amplitude
+    t_l^(0) = v_0 > 0: the even sites from the recursion that Q is built on,
+    zero on the odd ones."""
+    amps = np.zeros(2 * chain.l + 1)
+    amps[::2] = _zero_mode_evens(chain.bonds.tolist())
     return amps
 
 

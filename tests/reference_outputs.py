@@ -17,7 +17,6 @@ import io
 import os
 import shlex
 import shutil
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -83,4 +82,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate()

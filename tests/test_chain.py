@@ -4,7 +4,7 @@ import pytest
 from longwalk import chain, numkit, scaling
 from longwalk.errors import DomainError, PrecisionGuardError
 
-from closed_forms import uniform_chain_analytic, zero_mode_analytic
+from closed_forms import uniform_chain_analytic, zero_mode, zero_mode_analytic
 
 
 def chain_matrix(ch):
@@ -243,7 +243,7 @@ class TestChainSpectrum:
 class TestZeroModeAnalytic:
     def test_hand_values_a2_l2(self):
         ch = chain.build_effective_chain(1, 0.0, 2)
-        amps = chain.zero_mode(ch)
+        amps = zero_mode(ch)
         np.testing.assert_allclose(amps, [2 / 3, 0, -1 / 3, 0, 2 / 3], atol=1e-15)
         # closed-form endpoint: 1/sqrt(1/4 + 2)
         assert abs(amps[0] - 1 / np.sqrt(0.25 + 2.0)) <= 1e-15
@@ -251,7 +251,7 @@ class TestZeroModeAnalytic:
     def test_unit_norm_and_kernel(self):
         for d, alpha, l in [(1, 0.5, 10), (1, 1.6, 20), (2, 3.1, 14), (3, 1.5, 8), (1, 1.0, 12)]:
             ch = chain.build_effective_chain(d, alpha, l)
-            amps = chain.zero_mode(ch)
+            amps = zero_mode(ch)
             assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
             resid = np.max(np.abs(chain_matrix(ch) @ amps))
             assert resid <= 1e-10 * np.max(ch.bonds)
@@ -266,7 +266,7 @@ class TestZeroModeAnalytic:
                 for l in {4, 12, lmax}:
                     ch = chain.build_effective_chain(d, alpha, l)
                     spec = chain.chain_spectrum(ch)
-                    amps = chain.zero_mode(ch)
+                    amps = zero_mode(ch)
                     err = np.max(np.abs(site_amplitudes(spec)[l] - amps))
                     assert err <= 1e-9, (d, alpha, l, err)
                     # the recursion against the closed form
@@ -276,7 +276,7 @@ class TestZeroModeAnalytic:
         # a = 1 (alpha = d), which the geometric closed form excludes:
         # v_2j = (-1)^j / sqrt(l + 1)
         for l in (2, 12, 100):
-            amps = chain.zero_mode(chain.build_effective_chain(1, 1.0, l))
+            amps = zero_mode(chain.build_effective_chain(1, 1.0, l))
             expect = np.zeros(2 * l + 1)
             expect[::2] = (-1.0) ** np.arange(l + 1) / np.sqrt(l + 1.0)
             np.testing.assert_allclose(amps, expect, rtol=0, atol=1e-15)
@@ -484,7 +484,7 @@ def mp_bordered_q(ch, dps=40):
     the bordered system [[H, v], [v^T, 0]] [x; mu] = [e_0; 0], with v the
     unit zero mode at that precision.  Its solution is x = H^+ e_0, mu = v_0."""
     mp = pytest.importorskip("mpmath").mp
-    n = ch.n_sites
+    n = 2 * ch.l + 1
     with mp.workdps(dps):
         b = [mp.mpf(x) for x in ch.bonds]
         v = [mp.zero] * n

@@ -8,6 +8,8 @@ import pytest
 
 from longwalk import chain
 
+from closed_forms import zero_mode
+
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
@@ -33,7 +35,7 @@ def test_q_recursion_matches_the_eigen_sum(ch):
     # 6.7e-15 is the largest difference seen
     assert abs(ch.q**2 / eigen_sum - 1.0) <= 1e-9
     h = np.diag(ch.bonds, 1) + np.diag(ch.bonds, -1)
-    assert np.max(np.abs(h @ chain.zero_mode(ch))) <= 1e-14 * np.max(ch.bonds)
+    assert np.max(np.abs(h @ zero_mode(ch))) <= 1e-14 * np.max(ch.bonds)
 
 
 @st.composite

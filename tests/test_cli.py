@@ -392,6 +392,14 @@ class TestSweepCommand:
         assert entry["delta0_ok"] is True
         assert "timestamp" in payload["manifest"]
 
+    def test_one_timestamp_per_run(self, tmp_path, capsys):
+        # without --reproducible the manifest and the SVG comment carry the
+        # one stamp the run takes
+        assert cli.main(["sweep", "--experiment", "figS3", "--alpha", "1",
+                         "--out-dir", str(tmp_path)]) == 0
+        stamp = json.loads((tmp_path / "figS3_report.json").read_text())["manifest"]["timestamp"]
+        assert f"<!-- generated {stamp} -->" in (tmp_path / "figS3.svg").read_text()
+
     def test_unknown_experiment_exit_2(self, tmp_path):
         res = run_cli(
             ["sweep", "--experiment", "fig9z", "--out-dir", str(tmp_path)],
@@ -727,8 +735,8 @@ class TestSvgPlot:
                 plot.add(f"s{i}", xs, [y + i for y in ys], ("line", "dots", "line+dots")[i % 3])
         return plot.render("generated 2026-01-01T00:00:00+00:00" if case == "comment" else None)
 
-    # sha256 of each synthetic plot's SVG, as rendered before the writer was
-    # rewritten around one axis map and one template per element
+    # sha256 of each synthetic plot's SVG, pinned before the writer was
+    # rewritten, so that a rewrite that moves any byte fails
     SYNTHETIC_SHA256 = {
         "comment": "a8d4b7c3f0dc9342dd3559398415a3585b7a5c4c20f6a645fb141b976396f0f7",
         "dots": "faab543cd5a1bd6c9b7e201cbe69b87141e0c9b88f0b354d3aadde3c6aa0531b",

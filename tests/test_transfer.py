@@ -17,7 +17,7 @@ def build_model(d, alpha, l, g):
 def loop_site_matrix(model):
     """Oracle: the (2l+3)-site matrix over (X, 0..2l, Y), bond by bond."""
     ch = model.chain
-    n = ch.n_sites
+    n = 2 * ch.l + 1
     h = np.zeros((n + 2, n + 2))
     for j in range(n - 1):
         h[1 + j, 2 + j] = h[2 + j, 1 + j] = ch.bonds[j]
