@@ -88,14 +88,18 @@ class SvgPlot:
         # the axes box: x runs right from x0 to x1, y up from y0 to y1
         x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
         x1, y1 = _WIDTH - _MARGIN_R, _MARGIN_T
-        out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-               f'viewBox="0 0 {_WIDTH} {_HEIGHT}">']
+        out = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+            f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
+        ]
         if comment:
             out.append(f"<!-- {comment} -->")
         out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
         out.append(_text(_WIDTH // 2, 18, self.title, 14, "middle"))
-        out.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-                   'fill="none" stroke="black" stroke-width="1"/>')
+        out.append(
+            f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
+            f'fill="none" stroke="black" stroke-width="1"/>'
+        )
         if self.left_out:
             n = self.left_out
             out.append(_text(x0 + 8, y1 + 16, f'{n} point{"s" * (n != 1)} left out '
@@ -119,8 +123,9 @@ class SvgPlot:
             py = _axis(y, ylo, yhi, self.ylog, y0, y1 - y0)
             if style in ("line", "line+dots"):
                 pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-                out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                           'stroke-width="1.5"/>')
+                out.append(
+                    f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+                )
             if style in ("dots", "line+dots"):
                 for a, b in zip(px, py):
                     out.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="{color}"/>')
