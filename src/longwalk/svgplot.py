@@ -20,15 +20,16 @@ def _ticks(lo: float, hi: float, log: bool):
         lo_e = int(np.floor(np.log10(lo)))
         hi_e = int(np.ceil(np.log10(hi)))
         step = max(1, (hi_e - lo_e) // 6)
-        return [10.0**e for e in range(lo_e, hi_e + 1, step)]
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / 5.0
-    mag = 10.0 ** np.floor(np.log10(raw))
-    step = mag * min(s for s in (1, 2, 5, 10) if raw / mag <= s)
-    first = np.ceil(lo / step) * step
-    return list(np.arange(first, hi + 0.5 * step, step))
+        ticks = [10.0**e for e in range(lo_e, hi_e + 1, step)]
+    elif hi <= lo:
+        ticks = [lo]
+    else:
+        raw = (hi - lo) / 5.0
+        mag = 10.0 ** np.floor(np.log10(raw))
+        step = mag * min(s for s in (1, 2, 5, 10) if raw / mag <= s)
+        first = np.ceil(lo / step) * step
+        ticks = list(np.arange(first, hi + 0.5 * step, step))
+    return [t for t in ticks if lo <= t <= hi]
 
 
 def _fmt(v: float) -> str:
@@ -105,15 +106,13 @@ class SvgPlot:
             out.append(_text(x0 + 8, y1 + 16, f'{n} point{"s" * (n != 1)} left out '
                              '(not finite, or not positive on a log axis)', 11))
         for tv in _ticks(xlo, xhi, self.xlog):
-            if xlo <= tv <= xhi:
-                px = f"{_axis(tv, xlo, xhi, self.xlog, x0, x1 - x0):.1f}"
-                out.append(_line(px, y0, px, y0 + 5, "black"))
-                out.append(_text(px, y0 + 18, _fmt(tv), 11, "middle"))
+            px = f"{_axis(tv, xlo, xhi, self.xlog, x0, x1 - x0):.1f}"
+            out.append(_line(px, y0, px, y0 + 5, "black"))
+            out.append(_text(px, y0 + 18, _fmt(tv), 11, "middle"))
         for tv in _ticks(ylo, yhi, self.ylog):
-            if ylo <= tv <= yhi:
-                py = _axis(tv, ylo, yhi, self.ylog, y0, y1 - y0)
-                out.append(_line(x0 - 5, f"{py:.1f}", x0, f"{py:.1f}", "black"))
-                out.append(_text(x0 - 8, f"{py + 4:.1f}", _fmt(tv), 11, "end"))
+            py = _axis(tv, ylo, yhi, self.ylog, y0, y1 - y0)
+            out.append(_line(x0 - 5, f"{py:.1f}", x0, f"{py:.1f}", "black"))
+            out.append(_text(x0 - 8, f"{py + 4:.1f}", _fmt(tv), 11, "end"))
         out.append(_text((x0 + x1) // 2, _HEIGHT - 10, self.xlabel, 12, "middle"))
         ym = (y0 + y1) // 2
         out.append(_text(16, ym, self.ylabel, 12, "middle", f' transform="rotate(-90 16 {ym})"'))
