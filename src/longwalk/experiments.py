@@ -4,14 +4,16 @@ Each driver returns a plain dict of arrays and verdicts; the CLI writes
 them to CSV/JSON/SVG and the acceptance suite asserts the verdicts.
 fig2bcd judges the chain's Q scaling in its own regime branches, each with
 its statistic, tolerance and verdict.  figS2b, figS2c and
-``ring_q2_extrapolation`` share one q2 path (``_q2_sweep``).  Grid points
-are independent and run serially by default; setting LONGWALK_THREADS fans
-them out over a thread pool of that size (numpy releases the GIL inside
-LAPACK/FFT).  The ring's scaling sweeps (figS2b, figS2c, figS3) compute all
-their spectra in one serial pass first.  figS2b and figS2c then fit each
-alpha serially, one small least-squares solve on known correction terms;
-only figS3 fans its per-alpha fits out on the pool.  Results are
-aggregated in grid order, so output is identical for any thread count.
+``ring_q2_extrapolation`` share one q2 path (``_q2_sweep``).  fig2a and
+figS2a solve their whole g grid in one stacked pass (the grid forms of
+``transfer.exact_transfer`` and ``ring.ring_exact_transfer``), each point
+bit for bit the single transfer at its g.  The ring's scaling sweeps
+(figS2b, figS2c, figS3) compute all their spectra in one serial pass first.
+figS2b and figS2c then fit each alpha serially, one small least-squares
+solve on known correction terms.  figS3's per-alpha fits run serially by
+default; setting LONGWALK_THREADS fans them out over a thread pool of that
+size (numpy releases the GIL inside LAPACK), the pool's only use.  Results
+are aggregated in alpha order, so output is identical for any thread count.
 """
 
 from __future__ import annotations
@@ -164,20 +166,11 @@ def fig2a(d: int = 1, alpha_minus_d: float = -0.2, l: int = 24, g_grid=None) -> 
     ch = chain_mod.build_effective_chain(d, alpha, l)
     g_grid = np.asarray(np.geomspace(*FIG2A_G_RANGE) if g_grid is None else g_grid, dtype=float)
     spec = chain_mod.chain_spectrum(ch)  # diagonalised once; attach_endpoints reuses it
-
-    def point(g):
-        channel = transfer.attach_endpoints(ch, g)
-        out = transfer.exact_transfer(channel)
-        return (
-            out.infidelity_exact,
-            out.infidelity_perturbative,
-            transfer.small_g_envelope(channel),
-            out.infidelity_bound,
-            out.bound_conditions_met[0] and out.bound_conditions_met[1],
-        )
-
-    rows = _map(point, list(g_grid))
-    eps_exact, eps_pert, envelope, bound, cond = (np.array(col) for col in zip(*rows))
+    # the whole grid in one pass: one stacked eigh of its site matrices
+    channel = transfer.attach_endpoints(ch, g_grid)
+    out = transfer.exact_transfer(channel)
+    eps_exact, eps_pert = out.infidelity_exact, out.infidelity_perturbative
+    envelope = transfer.small_g_envelope(channel)
     g_star = small_g_threshold(spec)
     small = g_grid <= g_star
     return {
@@ -188,8 +181,8 @@ def fig2a(d: int = 1, alpha_minus_d: float = -0.2, l: int = 24, g_grid=None) -> 
         "eps_exact": eps_exact,
         "eps_perturbative": eps_pert,
         "envelope": envelope,
-        "bound": bound,
-        "bound_conditions": cond,
+        "bound": out.infidelity_bound,
+        "bound_conditions": out.bound_conditions_met[0] & out.bound_conditions_met[1],
         "g_star": g_star,
         **_relative_deviation(eps_exact, eps_pert),
         "envelope_ok": bool(np.all(eps_exact[small] <= envelope[small] + 1e-6)),
@@ -254,12 +247,9 @@ def fig2bcd(d: int = 1, alpha_minus_d: float = 0.2, l_min: int | None = None,
 def fig_s2a(L: int = 100, alpha: float = 1.0, g_grid=None) -> dict:
     """Ring d=1 exact vs leading-order infidelity over a g sweep."""
     g_grid = np.asarray(np.geomspace(*FIGS2A_G_RANGE) if g_grid is None else g_grid, dtype=float)
-
-    def point(g):
-        out = ring.ring_exact_transfer(1, L, alpha, g)
-        return out.infidelity_exact, out.infidelity_perturbative
-
-    eps_exact, eps_pert = (np.array(col) for col in zip(*_map(point, list(g_grid))))
+    # the whole grid in one pass: one spectrum, one solve of every g's sectors
+    out = ring.ring_exact_transfer(1, L, alpha, g_grid)
+    eps_exact, eps_pert = out.infidelity_exact, out.infidelity_perturbative
     return {
         "L": L,
         "alpha": alpha,

@@ -104,63 +104,79 @@ def jacobi_endpoint_weights(eigenvalues, minor_eigenvalues) -> np.ndarray:
     return np.maximum(weights, 0.0)
 
 
-def spectral_amplitude(eigenvalues, weights, time: float) -> complex:
+def spectral_amplitude(eigenvalues, weights, time):
     """sum_j w_j exp(-i lambda_j t): the amplitude <a|exp(-iHt)|b> of the
-    spectral measure with w_j = v_j[a] v_j[b].
+    spectral measure with w_j = v_j[a] v_j[b].  Rows of eigenvalues and
+    weights, (G, n), with G times give the G amplitudes as an array.
 
-    ArithmeticError if the sum is not finite, or if eps max|lambda| |t| >= 1:
+    ArithmeticError if a sum is not finite, or if eps max|lambda| |t| >= 1:
     a rounded eigenvalue puts its phase off by up to that much, so at 1 no
     digit is left (in Python floats an overflow is inf, with no warning).
     """
-    lam = np.asarray(eigenvalues, dtype=float)
+    lam, time = np.asarray(eigenvalues, dtype=float), np.asarray(time, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        amplitude = complex(np.sum(weights * np.exp(-1j * lam * time)))
-    if not np.isfinite(amplitude):
+        amplitude = (weights * np.exp(-1j * lam * time[..., None])).sum(axis=-1)
+    if not np.isfinite(amplitude).all():
         raise ArithmeticError(f"non-finite endpoint amplitude {amplitude} from finite input")
-    err = math.ulp(1.0) * float(np.max(np.abs(lam))) * abs(float(time))
+    err = (math.ulp(1.0) * np.abs(lam).max(axis=-1) * np.abs(time)).max()
     if err >= 1.0:
         raise ArithmeticError(
             f"the phases lambda*t keep no correct digit: eps*max|lambda|*|t| = {err:.3g}")
-    return amplitude
+    return amplitude if amplitude.ndim else complex(amplitude)
 
 
-def endpoint_amplitude(energies, couplings, parities, onsite: float, time: float) -> complex:
+def endpoint_amplitude(energies, couplings, parities, onsite, time):
     """<Y| exp(-iHt) |X> for two endpoints of on-site energy `onsite` coupled
     to channel modes of energies E_k: X couples to mode k with c_k, Y with
-    p_k c_k (p_k = +-1).
+    p_k c_k (p_k = +-1).  Couplings of shape (G, n) with G on-site energies
+    and times are G channels on the same modes, and give an array of G
+    amplitudes.
 
     (|X> +- |Y>)/sqrt(2) couples only to the modes of parity +-1, with
     strength sqrt(2) c_k, so each sector is the arrowhead matrix
     [[onsite, sqrt(2) c], [sqrt(2) c, diag(E)]] and the amplitude is
     (A+ - A-)/2 with A = spectral_amplitude(lambda, v[0]^2, t) of its sector.
-    Both sectors go to one solver, picked by the larger: above
+    All sectors go to one solver, picked by the larger parity: above
     _SECULAR_MIN_DIM they are solved together by arrowhead_spectra in
-    O(n^2), otherwise each by numpy's eigh; each is of dimension
-    <= DENSE_DIM_CAP.  ArithmeticError as in spectral_amplitude.
+    O(n^2), otherwise by numpy's eigh, one stacked call per parity; each is
+    of dimension <= DENSE_DIM_CAP.  ArithmeticError as in spectral_amplitude.
     """
     e = np.asarray(energies, dtype=float)
     c = np.asarray(couplings, dtype=float)
     p = np.asarray(parities, dtype=float)
-    if not (e.ndim == 1 and e.shape == c.shape == p.shape):
-        raise DomainError("energies, couplings and parities must be equal-length 1-d arrays")
+    onsite, time = np.asarray(onsite, dtype=float), np.asarray(time, dtype=float)
+    grid = c.shape[:-1]
+    if not (e.ndim == 1 and c.ndim in (1, 2) and c.shape[-1:] == e.shape == p.shape
+            and onsite.shape == time.shape == grid):
+        raise DomainError("energies, couplings and parities must be equal-length 1-d arrays "
+                          "(couplings: or rows of them, one per on-site energy and time)")
     if not np.all(np.abs(p) == 1.0):
         raise DomainError("parities must be +1 or -1")
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(c))
-            and math.isfinite(onsite) and math.isfinite(time)):
+    if not (np.isfinite(e).all() and np.isfinite(c).all()
+            and np.isfinite(onsite).all() and np.isfinite(time).all()):
         raise DomainError("non-finite energies, couplings, onsite energy or time")
-    sectors = [(e[p == sign], np.sqrt(2.0) * c[p == sign]) for sign in (1.0, -1.0)]
+    sectors = [(e[p == sign], np.sqrt(2.0) * c[..., p == sign]) for sign in (1.0, -1.0)]
     dim = 1 + max(poles.shape[0] for poles, _ in sectors)
     if dim > DENSE_DIM_CAP:
         raise DomainError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
     if dim > _SECULAR_MIN_DIM:
-        spectra = arrowhead_spectra(onsite, sectors)
+        # one loop over the two sectors of every channel, + and - in turn
+        count = math.prod(grid)
+        rows = [(poles, z.reshape(count, poles.shape[0])) for poles, z in sectors]
+        solved = arrowhead_spectra(np.repeat(onsite.ravel(), 2),
+                                   [(poles, z[k]) for k in range(count) for poles, z in rows])
+        spectra = [[np.concatenate(part).reshape(grid + (-1,)) for part in zip(*solved[sign::2])]
+                   for sign in (0, 1)]
     else:
         spectra = []
         for poles, z in sectors:
-            h = np.diag(np.concatenate([[onsite], poles]))
-            h[0, 1:] = h[1:, 0] = z
+            m = poles.shape[0]
+            h = np.zeros(grid + (m + 1, m + 1))
+            h[..., 0, 0] = onsite
+            h.reshape(grid + (-1,))[..., m + 2::m + 2] = poles
+            h[..., 0, 1:] = h[..., 1:, 0] = z
             lam, v = np.linalg.eigh(h)
-            spectra.append((lam, v[0] ** 2))
+            spectra.append((lam, v[..., 0, :] ** 2))
     plus, minus = (spectral_amplitude(lam, w, time) for lam, w in spectra)
     return (plus - minus) / 2.0
 
@@ -179,10 +195,11 @@ _SECULAR_BLOCK = 2**16
 _SECULAR_MAX_ITER = 50
 
 
-def arrowhead_spectra(onsite: float, sectors) -> list[tuple[np.ndarray, np.ndarray]]:
+def arrowhead_spectra(onsite, sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues (ascending) of the arrowhead [[onsite, z^T], [z, diag(poles)]]
     and the weights v_j[0]^2 of their eigenvectors, for each (poles,
-    couplings) pair in `sectors`, in O(n^2) time and with no n x n array.
+    couplings) pair in `sectors`, in O(n^2) time and with no n x n array;
+    `onsite` is one energy for all sectors or one per sector.
     Every sector's roots are found in one secular loop, so the loop's
     per-sweep cost is paid once for all of them; each result is bit for bit
     that of the sector alone.
@@ -211,14 +228,14 @@ def arrowhead_spectra(onsite: float, sectors) -> list[tuple[np.ndarray, np.ndarr
     sum of positive terms.
     """
     prepared = []
-    for poles, couplings in sectors:
+    for a, (poles, couplings) in zip(np.full(len(sectors), onsite).tolist(), sectors):
         d = np.asarray(poles, dtype=float)
         z = np.asarray(couplings, dtype=float)
         if not (d.ndim == 1 and d.shape == z.shape):
             raise DomainError("poles and couplings must be equal-length 1-d arrays")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z)) and math.isfinite(onsite)):
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z)) and math.isfinite(a)):
             raise DomainError("non-finite entries in arrowhead input")
-        prepared.append(_deflate(onsite, d, z))
+        prepared.append(_deflate(a, d, z))
     spectra = []
     for (e, _, _, _, deflated), (lam, w) in zip(
             prepared, _secular_roots([p[1:4] for p in prepared])):

@@ -186,37 +186,43 @@ def _exact_fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fold
 
 
-def _channel(model: RingModel, g: float, fold, q2: float) -> transfer.EndpointChannel:
-    """The ring's channel: the folded modes in the frame where the k = 0 mode
-    sits at zero energy (channel -Delta_k, endpoints at -mu, the level-repulsion
-    shift sum_{k != 0} Omega_k^2 [1 - 3 p_k] / (2 Delta_k)), with
+def _channel(model: RingModel, g, fold, q2: float) -> transfer.EndpointChannel:
+    """The ring's channel at a coupling g or over a grid of them: the folded
+    modes in the frame where the k = 0 mode sits at zero energy (channel
+    -Delta_k, endpoints at -mu, the level-repulsion shift
+    sum_{k != 0} Omega_k^2 [1 - 3 p_k] / (2 Delta_k)), with
     Omega_k = Omega sqrt(mult_k), Omega = sqrt(2) g / sqrt(N) and S = Omega^2 q2."""
-    if not 0 < g < math.inf:
-        raise DomainError(f"g must be positive and finite, got {g}")
+    g = transfer._couplings(g)
     flat, mult, parities = fold
     om, delta = np.sqrt(2.0) * g / np.sqrt(model.N), model.detunings[flat]
     with np.errstate(over="ignore"):  # mu is reported below, S where it is read
-        mu = float(om**2 * np.sum(mult[1:] * (1.0 - 3.0 * parities[1:]) / (2.0 * delta[1:])))
-        s = float(om**2 * q2)
-    if not math.isfinite(mu):
-        raise ArithmeticError(f"the level-repulsion shift mu overflows at g={g}")
+        # float_power is C's pow, as ** on a float64 scalar: the square
+        # om * om rounds some values the other way
+        om2 = np.float_power(om, 2)
+        mu = om2 * np.sum(mult[1:] * (1.0 - 3.0 * parities[1:]) / (2.0 * delta[1:]))
+        s = om2 * q2
+    transfer._finite(mu, "level-repulsion shift mu", g)
     return transfer.EndpointChannel(
-        energies=-delta, omegas=om * np.sqrt(mult), parities=parities, onsite=-mu,
-        resonant=0, g=g, L=model.L, offres_weight=s)
+        energies=-delta, omegas=np.multiply.outer(om, np.sqrt(mult)), parities=parities,
+        onsite=transfer._per_g(g, -mu), resonant=0, g=g, L=model.L,
+        offres_weight=transfer._per_g(g, s))
 
 
-def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> transfer.TransferOutcome:
+def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOutcome:
     """Exact evolution of |X> for T = pi sqrt(N) / (sqrt(2) g), with the
     perturbative prediction and the small-g envelope 2 S = 2 Omega^2 q2 as
-    the bound, valid when delta0 >= 4 Omega and S < 3/4.
+    the bound, valid when delta0 >= 4 Omega and S < 3/4; at one coupling g,
+    or over a grid of them with arrays over g in every per-g field.
 
-    Uses numkit.endpoint_amplitude on the folded channel modes (_channel).
-    Where the larger parity sector is above dimension 80 (d = 1 L >= 316,
-    d = 2 L >= 32, d = 3 L >= 16), both sectors are solved together by the
-    O(n^2) secular solver, otherwise both by dense eigh.  Sizes whose larger
-    parity sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250 and 68 at
-    d = 1, 2 and 3) are rejected before the spectrum is computed.  The fold
-    of a size is built once (_exact_fold), so a repeated (d, L) reuses it.
+    The spectrum, its summary and the fold are computed once for all g;
+    numkit.endpoint_amplitude then solves every g's sectors on the folded
+    channel modes (_channel) in one call.  Where the larger parity sector is
+    above dimension 80 (d = 1 L >= 316, d = 2 L >= 32, d = 3 L >= 16), all
+    sectors are solved together by the O(n^2) secular solver, otherwise by
+    dense eigh, one stacked call per parity.  Sizes whose larger parity
+    sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250 and 68 at d = 1, 2
+    and 3) are rejected before the spectrum is computed.  The fold of a size
+    is built once (_exact_fold), so a repeated (d, L) reuses it.
     """
     _validate(d, L, alpha)
     fold = _exact_fold(d, L)
@@ -224,10 +230,9 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g: float) -> transfer.Tran
     summary = ring_spectral_summary(model)
     channel = _channel(model, g, fold, summary.q2)
     # Omega_k / sqrt(2) as g sqrt(mult/N), without the roundoff of sqrt(2)
-    couplings = g * np.sqrt(fold[1] / model.N)
+    couplings = np.multiply.outer(channel.g, np.sqrt(fold[1] / model.N))
     amplitude = numkit.endpoint_amplitude(channel.energies, couplings, channel.parities,
                                           channel.onsite, channel.T)
-    conditions = (bool(summary.delta0 >= 4.0 * channel.omegas[0]),
-                  bool(channel.offres_weight < 0.75))
-    return transfer.outcome(channel, float(abs(amplitude) ** 2),
-                            transfer.small_g_envelope(channel), conditions)
+    conditions = (summary.delta0 >= 4.0 * channel.omegas[..., 0],
+                  np.less(channel.offres_weight, 0.75))
+    return transfer.outcome(channel, amplitude, transfer.small_g_envelope(channel), conditions)

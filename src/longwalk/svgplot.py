@@ -27,7 +27,8 @@ def _ticks(lo: float, hi: float, log: bool):
         raw = (hi - lo) / 5.0
         mag = 10.0 ** np.floor(np.log10(raw))
         step = mag * min(s for s in (1, 2, 5, 10) if raw / mag <= s)
-        first = np.ceil(lo / step) * step
+        # + 0.0: ceil of a small negative ratio is -0.0, which would read "-0"
+        first = np.ceil(lo / step) * step + 0.0
         ticks = list(np.arange(first, hi + 0.5 * step, step))
     return [t for t in ticks if lo <= t <= hi]
 

@@ -6,13 +6,16 @@ swaps the endpoint populations up to the infidelity of the off-resonant
 modes.  On one EndpointChannel record per protocol this module evaluates the
 leading-order infidelity and the small-g envelope and assembles the outcome;
 for the chain also the exact transfer (its site matrix's spectral measure),
-the rigorous bound and choose_g.
+the rigorous bound and choose_g.  A channel holds one coupling g or a grid
+of them: over a grid every per-g quantity is an array over g, computed in
+the same operations as at one g, so each grid point is that transfer's
+result bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,28 +28,32 @@ from .errors import DomainError
 class EndpointChannel:
     """What the endpoints X and Y see: the channel modes in the frame where the
     resonant mode sits at zero energy.  X couples to mode k with
-    Omega_k / sqrt(2), Y with p_k Omega_k / sqrt(2)."""
+    Omega_k / sqrt(2), Y with p_k Omega_k / sqrt(2).  At one coupling g the
+    per-g fields are floats; over a grid of G couplings they are arrays over
+    g, and omegas is (G, modes)."""
 
     energies: np.ndarray  # E_k, E_resonant = 0
     omegas: np.ndarray  # Omega_k, the Rabi couplings to the mode pairs
     parities: np.ndarray  # p_k = +-1, relative to the resonant mode
-    onsite: float  # the endpoints' on-site energy
+    onsite: float | np.ndarray  # the endpoints' on-site energy
     resonant: int  # index of the resonant mode
-    g: float
+    g: float | np.ndarray
     L: int  # chain: transfer distance; ring: side length
-    offres_weight: float  # S = sum_{k != res} Omega_k^2/E_k^2, from the protocol's closed form
+    offres_weight: float | np.ndarray  # S = sum_{k != res} Omega_k^2/E_k^2, from the protocol's closed form
     chain: chain_mod.EffectiveChain | None = None  # the chain's bonds, for its dense exact step
 
-    @property
-    def T(self) -> float:
-        """pi / Omega_res; ArithmeticError if it overflows (Omega_res
-        underflows to 0 at a subnormal g)."""
+    @cached_property
+    def T(self) -> float | np.ndarray:
+        """pi / Omega_res, computed once; ArithmeticError if it overflows
+        (Omega_res underflows to 0 at a subnormal g)."""
         with np.errstate(divide="ignore", over="ignore"):  # checked by _finite
-            return _finite(np.pi / self.omegas[self.resonant], "transfer time", self)
+            return _finite(np.pi / self.omegas[..., self.resonant], "transfer time", self.g)
 
 
 @dataclass(frozen=True)
 class TransferOutcome:
+    """One transfer's results, or arrays of them over a g grid (L excepted)."""
+
     T: float
     g: float
     L: int  # chain: transfer distance; ring: side length
@@ -57,70 +64,115 @@ class TransferOutcome:
     bound_conditions_met: tuple[bool, bool]
 
 
-def attach_endpoints(chain: chain_mod.EffectiveChain, g: float) -> EndpointChannel:
-    """The chain's channel: its spectrum, whose zero mode k = l is the resonant
-    one (l is even, so the parities (-1)^k are relative to it), with
-    Omega_k = sqrt(2) g t_k^(0) and S = 2 (g t_l^(0) Q)^2."""
-    if not 0 < g < np.inf:
-        raise DomainError(f"coupling g must be positive and finite, got {g}")
-    spectrum = chain_mod.chain_spectrum(chain)
-    with np.errstate(over="ignore"):  # an overflow is reported where S is read
-        s = float(2.0 * np.float64(g * spectrum.t_l_0 * chain.q) ** 2)
-    return EndpointChannel(
-        energies=spectrum.energies, omegas=np.sqrt(2.0) * g * spectrum.endpoint_amplitudes,
-        parities=spectrum.parities, onsite=0.0, resonant=chain.l, g=g, L=chain.L,
-        offres_weight=s, chain=chain)
+def _couplings(g) -> float | np.ndarray:
+    """g as a float, or a 1-d grid of couplings as an array; DomainError
+    unless every g is positive and finite."""
+    grid = np.asarray(g, dtype=float)
+    ok = (0.0 < grid) & (grid < np.inf)  # NaN fails too
+    if grid.ndim > 1 or not ok.all():
+        raise DomainError(f"coupling g must be positive and finite, got "
+                          f"{g if ok.all() else grid[~ok][0]}")
+    return grid if grid.ndim else grid.item()
 
 
-def _finite(value: float, name: str, channel: EndpointChannel) -> float:
-    if not math.isfinite(value):
-        raise ArithmeticError(f"the {name} overflows at g={channel.g}")
+def _per_g(g, value):
+    """value, computed over the couplings g: as it is over a grid, and as a
+    Python float or bool at one g."""
+    return value if isinstance(g, np.ndarray) else np.asarray(value).item()
+
+
+def _finite(value, name: str, g):
+    """value, or ArithmeticError naming the first g at which it is not finite."""
+    ok = np.isfinite(value)
+    if not ok.all():
+        raise ArithmeticError(f"the {name} overflows at g={np.asarray(g)[~ok][0]}")
     return value
 
 
-def perturbative_infidelity(channel: EndpointChannel) -> float:
+def attach_endpoints(chain: chain_mod.EffectiveChain, g) -> EndpointChannel:
+    """The chain's channel at a coupling g or over a grid of them: its
+    spectrum, whose zero mode k = l is the resonant one (l is even, so the
+    parities (-1)^k are relative to it), with Omega_k = sqrt(2) g t_k^(0)
+    and S = 2 (g t_l^(0) Q)^2."""
+    g = _couplings(g)
+    spectrum = chain_mod.chain_spectrum(chain)
+    with np.errstate(over="ignore"):  # an overflow is reported where S is read
+        # float_power is C's pow, as ** on a float64 scalar: the square x * x
+        # rounds some values the other way
+        s = 2.0 * np.float_power(g * spectrum.t_l_0 * chain.q, 2)
+    return EndpointChannel(
+        energies=spectrum.energies,
+        omegas=np.multiply.outer(np.sqrt(2.0) * g, spectrum.endpoint_amplitudes),
+        parities=spectrum.parities, onsite=0.0, resonant=chain.l, g=g, L=chain.L,
+        offres_weight=_per_g(g, s), chain=chain)
+
+
+def perturbative_infidelity(channel: EndpointChannel) -> float | np.ndarray:
     """Leading-order result sum_{k != res} Omega_k^2 [1 + p_k cos(E_k T)] / E_k^2
     evaluated at T = pi / Omega_res; ArithmeticError if Omega_k^2 overflows."""
     off = np.arange(channel.energies.shape[0]) != channel.resonant
-    ek, om, par = channel.energies[off], channel.omegas[off], channel.parities[off]
+    ek, om, par = channel.energies[off], channel.omegas[..., off], channel.parities[off]
+    t = np.asarray(channel.T)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-        eps = float(np.sum(om**2 * (1.0 + par * np.cos(ek * channel.T)) / ek**2))
-    return _finite(eps, "perturbative infidelity", channel)
+        eps = np.sum(om**2 * (1.0 + par * np.cos(ek * t)) / ek**2, axis=-1)
+    return _per_g(channel.g, _finite(eps, "perturbative infidelity", channel.g))
 
 
-def small_g_envelope(channel: EndpointChannel) -> float:
+def small_g_envelope(channel: EndpointChannel) -> float | np.ndarray:
     """2 S: the termwise ceiling of the perturbative infidelity."""
-    return _finite(2.0 * channel.offres_weight, "sum of Omega_k^2/E_k^2", channel)
+    return _finite(2.0 * channel.offres_weight, "sum of Omega_k^2/E_k^2", channel.g)
 
 
-def infidelity_rigorous_bound(channel: EndpointChannel) -> tuple[float, tuple[bool, bool]]:
+def infidelity_rigorous_bound(channel: EndpointChannel):
     """The chain's bound 3 S, valid when E_{l-2} >= 4 Omega_l and S < 3/4."""
-    s = _finite(channel.offres_weight, "sum of Omega_k^2/E_k^2", channel)
+    s = _finite(channel.offres_weight, "sum of Omega_k^2/E_k^2", channel.g)
     l = channel.resonant
-    gap_ok = bool(channel.energies[l - 2] >= 4.0 * channel.omegas[l])
-    return 3.0 * s, (gap_ok, bool(s < 0.75))
+    gap_ok = channel.energies[l - 2] >= 4.0 * channel.omegas[..., l]
+    return 3.0 * s, tuple(_per_g(channel.g, c) for c in (gap_ok, s < 0.75))
 
 
-def outcome(channel: EndpointChannel, fidelity: float, bound: float,
+def outcome(channel: EndpointChannel, amplitude, bound,
             conditions: tuple[bool, bool]) -> TransferOutcome:
-    """An exact fidelity on the channel, with its perturbative prediction and
-    the protocol's bound and validity flags."""
+    """The exact amplitude <Y|exp(-iHT)|X> on the channel as a fidelity, with
+    its perturbative prediction and the protocol's bound and validity flags.
+
+    The fidelity |A|^2 is C's hypot squared by C's pow, as Python's abs and
+    ** took it at one g, so a grid point is bit for bit that transfer alone:
+    numpy's abs and square of a complex array round differently."""
+    amplitude = np.asarray(amplitude)
+    fidelity = np.float_power(np.hypot(amplitude.real, amplitude.imag), 2)
     return TransferOutcome(
-        T=channel.T, g=channel.g, L=channel.L, fidelity_exact=fidelity,
-        infidelity_exact=1.0 - fidelity, infidelity_perturbative=perturbative_infidelity(channel),
-        infidelity_bound=bound, bound_conditions_met=conditions)
+        T=_per_g(channel.g, channel.T), g=channel.g, L=channel.L,
+        fidelity_exact=_per_g(channel.g, fidelity),
+        infidelity_exact=_per_g(channel.g, 1.0 - fidelity),
+        infidelity_perturbative=perturbative_infidelity(channel),
+        infidelity_bound=_per_g(channel.g, bound),
+        bound_conditions_met=tuple(_per_g(channel.g, c) for c in conditions))
 
 
 def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
     """<Y| exp(-iHT) |X> from numpy's eigh of the chain's (2l+3)-site matrix
-    over (X, 0..2l, Y), as the spectral measure (lambda_j, v_j[X] v_j[Y]),
-    with the perturbative and bound fields.  The matrix is built symmetric
-    from the chain's finite bonds and g, and l <= 1022 keeps it below
+    over (X, 0..2l, Y) at each g, as the spectral measure
+    (lambda_j, v_j[X] v_j[Y]), with the perturbative and bound fields.  The
+    matrices of a g grid are solved in one stacked eigh call (one at a
+    single g), split only where a stack would exceed the entries of one
+    matrix at numkit.DENSE_DIM_CAP.  Each matrix is built symmetric from the
+    chain's finite bonds and g, and l <= 1022 keeps it below
     numkit.DENSE_DIM_CAP, so it needs no check of its own."""
-    bonds = np.concatenate([[channel.g], channel.chain.bonds, [channel.g]])
-    lam, v = np.linalg.eigh(np.diag(bonds, 1) + np.diag(bonds, -1))
-    amplitude = numkit.spectral_amplitude(lam, v[0] * v[-1], channel.T)
-    return outcome(channel, float(abs(amplitude) ** 2), *infidelity_rigorous_bound(channel))
+    g, times = np.atleast_1d(channel.g), np.atleast_1d(channel.T)
+    n = channel.chain.bonds.shape[0] + 3
+    step = max(1, numkit.DENSE_DIM_CAP**2 // n**2)
+    amplitude = np.empty(g.shape, dtype=complex)
+    for start in range(0, g.shape[0], step):
+        rows = slice(start, start + step)
+        h = np.zeros((g[rows].shape[0], n * n))
+        bonds = h[:, 1::n + 1]  # the superdiagonal: g, the chain's bonds, g
+        bonds[:, 1:-1] = channel.chain.bonds
+        bonds[:, 0] = bonds[:, -1] = g[rows]
+        h[:, n::n + 1] = bonds
+        lam, v = np.linalg.eigh(h.reshape(-1, n, n))
+        amplitude[rows] = numkit.spectral_amplitude(lam, v[:, 0] * v[:, -1], times[rows])
+    return outcome(channel, amplitude, *infidelity_rigorous_bound(channel))
 
 
 def choose_g(spectrum: chain_mod.ChannelSpectrum, epsilon_target: float) -> float:

@@ -11,6 +11,7 @@ from longwalk.errors import DomainError
 
 from closed_forms import ring_sector
 from site_oracle import evolve
+from test_transfer import assert_grid_is_its_points
 
 
 def ring_channel(d: int, L: int, alpha: float, g: float):
@@ -372,6 +373,31 @@ class TestQ2Scaling:
         target = experiments.ring_q2_target(2, alpha)[0]
         assert got[0] < got[1] < target
         assert (2 * alpha - 2) - got[1] >= 1.0
+
+
+class TestGridIsItsPoints:
+    """A g grid solved in one pass is its single transfers, bit for bit, on
+    both solver paths: stacked eigh (one call per parity) and the joint
+    secular loop (one call for every g's two sectors)."""
+
+    @pytest.mark.parametrize("d, L, secular", [(1, 100, False), (1, 400, True), (2, 32, True)])
+    def test_ring(self, monkeypatch, d, L, secular):
+        grid = np.geomspace(*experiments.FIGS2A_G_RANGE)
+        calls = []
+        solve, eigh = numkit.arrowhead_spectra, np.linalg.eigh
+        monkeypatch.setattr(numkit, "arrowhead_spectra", lambda onsite, sectors: calls.append(
+            len(sectors)) or solve(onsite, sectors))
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+        out = ring.ring_exact_transfer(d, L, 1.0, grid)
+        if secular:
+            assert calls == [2 * grid.shape[0]]
+        else:
+            assert [shape[0] for shape in calls] == [grid.shape[0]] * 2
+        assert_grid_is_its_points(out, lambda g: ring.ring_exact_transfer(d, L, 1.0, g))
+        if d == 1:
+            res = experiments.fig_s2a(L=L, g_grid=grid)
+            assert np.array_equal(res["eps_exact"], out.infidelity_exact)
+            assert np.array_equal(res["eps_perturbative"], out.infidelity_perturbative)
 
 
 class TestRingExactTransfer:

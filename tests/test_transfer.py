@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +35,8 @@ def site_matrix(model, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: seen.append(h) or solve(h))
     transfer.exact_transfer(model)
     monkeypatch.setattr(np.linalg, "eigh", solve)
-    (h,) = seen
+    (stack,) = seen
+    (h,) = stack  # one g: a stack of one matrix
     assert h.tobytes() == loop_site_matrix(model).tobytes()
     return h
 
@@ -42,31 +44,76 @@ def site_matrix(model, monkeypatch):
 @pytest.fixture
 def solves(monkeypatch):
     """Dimensions of the chain's parity-sector solves, four per chain
-    (numkit.zero_diagonal_eigenvalues), and of numpy's eigh calls, which
-    only exact_transfer's (2l+3)-site matrices make (l = 24 here)."""
+    (numkit.zero_diagonal_eigenvalues), and the shapes of numpy's eigh calls
+    (len() of a stack would read its size), which only exact_transfer's
+    stacks of (2l+3)-site matrices make (l = 24 here)."""
     calls = {"sectors": [], "eigh": []}
     sector_solve, dense_solve = numkit.zero_diagonal_eigenvalues, np.linalg.eigh
     monkeypatch.setattr(numkit, "zero_diagonal_eigenvalues",
                         lambda b: calls["sectors"].append(len(b) + 1) or sector_solve(b))
     monkeypatch.setattr(np.linalg, "eigh",
-                        lambda h: calls["eigh"].append(len(h)) or dense_solve(h))
+                        lambda h: calls["eigh"].append(h.shape) or dense_solve(h))
     return calls
 
 
 class TestOneDiagonalisationPerChain:
     """attach_endpoints reuses the chain's spectrum, so a g sweep or a
-    choose_g + attach_endpoints pair solves the two parity sectors once."""
+    choose_g + attach_endpoints pair solves the two parity sectors once, and
+    exact_transfer solves a whole g grid's site matrices in one stacked eigh."""
 
     def test_fig2a(self, solves):
         experiments.fig2a()
-        assert solves["sectors"] == [25, 24, 24, 23]
-        assert set(solves["eigh"]) == {51}
+        assert solves == {"sectors": [25, 24, 24, 23], "eigh": [(36, 51, 51)]}
+
+    def test_a_stack_holds_at_most_one_cap_matrix_of_entries(self, solves, monkeypatch):
+        # at a cap of 102 a stack holds 102^2 entries: four 51 x 51 matrices
+        whole = experiments.fig2a()
+        monkeypatch.setattr(numkit, "DENSE_DIM_CAP", 102)
+        split = experiments.fig2a()
+        assert solves["eigh"] == [(36, 51, 51)] + [(4, 51, 51)] * 9
+        for key in ("eps_exact", "eps_perturbative", "bound", "bound_conditions"):
+            assert np.array_equal(split[key], whole[key]), key
 
     def test_chain_transfer_command(self, solves, tmp_path):
         argv = ["transfer", "--protocol", "chain", "--d", "1", "--alpha", "1.2", "--l", "24",
                 "--epsilon", "0.01", "--out-dir", str(tmp_path), "--reproducible"]
         assert cli.main(argv) == 0
-        assert solves == {"sectors": [25, 24, 24, 23], "eigh": [51]}
+        assert solves == {"sectors": [25, 24, 24, 23], "eigh": [(1, 51, 51)]}
+
+
+def assert_grid_is_its_points(grid, point):
+    """Every field of a g grid's outcome equals, bit for bit (==), that of the
+    grid of one, point(g), at each of its couplings."""
+    for i, g in enumerate(grid.g):
+        one = point(g)
+        for field in dataclasses.fields(transfer.TransferOutcome):
+            got, want = getattr(grid, field.name), getattr(one, field.name)
+            if field.name == "L":
+                assert got == want
+            elif field.name == "bound_conditions_met":
+                assert tuple(bool(c[i]) for c in got) == want, (field.name, g)
+            else:
+                assert got[i] == want, (field.name, g)
+
+
+class TestGridIsItsPoints:
+    """fig2a's grid, solved in one stacked pass, is its single transfers."""
+
+    @pytest.mark.parametrize("l, g_grid", [(24, None), (8, [1e-8])])
+    def test_fig2a(self, l, g_grid):
+        res = experiments.fig2a(l=l, g_grid=g_grid)
+        ch = chain.build_effective_chain(1, 0.8, l)
+        out = transfer.exact_transfer(transfer.attach_endpoints(ch, res["g"]))
+        assert_grid_is_its_points(
+            out, lambda g: transfer.exact_transfer(transfer.attach_endpoints(ch, g)))
+        for i, g in enumerate(res["g"]):
+            channel = transfer.attach_endpoints(ch, g)
+            one = transfer.exact_transfer(channel)
+            assert (res["eps_exact"][i], res["eps_perturbative"][i], res["envelope"][i],
+                    res["bound"][i], res["bound_conditions"][i]) == (
+                one.infidelity_exact, one.infidelity_perturbative,
+                transfer.small_g_envelope(channel), one.infidelity_bound,
+                all(one.bound_conditions_met))
 
 
 class TestAttachEndpoints:
