@@ -59,6 +59,14 @@ RUNS = {
     "figS2a": ("sweep --experiment figS2a", None),
     "figS2c": ("sweep --experiment figS2c", None),
     "figS3": ("sweep --experiment figS3", None),
+    # the ring's secular path (numkit.arrowhead_spectra), which every ring run
+    # above, its larger sector below numkit._SECULAR_MIN_DIM, leaves to eigh:
+    # one-block sums (d=2 L=44), the band split (d=1 L=2000) and one joint
+    # secular loop over a g grid's sectors (figS2a at L=400)
+    "transfer-ring-d2-L44": ("transfer --protocol ring --d 2 --alpha 1 --L 44 --g 10.7", None),
+    "transfer-ring-d1-L2000": (
+        "transfer --protocol ring --d 1 --alpha 1 --L 2000 --g 1.01", None),
+    "figS2a-L400": ("sweep --experiment figS2a --L 400", None),
     # known wrong: kept so that their fixes show as diffs (ROADMAP items 13, 16)
     "transfer-chain-guard-edge": (
         "transfer --protocol chain --d 1 --alpha 0.5 --l 84 --epsilon 0.01",
