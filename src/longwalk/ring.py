@@ -204,8 +204,7 @@ def _channel(model: RingModel, g, fold, q2: float) -> transfer.EndpointChannel:
     transfer._finite(mu, "level-repulsion shift mu", g)
     return transfer.EndpointChannel(
         energies=-delta, omegas=np.multiply.outer(om, np.sqrt(mult)), parities=parities,
-        onsite=transfer._per_g(g, -mu), resonant=0, g=g, L=model.L,
-        offres_weight=transfer._per_g(g, s))
+        onsite=-mu, resonant=0, g=g, L=model.L, offres_weight=s)
 
 
 def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOutcome:

@@ -9,7 +9,8 @@ for the chain also the exact transfer (its site matrix's spectral measure),
 the rigorous bound and choose_g.  A channel holds one coupling g or a grid
 of them: over a grid every per-g quantity is an array over g, computed in
 the same operations as at one g, so each grid point is that transfer's
-result bit for bit.
+result bit for bit; at one g it is a numpy float64 (a float subclass).
+Only _couplings, the gate for g, and _flags tell one g from a grid.
 """
 
 from __future__ import annotations
@@ -29,21 +30,21 @@ class EndpointChannel:
     """What the endpoints X and Y see: the channel modes in the frame where the
     resonant mode sits at zero energy.  X couples to mode k with
     Omega_k / sqrt(2), Y with p_k Omega_k / sqrt(2).  At one coupling g the
-    per-g fields are floats; over a grid of G couplings they are arrays over
-    g, and omegas is (G, modes)."""
+    per-g fields are numpy float64 scalars; over a grid of G couplings they
+    are arrays over g, and omegas is (G, modes)."""
 
     energies: np.ndarray  # E_k, E_resonant = 0
     omegas: np.ndarray  # Omega_k, the Rabi couplings to the mode pairs
     parities: np.ndarray  # p_k = +-1, relative to the resonant mode
     onsite: float | np.ndarray  # the endpoints' on-site energy
     resonant: int  # index of the resonant mode
-    g: float | np.ndarray
+    g: np.float64 | np.ndarray
     L: int  # chain: transfer distance; ring: side length
-    offres_weight: float | np.ndarray  # S = sum_{k != res} Omega_k^2/E_k^2, from the protocol's closed form
+    offres_weight: np.float64 | np.ndarray  # S = sum_{k != res} Omega_k^2/E_k^2, from the protocol's closed form
     chain: chain_mod.EffectiveChain | None = None  # the chain's bonds, for its dense exact step
 
     @cached_property
-    def T(self) -> float | np.ndarray:
+    def T(self) -> np.float64 | np.ndarray:
         """pi / Omega_res, computed once; ArithmeticError if it overflows
         (Omega_res underflows to 0 at a subnormal g)."""
         with np.errstate(divide="ignore", over="ignore"):  # checked by _finite
@@ -54,31 +55,33 @@ class EndpointChannel:
 class TransferOutcome:
     """One transfer's results, or arrays of them over a g grid (L excepted)."""
 
-    T: float
-    g: float
+    T: np.float64 | np.ndarray
+    g: np.float64 | np.ndarray
     L: int  # chain: transfer distance; ring: side length
-    fidelity_exact: float
-    infidelity_exact: float
-    infidelity_perturbative: float
-    infidelity_bound: float
-    bound_conditions_met: tuple[bool, bool]
+    fidelity_exact: np.float64 | np.ndarray
+    infidelity_exact: np.float64 | np.ndarray
+    infidelity_perturbative: np.float64 | np.ndarray
+    infidelity_bound: np.float64 | np.ndarray
+    bound_conditions_met: tuple[bool, bool] | tuple[np.ndarray, np.ndarray]
 
 
-def _couplings(g) -> float | np.ndarray:
-    """g as a float, or a 1-d grid of couplings as an array; DomainError
-    unless every g is positive and finite."""
+def _couplings(g) -> np.float64 | np.ndarray:
+    """One coupling g as a numpy float64, or a 1-d grid of them as an array;
+    DomainError, naming the shape, for an empty or multi-dimensional grid,
+    and unless every g is positive and finite."""
     grid = np.asarray(g, dtype=float)
+    if grid.ndim > 1 or grid.size == 0:
+        raise DomainError(f"coupling g must be one value or a non-empty 1-d grid, "
+                          f"got shape {grid.shape}")
     ok = (0.0 < grid) & (grid < np.inf)  # NaN fails too
-    if grid.ndim > 1 or not ok.all():
-        raise DomainError(f"coupling g must be positive and finite, got "
-                          f"{g if ok.all() else grid[~ok][0]}")
-    return grid if grid.ndim else grid.item()
+    if not ok.all():
+        raise DomainError(f"coupling g must be positive and finite, got {grid[~ok][0]}")
+    return grid[()]
 
 
-def _per_g(g, value):
-    """value, computed over the couplings g: as it is over a grid, and as a
-    Python float or bool at one g."""
-    return value if isinstance(g, np.ndarray) else np.asarray(value).item()
+def _flags(g, conditions) -> tuple:
+    """The validity flags at the couplings g: arrays over a grid, Python bools at one g."""
+    return tuple(c if np.ndim(g) else bool(c) for c in conditions)
 
 
 def _finite(value, name: str, g):
@@ -104,10 +107,10 @@ def attach_endpoints(chain: chain_mod.EffectiveChain, g) -> EndpointChannel:
         energies=spectrum.energies,
         omegas=np.multiply.outer(np.sqrt(2.0) * g, spectrum.endpoint_amplitudes),
         parities=spectrum.parities, onsite=0.0, resonant=chain.l, g=g, L=chain.L,
-        offres_weight=_per_g(g, s), chain=chain)
+        offres_weight=s, chain=chain)
 
 
-def perturbative_infidelity(channel: EndpointChannel) -> float | np.ndarray:
+def perturbative_infidelity(channel: EndpointChannel) -> np.float64 | np.ndarray:
     """Leading-order result sum_{k != res} Omega_k^2 [1 + p_k cos(E_k T)] / E_k^2
     evaluated at T = pi / Omega_res; ArithmeticError if Omega_k^2 overflows."""
     off = np.arange(channel.energies.shape[0]) != channel.resonant
@@ -115,10 +118,10 @@ def perturbative_infidelity(channel: EndpointChannel) -> float | np.ndarray:
     t = np.asarray(channel.T)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
         eps = np.sum(om**2 * (1.0 + par * np.cos(ek * t)) / ek**2, axis=-1)
-    return _per_g(channel.g, _finite(eps, "perturbative infidelity", channel.g))
+    return _finite(eps, "perturbative infidelity", channel.g)
 
 
-def small_g_envelope(channel: EndpointChannel) -> float | np.ndarray:
+def small_g_envelope(channel: EndpointChannel) -> np.float64 | np.ndarray:
     """2 S: the termwise ceiling of the perturbative infidelity."""
     return _finite(2.0 * channel.offres_weight, "sum of Omega_k^2/E_k^2", channel.g)
 
@@ -128,26 +131,23 @@ def infidelity_rigorous_bound(channel: EndpointChannel):
     s = _finite(channel.offres_weight, "sum of Omega_k^2/E_k^2", channel.g)
     l = channel.resonant
     gap_ok = channel.energies[l - 2] >= 4.0 * channel.omegas[..., l]
-    return 3.0 * s, tuple(_per_g(channel.g, c) for c in (gap_ok, s < 0.75))
+    return 3.0 * s, _flags(channel.g, (gap_ok, s < 0.75))
 
 
-def outcome(channel: EndpointChannel, amplitude, bound,
-            conditions: tuple[bool, bool]) -> TransferOutcome:
+def outcome(channel: EndpointChannel, amplitude, bound, conditions) -> TransferOutcome:
     """The exact amplitude <Y|exp(-iHT)|X> on the channel as a fidelity, with
     its perturbative prediction and the protocol's bound and validity flags.
 
     The fidelity |A|^2 is C's hypot squared by C's pow, as Python's abs and
     ** took it at one g, so a grid point is bit for bit that transfer alone:
     numpy's abs and square of a complex array round differently."""
-    amplitude = np.asarray(amplitude)
+    amplitude = np.reshape(amplitude, np.shape(channel.g))  # at one g, a grid of one too
     fidelity = np.float_power(np.hypot(amplitude.real, amplitude.imag), 2)
     return TransferOutcome(
-        T=_per_g(channel.g, channel.T), g=channel.g, L=channel.L,
-        fidelity_exact=_per_g(channel.g, fidelity),
-        infidelity_exact=_per_g(channel.g, 1.0 - fidelity),
+        T=channel.T, g=channel.g, L=channel.L, fidelity_exact=fidelity,
+        infidelity_exact=1.0 - fidelity,
         infidelity_perturbative=perturbative_infidelity(channel),
-        infidelity_bound=_per_g(channel.g, bound),
-        bound_conditions_met=tuple(_per_g(channel.g, c) for c in conditions))
+        infidelity_bound=bound, bound_conditions_met=_flags(channel.g, conditions))
 
 
 def exact_transfer(channel: EndpointChannel) -> TransferOutcome:

@@ -10,14 +10,15 @@ regenerates the files, and the diff states the change:
     python tests/reference_outputs.py
 
 The runs are made in one fresh interpreter pinned to the code paths of an
-AVX2 CPU (``PINNED_ENV``): numpy's and scipy's OpenBLAS to their Haswell
-kernels on one thread, and numpy's own SIMD loops to the X86_V3 level.  Left
-to themselves, both pick their code by the CPU, and the choices round
-differently: some ring outputs move by up to 3.5e-8 relative between
-OpenBLAS's SkylakeX and Haswell kernels, and by up to 1.4e-8 between numpy's
-X86_V4 (AVX-512) and X86_V3 loops.  Every x86-64 CPU at the X86_V3 level
-(AVX2, FMA) runs these; on any other machine, or where the BLAS is not the
-wheels' OpenBLAS, the runs are not made and ``KernelUnavailable`` says why.
+AVX2 CPU (``PINNED_ENV``): numpy's OpenBLAS to its Haswell kernels on one
+thread, and numpy's own SIMD loops to the X86_V3 level (no run imports
+scipy, so its OpenBLAS cannot reach an output).  Left to themselves, both
+pick their code by the CPU, and the choices round differently: some ring
+outputs move by up to 3.5e-8 relative between OpenBLAS's SkylakeX and
+Haswell kernels, and by up to 1.4e-8 between numpy's X86_V4 (AVX-512) and
+X86_V3 loops.  Every x86-64 CPU at the X86_V3 level (AVX2, FMA) runs these;
+on any other machine, or where the BLAS is not the wheels' OpenBLAS, the
+runs are not made and ``KernelUnavailable`` says why.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ STDOUT = "stdout.txt"
 PINNED_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
               "NPY_ENABLE_CPU_FEATURES": "X86_V3"}
 # what a run under PINNED_ENV reports from _kernels()
-KERNELS = {"numpy": "Haswell", "scipy": "Haswell", "numpy SIMD": "X86_V3"}
+KERNELS = {"numpy": "Haswell", "numpy SIMD": "X86_V3"}
 
 # run -> (argv, why the output is known to be wrong, or None)
 RUNS = {
@@ -112,25 +113,22 @@ def _cpu_features() -> dict[str, bool]:
 
 
 def _kernels() -> dict[str, str | None]:
-    """The kernels each OpenBLAS runs and numpy's highest SIMD level, each
+    """The kernels numpy's OpenBLAS runs and numpy's highest SIMD level, each
     None where there is none to ask (a BLAS other than the wheels' OpenBLAS,
     a numpy that does not name the levels)."""
     import ctypes
 
     import numpy
-    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
 
     site = Path(numpy.__file__).resolve().parents[1]
     features = _cpu_features()
-    found = {"numpy SIMD": next((f for f in ("X86_V4", "X86_V3") if features.get(f)), None)}
-    for lib, symbol in (("numpy", "scipy_openblas_get_corename64_"),
-                        ("scipy", "scipy_openblas_get_corename")):
-        found[lib] = None
-        for path in sorted((site / f"{lib}.libs").glob("libscipy_openblas*")):
-            corename = getattr(ctypes.CDLL(str(path)), symbol, None)
-            if corename is not None:
-                corename.restype = ctypes.c_char_p
-                found[lib] = corename().decode()
+    found = {"numpy SIMD": next((f for f in ("X86_V4", "X86_V3") if features.get(f)), None),
+             "numpy": None}
+    for path in sorted((site / "numpy.libs").glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            found["numpy"] = corename().decode()
     return found
 
 

@@ -455,6 +455,8 @@ class TestSweepCommand:
         assert (tmp_path / "fig2a.svg").read_text().startswith("<svg")
 
     def test_thread_count_does_not_change_output(self, tmp_path):
+        # figS3's per-alpha fits, three at its default alphas, are the thread
+        # pool's only work
         outs = {}
         for threads in ("1", "4"):
             env = dict(CLI_ENV, LONGWALK_THREADS=threads)
@@ -462,11 +464,14 @@ class TestSweepCommand:
             sub.mkdir()
             res = subprocess.run(
                 [sys.executable, "-m", "longwalk.cli", "sweep", "--experiment",
-                 "figS2c", "--alpha", "1.0", "--out-dir", "out", "--reproducible"],
+                 "figS3", "--out-dir", "out", "--reproducible"],
                 capture_output=True, text=True, cwd=sub, env=env,
             )
             assert res.returncode == 0, res.stderr
-            outs[threads] = (sub / "out" / "figS2c.csv").read_bytes()
+            outs[threads] = {p.name: p.read_bytes() for p in (sub / "out").iterdir()}
+        assert {name for name in outs["1"] if name.endswith((".csv", ".json"))} == {
+            f"figS3_alpha{alpha:g}.csv" for alpha in experiments.FIGS3_ALPHAS} | {
+            "figS3_report.json"}
         assert outs["1"] == outs["4"]
 
     def test_serial_unless_threads_set(self, monkeypatch):

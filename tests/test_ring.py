@@ -401,6 +401,15 @@ class TestGridIsItsPoints:
 
 
 class TestRingExactTransfer:
+    @pytest.mark.parametrize("L", [100, 400])  # eigh and secular sizes
+    def test_an_empty_grid_is_rejected_at_the_gate(self, monkeypatch, L):
+        monkeypatch.setattr(numkit, "endpoint_amplitude",
+                            lambda *args: pytest.fail("a solver was reached"))
+        with pytest.raises(DomainError, match=r"got shape \(0,\)$"):
+            ring.ring_exact_transfer(1, L, 1.0, [])
+        with pytest.raises(DomainError, match=r"got shape \(0,\)$"):
+            experiments.fig_s2a(L=L, g_grid=[])
+
     def test_small_g_envelope_L4(self):
         out = ring.ring_exact_transfer(1, 4, 1.0, 1e-3)
         om = np.sqrt(2) * 1e-3 / 2.0

@@ -149,6 +149,18 @@ class TestAttachEndpoints:
         with pytest.raises(DomainError):
             transfer.attach_endpoints(ch, 0.0)
 
+    def test_rejects_a_multi_dimensional_grid_naming_its_shape(self):
+        # a positive, finite coupling in a grid of the wrong shape
+        ch = chain.build_effective_chain(1, 1.0, 2)
+        with pytest.raises(DomainError, match=r"non-empty 1-d grid, got shape \(1, 1\)$"):
+            transfer.attach_endpoints(ch, [[0.1]])
+
+    def test_fig2a_rejects_an_empty_grid(self, monkeypatch):
+        # at the gate: no site matrix is built or diagonalised
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: pytest.fail("eigh reached"))
+        with pytest.raises(DomainError, match=r"got shape \(0,\)$"):
+            experiments.fig2a(g_grid=[])
+
 
 class TestPerturbativeInfidelity:
     def test_bounded_by_envelope_and_nonnegative(self):
