@@ -36,19 +36,6 @@ CSV_SCHEMA_VERSION = 1
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _manifest(command: str, params: dict, outputs: list[str], timestamp: str | None) -> dict:
-    man = {
-        "command": command,
-        "parameters": params,
-        "artifact_version": __version__,
-        "outputs": outputs,
-        "deviation_notes": [],
-    }
-    if timestamp:
-        man["timestamp"] = timestamp
-    return man
-
-
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
@@ -67,14 +54,9 @@ def write_csv(path: Path, schema: str, header: list[str], columns: list) -> None
 
 
 def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
+    """A numpy scalar or array as the Python value or list its tolist() gives."""
+    if isinstance(o, (np.generic, np.ndarray)):
         return o.tolist()
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
@@ -145,22 +127,21 @@ def _driver_kwargs(label: str, driver, flags: dict) -> dict:
     return kwargs
 
 
-def _infidelity_plot(title: str, res: dict) -> SvgPlot:
-    plot = SvgPlot(title, "g", "infidelity", xlog=True, ylog=True)
-    plot.add("exact", res["g"], res["eps_exact"], "line+dots")
-    plot.add("perturbative", res["g"], res["eps_perturbative"], "line")
-    return plot
+def _g_sweep_out(experiment: str, title: str, extra: dict, report: tuple):
+    """Builder for a g sweep (fig2a, figS2a): a CSV of g, the exact and the
+    leading-order infidelity and the extra columns (header -> result key), the
+    two infidelities against g on log axes, and the report's fields in order."""
+    columns = {"g": "g", "eps_exact": "eps_exact", "eps_perturbative": "eps_perturbative",
+               **extra}
 
-
-def _sweep_fig2a(res):
-    table = ("fig2a",
-             ["g", "eps_exact", "eps_perturbative", "envelope", "bound", "conditions_met"],
-             [res["g"], res["eps_exact"], res["eps_perturbative"], res["envelope"],
-              res["bound"], res["bound_conditions"]])
-    plot = _infidelity_plot("transfer infidelity vs coupling", res)
-    report = {key: res[key] for key in ("max_relative_deviation", "relative_ok",
-                                        "unresolved_exact_points", "envelope_ok", "g_star")}
-    return "fig2a_report", [table], ("fig2a", plot), report
+    def build(res):
+        table = (experiment, list(columns), [res[key] for key in columns.values()])
+        plot = SvgPlot(title, "g", "infidelity", xlog=True, ylog=True)
+        plot.add("exact", res["g"], res["eps_exact"], "line+dots")
+        plot.add("perturbative", res["g"], res["eps_perturbative"], "line")
+        return (f"{experiment}_report", [table], (experiment, plot),
+                {key: res[key] for key in report})
+    return build
 
 
 def _sweep_fig2bcd(res):
@@ -173,15 +154,6 @@ def _sweep_fig2bcd(res):
               ("panel", "saturation", "convergence_ratio", "log_r2", "slope") if key in res}
     table = (stem, ["L", "Q"], [series.sizes, series.values])
     return "fig2bcd_report", [table], (stem, plot), report
-
-
-def _sweep_figs2a(res):
-    table = ("figS2a", ["g", "eps_exact", "eps_perturbative"],
-             [res["g"], res["eps_exact"], res["eps_perturbative"]])
-    plot = _infidelity_plot("ring transfer infidelity vs coupling", res)
-    report = {key: res[key] for key in ("L", "alpha", "max_relative_deviation", "relative_ok",
-                                        "unresolved_exact_points")}
-    return "figS2a_report", [table], ("figS2a", plot), report
 
 
 def _sweep_q2_exponents(experiment, res):
@@ -221,6 +193,7 @@ def _runs() -> dict:
     result into the JSON stem, CSV tables as (stem, header, columns), an optional
     plot as (stem, SvgPlot) and the report fields.  Built per call, so that each
     driver is the module attribute of that moment (a tracer may have wrapped it)."""
+    relative = ("max_relative_deviation", "relative_ok", "unresolved_exact_points")
     return {
         "chain-spectrum": (chain_mod.build_effective_chain, _chain_spectrum_out),
         "transfer": {
@@ -229,9 +202,13 @@ def _runs() -> dict:
             "ring": (ring.ring_exact_transfer, _outcome_out("ring", "infidelity_envelope")),
         },
         "sweep": {
-            "fig2a": (experiments.fig2a, _sweep_fig2a),
+            "fig2a": (experiments.fig2a, _g_sweep_out(
+                "fig2a", "transfer infidelity vs coupling",
+                {"envelope": "envelope", "bound": "bound", "conditions_met": "bound_conditions"},
+                (*relative, "envelope_ok", "g_star"))),
             "fig2bcd": (experiments.fig2bcd, _sweep_fig2bcd),
-            "figS2a": (experiments.fig_s2a, _sweep_figs2a),
+            "figS2a": (experiments.fig_s2a, _g_sweep_out(
+                "figS2a", "ring transfer infidelity vs coupling", {}, ("L", "alpha", *relative))),
             "figS2b": (experiments.fig_s2b, lambda res: _sweep_q2_exponents("figS2b", res)),
             "figS2c": (experiments.fig_s2c, lambda res: _sweep_q2_exponents("figS2c", res)),
             "figS3": (experiments.fig_s3, _sweep_figs3),
@@ -265,8 +242,11 @@ def run_command(args) -> int:
     if plot is not None:
         paths.append(out_dir / f"{plot[0]}.svg")
         paths[-1].write_text(plot[1].render(stamp and f"generated {stamp}"))
+    manifest = {"command": command, "parameters": params, "artifact_version": __version__,
+                "outputs": [str(p) for p in paths], "deviation_notes": []}
+    if stamp:
+        manifest["timestamp"] = stamp
     paths.append(out_dir / f"{stem}.json")
-    manifest = _manifest(command, params, [str(p) for p in paths[:-1]], stamp)
     write_json(paths[-1], {**fields, "manifest": manifest})
     numbers = [f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in fields.items()
                if isinstance(v, (int, float)) and not isinstance(v, bool)]

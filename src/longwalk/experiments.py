@@ -6,8 +6,9 @@ fig2bcd judges the chain's Q scaling in its own regime branches, each with
 its statistic, tolerance and verdict.  figS2b, figS2c and
 ``ring_q2_extrapolation`` share one q2 path (``_q2_sweep``).  fig2a and
 figS2a solve their whole g grid in one stacked pass (the grid forms of
-``transfer.exact_transfer`` and ``ring.ring_exact_transfer``), each point
-bit for bit the single transfer at its g.  The ring's scaling sweeps
+``transfer.exact_transfer`` and ``ring.ring_exact_transfer``, split into
+``numkit.stacks`` on a long grid), each point bit for bit the single
+transfer at its g.  The ring's scaling sweeps
 (figS2b, figS2c, figS3) compute all their spectra in one serial pass first.
 figS2b and figS2c then fit each alpha serially, one small least-squares
 solve on known correction terms.  figS3's per-alpha fits run serially by
@@ -161,8 +162,10 @@ def _relative_deviation(eps_exact: np.ndarray, eps_pert: np.ndarray) -> dict:
 
 
 def fig2a(d: int = 1, alpha_minus_d: float = -0.2, l: int = 24, g_grid=None) -> dict:
-    """Exact vs perturbative infidelity over a g sweep at alpha = d + alpha_minus_d."""
+    """Exact vs perturbative infidelity over a g sweep at alpha = d + alpha_minus_d,
+    in the chain's regime (alpha >= d/2, ``scaling.chain_regime``)."""
     alpha = d + alpha_minus_d
+    scaling.chain_regime(d, alpha)
     ch = chain_mod.build_effective_chain(d, alpha, l)
     g_grid = np.asarray(np.geomspace(*FIG2A_G_RANGE) if g_grid is None else g_grid, dtype=float)
     spec = chain_mod.chain_spectrum(ch)  # diagonalised once; attach_endpoints reuses it

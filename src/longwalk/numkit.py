@@ -35,6 +35,14 @@ from .errors import DomainError
 DENSE_DIM_CAP = 4096
 
 
+def stacks(count: int, entries: int) -> list[slice]:
+    """Slices that split a grid of count solves, each of `entries` matrix
+    entries, into stacks of at most DENSE_DIM_CAP**2 entries (one solve at
+    least): a grid of any length takes the memory of one matrix at the cap."""
+    step = max(1, DENSE_DIM_CAP**2 // entries)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 @dataclass(frozen=True)
 class FitResult:
     slope: float
@@ -139,7 +147,9 @@ def endpoint_amplitude(energies, couplings, parities, onsite, time):
     All sectors go to one solver, picked by the larger parity: above
     _SECULAR_MIN_DIM they are solved together by arrowhead_spectra in
     O(n^2), otherwise by numpy's eigh, one stacked call per parity; each is
-    of dimension <= DENSE_DIM_CAP.  ArithmeticError as in spectral_amplitude.
+    of dimension <= DENSE_DIM_CAP.  A grid of channels is solved in the
+    stacks of ``stacks``, each point bit for bit the channel alone; one
+    channel is one solve.  ArithmeticError as in spectral_amplitude.
     """
     e = np.asarray(energies, dtype=float)
     c = np.asarray(couplings, dtype=float)
@@ -159,6 +169,19 @@ def endpoint_amplitude(energies, couplings, parities, onsite, time):
     dim = 1 + max(poles.shape[0] for poles, _ in sectors)
     if dim > DENSE_DIM_CAP:
         raise DomainError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
+    if not grid:
+        return _sectors_amplitude(sectors, onsite, time, dim)
+    amplitude = np.empty(grid, dtype=complex)
+    for rows in stacks(grid[0], sum((poles.shape[0] + 1) ** 2 for poles, _ in sectors)):
+        amplitude[rows] = _sectors_amplitude([(poles, z[rows]) for poles, z in sectors],
+                                             onsite[rows], time[rows], dim)
+    return amplitude
+
+
+def _sectors_amplitude(sectors, onsite, time, dim):
+    """endpoint_amplitude from its two parity sectors (poles, sqrt(2) c), with
+    onsite energies and times of the grid's shape, on the solver dim picks."""
+    grid = onsite.shape
     if dim > _SECULAR_MIN_DIM:
         # one loop over the two sectors of every channel, + and - in turn
         count = math.prod(grid)

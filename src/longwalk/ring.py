@@ -232,6 +232,4 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOut
     couplings = np.multiply.outer(channel.g, np.sqrt(fold[1] / model.N))
     amplitude = numkit.endpoint_amplitude(channel.energies, couplings, channel.parities,
                                           channel.onsite, channel.T)
-    conditions = (summary.delta0 >= 4.0 * channel.omegas[..., 0],
-                  np.less(channel.offres_weight, 0.75))
-    return transfer.outcome(channel, amplitude, transfer.small_g_envelope(channel), conditions)
+    return transfer.outcome(channel, amplitude, transfer.small_g_envelope(channel), summary.delta0)

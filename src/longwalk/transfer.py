@@ -10,7 +10,8 @@ the rigorous bound and choose_g.  A channel holds one coupling g or a grid
 of them: over a grid every per-g quantity is an array over g, computed in
 the same operations as at one g, so each grid point is that transfer's
 result bit for bit; at one g it is a numpy float64 (a float subclass).
-Only _couplings, the gate for g, and _flags tell one g from a grid.
+Only _couplings, the gate for g, and outcome, which forms the validity
+flags, tell one g from a grid.
 """
 
 from __future__ import annotations
@@ -79,11 +80,6 @@ def _couplings(g) -> np.float64 | np.ndarray:
     return grid[()]
 
 
-def _flags(g, conditions) -> tuple:
-    """The validity flags at the couplings g: arrays over a grid, Python bools at one g."""
-    return tuple(c if np.ndim(g) else bool(c) for c in conditions)
-
-
 def _finite(value, name: str, g):
     """value, or ArithmeticError naming the first g at which it is not finite."""
     ok = np.isfinite(value)
@@ -126,45 +122,46 @@ def small_g_envelope(channel: EndpointChannel) -> np.float64 | np.ndarray:
     return _finite(2.0 * channel.offres_weight, "sum of Omega_k^2/E_k^2", channel.g)
 
 
-def infidelity_rigorous_bound(channel: EndpointChannel):
-    """The chain's bound 3 S, valid when E_{l-2} >= 4 Omega_l and S < 3/4."""
-    s = _finite(channel.offres_weight, "sum of Omega_k^2/E_k^2", channel.g)
-    l = channel.resonant
-    gap_ok = channel.energies[l - 2] >= 4.0 * channel.omegas[..., l]
-    return 3.0 * s, _flags(channel.g, (gap_ok, s < 0.75))
+def infidelity_rigorous_bound(channel: EndpointChannel) -> np.float64 | np.ndarray:
+    """The chain's bound 3 S, valid when E_{l-2} >= 4 Omega_l and S < 3/4
+    (outcome forms the two flags)."""
+    return 3.0 * _finite(channel.offres_weight, "sum of Omega_k^2/E_k^2", channel.g)
 
 
-def outcome(channel: EndpointChannel, amplitude, bound, conditions) -> TransferOutcome:
+def outcome(channel: EndpointChannel, amplitude, bound, gap) -> TransferOutcome:
     """The exact amplitude <Y|exp(-iHT)|X> on the channel as a fidelity, with
-    its perturbative prediction and the protocol's bound and validity flags.
+    its perturbative prediction, the protocol's bound and the bound's two
+    validity flags: the gap condition gap >= 4 Omega_res, for the gap the
+    protocol passes (the chain's E_{l-2}, the ring's delta0), and S < 3/4;
+    arrays over a grid, Python bools at one g.
 
     The fidelity |A|^2 is C's hypot squared by C's pow, as Python's abs and
     ** took it at one g, so a grid point is bit for bit that transfer alone:
     numpy's abs and square of a complex array round differently."""
     amplitude = np.reshape(amplitude, np.shape(channel.g))  # at one g, a grid of one too
     fidelity = np.float_power(np.hypot(amplitude.real, amplitude.imag), 2)
+    flags = (gap >= 4.0 * channel.omegas[..., channel.resonant], channel.offres_weight < 0.75)
+    if not np.ndim(channel.g):
+        flags = tuple(map(bool, flags))
     return TransferOutcome(
         T=channel.T, g=channel.g, L=channel.L, fidelity_exact=fidelity,
         infidelity_exact=1.0 - fidelity,
         infidelity_perturbative=perturbative_infidelity(channel),
-        infidelity_bound=bound, bound_conditions_met=_flags(channel.g, conditions))
+        infidelity_bound=bound, bound_conditions_met=flags)
 
 
 def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
     """<Y| exp(-iHT) |X> from numpy's eigh of the chain's (2l+3)-site matrix
     over (X, 0..2l, Y) at each g, as the spectral measure
     (lambda_j, v_j[X] v_j[Y]), with the perturbative and bound fields.  The
-    matrices of a g grid are solved in one stacked eigh call (one at a
-    single g), split only where a stack would exceed the entries of one
-    matrix at numkit.DENSE_DIM_CAP.  Each matrix is built symmetric from the
-    chain's finite bonds and g, and l <= 1022 keeps it below
+    matrices of a g grid are solved in stacked eigh calls, one per stack of
+    numkit.stacks (one at a single g).  Each matrix is built symmetric from
+    the chain's finite bonds and g, and l <= 1022 keeps it below
     numkit.DENSE_DIM_CAP, so it needs no check of its own."""
     g, times = np.atleast_1d(channel.g), np.atleast_1d(channel.T)
     n = channel.chain.bonds.shape[0] + 3
-    step = max(1, numkit.DENSE_DIM_CAP**2 // n**2)
     amplitude = np.empty(g.shape, dtype=complex)
-    for start in range(0, g.shape[0], step):
-        rows = slice(start, start + step)
+    for rows in numkit.stacks(g.shape[0], n * n):
         h = np.zeros((g[rows].shape[0], n * n))
         bonds = h[:, 1::n + 1]  # the superdiagonal: g, the chain's bonds, g
         bonds[:, 1:-1] = channel.chain.bonds
@@ -172,7 +169,8 @@ def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
         h[:, n::n + 1] = bonds
         lam, v = np.linalg.eigh(h.reshape(-1, n, n))
         amplitude[rows] = numkit.spectral_amplitude(lam, v[:, 0] * v[:, -1], times[rows])
-    return outcome(channel, amplitude, *infidelity_rigorous_bound(channel))
+    return outcome(channel, amplitude, infidelity_rigorous_bound(channel),
+                   channel.energies[channel.resonant - 2])
 
 
 def choose_g(spectrum: chain_mod.ChannelSpectrum, epsilon_target: float) -> float:

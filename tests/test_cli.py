@@ -523,6 +523,22 @@ class TestSweepCommand:
         assert "Traceback" not in res.stderr
         assert "the chain protocol covers alpha >= d/2" in res.stderr
 
+    @pytest.mark.parametrize("d, alpha, alpha_minus_d", [("1", "0.2", "-0.8"),
+                                                         ("2", "0.8", "-1.2")])
+    @pytest.mark.parametrize("run", ["transfer", "fig2a", "fig2bcd"])
+    def test_chain_runs_refuse_alpha_below_half_d_alike(self, tmp_path, capsys, run, d, alpha,
+                                                         alpha_minus_d):
+        # one rule, scaling.chain_regime: exit 2 before any output is written
+        out = tmp_path / "out"
+        argv = (["transfer", "--protocol", "chain", "--alpha", alpha, "--l", "8"]
+                if run == "transfer" else
+                ["sweep", "--experiment", run, "--alpha-minus-d", alpha_minus_d])
+        assert cli.main([*argv, "--d", d, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha=")
+        assert err.endswith(" < d/2: the chain protocol covers alpha >= d/2\n")
+        assert not out.exists()
+
     def test_fig2bcd_negative_alpha_exit_2(self, tmp_path):
         # alpha = -0.5 is below d/2 before it is below 0: a regime error, not a domain one
         res = run_cli(

@@ -9,6 +9,7 @@ import pytest
 from longwalk import experiments, numkit, ring, transfer
 from longwalk.errors import DomainError
 
+import chebyshev_oracle
 from closed_forms import ring_sector
 from site_oracle import evolve
 from test_transfer import assert_grid_is_its_points
@@ -400,6 +401,30 @@ class TestGridIsItsPoints:
             assert np.array_equal(res["eps_perturbative"], out.infidelity_perturbative)
 
 
+    @pytest.mark.parametrize("L, cap, whole, split", [
+        # a channel's entries are both sectors': 27^2 + 26^2 = 1405 at L = 100,
+        # seven channels to a stack at a cap of 102, one eigh call per parity
+        pytest.param(100, 102, [25, 25], [7, 7] * 3 + [4, 4], id="eigh-100"),
+        # 102^2 + 101^2 = 20605 at L = 400, four channels (eight sectors) at 300
+        pytest.param(400, 300, [50], [8] * 6 + [2], id="secular-400")])
+    def test_a_stack_holds_at_most_one_cap_matrix_of_entries(self, monkeypatch, L, cap, whole,
+                                                              split):
+        calls = []
+        solve, eigh = numkit.arrowhead_spectra, np.linalg.eigh
+        monkeypatch.setattr(numkit, "arrowhead_spectra", lambda onsite, sectors: calls.append(
+            len(sectors)) or solve(onsite, sectors))
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(len(h)) or eigh(h))
+        want = experiments.fig_s2a(L=L)
+        assert calls == whole
+        calls.clear()
+        monkeypatch.setattr(numkit, "DENSE_DIM_CAP", cap)
+        got = experiments.fig_s2a(L=L)
+        assert calls == split
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+
 class TestRingExactTransfer:
     @pytest.mark.parametrize("L", [100, 400])  # eigh and secular sizes
     def test_an_empty_grid_is_rejected_at_the_gate(self, monkeypatch, L):
@@ -409,6 +434,14 @@ class TestRingExactTransfer:
             ring.ring_exact_transfer(1, L, 1.0, [])
         with pytest.raises(DomainError, match=r"got shape \(0,\)$"):
             experiments.fig_s2a(L=L, g_grid=[])
+
+    def test_flags_at_one_g_are_python_bools(self):
+        # as the chain's (test_gap_condition_fails_at_large_g): at g = 50 both
+        # delta0 >= 4 Omega and S < 3/4 fail
+        conds = ring.ring_exact_transfer(1, 100, 1.0, 1.0).bound_conditions_met
+        assert conds[0] is True and conds[1] is True
+        conds = ring.ring_exact_transfer(1, 100, 1.0, 50.0).bound_conditions_met
+        assert conds[0] is False and conds[1] is False
 
     def test_small_g_envelope_L4(self):
         out = ring.ring_exact_transfer(1, 4, 1.0, 1e-3)
@@ -528,3 +561,30 @@ class TestRingExactTransfer:
     def test_transfer_time_value(self):
         out = ring.ring_exact_transfer(1, 100, 1.0, 0.05)
         assert abs(out.T - np.pi * np.sqrt(100) / (np.sqrt(2) * 0.05)) <= 1e-9 * out.T
+
+
+class TestChebyshevOracle:
+    """The exact infidelity against the Chebyshev series of exp(-iHT)
+    (chebyshev_oracle), to 1e-11 relative, at alpha = 1 and the g whose
+    small-g envelope 2 S is 0.02: on the folded sectors at the three sector
+    caps, beyond the dense oracle's reach, and on the full lattice, where
+    the series takes only mu and T from the library and so checks the fold,
+    numkit.endpoint_amplitude and the secular solver at once."""
+
+    @pytest.mark.parametrize("d, L, lattice", [
+        pytest.param(d, L, lattice, id=f"{'lattice' if lattice else 'folded'}-d{d}-L{L}")
+        for d, L, lattice in [(1, 16378, False), (2, 250, False), (3, 68, False),
+                              (1, 2000, True), (2, 44, True), (3, 20, True)]])
+    def test_exact_infidelity_matches_the_series(self, d, L, lattice):
+        q2 = ring.ring_spectral_summary(ring.ring_spectrum(d, L, 1.0)).q2
+        g = math.sqrt(0.02 * L**d / (4.0 * q2))
+        out = ring.ring_exact_transfer(d, L, 1.0, g)
+        channel = ring_channel(d, L, 1.0, g)
+        onsite, t = float(channel.onsite), float(channel.T)
+        if lattice:
+            amplitude = chebyshev_oracle.lattice_amplitude(d, L, 1.0, g, onsite, t)
+        else:
+            amplitude = chebyshev_oracle.folded_amplitude(channel.energies, channel.omegas,
+                                                          channel.parities, onsite, t)
+        infidelity = 1.0 - abs(amplitude) ** 2
+        assert abs(infidelity - out.infidelity_exact) <= 1e-11 * out.infidelity_exact
