@@ -2,8 +2,8 @@
 spectral measure (the step every exact transfer ends in), the
 endpoint-coupled-channel transfer amplitude, eigenvalues of zero-diagonal
 tridiagonals and their endpoint weights, spectra of even circulants in d
-dimensions (by real FFT on the orthant), and the ordinary least-squares
-line.
+dimensions (by real FFTs on the orthant, factored four-step at d = 1), and
+the ordinary least-squares line.
 
 Everything here is pure and deterministic.  endpoint_amplitude picks one
 solver per transfer from its larger parity sector: up to dimension
@@ -25,6 +25,7 @@ numpy is imported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -563,34 +564,117 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
         f"in {_SECULAR_MAX_ITER} iterations")
 
 
-def dft_workspace(shape) -> tuple[np.ndarray, np.ndarray]:
+def _split(L: int) -> tuple[int, int]:
+    """L = R * C with R the largest even divisor of L not above sqrt(L)."""
+    R = next((r for r in range(math.isqrt(L) // 2 * 2, 2, -2) if L % r == 0), 2)
+    return R, L // R
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(L: int) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """(R, C, near, far, tail) of _real_even_dft at length L: its split and the
+    conjugated twiddles w^(k1 r2), w = exp(2 pi i / L), on the rows
+    0 <= k1 <= R/2 and columns 0 <= r2 <= C/2 of the cross transform.  With
+    K = isqrt(R/2+1), the rows k1 = a + K b below K B (B = (R/2+1) // K) take
+    near[a] far[b], near[a] = w^(a r2) and far[b] = w^(K b r2), and the fewer
+    than K rows left their own (tail): under 3 sqrt(R/2+1) rows in all, 120 KiB
+    at L = 2^17 against 0.5 MiB for every row.  Each exponent is reduced
+    mod L in integers, to [-L/2, L/2), before it is scaled to an angle."""
+    R, C = _split(L)
+    rows, cols = R // 2 + 1, C // 2 + 1
+    K = math.isqrt(rows)
+    r2 = np.arange(cols)
+
+    def table(k1):
+        t = np.exp((2j * math.pi / L) * ((np.multiply.outer(k1, r2) + L // 2) % L - L // 2))
+        t.flags.writeable = False  # shared by every call at this L
+        return t
+
+    return (R, C, table(np.arange(K)), table(K * np.arange(rows // K)),
+            table(np.arange(rows // K * K, rows)))
+
+
+def _real_even_dft(half: np.ndarray, floats: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """E_k = sum_n x_n cos(2 pi k n / L), 0 <= k <= L/2, of the row x mirrored
+    from `half` (x_n = x_{L-n}) by the four-step split L = R * C (Bailey, J.
+    Supercomputing 4, 1990): with n = r1 C + r2 and k = k1 + R k2,
+    E_k = sum_r2 w_C^(r2 k2) w_L^(r2 k1) sum_r1 x_{r1 C + r2} w_R^(r1 k1),
+    w_M = exp(-2 pi i / M).  Column C - r2 of the R x C grid is column r2
+    reversed, so only the columns r2 <= C/2 go through the R-point real FFTs,
+    and each twiddled row is Hermitian in r2, so one length-C transform with
+    real output finishes it.  numpy's hfft is that transform, but numpy
+    2.4's hfft ignores out=, so the rows are conjugated in place, twiddled
+    by conjugates and finished by irfft, whose exponent has the other sign.
+    The grid and the finished rows share the float buffer; the cross
+    transform and then the spectrum, in its float view, the complex one."""
+    L = 2 * half.size - 2
+    R, C, near, far, tail = _plan(L)
+    rows, cols = R // 2 + 1, C // 2 + 1
+    # rows r1 < R/2 of the grid are the half-axis itself, the others it read backwards
+    grid = floats[:R * cols].reshape(R, cols)
+    grid[:R // 2] = half[:L // 2].reshape(R // 2, C)[:, :cols]
+    grid[R // 2:] = half[L // 2:0:-1].reshape(R // 2, C)[:, :cols]
+    cross = np.fft.rfft(grid, axis=0, out=spectrum[:rows * cols].reshape(rows, cols))
+    np.conjugate(cross, out=cross)
+    split = rows - tail.shape[0]
+    body, rest = cross[:split].reshape(-1, near.shape[0], cols), cross[split:]
+    body *= near
+    body *= far[:, None]
+    rest *= tail
+    done = np.fft.irfft(cross, n=C, axis=1, norm="forward", out=floats[:rows * C].reshape(rows, C))
+    # E_{k1 + R k2} = done[k1, k2]; for k1 > R/2 read E_{L-k} = done[R - k1, C - 1 - k2]
+    e = spectrum.view(float)[:L // 2 + 1]
+    m = L // 2 // R
+    out = e[:m * R].reshape(m, R)
+    out[:, :rows] = done[:, :m].T
+    out[:, rows:] = done[R // 2 - 1:0:-1, :C - 1 - m:-1].T
+    e[m * R:] = done[:L // 2 + 1 - m * R, m]
+    return e
+
+
+def dft_workspace(*shapes) -> tuple[np.ndarray, np.ndarray]:
     """(float, complex) flat buffers for real_dft_circulant of half-axis
-    kernels of this shape or any shape no larger on every axis: the float one
-    holds an axis mirrored, max_i (2 h_i - 2) prod_{j != i} h_j entries, the
-    complex one its transform, prod_i h_i entries."""
-    size = math.prod(shape)
-    mirrored = max(size // h * (2 * h - 2) for h in shape)
-    return np.empty(mirrored), np.empty(size, dtype=complex)
+    kernels of any of these shapes.  At d >= 2 they serve any shape no larger
+    on every axis too: the float one holds an axis mirrored,
+    max_i (2 h_i - 2) prod_{j != i} h_j entries, the complex one its
+    transform, prod_i h_i entries.  At d = 1 they are sized for the layout
+    of _real_even_dft at each length, which a shorter length need not fit
+    (L = 2p, p prime, splits as 2 x p): the float one holds the R x (C/2+1)
+    grid or the (R/2+1) x C finished rows, the complex one the
+    (R/2+1) x (C/2+1) cross transform or the L/2+1 floats of the spectrum."""
+    floats = spectra = 0
+    for shape in shapes:
+        if len(shape) == 1:
+            R, C = _split(2 * shape[0] - 2)
+            rows, cols = R // 2 + 1, C // 2 + 1
+            need = max(R * cols, rows * C), max(rows * cols, (shape[0] + 1) // 2)
+        else:
+            size = math.prod(shape)
+            need = max(size // h * (2 * h - 2) for h in shape), size
+        floats, spectra = max(floats, need[0]), max(spectra, need[1])
+    return np.empty(floats), np.empty(spectra, dtype=complex)
 
 
 def real_dft_circulant(half, work=None) -> np.ndarray:
     """Spectrum E_k = sum_r J(r) cos(2 pi k.r / L) of a real d-dimensional
     circulant of even side L whose kernel is even on every axis (so is E),
-    from J on the half-axes 0 <= r_i <= L/2 to E on the orthant 0 <= k_i <= L/2:
-    each axis in turn is mirrored to length L and transformed by a real FFT,
-    keeping the real part (a DCT-I).
+    from J on the half-axes 0 <= r_i <= L/2 to E on the orthant 0 <= k_i <= L/2
+    (a DCT-I of size L/2+1 per axis).  At d = 1 that is _real_even_dft, the
+    factored transform of the mirrored row; at d >= 2 each axis in turn is
+    mirrored to length L and transformed by a real FFT, keeping the real part.
 
-    Every axis writes into prefixes of one workspace, the (float, complex)
-    pair of dft_workspace: the mirrored axis into the float buffer, its
-    transform into the complex one.  Without a workspace the call allocates
-    its own; with one, a sweep of transforms allocates no array per call, and
-    the result is the real view of the complex buffer, valid until the
-    workspace is used again.
+    Every step writes into prefixes of one workspace, the (float, complex)
+    pair of dft_workspace.  Without a workspace the call allocates its own;
+    with one, a sweep of transforms allocates no array per call, and the
+    result is a view of the complex buffer (its real part, at d = 1 its float
+    view), valid until the workspace is used again.
     """
     e = np.asarray(half, dtype=float)
     if e.ndim == 0 or min(e.shape) < 2:
         raise DomainError(f"half-axis lengths must be >= 2, got shape {e.shape}")
     floats, spectrum = dft_workspace(e.shape) if work is None else work
+    if e.ndim == 1:
+        return _real_even_dft(e, floats, spectrum)
     spectrum = spectrum[:e.size].reshape(e.shape)  # L/2+1 modes out of each L-point axis
     for axis in range(e.ndim):
         # a basic slice: np.take with an index array measured slower on the sweeps

@@ -288,6 +288,18 @@ class TestRealDftCirculant:
             assert np.shares_memory(e, work[1])
             assert np.array_equal(e, numkit.real_dft_circulant(half))
 
+    def test_workspace_serves_each_length(self):
+        # at d = 1 the buffers follow each length's R x C split, which is not
+        # monotone in L: 16382 = 2 x 8191 needs more than 16384 = 128 x 128
+        rng = np.random.default_rng(8)
+        halves = [rng.standard_normal(L // 2 + 1) for L in (16384, 16382, 256)]
+        work = numkit.dft_workspace(*(half.shape for half in halves))
+        for half in halves:
+            e = numkit.real_dft_circulant(half, work)
+            assert np.shares_memory(e, work[1])
+            assert np.array_equal(e, numkit.real_dft_circulant(half))
+        assert numkit.dft_workspace((8192,))[1].size > numkit.dft_workspace((8193,))[1].size
+
     def test_workspace_sizes(self):
         # the float buffer holds the largest mirrored axis, the complex one the orthant
         floats, spectrum = numkit.dft_workspace((4, 6, 5))

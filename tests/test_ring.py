@@ -106,10 +106,13 @@ class TestRingSpectrum:
                 np.testing.assert_allclose(model.detunings, closed[0] - closed[:L // 2 + 1],
                                            rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 1026), (1, 2**17),
+    @pytest.mark.parametrize("d, L", [(1, 4), (1, 100), (1, 1026), (1, 2**15), (1, 16378),
+                                      (1, 16382), (1, 2**17),
                                       (2, 6), (2, 90), (2, 256), (3, 4), (3, 8)])
     def test_real_fft_matches_complex_fft(self, d, L):
-        # every lattice mode, through the orthant index of its mirror image
+        # every lattice mode, through the orthant index of its mirror image;
+        # at d = 1 the factored transform's splits R x C: 128 x 256 at 2^15,
+        # 38 x 431 (C prime) at 16378, 2 x 8191 at 16382 and 256 x 512 at 2^17
         fold = folded_index(d, L)
         for alpha in (0.5, 1.0, 1.5, 2.2):
             delta = ring.ring_spectrum(d, L, alpha).detunings[fold]
@@ -174,7 +177,7 @@ class TestRingSpectralSummaries:
     """The sweep-level table against the per-model path, and its memory."""
 
     @pytest.mark.parametrize("d, alphas, sizes", [
-        (1, (0.5, 1.2, 3.0, math.inf), (2, 4, 256, 1000, 2**12)),
+        (1, (0.5, 1.2, 3.0, math.inf), (2, 4, 256, 1000, 2**12, 2**15, 16378)),
         (2, (0.6, 1.0, 1.5), experiments.RING_2D_SIZES),  # 46, 90 and 182 are no powers of 2
         (3, (0.8, 2.5), (2, 6, 16, 24, 32)),
     ])
@@ -242,12 +245,16 @@ class TestRingSpectralSummaries:
 
     @pytest.mark.parametrize("driver", ["fig_s2b", "fig_s2c", "fig_s3"])
     def test_sweep_memory(self, monkeypatch, driver):
-        # 2.51 MiB for fig_s2b before the table: at L = 2^17 the kernel, its
-        # mirror and the complex transform (0.5 + 1 + 1 MiB).  fig_s2c peaked
-        # at 0.89 MiB and fig_s3 at 0.32.  A full kernel kept beside a
-        # transform, or a weight array per size, shows up here.
+        # 1.90 MiB for fig_s2b: at L = 2^17 the kernel and the factored
+        # transform's two buffers (0.5 + 0.5 + 0.5 MiB) and the twiddle tables
+        # of its ten sizes (0.26 MiB).  fig_s2c peaked at 0.76 MiB and fig_s3
+        # at 0.31.  A full kernel kept beside a transform, a weight array per
+        # size or a full twiddle table per size shows up here.  The twiddles
+        # are cached per L, so the cache is cleared first: the peak is that
+        # of a cold run whichever tests ran before.
         monkeypatch.delenv("LONGWALK_THREADS", raising=False)
         import numpy.fft  # noqa: F401  numpy loads it lazily, and its import is no sweep's memory
+        numkit._plan.cache_clear()
         tracemalloc.start()
         try:
             getattr(experiments, driver)()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from longwalk import cli, experiments, ring, scaling
+from longwalk import cli, experiments, numkit, ring, scaling
 from longwalk.errors import DomainError, RegimeError
 
 
@@ -27,6 +27,26 @@ class TestLocalExponents:
     def test_count(self):
         Ls = np.geomspace(1, 100, 9)
         assert scaling.local_exponents(Ls, Ls**2, window=4).shape[0] == 9 - 4 + 1
+
+    @pytest.mark.parametrize("d, alphas, sizes, window", [
+        (1, experiments.RING_1D_ALPHAS, [2**e for e in experiments.RING_1D_L_EXPONENTS],
+         experiments.RING_1D_WINDOW),
+        (2, experiments.RING_2D_ALPHAS, experiments.RING_2D_SIZES, experiments.RING_2D_WINDOW),
+    ])
+    def test_bit_identical_to_one_fit_per_window(self, d, alphas, sizes, window):
+        # every figS2b and figS2c series: the rows of the one vectorised pass
+        # equal, by float.hex, numkit.linear_fit on each window and the
+        # geometric mean of its sizes
+        ls = np.log(np.asarray(sizes, float))
+        for summaries in ring.ring_spectral_summaries(d, alphas, sizes):
+            q2 = [s.q2 for s in summaries]
+            lv = np.log(q2)
+            ref = [(np.exp(np.mean(ls[i:i + window])),
+                    numkit.linear_fit(ls[i:i + window], lv[i:i + window]).slope)
+                   for i in range(len(sizes) - window + 1)]
+            local = scaling.local_exponents(sizes, q2, window)
+            assert [[x.hex() for x in row] for row in local.tolist()] == \
+                [[float(x).hex() for x in row] for row in ref]
 
 
 # x^0.5 and x^1, x = 1/L: a power-law correction and its square
