@@ -10,12 +10,14 @@ function, ``run_command``, that forwards flags and writes the outputs.
 
 Exit codes: 0 success, 2 usage or regime error, 3 precision-guard or other
 domain rejection, a flag nothing reads or a required flag missing, 4
-numerical failure.
+numerical failure, 5 an --out-dir or output that cannot be written, 6 out
+of memory.  A run that fails leaves no output file behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import re
@@ -79,12 +81,14 @@ def _chain_spectrum_out(ch: chain_mod.EffectiveChain):
 
 
 def _outcome_out(protocol: str, bound_key: str):
-    """Builder for a TransferOutcome; chain and ring differ only in the bound's key."""
+    """Builder for a TransferOutcome; chain and ring differ in the bound's key,
+    and only the chain's bound carries validity flags."""
     def build(out: transfer.TransferOutcome):
         fields = {key: getattr(out, key) for key in ("T", "g", "L", "fidelity_exact",
                   "infidelity_exact", "infidelity_perturbative")}
         fields[bound_key] = out.infidelity_bound
-        fields["bound_conditions_met"] = list(out.bound_conditions_met)
+        if out.bound_conditions_met is not None:  # the chain's bound alone has conditions
+            fields["bound_conditions_met"] = list(out.bound_conditions_met)
         return f"transfer_{protocol}", [], None, fields
     return build
 
@@ -218,7 +222,11 @@ def _runs() -> dict:
 
 def run_command(args) -> int:
     """Forward the flags given to the run's driver, build the outputs from its
-    result, write them with one manifest and print the results."""
+    result, write them with one manifest and print the results.
+
+    --out-dir is created before the driver runs, so that a path that cannot
+    be a directory fails (OSError) before any work; a run that fails after
+    that removes the files it wrote and the directories it created."""
     params = {k: v for k, v in vars(args).items()
               if v is not None and k not in ("command", "out_dir", "reproducible")}
     choice_flag = {"transfer": "protocol", "sweep": "experiment"}.get(args.command)
@@ -227,27 +235,38 @@ def run_command(args) -> int:
     runs = _runs()[args.command]
     driver, build = runs[choice] if choice else runs
     label = f"--{choice_flag} {choice}" if choice else args.command
-    stem, tables, plot, fields = build(driver(**_driver_kwargs(label, driver, flags)))
-    command = args.command
-    if command == "sweep":  # sweep reports and manifests name their experiment
-        command, fields = f"sweep:{choice}", {"experiment": choice, **fields}
-    # one stamp per run, for the manifest and the SVG comment alike
-    stamp = None if args.reproducible else datetime.now(timezone.utc).isoformat()
+    kwargs = _driver_kwargs(label, driver, flags)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # innermost first
     paths = []
-    for table_stem, header, columns in tables:
-        paths.append(out_dir / f"{table_stem}.csv")
-        write_csv(paths[-1], choice or command, header, columns)
-    if plot is not None:
-        paths.append(out_dir / f"{plot[0]}.svg")
-        paths[-1].write_text(plot[1].render(stamp and f"generated {stamp}"))
-    manifest = {"command": command, "parameters": params, "artifact_version": __version__,
-                "outputs": [str(p) for p in paths], "deviation_notes": []}
-    if stamp:
-        manifest["timestamp"] = stamp
-    paths.append(out_dir / f"{stem}.json")
-    write_json(paths[-1], {**fields, "manifest": manifest})
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stem, tables, plot, fields = build(driver(**kwargs))
+        command = args.command
+        if command == "sweep":  # sweep reports and manifests name their experiment
+            command, fields = f"sweep:{choice}", {"experiment": choice, **fields}
+        # one stamp per run, for the manifest and the SVG comment alike
+        stamp = None if args.reproducible else datetime.now(timezone.utc).isoformat()
+        for table_stem, header, columns in tables:
+            paths.append(out_dir / f"{table_stem}.csv")
+            write_csv(paths[-1], choice or command, header, columns)
+        if plot is not None:
+            paths.append(out_dir / f"{plot[0]}.svg")
+            paths[-1].write_text(plot[1].render(stamp and f"generated {stamp}"))
+        manifest = {"command": command, "parameters": params, "artifact_version": __version__,
+                    "outputs": [str(p) for p in paths], "deviation_notes": []}
+        if stamp:
+            manifest["timestamp"] = stamp
+        paths.append(out_dir / f"{stem}.json")
+        write_json(paths[-1], {**fields, "manifest": manifest})
+    except BaseException:
+        for path in paths:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        for path in created:  # rmdir leaves a directory that is not empty
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     numbers = [f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in fields.items()
                if isinstance(v, (int, float)) and not isinstance(v, bool)]
     if numbers:
@@ -342,6 +361,12 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 spectral measure (the step every exact transfer ends in), the
 endpoint-coupled-channel transfer amplitude, eigenvalues of zero-diagonal
 tridiagonals and their endpoint weights, spectra of even circulants in d
-dimensions (by real FFTs on the orthant, factored four-step at d = 1), and
-the ordinary least-squares line.
+dimensions (by real FFTs on the orthant, factored four-step at d = 1 from
+L = _FACTORED_MIN_L), and the ordinary least-squares line.
 
 Everything here is pure and deterministic.  endpoint_amplitude picks one
 solver per transfer from its larger parity sector: up to dimension
@@ -564,6 +564,21 @@ def _secular_roots(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
         f"in {_SECULAR_MAX_ITER} iterations")
 
 
+# A d = 1 transform of length L at or above this goes to the four-step
+# _real_even_dft, a shorter one to one real FFT of the mirrored row, whose
+# fewer numpy calls win below it.  Mirrored against factored, with a
+# workspace (medians of 400 interleaved calls, 2 vCPUs): 6.3 against 18.6 us
+# at 2^8, 27.5 against 33.0 us at 2^12, then 57.8 against 45.4 us at 2^13
+# and 111 against 72 us at 2^14.
+_FACTORED_MIN_L = 2**13
+
+
+def _factored(shape) -> bool:
+    """Whether a half-axis kernel of this shape goes to _real_even_dft: at
+    d = 1 from L = 2 h - 2 = _FACTORED_MIN_L on, where its layout differs too."""
+    return len(shape) == 1 and 2 * shape[0] - 2 >= _FACTORED_MIN_L
+
+
 def _split(L: int) -> tuple[int, int]:
     """L = R * C with R the largest even divisor of L not above sqrt(L)."""
     R = next((r for r in range(math.isqrt(L) // 2 * 2, 2, -2) if L % r == 0), 2)
@@ -634,17 +649,19 @@ def _real_even_dft(half: np.ndarray, floats: np.ndarray, spectrum: np.ndarray) -
 
 def dft_workspace(*shapes) -> tuple[np.ndarray, np.ndarray]:
     """(float, complex) flat buffers for real_dft_circulant of half-axis
-    kernels of any of these shapes.  At d >= 2 they serve any shape no larger
-    on every axis too: the float one holds an axis mirrored,
-    max_i (2 h_i - 2) prod_{j != i} h_j entries, the complex one its
-    transform, prod_i h_i entries.  At d = 1 they are sized for the layout
-    of _real_even_dft at each length, which a shorter length need not fit
-    (L = 2p, p prime, splits as 2 x p): the float one holds the R x (C/2+1)
-    grid or the (R/2+1) x C finished rows, the complex one the
-    (R/2+1) x (C/2+1) cross transform or the L/2+1 floats of the spectrum."""
+    kernels of any of these shapes.  On the per-axis path (d >= 2, and d = 1
+    below _FACTORED_MIN_L) they serve any shape no larger on every axis too:
+    the float one holds an axis mirrored, max_i (2 h_i - 2) prod_{j != i} h_j
+    entries, the complex one its transform, prod_i h_i entries.  A d = 1
+    length from _FACTORED_MIN_L on gets the layout of _real_even_dft, which a
+    shorter length need not fit (L = 2p, p prime, splits as 2 x p): the float
+    one holds the R x (C/2+1) grid or the (R/2+1) x C finished rows, the
+    complex one the (R/2+1) x (C/2+1) cross transform or the L/2+1 floats of
+    the spectrum.  So a table whose lengths straddle the crossover still
+    runs in one workspace."""
     floats = spectra = 0
     for shape in shapes:
-        if len(shape) == 1:
+        if _factored(shape):
             R, C = _split(2 * shape[0] - 2)
             rows, cols = R // 2 + 1, C // 2 + 1
             need = max(R * cols, rows * C), max(rows * cols, (shape[0] + 1) // 2)
@@ -659,21 +676,23 @@ def real_dft_circulant(half, work=None) -> np.ndarray:
     """Spectrum E_k = sum_r J(r) cos(2 pi k.r / L) of a real d-dimensional
     circulant of even side L whose kernel is even on every axis (so is E),
     from J on the half-axes 0 <= r_i <= L/2 to E on the orthant 0 <= k_i <= L/2
-    (a DCT-I of size L/2+1 per axis).  At d = 1 that is _real_even_dft, the
-    factored transform of the mirrored row; at d >= 2 each axis in turn is
-    mirrored to length L and transformed by a real FFT, keeping the real part.
+    (a DCT-I of size L/2+1 per axis).  Each axis in turn is mirrored to
+    length L and transformed by a real FFT, keeping the real part; at d = 1
+    from L = _FACTORED_MIN_L (2^13) on it is _real_even_dft instead, the
+    factored transform of the mirrored row, which is faster there, while
+    below it the one FFT's fewer numpy calls win.
 
     Every step writes into prefixes of one workspace, the (float, complex)
     pair of dft_workspace.  Without a workspace the call allocates its own;
     with one, a sweep of transforms allocates no array per call, and the
-    result is a view of the complex buffer (its real part, at d = 1 its float
-    view), valid until the workspace is used again.
+    result is a view of the complex buffer (its real part, on the factored
+    path its float view), valid until the workspace is used again.
     """
     e = np.asarray(half, dtype=float)
     if e.ndim == 0 or min(e.shape) < 2:
         raise DomainError(f"half-axis lengths must be >= 2, got shape {e.shape}")
     floats, spectrum = dft_workspace(e.shape) if work is None else work
-    if e.ndim == 1:
+    if _factored(e.shape):
         return _real_even_dft(e, floats, spectrum)
     spectrum = spectrum[:e.size].reshape(e.shape)  # L/2+1 modes out of each L-point axis
     for axis in range(e.ndim):

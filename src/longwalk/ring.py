@@ -83,22 +83,22 @@ def ring_spectrum(d: int, L: int, alpha: float) -> RingModel:
 
 
 def _summarize(detunings: np.ndarray, d: int) -> RingSpectralSummary:
-    """(delta0, W, q2) from the detunings on the orthant, shape (L/2+1,)*d,
-    which it overwrites: delta0 and W are read first, then the array is
-    squared, divided and halved in place into the q2 terms.
+    """(delta0, W, q2) from the detunings on the orthant, a C-contiguous array
+    of shape (L/2+1,)*d, which it overwrites: delta0 and W are read first,
+    then the array is squared, divided past k = 0 and halved in place into
+    the q2 terms.
 
     The weight of mode k is 2^d halved once per axis with k_i in {0, L/2}, so
     2^d / Delta_k^2 halved on those faces is w_k / Delta_k^2 bit for bit (powers
     of two scale exactly) with no weight array."""
     delta0, bandwidth = float(detunings.ravel()[1:].min()), float(detunings.max())
     terms = np.square(detunings, out=detunings)
-    with np.errstate(divide="ignore"):  # Delta_0 = 0: its term is left out of the sum
-        np.divide(2.0**d, terms, out=terms)
+    rest = terms.ravel()[1:]  # a view; Delta_0 = 0, and its term is left out of the sum
+    np.divide(2.0**d, rest, out=rest)
     for axis in range(d):
         for face in (0, -1):
             terms[(slice(None),) * axis + (face,)] *= 0.5
-    return RingSpectralSummary(delta0=delta0, bandwidth=bandwidth,
-                               q2=float(np.sum(terms.ravel()[1:])))
+    return RingSpectralSummary(delta0=delta0, bandwidth=bandwidth, q2=float(np.sum(rest)))
 
 
 def ring_spectral_summary(model: RingModel) -> RingSpectralSummary:
@@ -112,11 +112,14 @@ def ring_spectral_summaries(d: int, alphas, sizes) -> list[list[RingSpectralSumm
 
     Each alpha's half-axis kernel is built once, at the largest L: J depends
     only on r, so its leading (L/2+1)^d block, a view, is the kernel of side L.
-    Every transform runs in one numkit.dft_workspace sized for every L (at
-    d = 1 the factored transform's layout follows how L factors, so the
-    largest L need not need the most), and the detunings overwrite its float
-    buffer, so no array is allocated per size; at d = 1 the twiddles are
-    cached per L.  Every size is validated before any spectrum is computed.
+    Every transform runs in one numkit.dft_workspace sized for every L, and
+    the detunings overwrite its float buffer, so no array is allocated per
+    size.  At d = 1 the sizes may straddle numkit's crossover: below
+    L = 2^13 each takes one real FFT of its mirrored row, from 2^13 on the
+    factored transform, whose fixed cost pays off only there; its layout
+    follows how L factors, so the largest L need not need the most, and its
+    twiddles are cached per L.  Every size is validated before any spectrum
+    is computed.
     """
     sizes = [int(L) for L in sizes]
     for alpha in alphas:
@@ -211,9 +214,15 @@ def _channel(model: RingModel, g, fold, q2: float) -> transfer.EndpointChannel:
 
 def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOutcome:
     """Exact evolution of |X> for T = pi sqrt(N) / (sqrt(2) g), with the
-    perturbative prediction and the small-g envelope 2 S = 2 Omega^2 q2 as
-    the bound, valid when delta0 >= 4 Omega and S < 3/4; at one coupling g,
-    or over a grid of them with arrays over g in every per-g field.
+    perturbative prediction and the small-g envelope 2 S = 2 Omega^2 q2 in
+    infidelity_bound; at one coupling g, or over a grid of them with arrays
+    over g in every per-g field.
+
+    2 S is the termwise ceiling of the leading-order sum, not a bound: the
+    exact infidelity differs from the leading order by a relative O(g) and
+    exceeds 2 S where the phases line up (d = 1 L = 100 alpha = 3.5 at
+    S = 0.0936: 0.1974 against 0.1872).  So the outcome makes no validity
+    claim: bound_conditions_met is None.
 
     The spectrum, its summary and the fold are computed once for all g;
     numkit.endpoint_amplitude then solves every g's sectors on the folded
@@ -234,4 +243,4 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOut
     couplings = np.multiply.outer(channel.g, np.sqrt(fold[1] / model.N))
     amplitude = numkit.endpoint_amplitude(channel.energies, couplings, channel.parities,
                                           channel.onsite, channel.T)
-    return transfer.outcome(channel, amplitude, transfer.small_g_envelope(channel), summary.delta0)
+    return transfer.outcome(channel, amplitude, transfer.small_g_envelope(channel))

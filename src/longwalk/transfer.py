@@ -6,12 +6,13 @@ swaps the endpoint populations up to the infidelity of the off-resonant
 modes.  On one EndpointChannel record per protocol this module evaluates the
 leading-order infidelity and the small-g envelope and assembles the outcome;
 for the chain also the exact transfer (its site matrix's spectral measure),
-the rigorous bound and choose_g.  A channel holds one coupling g or a grid
-of them: over a grid every per-g quantity is an array over g, computed in
-the same operations as at one g, so each grid point is that transfer's
+the rigorous bound with its two validity flags and choose_g; the ring's
+envelope is no bound and has no flags.  A channel holds one coupling g or a
+grid of them: over a grid every per-g quantity is an array over g, computed
+in the same operations as at one g, so each grid point is that transfer's
 result bit for bit; at one g it is a numpy float64 (a float subclass).
-Only _couplings, the gate for g, and outcome, which forms the validity
-flags, tell one g from a grid.
+Only _couplings, the gate for g, and outcome, which forms the chain's
+validity flags, tell one g from a grid.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ class TransferOutcome:
     fidelity_exact: np.float64 | np.ndarray
     infidelity_exact: np.float64 | np.ndarray
     infidelity_perturbative: np.float64 | np.ndarray
-    infidelity_bound: np.float64 | np.ndarray
-    bound_conditions_met: tuple[bool, bool] | tuple[np.ndarray, np.ndarray]
+    infidelity_bound: np.float64 | np.ndarray  # chain: the bound 3S; ring: the envelope 2S
+    # the chain's two validity flags of its bound; None for the ring, whose
+    # envelope has none
+    bound_conditions_met: tuple[bool, bool] | tuple[np.ndarray, np.ndarray] | None
 
 
 def _couplings(g) -> np.float64 | np.ndarray:
@@ -128,21 +131,24 @@ def infidelity_rigorous_bound(channel: EndpointChannel) -> np.float64 | np.ndarr
     return 3.0 * _finite(channel.offres_weight, "sum of Omega_k^2/E_k^2", channel.g)
 
 
-def outcome(channel: EndpointChannel, amplitude, bound, gap) -> TransferOutcome:
+def outcome(channel: EndpointChannel, amplitude, bound, gap=None) -> TransferOutcome:
     """The exact amplitude <Y|exp(-iHT)|X> on the channel as a fidelity, with
-    its perturbative prediction, the protocol's bound and the bound's two
-    validity flags: the gap condition gap >= 4 Omega_res, for the gap the
-    protocol passes (the chain's E_{l-2}, the ring's delta0), and S < 3/4;
-    arrays over a grid, Python bools at one g.
+    its perturbative prediction and the protocol's bound.  Given the gap of a
+    bound with validity conditions (the chain's E_{l-2}), also the bound's two
+    flags, gap >= 4 Omega_res and S < 3/4: arrays over a grid, Python bools at
+    one g.  Without one (the ring, whose 2S is an envelope that no condition
+    makes a bound) the flags are None.
 
     The fidelity |A|^2 is C's hypot squared by C's pow, as Python's abs and
     ** took it at one g, so a grid point is bit for bit that transfer alone:
     numpy's abs and square of a complex array round differently."""
     amplitude = np.reshape(amplitude, np.shape(channel.g))  # at one g, a grid of one too
     fidelity = np.float_power(np.hypot(amplitude.real, amplitude.imag), 2)
-    flags = (gap >= 4.0 * channel.omegas[..., channel.resonant], channel.offres_weight < 0.75)
-    if not np.ndim(channel.g):
-        flags = tuple(map(bool, flags))
+    flags = None
+    if gap is not None:
+        flags = (gap >= 4.0 * channel.omegas[..., channel.resonant], channel.offres_weight < 0.75)
+        if not np.ndim(channel.g):
+            flags = tuple(map(bool, flags))
     return TransferOutcome(
         T=channel.T, g=channel.g, L=channel.L, fidelity_exact=fidelity,
         infidelity_exact=1.0 - fidelity,

@@ -1,4 +1,6 @@
 import argparse
+import errno
+import functools
 import hashlib
 import inspect
 import json
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import longwalk
-from longwalk import cli, experiments, numkit, svgplot
+from longwalk import cli, experiments, numkit, ring, svgplot
 from longwalk.svgplot import SvgPlot
 
 # children run in tmp_path, so a relative PYTHONPATH would not find the package;
@@ -141,6 +143,8 @@ class TestTransferCommand:
         assert res.returncode == 0, res.stderr
         payload = json.loads((tmp_path / "transfer_ring.json").read_text())
         assert "infidelity_exact" in payload and "infidelity_perturbative" in payload
+        # 2S is an envelope: the ring's report makes no validity claim
+        assert "infidelity_envelope" in payload and "bound_conditions_met" not in payload
         rel = abs(payload["infidelity_exact"] - payload["infidelity_perturbative"])
         assert rel <= 0.2 * payload["infidelity_exact"]
 
@@ -264,6 +268,63 @@ class TestTransferCommand:
         assert cli.main([*argv, "--out-dir", str(out)]) == 0
         payload = json.loads((out / "transfer_ring.json").read_text())
         assert 0.0 <= payload["fidelity_exact"] <= 1.0
+
+
+class TestOutputFailures:
+    """An output that cannot be written exits 5, a MemoryError 6: one line on
+    stderr, no traceback, and no output file left behind."""
+
+    RING = ["transfer", "--protocol", "ring", "--alpha", "1", "--L", "100", "--g", "0.02"]
+
+    def test_out_dir_that_cannot_be_a_directory_exit_5(self, tmp_path, capsys, monkeypatch):
+        # --out-dir under a regular file is refused before the driver runs
+        calls, transfer = [], ring.ring_exact_transfer
+
+        @functools.wraps(transfer)
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return transfer(*args, **kwargs)
+
+        monkeypatch.setattr(ring, "ring_exact_transfer", recording)
+        (tmp_path / "F").write_text("")
+        assert cli.main([*self.RING, "--out-dir", str(tmp_path / "F" / "x")]) == 5
+        out, err = capsys.readouterr()
+        assert err.startswith("cannot write outputs: ") and "Not a directory" in err
+        assert err.count("\n") == 1 and "Traceback" not in err and out == ""
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+    def test_a_failed_write_leaves_no_output_exit_5(self, tmp_path, capsys, monkeypatch):
+        # the CSVs and the SVG are written, then the report fails: they are
+        # removed, and so is the directory the run created, but nothing else
+        (tmp_path / "keep.txt").write_text("not an output")
+
+        def full(path, payload):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli, "write_json", full)
+        for out in (tmp_path / "new" / "out", tmp_path):
+            argv = ["sweep", "--experiment", "figS3", "--alpha", "1", "--out-dir", str(out)]
+            assert cli.main(argv) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("cannot write outputs: [Errno 28] No space left on device")
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+    def test_memory_error_exit_6(self, tmp_path, capsys, monkeypatch):
+        transfer = ring.ring_exact_transfer
+
+        message = "Unable to allocate 7.3 GiB for an array with shape (20000, 8190)"
+
+        @functools.wraps(transfer)
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(ring, "ring_exact_transfer", exhausted)
+        out = tmp_path / "out"
+        assert cli.main([*self.RING, "--out-dir", str(out)]) == 6
+        assert capsys.readouterr().err == f"out of memory: {message}\n"
+        assert not out.exists()
 
 
 def run_argv(run):

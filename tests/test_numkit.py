@@ -245,16 +245,22 @@ class TestRealDftCirculant:
             assert abs(w @ e - L * half[0]) <= 1e-10 * max(1.0, np.max(np.abs(e)))
 
     def test_fft_matches_direct_summation(self):
-        # exhaustive over every even L <= 1024 with random symmetric rows
+        # exhaustive over every even L <= 1024 with random symmetric rows, by
+        # real_dft_circulant (the mirrored row's FFT at these L) and by the
+        # factored _real_even_dft directly, so that every small R x C split,
+        # L = 2p included, is checked too; its buffers hold L floats and L/2+2
+        # complex entries, more than any split's layout needs
         rng = np.random.default_rng(9)
         for L in range(4, 1026, 2):
             half = rng.standard_normal(L // 2 - 1)
             row = np.concatenate([[0.3], half, [1.0], half[::-1]])
-            e = numkit.real_dft_circulant(row[:L // 2 + 1])
             k = np.arange(L // 2 + 1)
             direct = np.cos(2 * np.pi * np.outer(k, np.arange(L)) / L) @ row
             scale = max(1.0, np.max(np.abs(direct)))
-            assert np.max(np.abs(e - direct)) <= 1e-10 * scale
+            factored = numkit._real_even_dft(row[:L // 2 + 1], np.empty(L),
+                                             np.empty(L // 2 + 2, dtype=complex))
+            for e in (numkit.real_dft_circulant(row[:L // 2 + 1]), factored):
+                assert np.max(np.abs(e - direct)) <= 1e-10 * scale, L
 
     def test_rejects_bad_rows(self):
         # a half-axis below length 2 is no even L >= 2
@@ -301,10 +307,39 @@ class TestRealDftCirculant:
         assert numkit.dft_workspace((8192,))[1].size > numkit.dft_workspace((8193,))[1].size
 
     def test_workspace_sizes(self):
-        # the float buffer holds the largest mirrored axis, the complex one the orthant
+        # the float buffer holds the largest mirrored axis, the complex one the
+        # orthant; so at d = 1 below the crossover, the row and its L/2+1 modes
         floats, spectrum = numkit.dft_workspace((4, 6, 5))
         assert (floats.size, floats.dtype, spectrum.size, spectrum.dtype) == (
             max(6 * 6 * 5, 4 * 10 * 5, 4 * 6 * 8), np.float64, 4 * 6 * 5, np.complex128)
+        floats, spectrum = numkit.dft_workspace((4096,))  # L = 8190
+        assert (floats.size, spectrum.size) == (8190, 4096)
+
+    def test_crossover_picks_the_path(self):
+        # below L = 2^13 the mirrored row's one real FFT, from 2^13 on the
+        # factored transform, each bit for bit
+        rng = np.random.default_rng(13)
+        assert numkit._FACTORED_MIN_L == 2**13
+        for L in (8190, 8192, 8194):
+            half = rng.standard_normal(L // 2 + 1)
+            if L < 2**13:
+                want = np.fft.rfft(np.concatenate([half, half[-2:0:-1]])).real
+            else:
+                want = numkit._real_even_dft(half, *numkit.dft_workspace(half.shape))
+            assert np.array_equal(numkit.real_dft_circulant(half), want), L
+
+    def test_one_workspace_across_the_crossover(self):
+        # a table's lengths may straddle it, as fig_s2b's 2^8..2^17 do: one
+        # workspace serves the mirrored 4096 and the factored 8192 and 2^17
+        rng = np.random.default_rng(17)
+        halves = [rng.standard_normal(L // 2 + 1) for L in (4096, 8192, 2**17)]
+        work = numkit.dft_workspace(*(half.shape for half in halves))
+        for buf in work:
+            buf.fill(np.nan)
+        for half in halves:
+            e = numkit.real_dft_circulant(half, work)
+            assert np.shares_memory(e, work[1])
+            assert np.array_equal(e, numkit.real_dft_circulant(half))
 
 
 class TestLinearFit:

@@ -177,7 +177,8 @@ class TestRingSpectralSummaries:
     """The sweep-level table against the per-model path, and its memory."""
 
     @pytest.mark.parametrize("d, alphas, sizes", [
-        (1, (0.5, 1.2, 3.0, math.inf), (2, 4, 256, 1000, 2**12, 2**15, 16378)),
+        # 2^12 and 2^13 on either side of numkit's crossover to the factored transform
+        (1, (0.5, 1.2, 3.0, math.inf), (2, 4, 256, 1000, 2**12, 2**13, 2**15, 16378)),
         (2, (0.6, 1.0, 1.5), experiments.RING_2D_SIZES),  # 46, 90 and 182 are no powers of 2
         (3, (0.8, 2.5), (2, 6, 16, 24, 32)),
     ])
@@ -442,13 +443,23 @@ class TestRingExactTransfer:
         with pytest.raises(DomainError, match=r"got shape \(0,\)$"):
             experiments.fig_s2a(L=L, g_grid=[])
 
-    def test_flags_at_one_g_are_python_bools(self):
-        # as the chain's (test_gap_condition_fails_at_large_g): at g = 50 both
-        # delta0 >= 4 Omega and S < 3/4 fail
-        conds = ring.ring_exact_transfer(1, 100, 1.0, 1.0).bound_conditions_met
-        assert conds[0] is True and conds[1] is True
-        conds = ring.ring_exact_transfer(1, 100, 1.0, 50.0).bound_conditions_met
-        assert conds[0] is False and conds[1] is False
+    @pytest.mark.parametrize("alpha, s, exact", [(3.5, 0.0936, 0.197363),
+                                                  (math.inf, 0.0876, 0.180072)])
+    def test_envelope_is_no_bound_and_has_no_flags(self, alpha, s, exact):
+        # 2S is the termwise ceiling of the leading order, and the exact
+        # infidelity passes it where the phases line up, with delta0 >= 4 Omega
+        # and S < 3/4 both true: so the ring reports no validity flags
+        q2 = ring.ring_spectral_summary(ring.ring_spectrum(1, 100, alpha)).q2
+        g = math.sqrt(s * 100 / (2.0 * q2))  # S = Omega^2 q2, Omega^2 = 2 g^2 / N
+        out = ring.ring_exact_transfer(1, 100, alpha, g)
+        assert out.bound_conditions_met is None
+        assert out.infidelity_bound == pytest.approx(2.0 * s, rel=1e-14)
+        assert out.infidelity_exact == pytest.approx(exact, abs=1e-6)
+        assert out.infidelity_exact > 1.02 * out.infidelity_bound
+        # not the library's roundoff: the site-basis oracle reads the same
+        assert abs(1.0 - dense_ring_fidelity(1, 100, alpha, g) - out.infidelity_exact) <= 1e-11
+        grid = ring.ring_exact_transfer(1, 100, alpha, [g, 2.0 * g])
+        assert grid.bound_conditions_met is None
 
     def test_small_g_envelope_L4(self):
         out = ring.ring_exact_transfer(1, 4, 1.0, 1e-3)

@@ -91,7 +91,10 @@ def assert_grid_is_its_points(grid, point):
             if field.name == "L":
                 assert got == want
             elif field.name == "bound_conditions_met":
-                assert tuple(bool(c[i]) for c in got) == want, (field.name, g)
+                if want is None:  # the ring's envelope carries no flags
+                    assert got is None, (field.name, g)
+                else:
+                    assert tuple(bool(c[i]) for c in got) == want, (field.name, g)
             else:
                 assert got[i] == want, (field.name, g)
 
