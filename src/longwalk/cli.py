@@ -254,7 +254,7 @@ def run_command(args) -> int:
             paths.append(out_dir / f"{plot[0]}.svg")
             paths[-1].write_text(plot[1].render(stamp and f"generated {stamp}"))
         manifest = {"command": command, "parameters": params, "artifact_version": __version__,
-                    "outputs": [str(p) for p in paths], "deviation_notes": []}
+                    "outputs": [str(p) for p in paths]}
         if stamp:
             manifest["timestamp"] = stamp
         paths.append(out_dir / f"{stem}.json")

@@ -5,16 +5,16 @@ them to CSV/JSON/SVG and the acceptance suite asserts the verdicts.
 fig2bcd judges the chain's Q scaling in its own regime branches, each with
 its statistic, tolerance and verdict.  figS2b, figS2c and
 ``ring_q2_extrapolation`` share one q2 path (``_q2_sweep``).  fig2a and
-figS2a solve their whole g grid in one stacked pass (the grid forms of
-``transfer.exact_transfer`` and ``ring.ring_exact_transfer``, split into
-``numkit.stacks`` on a long grid), each point bit for bit the single
-transfer at its g.  The ring's scaling sweeps
-(figS2b, figS2c, figS3) compute all their spectra in one serial pass first.
-figS2b and figS2c then fit each alpha serially, one small least-squares
-solve on known correction terms.  figS3's per-alpha fits run serially by
-default; setting LONGWALK_THREADS fans them out over a thread pool of that
-size (numpy releases the GIL inside LAPACK), the pool's only use.  Results
-are aggregated in alpha order, so output is identical for any thread count.
+figS2a hand their whole g grid to ``transfer.exact_transfer`` and
+``ring.ring_exact_transfer``, whose one stack loop (``transfer._stacked``)
+splits only a long grid, each point bit for bit the single transfer at its
+g.  The ring's scaling sweeps (figS2b, figS2c, figS3) compute all their
+spectra in one serial pass first.  figS2b and figS2c then fit each alpha
+serially, one small least-squares solve on known correction terms.  figS3's
+per-alpha fits run serially by default; setting LONGWALK_THREADS fans them
+out over a thread pool of that size (numpy releases the GIL inside LAPACK),
+the pool's only use.  Results are aggregated in alpha order, so output is
+identical for any thread count.
 """
 
 from __future__ import annotations

@@ -36,14 +36,6 @@ from .errors import DomainError
 DENSE_DIM_CAP = 4096
 
 
-def stacks(count: int, entries: int) -> list[slice]:
-    """Slices that split a grid of count solves, each of `entries` matrix
-    entries, into stacks of at most DENSE_DIM_CAP**2 entries (one solve at
-    least): a grid of any length takes the memory of one matrix at the cap."""
-    step = max(1, DENSE_DIM_CAP**2 // entries)
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
 @dataclass(frozen=True)
 class FitResult:
     slope: float
@@ -148,14 +140,11 @@ def endpoint_amplitude(energies, couplings, parities, onsite, time):
     All sectors go to one solver, picked by the larger parity: above
     _SECULAR_MIN_DIM they are solved together by arrowhead_spectra in
     O(n^2), otherwise by numpy's eigh, one stacked call per parity; each is
-    of dimension <= DENSE_DIM_CAP.  A grid of channels is solved in the
-    stacks of ``stacks``, each point bit for bit the channel alone; one
-    channel is one solve.  ArithmeticError as in spectral_amplitude.
+    of dimension <= DENSE_DIM_CAP.  A grid is solved whole as handed in, each
+    point bit for bit the channel alone.  ArithmeticError as in spectral_amplitude.
     """
-    e = np.asarray(energies, dtype=float)
-    c = np.asarray(couplings, dtype=float)
-    p = np.asarray(parities, dtype=float)
-    onsite, time = np.asarray(onsite, dtype=float), np.asarray(time, dtype=float)
+    e, c, p, onsite, time = (np.asarray(x, dtype=float)
+                             for x in (energies, couplings, parities, onsite, time))
     grid = c.shape[:-1]
     if not (e.ndim == 1 and c.ndim in (1, 2) and c.shape[-1:] == e.shape == p.shape
             and onsite.shape == time.shape == grid):
@@ -163,32 +152,17 @@ def endpoint_amplitude(energies, couplings, parities, onsite, time):
                           "(couplings: or rows of them, one per on-site energy and time)")
     if not np.all(np.abs(p) == 1.0):
         raise DomainError("parities must be +1 or -1")
-    if not (np.isfinite(e).all() and np.isfinite(c).all()
-            and np.isfinite(onsite).all() and np.isfinite(time).all()):
+    if not all(np.isfinite(x).all() for x in (e, c, onsite, time)):
         raise DomainError("non-finite energies, couplings, onsite energy or time")
     sectors = [(e[p == sign], np.sqrt(2.0) * c[..., p == sign]) for sign in (1.0, -1.0)]
     dim = 1 + max(poles.shape[0] for poles, _ in sectors)
     if dim > DENSE_DIM_CAP:
         raise DomainError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
-    if not grid:
-        return _sectors_amplitude(sectors, onsite, time, dim)
-    amplitude = np.empty(grid, dtype=complex)
-    for rows in stacks(grid[0], sum((poles.shape[0] + 1) ** 2 for poles, _ in sectors)):
-        amplitude[rows] = _sectors_amplitude([(poles, z[rows]) for poles, z in sectors],
-                                             onsite[rows], time[rows], dim)
-    return amplitude
-
-
-def _sectors_amplitude(sectors, onsite, time, dim):
-    """endpoint_amplitude from its two parity sectors (poles, sqrt(2) c), with
-    onsite energies and times of the grid's shape, on the solver dim picks."""
-    grid = onsite.shape
     if dim > _SECULAR_MIN_DIM:
         # one loop over the two sectors of every channel, + and - in turn
-        count = math.prod(grid)
-        rows = [(poles, z.reshape(count, poles.shape[0])) for poles, z in sectors]
+        rows = [(poles, z.reshape(onsite.size, poles.shape[0])) for poles, z in sectors]
         solved = arrowhead_spectra(np.repeat(onsite.ravel(), 2),
-                                   [(poles, z[k]) for k in range(count) for poles, z in rows])
+                                   [(poles, z[k]) for k in range(onsite.size) for poles, z in rows])
         spectra = [[np.concatenate(part).reshape(grid + (-1,)) for part in zip(*solved[sign::2])]
                    for sign in (0, 1)]
     else:

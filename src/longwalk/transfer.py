@@ -10,14 +10,14 @@ the rigorous bound with its two validity flags and choose_g; the ring's
 envelope is no bound and has no flags.  A channel holds one coupling g or a
 grid of them: over a grid every per-g quantity is an array over g, computed
 in the same operations as at one g, so each grid point is that transfer's
-result bit for bit; at one g it is a numpy float64 (a float subclass).
-Only _couplings, the gate for g, and outcome, which forms the chain's
-validity flags, tell one g from a grid.
+result bit for bit; at one g it is a numpy float64 (a float subclass).  Only
+_couplings (the gate for g), outcome (the chain's validity flags) and
+_stacked (the one loop over a long grid's stacks) tell one g from a grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -81,6 +81,25 @@ def _couplings(g) -> np.float64 | np.ndarray:
     if not ok.all():
         raise DomainError(f"coupling g must be positive and finite, got {grid[~ok][0]}")
     return grid[()]
+
+
+def _stacked(g, entries: int, solve) -> TransferOutcome:
+    """solve(rows)'s outcome over the gated couplings g, each g's solve taking
+    `entries` matrix entries: one call, rows = () (every g), where g fits one
+    stack of numkit.DENSE_DIM_CAP**2 entries, else one per stack of that many
+    rows (one g at least), joined field by field: one stack at a time."""
+    step = max(1, numkit.DENSE_DIM_CAP**2 // entries)
+    if np.size(g) <= step:
+        return solve(())
+    parts = [solve(slice(start, start + step)) for start in range(0, g.shape[0], step)]
+    return TransferOutcome(*map(_join, *(vars(part).values() for part in parts)))
+
+
+def _join(first, *rest):
+    """One outcome field over the stacks: arrays and flag pairs joined, L and None kept."""
+    if isinstance(first, tuple):
+        return tuple(map(np.concatenate, zip(first, *rest)))
+    return np.concatenate((first, *rest)) if np.ndim(first) else first
 
 
 def _finite(value, name: str, g):
@@ -159,24 +178,28 @@ def outcome(channel: EndpointChannel, amplitude, bound, gap=None) -> TransferOut
 def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
     """<Y| exp(-iHT) |X> from numpy's eigh of the chain's (2l+3)-site matrix
     over (X, 0..2l, Y) at each g, as the spectral measure
-    (lambda_j, v_j[X] v_j[Y]), with the perturbative and bound fields.  The
-    matrices of a g grid are solved in stacked eigh calls, one per stack of
-    numkit.stacks (one at a single g).  Each matrix is built symmetric from
-    the chain's finite bonds and g, and l <= 1022 keeps it below
-    numkit.DENSE_DIM_CAP, so it needs no check of its own."""
-    g, times = np.atleast_1d(channel.g), np.atleast_1d(channel.T)
+    (lambda_j, v_j[X] v_j[Y]), with the perturbative and bound fields: one
+    stacked eigh per stack of _stacked on the channel's rows.  Each matrix
+    is built symmetric from the chain's finite bonds and g, and l <= 1022
+    keeps it below numkit.DENSE_DIM_CAP, so it needs no check of its own."""
     n = channel.chain.bonds.shape[0] + 3
-    amplitude = np.empty(g.shape, dtype=complex)
-    for rows in numkit.stacks(g.shape[0], n * n):
-        h = np.zeros((g[rows].shape[0], n * n))
+
+    def solve(rows):
+        part = channel if rows == () else replace(
+            channel, g=channel.g[rows], omegas=channel.omegas[rows],
+            offres_weight=channel.offres_weight[rows])
+        g, times = np.atleast_1d(part.g), np.atleast_1d(part.T)
+        h = np.zeros((g.shape[0], n * n))
         bonds = h[:, 1::n + 1]  # the superdiagonal: g, the chain's bonds, g
         bonds[:, 1:-1] = channel.chain.bonds
-        bonds[:, 0] = bonds[:, -1] = g[rows]
+        bonds[:, 0] = bonds[:, -1] = g
         h[:, n::n + 1] = bonds
         lam, v = np.linalg.eigh(h.reshape(-1, n, n))
-        amplitude[rows] = numkit.spectral_amplitude(lam, v[:, 0] * v[:, -1], times[rows])
-    return outcome(channel, amplitude, infidelity_rigorous_bound(channel),
-                   channel.energies[channel.resonant - 2])
+        amplitude = numkit.spectral_amplitude(lam, v[:, 0] * v[:, -1], times)
+        return outcome(part, amplitude, infidelity_rigorous_bound(part),
+                       channel.energies[channel.resonant - 2])
+
+    return _stacked(channel.g, n * n, solve)
 
 
 def choose_g(spectrum: chain_mod.ChannelSpectrum, epsilon_target: float) -> float:

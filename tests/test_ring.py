@@ -432,6 +432,27 @@ class TestGridIsItsPoints:
         for key in want:
             assert np.array_equal(got[key], want[key]), key
 
+    @pytest.mark.parametrize("L, cap, short, long", [
+        # 0.19 MiB over 400 couplings and 0.80 MiB over 4000 measured; 1.0 and
+        # 9.5 MiB when the per-g arrays were built for the whole grid
+        pytest.param(100, 102, 400, 4000, id="eigh-100"),
+        # 0.92 and 0.86 MiB over 10 and 300; 0.95 and 2.8 MiB whole-grid
+        pytest.param(400, 300, 10, 300, id="secular-400")])
+    def test_a_long_grid_holds_one_stack_at_a_time(self, monkeypatch, L, cap, short, long):
+        # the channel, its couplings, the amplitude and the perturbative sum
+        # are built per stack, so only the outcome's arrays over g grow
+        monkeypatch.setattr(numkit, "DENSE_DIM_CAP", cap)
+        peaks = []
+        for count in (short, long):
+            grid = np.geomspace(1e-3, 1e-2, count)
+            tracemalloc.start()
+            try:
+                ring.ring_exact_transfer(1, L, 1.0, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20, peaks
+
 
 class TestRingExactTransfer:
     @pytest.mark.parametrize("L", [100, 400])  # eigh and secular sizes

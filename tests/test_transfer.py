@@ -46,7 +46,8 @@ def solves(monkeypatch):
     """Dimensions of the chain's parity-sector solves, four per chain
     (numkit.zero_diagonal_eigenvalues), and the shapes of numpy's eigh calls
     (len() of a stack would read its size), which only exact_transfer's
-    stacks of (2l+3)-site matrices make (l = 24 here)."""
+    stacks of (2l+3)-site matrices make (l = 24 here), one call per stack
+    of transfer._stacked."""
     calls = {"sectors": [], "eigh": []}
     sector_solve, dense_solve = numkit.zero_diagonal_eigenvalues, np.linalg.eigh
     monkeypatch.setattr(numkit, "zero_diagonal_eigenvalues",
