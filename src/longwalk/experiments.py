@@ -5,16 +5,16 @@ them to CSV/JSON/SVG and the acceptance suite asserts the verdicts.
 fig2bcd judges the chain's Q scaling in its own regime branches, each with
 its statistic, tolerance and verdict.  figS2b, figS2c and
 ``ring_q2_extrapolation`` share one q2 path (``_q2_sweep``).  fig2a and
-figS2a hand their whole g grid to ``transfer.exact_transfer`` and
-``ring.ring_exact_transfer``, whose one stack loop (``transfer._stacked``)
-splits only a long grid, each point bit for bit the single transfer at its
-g.  The ring's scaling sweeps (figS2b, figS2c, figS3) compute all their
-spectra in one serial pass first.  figS2b and figS2c then fit each alpha
-serially, one small least-squares solve on known correction terms.  figS3's
-per-alpha fits run serially by default; setting LONGWALK_THREADS fans them
-out over a thread pool of that size (numpy releases the GIL inside LAPACK),
-the pool's only use.  Results are aggregated in alpha order, so output is
-identical for any thread count.
+figS2a hand their whole g grid, one channel per call, to
+``transfer.exact_transfer`` and ``ring.ring_exact_transfer``; only a long
+grid's channel is sliced into stacks (``transfer._stacked``), each point
+bit for bit the single transfer at its g.  The ring's scaling sweeps
+(figS2b, figS2c, figS3) compute all their spectra in one serial pass first.
+figS2b and figS2c then fit each alpha serially, one small least-squares
+solve on known correction terms.  figS3's per-alpha fits run serially by
+default; setting LONGWALK_THREADS fans them out over a thread pool of that
+size (numpy releases the GIL inside LAPACK), the pool's only use.  Results
+are aggregated in alpha order, so output is identical for any thread count.
 """
 
 from __future__ import annotations
@@ -169,7 +169,6 @@ def fig2a(d: int = 1, alpha_minus_d: float = -0.2, l: int = 24, g_grid=None) -> 
     ch = chain_mod.build_effective_chain(d, alpha, l)
     g_grid = np.asarray(np.geomspace(*FIG2A_G_RANGE) if g_grid is None else g_grid, dtype=float)
     spec = chain_mod.chain_spectrum(ch)  # diagonalised once; attach_endpoints reuses it
-    # the whole grid in one pass: one stacked eigh of its site matrices
     channel = transfer.attach_endpoints(ch, g_grid)
     out = transfer.exact_transfer(channel)
     eps_exact, eps_pert = out.infidelity_exact, out.infidelity_perturbative
@@ -250,7 +249,6 @@ def fig2bcd(d: int = 1, alpha_minus_d: float = 0.2, l_min: int | None = None,
 def fig_s2a(L: int = 100, alpha: float = 1.0, g_grid=None) -> dict:
     """Ring d=1 exact vs leading-order infidelity over a g sweep."""
     g_grid = np.asarray(np.geomspace(*FIGS2A_G_RANGE) if g_grid is None else g_grid, dtype=float)
-    # the whole grid in one pass: one spectrum, one solve of every g's sectors
     out = ring.ring_exact_transfer(1, L, alpha, g_grid)
     eps_exact, eps_pert = out.infidelity_exact, out.infidelity_perturbative
     return {
@@ -294,7 +292,10 @@ def fig_s2c(alphas=RING_2D_ALPHAS) -> dict:
 
 
 def fig_s3(alphas=FIGS3_ALPHAS) -> dict:
-    """Gap delta_0 and bandwidth W scaling for the d=1 ring."""
+    """Gap delta_0 and bandwidth W scaling for the d=1 ring.  delta_0 = Delta_1
+    = C p^(alpha-1) + D p^2, p = 2 pi / L (``ring_q2_target``), so its slope
+    in L is 1 - alpha below alpha = 3 and -2 above, where D p^2 dominates;
+    near alpha = 3 (p^2 ln(1/p) at 3) the fit misses both at these sizes."""
     sizes = [2**e for e in FIGS3_L_EXPONENTS]
     logL = np.log(np.asarray(sizes, float))
 
@@ -302,15 +303,15 @@ def fig_s3(alphas=FIGS3_ALPHAS) -> dict:
         alpha, summaries = job
         d0 = np.array([s.delta0 for s in summaries])
         w = np.array([s.bandwidth for s in summaries])
-        d0_slope = numkit.linear_fit(logL, np.log(d0)).slope
+        d0_slope, target = numkit.linear_fit(logL, np.log(d0)).slope, max(1.0 - alpha, -2.0)
         entry = {
             "alpha": alpha,
             "sizes": sizes,
             "delta0": d0,
             "bandwidth": w,
             "delta0_slope": d0_slope,
-            "delta0_target": 1.0 - alpha,
-            "delta0_ok": bool(abs(d0_slope - (1.0 - alpha)) <= TOLERANCES["spectral_slope"]),
+            "delta0_target": target,
+            "delta0_ok": bool(abs(d0_slope - target) <= TOLERANCES["spectral_slope"]),
         }
         if alpha == 1.0:
             # W = Theta(log L): a power-law slope is meaningless here
@@ -318,12 +319,9 @@ def fig_s3(alphas=FIGS3_ALPHAS) -> dict:
             entry["bandwidth_log_r2"] = fit.r_squared
             entry["bandwidth_ok"] = bool(fit.r_squared >= TOLERANCES["bandwidth_log_r2"])
         else:
-            w_slope = numkit.linear_fit(logL, np.log(w)).slope
-            entry["bandwidth_slope"] = w_slope
-            entry["bandwidth_target"] = max(1.0 - alpha, 0.0)
-            entry["bandwidth_ok"] = bool(
-                abs(w_slope - max(1.0 - alpha, 0.0)) <= TOLERANCES["spectral_slope"]
-            )
+            w_slope, w_target = numkit.linear_fit(logL, np.log(w)).slope, max(1.0 - alpha, 0.0)
+            entry["bandwidth_slope"], entry["bandwidth_target"] = w_slope, w_target
+            entry["bandwidth_ok"] = bool(abs(w_slope - w_target) <= TOLERANCES["spectral_slope"])
         return entry
 
     table = ring.ring_spectral_summaries(1, alphas, sizes)

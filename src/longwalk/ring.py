@@ -195,8 +195,8 @@ def _channel(model: RingModel, g, fold, q2: float) -> transfer.EndpointChannel:
     """The ring's channel at a gated coupling g or over a grid of them: the
     folded modes in the frame where the k = 0 mode sits at zero energy
     (channel -Delta_k, endpoints at -mu, the level-repulsion shift
-    sum_{k != 0} Omega_k^2 [1 - 3 p_k] / (2 Delta_k)), with
-    Omega_k = Omega sqrt(mult_k), Omega = sqrt(2) g / sqrt(N) and S = Omega^2 q2."""
+    sum_{k != 0} Omega_k^2 [1 - 3 p_k] / (2 Delta_k)), with rate
+    Omega = sqrt(2) g / sqrt(N), profile sqrt(mult_k) and S = Omega^2 q2."""
     flat, mult, parities = fold
     om, delta = np.sqrt(2.0) * g / np.sqrt(model.N), model.detunings[flat]
     with np.errstate(over="ignore"):  # mu is reported below, S where it is read
@@ -207,8 +207,8 @@ def _channel(model: RingModel, g, fold, q2: float) -> transfer.EndpointChannel:
         s = om2 * q2
     transfer._finite(mu, "level-repulsion shift mu", g)
     return transfer.EndpointChannel(
-        energies=-delta, omegas=np.multiply.outer(om, np.sqrt(mult)), parities=parities,
-        onsite=-mu, resonant=0, g=g, L=model.L, offres_weight=s)
+        energies=-delta, rate=om, profile=np.sqrt(mult), parities=parities, onsite=-mu,
+        resonant=0, g=g, L=model.L, offres_weight=s)
 
 
 def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOutcome:
@@ -223,27 +223,25 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOut
     S = 0.0936: 0.1974 against 0.1872).  So the outcome makes no validity
     claim: bound_conditions_met is None.
 
-    The spectrum, its summary and the fold (_exact_fold, cached per size) are
-    computed once; per stack of transfer._stacked, the channel (_channel) and
-    one numkit.endpoint_amplitude call on every g's sectors: joint secular
-    solve above dimension 80 (d = 1 L >= 316, d = 2 L >= 32, d = 3 L >= 16),
-    dense eigh below.  Sizes whose larger parity sector exceeds
-    numkit.DENSE_DIM_CAP (L > 16378, 250 and 68 at d = 1, 2 and 3) are
-    rejected before the spectrum is computed.
+    The spectrum, its summary, the fold (_exact_fold, cached per size) and
+    the channel (_channel, over every g) are computed once; per stack of
+    transfer._stacked, one numkit.endpoint_amplitude call on every g's
+    sectors: joint secular solve above dimension 80 (d = 1 L >= 316, d = 2
+    L >= 32, d = 3 L >= 16), dense eigh below.  Sizes whose larger parity
+    sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250 and 68 at d = 1, 2
+    and 3) are rejected before the spectrum is computed.
     """
     _validate(d, L, alpha)
     fold = _exact_fold(d, L)
     model = ring_spectrum(d, L, alpha)
-    q2 = ring_spectral_summary(model).q2
-    g = transfer._couplings(g)
+    channel = _channel(model, transfer._couplings(g), fold, ring_spectral_summary(model).q2)
+    # Omega_k / sqrt(2) as g sqrt(mult/N), without the roundoff of sqrt(2)
+    scale = np.sqrt(fold[1] / model.N)
 
-    def solve(rows):
-        channel = _channel(model, g[rows], fold, q2)
-        # Omega_k / sqrt(2) as g sqrt(mult/N), without the roundoff of sqrt(2)
-        couplings = np.multiply.outer(channel.g, np.sqrt(fold[1] / model.N))
-        amplitude = numkit.endpoint_amplitude(channel.energies, couplings, channel.parities,
-                                              channel.onsite, channel.T)
-        return transfer.outcome(channel, amplitude, transfer.small_g_envelope(channel))
+    def solve(part):
+        amplitude = numkit.endpoint_amplitude(part.energies, np.multiply.outer(part.g, scale),
+                                              part.parities, part.onsite, part.T)
+        return transfer.outcome(part, amplitude, transfer.small_g_envelope(part))
 
     entries = sum((1 + np.count_nonzero(fold[2] == p)) ** 2 for p in (1.0, -1.0))  # both sectors
-    return transfer._stacked(g, entries, solve)
+    return transfer._stacked(channel, entries, solve)

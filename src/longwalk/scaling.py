@@ -62,7 +62,13 @@ class LRExponent:
 
 def q_scaling_sweep(d: int, alpha: float, l_min: int, l_max: int) -> ScalingSeries:
     """Q(L) over an even-depth grid, from each chain's zero-mode recursion (no
-    eigensolver); a depth past ``chain.max_depth`` raises DomainError."""
+    eigensolver); DomainError names a bad depth bound before any chain is built."""
+    if np.isfinite(alpha):  # the builder names a NaN or infinite alpha
+        lmax = chain_mod.max_depth(d, alpha)
+        for name, l in (("l_min", l_min), ("l_max", l_max)):
+            if not 2 <= l <= lmax or (name == "l_min" and l % 2 != 0):
+                raise DomainError(f"{name}={l}: l must be even with 2 <= l <= {lmax} for "
+                                  f"d={d}, alpha={alpha} (deeper chains leave the float range)")
     chains = (chain_mod.build_effective_chain(d, alpha, l) for l in range(l_min, l_max + 1, 2))
     pts = [(float(ch.L), ch.q) for ch in chains]
     if not pts:

@@ -7,12 +7,12 @@ modes.  On one EndpointChannel record per protocol this module evaluates the
 leading-order infidelity and the small-g envelope and assembles the outcome;
 for the chain also the exact transfer (its site matrix's spectral measure),
 the rigorous bound with its two validity flags and choose_g; the ring's
-envelope is no bound and has no flags.  A channel holds one coupling g or a
-grid of them: over a grid every per-g quantity is an array over g, computed
-in the same operations as at one g, so each grid point is that transfer's
-result bit for bit; at one g it is a numpy float64 (a float subclass).  Only
-_couplings (the gate for g), outcome (the chain's validity flags) and
-_stacked (the one loop over a long grid's stacks) tell one g from a grid.
+envelope is no bound and has no flags.  A channel holds one g or a grid of
+them, Omega_k as a per-g rate times a per-mode profile; each per-g quantity
+is a numpy float64 at one g and an array over a grid, computed alike, so a
+grid point is that transfer bit for bit.  Only _couplings (the gate for g),
+outcome (the chain's flags) and _stacked (the one stack loop, the one place
+that slices a channel) tell one g from a grid.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from .errors import DomainError
 @dataclass(frozen=True)
 class EndpointChannel:
     """What the endpoints X and Y see: the channel modes in the frame where the
-    resonant mode sits at zero energy.  X couples to mode k with
-    Omega_k / sqrt(2), Y with p_k Omega_k / sqrt(2).  At one coupling g the
-    per-g fields are numpy float64 scalars; over a grid of G couplings they
-    are arrays over g, and omegas is (G, modes)."""
+    resonant mode sits at zero energy.  X couples to mode k with Omega_k / sqrt(2),
+    Y with p_k Omega_k / sqrt(2).  The per-g fields (g, rate, S, the ring's onsite)
+    are numpy float64 at one g and arrays over a grid of G; no field is (G, modes)."""
 
     energies: np.ndarray  # E_k, E_resonant = 0
-    omegas: np.ndarray  # Omega_k, the Rabi couplings to the mode pairs
+    rate: np.float64 | np.ndarray  # per g: chain sqrt(2) g, ring sqrt(2) g / sqrt(N)
+    profile: np.ndarray  # per mode: chain t_k^(0), ring sqrt(mult_k); Omega_k = rate profile_k
     parities: np.ndarray  # p_k = +-1, relative to the resonant mode
     onsite: float | np.ndarray  # the endpoints' on-site energy
     resonant: int  # index of the resonant mode
@@ -45,12 +45,17 @@ class EndpointChannel:
     offres_weight: np.float64 | np.ndarray  # S = sum_{k != res} Omega_k^2/E_k^2, from the protocol's closed form
     chain: chain_mod.EffectiveChain | None = None  # the chain's bonds, for its dense exact step
 
+    @property
+    def omegas(self) -> np.ndarray:  # Omega_k: (modes,) at one g, (G, modes) over a grid
+        return np.multiply.outer(self.rate, self.profile)
+
     @cached_property
     def T(self) -> np.float64 | np.ndarray:
         """pi / Omega_res, computed once; ArithmeticError if it overflows
         (Omega_res underflows to 0 at a subnormal g)."""
         with np.errstate(divide="ignore", over="ignore"):  # checked by _finite
-            return _finite(np.pi / self.omegas[..., self.resonant], "transfer time", self.g)
+            return _finite(np.pi / (self.rate * self.profile[self.resonant]), "transfer time",
+                           self.g)
 
 
 @dataclass(frozen=True)
@@ -83,15 +88,17 @@ def _couplings(g) -> np.float64 | np.ndarray:
     return grid[()]
 
 
-def _stacked(g, entries: int, solve) -> TransferOutcome:
-    """solve(rows)'s outcome over the gated couplings g, each g's solve taking
-    `entries` matrix entries: one call, rows = () (every g), where g fits one
-    stack of numkit.DENSE_DIM_CAP**2 entries, else one per stack of that many
-    rows (one g at least), joined field by field: one stack at a time."""
+def _stacked(channel: EndpointChannel, entries: int, solve) -> TransferOutcome:
+    """solve(part)'s outcome over the channel's g, each g's solve taking `entries`
+    matrix entries: solve(channel) where every g fits one stack of
+    numkit.DENSE_DIM_CAP**2 entries, else one solve per stack of that many g (one
+    at least) on the channel's per-g fields cut to it, joined field by field."""
     step = max(1, numkit.DENSE_DIM_CAP**2 // entries)
-    if np.size(g) <= step:
-        return solve(())
-    parts = [solve(slice(start, start + step)) for start in range(0, g.shape[0], step)]
+    if np.size(channel.g) <= step:
+        return solve(channel)
+    per_g = {k: getattr(channel, k) for k in ("g", "rate", "offres_weight", "onsite")}
+    parts = [solve(replace(channel, **{k: v[i:i + step] for k, v in per_g.items() if np.ndim(v)}))
+             for i in range(0, channel.g.shape[0], step)]
     return TransferOutcome(*map(_join, *(vars(part).values() for part in parts)))
 
 
@@ -114,7 +121,7 @@ def attach_endpoints(chain: chain_mod.EffectiveChain, g) -> EndpointChannel:
     """The chain's channel at a coupling g or over a grid of them: its
     spectrum, whose zero mode k = l is the resonant one (l is even, so the
     parities (-1)^k are relative to it), with Omega_k = sqrt(2) g t_k^(0)
-    and S = 2 (g t_l^(0) Q)^2."""
+    (rate sqrt(2) g, profile t_k^(0)) and S = 2 (g t_l^(0) Q)^2."""
     g = _couplings(g)
     spectrum = chain_mod.chain_spectrum(chain)
     with np.errstate(over="ignore"):  # an overflow is reported where S is read
@@ -122,8 +129,7 @@ def attach_endpoints(chain: chain_mod.EffectiveChain, g) -> EndpointChannel:
         # rounds some values the other way
         s = 2.0 * np.float_power(g * spectrum.t_l_0 * chain.q, 2)
     return EndpointChannel(
-        energies=spectrum.energies,
-        omegas=np.multiply.outer(np.sqrt(2.0) * g, spectrum.endpoint_amplitudes),
+        energies=spectrum.energies, rate=np.sqrt(2.0) * g, profile=spectrum.endpoint_amplitudes,
         parities=spectrum.parities, onsite=0.0, resonant=chain.l, g=g, L=chain.L,
         offres_weight=s, chain=chain)
 
@@ -165,7 +171,8 @@ def outcome(channel: EndpointChannel, amplitude, bound, gap=None) -> TransferOut
     fidelity = np.float_power(np.hypot(amplitude.real, amplitude.imag), 2)
     flags = None
     if gap is not None:
-        flags = (gap >= 4.0 * channel.omegas[..., channel.resonant], channel.offres_weight < 0.75)
+        flags = (gap >= 4.0 * (channel.rate * channel.profile[channel.resonant]),
+                 channel.offres_weight < 0.75)
         if not np.ndim(channel.g):
             flags = tuple(map(bool, flags))
     return TransferOutcome(
@@ -179,15 +186,12 @@ def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
     """<Y| exp(-iHT) |X> from numpy's eigh of the chain's (2l+3)-site matrix
     over (X, 0..2l, Y) at each g, as the spectral measure
     (lambda_j, v_j[X] v_j[Y]), with the perturbative and bound fields: one
-    stacked eigh per stack of _stacked on the channel's rows.  Each matrix
+    stacked eigh per stack of _stacked, on the stack's channel.  Each matrix
     is built symmetric from the chain's finite bonds and g, and l <= 1022
     keeps it below numkit.DENSE_DIM_CAP, so it needs no check of its own."""
     n = channel.chain.bonds.shape[0] + 3
 
-    def solve(rows):
-        part = channel if rows == () else replace(
-            channel, g=channel.g[rows], omegas=channel.omegas[rows],
-            offres_weight=channel.offres_weight[rows])
+    def solve(part):
         g, times = np.atleast_1d(part.g), np.atleast_1d(part.T)
         h = np.zeros((g.shape[0], n * n))
         bonds = h[:, 1::n + 1]  # the superdiagonal: g, the chain's bonds, g
@@ -199,7 +203,7 @@ def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
         return outcome(part, amplitude, infidelity_rigorous_bound(part),
                        channel.energies[channel.resonant - 2])
 
-    return _stacked(channel.g, n * n, solve)
+    return _stacked(channel, n * n, solve)
 
 
 def choose_g(spectrum: chain_mod.ChannelSpectrum, epsilon_target: float) -> float:

@@ -441,6 +441,19 @@ class TestSweepCommand:
         assert "2 <= l <= 1022 for d=1, alpha=1.5" in res.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bounds, named", [
+        (["--l-min", "9", "--l-max", "20"], "l_min=9: l must be even with 2 <= l <= 1022"),
+        (["--l-max", "1024"], "l_max=1024: l must be even with 2 <= l <= 1022")],
+        ids=["odd-l-min", "l-max-past-the-float-range"])
+    def test_fig2bcd_names_the_depth_bound_at_fault(self, tmp_path, bounds, named):
+        # both bounds are checked before any chain is built; the first chain
+        # that failed named only its depth ("got 9", "got 1024")
+        res = run_cli(["sweep", "--experiment", "fig2bcd", *bounds,
+                       "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
+        assert res.returncode == 3
+        assert f"error: {named} for d=1, alpha=1.2 " in res.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_figs3_bandwidth_log_fit(self, tmp_path):
         res = run_cli(
             ["sweep", "--experiment", "figS3", "--alpha", "1",

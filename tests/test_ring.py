@@ -315,6 +315,18 @@ class TestRingSpectralSummary:
             assert s.q2 >= (model.N - 1) / s.bandwidth**2
 
 
+class TestFigS3GapTarget:
+    """delta_0 = C p^(alpha-1) + D p^2 with p = 2 pi / L: above alpha = 3 the
+    D p^2 term dominates, so fig_s3's gap target is -2 there, not 1 - alpha
+    (a slope of -1.982 at alpha = 3.5 failed against -2.5)."""
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.0, 6.0, math.inf])
+    def test_the_gap_falls_as_L_to_the_minus_two_above_alpha_three(self, alpha):
+        (entry,) = experiments.fig_s3(alphas=(alpha,))["results"]
+        assert entry["delta0_target"] == -2.0
+        assert entry["delta0_ok"], entry["delta0_slope"]
+
+
 class TestQ2Scaling:
     """The d=1 q2 exponent from the detunings alone, without the
     finite-size extrapolator: Delta_k ~ C_alpha (2 pi k / L)^(alpha-1) at

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,24 @@ class TestAttachEndpoints:
         # uniform 5-site zero mode (1,0,-1,0,1)/sqrt(3): endpoint 1/sqrt(3)
         expect = np.sqrt(2) * 0.1 / np.sqrt(3)
         assert abs(model.omegas[2] - expect) <= 1e-14
+
+    def test_a_grid_holds_no_array_over_couplings_and_modes(self):
+        # d = 1 alpha = 1 l = 1022 passes the precision guard (a = 1), and its
+        # 2045 modes would take 16 KiB per coupling in a (G, modes) array
+        # (31.4 and 312.5 MiB measured when omegas was a field); the per-g
+        # fields take 0.2 and 0.3 MiB
+        ch = chain.build_effective_chain(1, 1.0, 1022)
+        chain.chain_spectrum(ch)  # cached on the chain, computed before the count
+        peaks = []
+        for count in (2000, 20000):
+            grid = np.geomspace(1e-6, 1e-4, count)
+            tracemalloc.start()
+            try:
+                transfer.attach_endpoints(ch, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20, peaks
 
     def test_rejects_nonpositive_g(self):
         ch = chain.build_effective_chain(1, 1.0, 2)
