@@ -9,8 +9,8 @@ is bipartite, so Q and the zero mode both come from O(l) recursions.  The
 spectrum comes from the reflection-parity sectors, zero-diagonal
 tridiagonals whose eigenvalues numkit takes by dqds to high relative
 accuracy, with the endpoint weights from two interlacing spectra: no
-eigenvector is computed.  Chains go to the float range (``max_depth``);
-only the spectrum applies the precision guard the dense exact transfer needs.
+eigenvector is computed.  Chains and their spectra go to the float range
+(``max_depth``); only the dense exact transfer applies the precision guard.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from . import numkit
-from .errors import DomainError, PrecisionGuardError
+from .errors import DomainError
 
 EPS = 2.0**-52
 # an absolute eigensolver error ~eps*||H|| must stay 1000x below the smallest
-# gap.  The spectrum's error is relative, so it needs no guard; chain_spectrum
-# applies it for the dense exact transfer (eigh on the (2l+3)-site matrix)
+# gap.  The spectrum's error is relative, so it needs no guard; only
+# transfer.exact_transfer (eigh on the (2l+3)-site matrix) applies it
 GUARD_THRESHOLD = 1e-3
 
 
@@ -126,15 +126,7 @@ def _eps_gap(chain: EffectiveChain) -> float:
 
 def chain_spectrum(chain: EffectiveChain) -> ChannelSpectrum:
     """The channel eigensystem, computed on the first call for each chain and
-    then returned from it (its arrays are read-only).  Every transfer path
-    reads it, so it applies the precision guard (PrecisionGuardError)."""
-    if not _guard_ok(chain.a, chain.l):
-        lmax = max_admissible_l(chain.d, chain.alpha)
-        raise PrecisionGuardError(
-            f"depth l={chain.l} fails the precision guard for d={chain.d}, "
-            f"alpha={chain.alpha} (a=2^{chain.d - chain.alpha:g}); maximal admissible l is {lmax}",
-            max_admissible_l=lmax,
-        )
+    then returned from it (its arrays are read-only), at any depth."""
     return ChannelSpectrum(chain, *chain._eigensystem)
 
 

@@ -75,8 +75,10 @@ def _chain_spectrum_out(ch: chain_mod.EffectiveChain):
     table = (stem, ["k", "E_k", "t_k_0", "parity"],
              [np.arange(spec.energies.shape[0]), spec.energies, spec.endpoint_amplitudes,
               spec.parities])
+    # weights that numkit.jacobi_endpoint_weights cannot resolve read 0 in the CSV
     fields = {"L": ch.L, "Q": report.q, "t_l_0": report.t_endpoint_zero_mode,
-              "min_gap": report.min_gap}
+              "min_gap": report.min_gap,
+              "unresolved_weights": int(np.count_nonzero(spec.endpoint_amplitudes == 0.0))}
     return stem, [table], None, fields
 
 

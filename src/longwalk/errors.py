@@ -10,8 +10,8 @@ class RegimeError(ValueError):
 
 
 class PrecisionGuardError(DomainError):
-    """Chain too deep for its spectrum and dense exact transfer: an absolute
-    eigensolver error would not stay 1000x below the smallest physical gap.
+    """Chain too deep for the dense exact transfer: its eigensolver's absolute
+    error would not stay 1000x below the smallest physical gap.
 
     Carries ``max_admissible_l``, the largest even depth that passes.
     """

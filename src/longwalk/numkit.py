@@ -202,10 +202,10 @@ def arrowhead_spectra(onsite, sectors) -> list[tuple[np.ndarray, np.ndarray]]:
     per-sweep cost is paid once for all of them; each result is bit for bit
     that of the sector alone.
 
-    Couplings |z_k| <= 8 eps max(|onsite|, |poles|, ||z||), at most
-    8 eps ||H||, are deflated: their pole is an eigenvalue of weight 0.  So
-    are poles within that distance of the next one, after a Givens rotation
-    merges the pair's couplings into one.  The remaining poles
+    Deflation is relative to each pole.  A coupling |z_k| <= 8 eps |d_k -
+    onsite| is dropped: its pole is an eigenvalue of weight 0.  So is a pole
+    within 8 eps max(|d_i|, |d_{i+1}|) of the next one, after a Givens
+    rotation merges the pair's couplings into one.  The remaining poles
     d_1 < ... < d_m give m + 1 roots of the secular equation
     f(x) = x - onsite + sum_k z_k^2 / (d_k - x), one below d_1, one in each
     gap and one above d_m.  Each root is kept as its nearer pole plus an
@@ -255,14 +255,13 @@ def _deflate(onsite: float, d: np.ndarray, z: np.ndarray):
                        np.max(np.abs(z), initial=0.0)))[1]
     a, order = math.ldexp(onsite, -e), np.argsort(d, kind="stable")
     d, z = np.ldexp(d[order], -e), np.ldexp(z[order], -e)
-    # max(|a|, |d_k|, ||z||) <= ||H||
-    tol = 8.0 * np.finfo(float).eps * max(abs(a), np.max(np.abs(d), initial=0.0),
-                                          float(np.linalg.norm(z)))
-    keep = np.abs(z) > tol
+    tol = 8.0 * np.finfo(float).eps  # relative to each pole (see arrowhead_spectra)
+    keep = np.abs(z) > tol * np.abs(d - a)
     deflated = [d[~keep]]
     d, z2 = d[keep], z[keep] ** 2
-    for i in np.flatnonzero(np.diff(d) <= tol):
-        if d[i + 1] - d[i] <= tol:  # an earlier merge may have moved d[i + 1]
+    for i in np.flatnonzero(np.diff(d) <= tol * np.maximum(np.abs(d[:-1]), np.abs(d[1:]))):
+        # an earlier merge may have moved d[i + 1]
+        if d[i + 1] - d[i] <= tol * max(abs(d[i]), abs(d[i + 1])):
             r2 = z2[i] + z2[i + 1]
             gap = d[i + 1] - d[i]
             d[i], d[i + 1] = d[i] + z2[i] / r2 * gap, d[i] + z2[i + 1] / r2 * gap

@@ -5,14 +5,15 @@ mode, the ring's k = 0 mode) into a bus; evolution for T = pi / Omega_res
 swaps the endpoint populations up to the infidelity of the off-resonant
 modes.  On one EndpointChannel record per protocol this module evaluates the
 leading-order infidelity and the small-g envelope and assembles the outcome;
-for the chain also the exact transfer (its site matrix's spectral measure),
-the rigorous bound with its two validity flags and choose_g; the ring's
-envelope is no bound and has no flags.  A channel holds one g or a grid of
-them, Omega_k as a per-g rate times a per-mode profile; each per-g quantity
-is a numpy float64 at one g and an array over a grid, computed alike, so a
-grid point is that transfer bit for bit.  Only _couplings (the gate for g),
-outcome (the chain's flags) and _stacked (the one stack loop, the one place
-that slices a channel) tell one g from a grid.
+for the chain also the exact transfer (its site matrix's spectral measure,
+the one step behind the precision guard), the rigorous bound with its two
+validity flags and choose_g; the ring's envelope is no bound and has no
+flags.  A channel holds one g or a grid of them, Omega_k as a per-g rate times
+a per-mode profile; each per-g quantity is a numpy float64 at one g and an
+array over a grid, computed alike, so a grid point is that transfer bit for
+bit.  Only _couplings (the gate for g), outcome (the chain's flags) and
+_stacked (the one stack loop, the one place that slices a channel) tell one g
+from a grid.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import numkit, scaling
-from .errors import DomainError
+from .errors import DomainError, PrecisionGuardError
 
 
 @dataclass(frozen=True)
@@ -188,14 +189,21 @@ def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
     (lambda_j, v_j[X] v_j[Y]), with the perturbative and bound fields: one
     stacked eigh per stack of _stacked, on the stack's channel.  Each matrix
     is built symmetric from the chain's finite bonds and g, and l <= 1022
-    keeps it below numkit.DENSE_DIM_CAP, so it needs no check of its own."""
-    n = channel.chain.bonds.shape[0] + 3
+    keeps it below numkit.DENSE_DIM_CAP.  Its absolute error eps ||H|| must stay
+    1000x below the smallest gap: past that guard, PrecisionGuardError."""
+    ch = channel.chain
+    if not chain_mod._guard_ok(ch.a, ch.l):
+        lmax = chain_mod.max_admissible_l(ch.d, ch.alpha)
+        raise PrecisionGuardError(f"depth l={ch.l} fails the precision guard for d={ch.d}, alpha="
+                                  f"{ch.alpha} (a=2^{ch.d - ch.alpha:g}); maximal admissible l is "
+                                  f"{lmax}", max_admissible_l=lmax)
+    n = ch.bonds.shape[0] + 3
 
     def solve(part):
         g, times = np.atleast_1d(part.g), np.atleast_1d(part.T)
         h = np.zeros((g.shape[0], n * n))
         bonds = h[:, 1::n + 1]  # the superdiagonal: g, the chain's bonds, g
-        bonds[:, 1:-1] = channel.chain.bonds
+        bonds[:, 1:-1] = ch.bonds
         bonds[:, 0] = bonds[:, -1] = g
         h[:, n::n + 1] = bonds
         lam, v = np.linalg.eigh(h.reshape(-1, n, n))

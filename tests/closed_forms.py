@@ -47,3 +47,25 @@ def ring_sector(d: int, L: int) -> int:
     values k_i <= L/2 are even and b are odd."""
     a, b = L // 4 + 1, (L // 2 + 1) // 2
     return 1 + (a if d == 1 else a * (a + 1) // 2 + b * (b + 1) // 2)
+
+
+def ring_delta0(alpha: float, L: int) -> float:
+    """The d = 1 ring's gap delta_0 = Delta_1 = sum_{r=1}^{L-1} m_r^-alpha
+    (1 - cos 2 pi r / L), m_r = min(r, L - r), for alpha > 1: the sum over
+    the whole half-line, 2 [zeta(alpha) - Re Li_alpha(e^{2 pi i / L})], less
+    its tail past L/2 by Euler-Maclaurin, 2 I_alpha L^(1-alpha) with
+    I_alpha = int_{1/2}^inf u^-alpha (1 - cos 2 pi u) du, which leaves a
+    relative remainder of order L^-2.  At alpha = inf only the nearest
+    neighbours couple, and delta_0 = 2 (1 - cos 2 pi / L) exactly."""
+    import mpmath
+
+    mp = mpmath.mp
+    with mp.workdps(30):
+        if alpha == np.inf:
+            return float(2 * (1 - mpmath.cospi(mp.mpf(2) / L)))
+        a = mp.mpf(alpha)
+        # int_{1/2}^inf u^-a cos(2 pi u) du = Re (-2 pi i)^(a-1) Gamma(1 - a, -i pi)
+        cos_part = ((-2j * mp.pi) ** (a - 1) * mpmath.gammainc(1 - a, -1j * mp.pi)).real
+        tail = mp.mpf(2) ** (a - 1) / (a - 1) - cos_part
+        whole = mpmath.zeta(a) - mpmath.polylog(a, mpmath.expjpi(mp.mpf(2) / L)).real
+        return float(2 * whole - 2 * tail * mp.mpf(L) ** (1 - a))

@@ -68,6 +68,9 @@ RUNS = {
     "transfer-ring-d1-L2000": (
         "transfer --protocol ring --d 1 --alpha 1 --L 2000 --g 1.01", None),
     "figS2a-L400": ("sweep --experiment figS2a --L 400", None),
+    # a chain spectrum past the precision guard, which stops the dense exact
+    # transfer at l = 210 here: 566 of its 601 weights read 0, unresolved
+    "chain-spectrum-past-guard": ("chain-spectrum --d 1 --alpha 0.8 --l 300", None),
     # known wrong: kept so that their fixes show as diffs (ROADMAP items 13, 16)
     "transfer-chain-guard-edge": (
         "transfer --protocol chain --d 1 --alpha 0.5 --l 84 --epsilon 0.01",

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from longwalk import chain, numkit, scaling
+from longwalk import chain, numkit, scaling, transfer
 from longwalk.errors import DomainError, PrecisionGuardError
 
 from closed_forms import uniform_chain_analytic, zero_mode, zero_mode_analytic
+
+
+def dense_transfer(ch):
+    """The dense exact transfer of chain ch at g = 1e-3, the one step that
+    applies the precision guard."""
+    return transfer.exact_transfer(transfer.attach_endpoints(ch, 1e-3))
 
 
 def chain_matrix(ch):
@@ -88,19 +94,20 @@ class TestBuildEffectiveChain:
 
     def test_precision_guard_rejects_deep_growing_chain(self):
         # d=3, alpha=1.5: a = 2^1.5, a^(l-1) = 2^88.5 at l=60 drowns the unit
-        # gap in the spectrum's guard; the chain itself builds
+        # gap in the dense exact transfer's guard; the chain and its spectrum
+        # build
         ch = chain.build_effective_chain(3, 1.5, 60)
         with pytest.raises(PrecisionGuardError) as err:
-            chain.chain_spectrum(ch)
+            dense_transfer(ch)
         assert err.value.max_admissible_l >= 2
         assert str(err.value.max_admissible_l) in str(err.value)
 
     def test_guard_reports_max_admissible_depth(self):
         lmax = chain.max_admissible_l(1, 1.8)  # a = 2^-0.8
         assert lmax % 2 == 0
-        chain.chain_spectrum(chain.build_effective_chain(1, 1.8, lmax))
+        dense_transfer(chain.build_effective_chain(1, 1.8, lmax))
         with pytest.raises(PrecisionGuardError):
-            chain.chain_spectrum(chain.build_effective_chain(1, 1.8, lmax + 2))
+            dense_transfer(chain.build_effective_chain(1, 1.8, lmax + 2))
 
     @pytest.mark.parametrize("d, alpha, lmax", [
         (1, 1.0, 1022), (1, 1.8, 1022), (1, 0.5, 1022), (3, 1.5, 682), (1, 3.0, 512),
@@ -194,10 +201,9 @@ class TestChainSpectrum:
             for alpha in (0.5, 1.0, 1.5, 1.9, 2.5):
                 for l in (2, 4, 10, 24, 46, 64, 84, 100):
                     ch = chain.build_effective_chain(d, alpha, l)
-                    try:
-                        spec = chain.chain_spectrum(ch)
-                    except PrecisionGuardError:
+                    if not chain._guard_ok(ch.a, ch.l):  # the dense oracle strays there
                         continue
+                    spec = chain.chain_spectrum(ch)
                     energies, amp, parities = loop_assembly(ch)
                     assert spec.parities.tobytes() == parities.tobytes(), (d, alpha, l)
                     assert not np.any(np.signbit(spec.endpoint_amplitudes)), (d, alpha, l)
@@ -442,10 +448,10 @@ class TestGuardEdgeAccuracy:
 
 
 class TestSpectrumAccuracy:
-    """The chain's solver (``chain._diagonalise``, which chain_spectrum runs
-    once the guard passes) against 80-digit mpmath solves of the same parity
-    sectors, inside the precision guard, at its edge and past it, the zero
-    mode excluded from the relative checks.
+    """The chain's solver (``chain._diagonalise``, behind chain_spectrum)
+    against 80-digit mpmath solves of the same parity sectors, inside the
+    precision guard, at its edge and past it, the zero mode excluded from
+    the relative checks.
 
     For a > 1 (alpha < d), the modes in the chain's middle have weights
     below 1e-17 that the weights formula cannot resolve and sets to 0: every
@@ -544,11 +550,11 @@ class TestQRecursion:
         assert abs(ch.q / float(mp_bordered_q(ch)) - 1.0) <= 1e-14
 
     def test_past_the_guard(self):
-        # the guard stops the spectrum at l = 28 for d=3 alpha=1.5; the
-        # recursion does not need it
+        # the guard stops the dense exact transfer at l = 28 for d=3
+        # alpha=1.5; the recursion does not need it
         ch = chain.build_effective_chain(3, 1.5, 36)
         with pytest.raises(PrecisionGuardError):
-            chain.chain_spectrum(ch)
+            dense_transfer(ch)
         assert abs(ch.q / float(mp_bordered_q(ch)) - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("d, alpha, l", [

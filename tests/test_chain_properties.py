@@ -48,7 +48,7 @@ def chains_past_the_guard(draw):
 @hypothesis.settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @hypothesis.given(chains_past_the_guard())
 def test_spectrum_sum_rules_and_mirror_symmetry(ch):
-    # chain._diagonalise is the solver chain_spectrum runs once its guard passes
+    # chain._diagonalise is the solver behind chain_spectrum
     e, t, _ = chain._diagonalise(ch)
     l = ch.l
     # the endpoint's weights over all modes: ||e_0||^2 = 1

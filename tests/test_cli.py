@@ -101,12 +101,27 @@ class TestChainSpectrumCommand:
         assert res.stderr == "error: chain-spectrum requires --l\n"
 
     def test_precision_guard_exit_3(self, tmp_path):
+        # the guard binds the dense exact transfer only
         res = run_cli(
-            ["chain-spectrum", "--d", "3", "--alpha", "1.5", "--l", "60",
-             "--out-dir", str(tmp_path)], cwd=tmp_path,
+            ["transfer", "--protocol", "chain", "--d", "3", "--alpha", "1.5", "--l", "60",
+             "--out-dir", str(tmp_path / "out")], cwd=tmp_path,
         )
         assert res.returncode == 3
-        assert "maximal admissible l" in res.stderr
+        assert "maximal admissible l is 28" in res.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_spectrum_past_the_guard(self, tmp_path):
+        # dqds and interlacing keep each value's relative accuracy past the
+        # guard; the weights they cannot resolve read 0 and are counted
+        res = run_cli(
+            ["chain-spectrum", "--d", "3", "--alpha", "1.5", "--l", "60",
+             "--out-dir", str(tmp_path), "--reproducible"], cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        payload = json.loads((tmp_path / "chain_spectrum_d3_a1.5_l60.json").read_text())
+        rows = (tmp_path / "chain_spectrum_d3_a1.5_l60.csv").read_text().splitlines()[2:]
+        zeros = sum(float(row.split(",")[2]) == 0.0 for row in rows)
+        assert payload["unresolved_weights"] == zeros > 0  # 108 of 121 on AVX2 and AVX-512
 
 
 class TestTransferCommand:
@@ -419,7 +434,8 @@ class TestSweepCommand:
 
     def test_fig2bcd_writes_depths_past_the_guard(self, tmp_path):
         # at alpha = 1.8 the precision guard admits l <= 52 only, for the
-        # spectrum; Q needs none, so all 39 depths 4, 6, ..., 80 are written
+        # dense exact transfer; Q needs none, so all 39 depths 4, 6, ..., 80
+        # are written
         res = run_cli(
             ["sweep", "--experiment", "fig2bcd", "--alpha-minus-d", "0.8",
              "--l-max", "80", "--out-dir", str(tmp_path), "--reproducible"], cwd=tmp_path,
@@ -443,15 +459,17 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("bounds, named", [
         (["--l-min", "9", "--l-max", "20"], "l_min=9: l must be even with 2 <= l <= 1022"),
-        (["--l-max", "1024"], "l_max=1024: l must be even with 2 <= l <= 1022")],
-        ids=["odd-l-min", "l-max-past-the-float-range"])
+        (["--l-max", "1024"], "l_max=1024: l must be even with 2 <= l <= 1022"),
+        (["--l-min", "40", "--l-max", "20"], "no depths in [40, 20]")],
+        ids=["odd-l-min", "l-max-past-the-float-range", "empty-range"])
     def test_fig2bcd_names_the_depth_bound_at_fault(self, tmp_path, bounds, named):
         # both bounds are checked before any chain is built; the first chain
         # that failed named only its depth ("got 9", "got 1024")
         res = run_cli(["sweep", "--experiment", "fig2bcd", *bounds,
                        "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
         assert res.returncode == 3
-        assert f"error: {named} for d=1, alpha=1.2 " in res.stderr
+        # alpha=1.2 ends the message or is followed by more
+        assert f"error: {named} for d=1, alpha=1.2 " in res.stderr.replace("\n", " ")
         assert not (tmp_path / "out").exists()
 
     def test_figs3_bandwidth_log_fit(self, tmp_path):
@@ -527,6 +545,14 @@ class TestSweepCommand:
         assert payload["relative_ok"] is True
         assert payload["envelope_ok"] is True
         assert (tmp_path / "fig2a.svg").read_text().startswith("<svg")
+
+    def test_fig2a_past_the_guard_exit_3(self, tmp_path, capsys):
+        # its spectrum runs at l = 300; the dense exact transfer stops at 210
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--experiment", "fig2a", "--l", "300",
+                         "--out-dir", str(out)]) == 3
+        assert "maximal admissible l is 210" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_thread_count_does_not_change_output(self, tmp_path):
         # figS3's per-alpha fits, three at its default alphas, are the thread

@@ -10,7 +10,7 @@ from longwalk import experiments, numkit, ring, transfer
 from longwalk.errors import DomainError
 
 import chebyshev_oracle
-from closed_forms import ring_sector
+from closed_forms import ring_delta0, ring_sector
 from site_oracle import evolve
 from test_transfer import assert_grid_is_its_points
 
@@ -348,6 +348,22 @@ class TestQ2Scaling:
             for L in (2**14, 2**17):
                 scaled = L ** (a - 1) * ring.ring_spectrum(1, L, a).detunings[k]
                 assert abs(scaled / f - 1.0) <= 2e-3, (k, L)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.4, 1.8, 2.5, 3.5, 5.0, math.inf])
+    def test_gap_matches_its_closed_form(self, alpha):
+        # delta0 against closed_forms.ring_delta0 at figS3's sizes and at
+        # 2^17, for alpha on both sides of 3/2 and of 3: within L^-2 (its
+        # Euler-Maclaurin remainder, 0.2-0.43 L^-2 below alpha = 3) plus 8 eps
+        # E_0 / delta0, what E_0 - E_1 loses to cancellation (E_0 <= 2
+        # zeta(alpha)); at 2^17 and alpha >= 3.5 the latter is the larger
+        mpmath = pytest.importorskip("mpmath")
+        e0 = 2.0 if alpha == math.inf else 2.0 * float(mpmath.zeta(alpha))
+        remainder = 0.0 if alpha == math.inf else 1.0
+        for L in [2**e for e in experiments.FIGS3_L_EXPONENTS] + [2**17]:
+            delta0 = ring.ring_spectral_summary(ring.ring_spectrum(1, L, alpha)).delta0
+            exact = ring_delta0(alpha, L)
+            bound = remainder / L**2 + 8.0 * np.finfo(float).eps * e0 / exact
+            assert abs(delta0 / exact - 1.0) <= bound, (L, delta0, exact)
 
     def test_detuning_approaches_polylog_term_as_k_grows(self):
         a, L = self.ALPHA, 2**17

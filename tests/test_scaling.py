@@ -23,6 +23,8 @@ class TestLocalExponents:
             scaling.local_exponents(Ls, Ls, window=2)
         with pytest.raises(DomainError):
             scaling.local_exponents(Ls, Ls, window=6)
+        with pytest.raises(DomainError, match="sorted by increasing size"):
+            scaling.local_exponents(Ls[::-1], Ls, window=3)
 
     def test_count(self):
         Ls = np.geomspace(1, 100, 9)
@@ -281,8 +283,8 @@ class TestLrExponent:
 
 class TestQScalingSweep:
     def test_depths_past_the_guard_are_kept(self):
-        # the precision guard stops alpha = 1.8's spectrum at l = 52; Q needs
-        # no spectrum, so the sweep keeps every depth
+        # the precision guard stops alpha = 1.8's dense exact transfer at
+        # l = 52; Q needs no spectrum, so the sweep keeps every depth
         series = scaling.q_scaling_sweep(1, 1.8, 4, 80)
         np.testing.assert_array_equal(series.sizes, [3.0 * 2**l - 2 for l in range(4, 81, 2)])
         assert np.all(np.isfinite(series.values)) and np.all(series.values > 0)

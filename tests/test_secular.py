@@ -1,9 +1,10 @@
 """The O(n^2) arrowhead solver (numkit.arrowhead_spectra) and the kernel
 that sends both parity sectors of a transfer to it when the larger is
-above the crossover: against 40-digit mpmath on hard arrowheads, against
-numpy's eigh around the crossover and at large n, its secular sums against
-a long-double sum and its end-root brackets against eigh, and property
-tests of endpoint_amplitude on both sides of the crossover."""
+above the crossover: against 40- and 60-digit mpmath on hard and graded
+arrowheads, against numpy's eigh around the crossover and at large n, its
+secular sums against a long-double sum and its end-root brackets against
+eigh, and property tests of endpoint_amplitude on both sides of the
+crossover."""
 
 import math
 
@@ -58,6 +59,19 @@ HARD_ARROWHEADS = {
 }
 
 
+def mp_arrowhead(mp, onsite, poles, couplings):
+    """Oracle: the (eigenvalue, weight v_j[0]^2) pairs of the arrowhead,
+    ascending, from mp.eigsy at mp's working precision."""
+    n = len(poles) + 1
+    h = mp.matrix(n, n)
+    h[0, 0] = mp.mpf(onsite)
+    for k in range(1, n):
+        h[k, k] = mp.mpf(poles[k - 1])
+        h[0, k] = h[k, 0] = mp.mpf(couplings[k - 1])
+    values, vectors = mp.eigsy(h)
+    return sorted((values[j], vectors[0, j] ** 2) for j in range(n))
+
+
 class TestAgainstMpmath:
     @pytest.mark.parametrize("size", [1.0, 1e-200, 1e200])
     @pytest.mark.parametrize("case", sorted(HARD_ARROWHEADS))
@@ -65,21 +79,29 @@ class TestAgainstMpmath:
         mp = pytest.importorskip("mpmath").mp
         onsite, poles, couplings = HARD_ARROWHEADS[case]
         onsite, poles, couplings = onsite * size, np.array(poles) * size, np.array(couplings) * size
-        n = poles.shape[0] + 1
         with mp.workdps(40):
-            h = mp.matrix(n, n)
-            h[0, 0] = mp.mpf(onsite)
-            for k in range(1, n):
-                h[k, k] = mp.mpf(poles[k - 1])
-                h[0, k] = h[k, 0] = mp.mpf(couplings[k - 1])
-            values, vectors = mp.eigsy(h)
-            exact = sorted((values[j], vectors[0, j] ** 2) for j in range(n))
+            exact = mp_arrowhead(mp, onsite, poles, couplings)
             lam, w = arrowhead_spectrum(onsite, poles, couplings)
             scale = max(abs(onsite), np.max(np.abs(poles)), np.max(np.abs(couplings)))
             for j, (value, weight) in enumerate(exact):
                 assert abs(lam[j] - value) <= 1e-15 * scale, (j, lam[j], value)
                 # 1e-30: below what 40 digits resolve in a weight that is 0
                 assert abs(w[j] - weight) <= 1e-10 * weight + 1e-30, (j, w[j], weight)
+
+    def test_graded_poles_and_couplings(self):
+        # poles and couplings graded over 15 decades: deflation relative to
+        # each pole keeps every root and weight to a few ulp of itself,
+        # weights down to 1e-24 included (an absolute tolerance of 8 eps ||H||
+        # zeroed the three smallest)
+        mp = pytest.importorskip("mpmath").mp
+        poles = [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3]
+        couplings = [1e-15, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 1.0]
+        with mp.workdps(60):
+            exact = mp_arrowhead(mp, 0.0, poles, couplings)
+            lam, w = arrowhead_spectrum(0.0, poles, couplings)
+            for j, (value, weight) in enumerate(exact):
+                assert abs(lam[j] - value) <= 1e-15 * abs(value), (j, lam[j], value)
+                assert abs(w[j] - weight) <= 1e-14 * weight, (j, w[j], weight)
 
 
 class TestAgainstEigh:
