@@ -10,7 +10,7 @@ spectrum comes from the reflection-parity sectors, zero-diagonal
 tridiagonals whose eigenvalues numkit takes by dqds to high relative
 accuracy, with the endpoint weights from two interlacing spectra: no
 eigenvector is computed.  Chains and their spectra go to the float range
-(``max_depth``); only the dense exact transfer applies the precision guard.
+(``max_depth``).
 """
 
 from __future__ import annotations
@@ -23,13 +23,6 @@ import numpy as np
 
 from . import numkit
 from .errors import DomainError
-
-EPS = 2.0**-52
-# an absolute eigensolver error ~eps*||H|| must stay 1000x below the smallest
-# gap.  The spectrum's error is relative, so it needs no guard; only
-# transfer.exact_transfer (eigh on the (2l+3)-site matrix) applies it
-GUARD_THRESHOLD = 1e-3
-
 
 @dataclass(frozen=True)
 class EffectiveChain:
@@ -84,23 +77,12 @@ class QReport:
     min_gap: float
 
 
-def _guard_ok(a: float, l: int) -> bool:
-    # min(1, a)^l = min(1, a^l), which cannot overflow at max_depth
-    return EPS * max(1.0, a ** (l - 1)) <= GUARD_THRESHOLD * min(1.0, a) ** l
-
-
 def max_depth(d: int, alpha: float) -> int:
     """Largest even depth within the float range (0 if l=2 leaves it): l <= 1022
     keeps L = 3*2^l - 2 a finite float, and |d-alpha| (l-1) <= 1022 keeps every
     bond 2^((d-alpha) j), j < l, a normal float."""
     l = 1022 if alpha == d else min(1022, int(1022 / abs(d - alpha)) + 1)
     return l - l % 2
-
-
-def max_admissible_l(d: int, alpha: float) -> int:
-    """Largest even depth passing the precision guard (0 if even l=2 fails)."""
-    a = 2.0 ** (d - alpha)
-    return max((l for l in range(2, max_depth(d, alpha) + 1, 2) if _guard_ok(a, l)), default=0)
 
 
 def build_effective_chain(d: int, alpha: float, l: int) -> EffectiveChain:
@@ -148,8 +130,8 @@ def _diagonalise(chain: EffectiveChain) -> tuple[np.ndarray, np.ndarray, np.ndar
     weights |v[0]|^2 from those and the spectrum of the sector without its
     first site (numkit.jacobi_endpoint_weights): four values-only solves
     per chain, and no eigenvector.  Against 80-digit mpmath solves at and
-    past the precision guard's edge, the energies are within 6.7e-16
-    relative and the zero mode's energy is exactly 0.0
+    past the deepest chain the dense exact transfer admits, the energies are
+    within 6.7e-16 relative and the zero mode's energy is exactly 0.0
     (tests/test_chain.py, TestSpectrumAccuracy).
     """
     l = chain.l

@@ -8,10 +8,10 @@ timestamp from manifests and SVG comments as well.
 Every command runs through one (driver, builder) table, ``_runs()``, and one
 function, ``run_command``, that forwards flags and writes the outputs.
 
-Exit codes: 0 success, 2 usage or regime error, 3 precision-guard or other
-domain rejection, a flag nothing reads or a required flag missing, 4
-numerical failure, 5 an --out-dir or output that cannot be written, 6 out
-of memory.  A run that fails leaves no output file behind.
+Exit codes: 0 success, 2 usage or regime error, 3 precision-guard (checked
+before any chain spectrum) or other domain rejection, a flag nothing reads
+or a required flag missing, 4 numerical failure, 5 an --out-dir or output
+that cannot be written, 6 out of memory.  A failed run leaves no output file.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="channel spectrum, endpoint amplitudes, and Q",
                        epilog="CSV columns: k, E_k (descending), t_k_0 "
                               "(endpoint amplitude), parity (+-1). JSON: "
-                              "L, Q, t_l_0, min_gap.")
+                              "L, Q, t_l_0, min_gap, unresolved_weights.")
     p.add_argument("--d", type=int, choices=(1, 2, 3))
     p.add_argument("--alpha", type=float)
     p.add_argument("--l", type=int)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package (exit 2 on RegimeError, 3 on DomainError)."""
 
 
 class DomainError(ValueError):
@@ -10,12 +10,6 @@ class RegimeError(ValueError):
 
 
 class PrecisionGuardError(DomainError):
-    """Chain too deep for the dense exact transfer: its eigensolver's absolute
-    error would not stay 1000x below the smallest physical gap.
-
-    Carries ``max_admissible_l``, the largest even depth that passes.
-    """
-
-    def __init__(self, message: str, max_admissible_l: int):
-        super().__init__(message)
-        self.max_admissible_l = max_admissible_l
+    """Chain too deep for the dense exact transfer (its eigensolver's absolute error would not
+    stay 1000x below the smallest gap); raised by ``transfer._check_guard`` alone, its message
+    names the largest even depth that passes (``transfer.max_admissible_l``)."""

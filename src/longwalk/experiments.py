@@ -167,6 +167,7 @@ def fig2a(d: int = 1, alpha_minus_d: float = -0.2, l: int = 24, g_grid=None) -> 
     alpha = d + alpha_minus_d
     scaling.chain_regime(d, alpha)
     ch = chain_mod.build_effective_chain(d, alpha, l)
+    transfer._check_guard(ch)  # before the spectrum that exact_transfer would refuse
     g_grid = np.asarray(np.geomspace(*FIG2A_G_RANGE) if g_grid is None else g_grid, dtype=float)
     spec = chain_mod.chain_spectrum(ch)  # diagonalised once; attach_endpoints reuses it
     channel = transfer.attach_endpoints(ch, g_grid)

@@ -5,7 +5,8 @@ The channel spectrum is circulant, the k = 0 mode sits at the top of the
 band, and X/Y tunnel through it when their on-site energy is tuned to
 E_0 - mu, where mu is the small compensation for the level repulsion of
 the off-resonant modes.  Spectral summaries (gap delta_0, bandwidth W,
-q2 = sum 1/Delta_k^2) drive the transfer-time scaling analysis.
+q2 = sum 1/Delta_k^2) drive the transfer-time scaling analysis; the exact
+transfer takes mu and S = Omega^2 q2 from the fold of modes it solves on.
 """
 
 from __future__ import annotations
@@ -191,12 +192,13 @@ def _exact_fold(d: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fold
 
 
-def _channel(model: RingModel, g, fold, q2: float) -> transfer.EndpointChannel:
+def _channel(model: RingModel, g, fold) -> transfer.EndpointChannel:
     """The ring's channel at a gated coupling g or over a grid of them: the
     folded modes in the frame where the k = 0 mode sits at zero energy
     (channel -Delta_k, endpoints at -mu, the level-repulsion shift
     sum_{k != 0} Omega_k^2 [1 - 3 p_k] / (2 Delta_k)), with rate
-    Omega = sqrt(2) g / sqrt(N), profile sqrt(mult_k) and S = Omega^2 q2."""
+    Omega = sqrt(2) g / sqrt(N), profile sqrt(mult_k) and S = Omega^2 q2, with
+    q2 = sum_{k != 0} mult_k / Delta_k^2 summed on the fold."""
     flat, mult, parities = fold
     om, delta = np.sqrt(2.0) * g / np.sqrt(model.N), model.detunings[flat]
     with np.errstate(over="ignore"):  # mu is reported below, S where it is read
@@ -204,7 +206,7 @@ def _channel(model: RingModel, g, fold, q2: float) -> transfer.EndpointChannel:
         # om * om rounds some values the other way
         om2 = np.float_power(om, 2)
         mu = om2 * np.sum(mult[1:] * (1.0 - 3.0 * parities[1:]) / (2.0 * delta[1:]))
-        s = om2 * q2
+        s = om2 * np.sum(mult[1:] / np.square(delta[1:]))
     transfer._finite(mu, "level-repulsion shift mu", g)
     return transfer.EndpointChannel(
         energies=-delta, rate=om, profile=np.sqrt(mult), parities=parities, onsite=-mu,
@@ -223,8 +225,8 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOut
     S = 0.0936: 0.1974 against 0.1872).  So the outcome makes no validity
     claim: bound_conditions_met is None.
 
-    The spectrum, its summary, the fold (_exact_fold, cached per size) and
-    the channel (_channel, over every g) are computed once; per stack of
+    The spectrum, the fold (_exact_fold, cached per size) and the channel
+    (_channel, over every g, S from the fold) are computed once; per stack of
     transfer._stacked, one numkit.endpoint_amplitude call on every g's
     sectors: joint secular solve above dimension 80 (d = 1 L >= 316, d = 2
     L >= 32, d = 3 L >= 16), dense eigh below.  Sizes whose larger parity
@@ -234,12 +236,10 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOut
     _validate(d, L, alpha)
     fold = _exact_fold(d, L)
     model = ring_spectrum(d, L, alpha)
-    channel = _channel(model, transfer._couplings(g), fold, ring_spectral_summary(model).q2)
-    # Omega_k / sqrt(2) as g sqrt(mult/N), without the roundoff of sqrt(2)
-    scale = np.sqrt(fold[1] / model.N)
+    channel = _channel(model, transfer._couplings(g), fold)
 
     def solve(part):
-        amplitude = numkit.endpoint_amplitude(part.energies, np.multiply.outer(part.g, scale),
+        amplitude = numkit.endpoint_amplitude(part.energies, part.omegas / np.sqrt(2.0),
                                               part.parities, part.onsite, part.T)
         return transfer.outcome(part, amplitude, transfer.small_g_envelope(part))
 

@@ -5,9 +5,9 @@ mode, the ring's k = 0 mode) into a bus; evolution for T = pi / Omega_res
 swaps the endpoint populations up to the infidelity of the off-resonant
 modes.  On one EndpointChannel record per protocol this module evaluates the
 leading-order infidelity and the small-g envelope and assembles the outcome;
-for the chain also the exact transfer (its site matrix's spectral measure,
-the one step behind the precision guard), the rigorous bound with its two
-validity flags and choose_g; the ring's envelope is no bound and has no
+for the chain also the exact transfer (its site matrix's spectral measure)
+with the precision guard that it alone needs, the rigorous bound with its
+two validity flags and choose_g; the ring's envelope is no bound and has no
 flags.  A channel holds one g or a grid of them, Omega_k as a per-g rate times
 a per-mode profile; each per-g quantity is a numpy float64 at one g and an
 array over a grid, computed alike, so a grid point is that transfer bit for
@@ -183,20 +183,40 @@ def outcome(channel: EndpointChannel, amplitude, bound, gap=None) -> TransferOut
         infidelity_bound=bound, bound_conditions_met=flags)
 
 
+# exact_transfer's eigh has the absolute error eps ||H||, which must stay
+# 1000x below the smallest gap; the chain's spectrum, its error relative, needs no guard
+GUARD_THRESHOLD = 1e-3
+
+
+def _guard_ok(a: float, l: int) -> bool:
+    # min(1, a)^l = min(1, a^l), which cannot overflow at max_depth
+    return np.finfo(float).eps * max(1.0, a ** (l - 1)) <= GUARD_THRESHOLD * min(1.0, a) ** l
+
+
+def max_admissible_l(d: int, alpha: float) -> int:
+    """Largest even depth passing the precision guard (0 if even l=2 fails)."""
+    a = 2.0 ** (d - alpha)
+    depths = range(2, chain_mod.max_depth(d, alpha) + 1, 2)
+    return max((l for l in depths if _guard_ok(a, l)), default=0)
+
+
+def _check_guard(ch: chain_mod.EffectiveChain) -> None:
+    """PrecisionGuardError, naming max_admissible_l, for a chain past the guard."""
+    if not _guard_ok(ch.a, ch.l):
+        raise PrecisionGuardError(f"depth l={ch.l} fails the precision guard for d={ch.d}, alpha="
+                                  f"{ch.alpha} (a=2^{ch.d - ch.alpha:g}); maximal admissible l is "
+                                  f"{max_admissible_l(ch.d, ch.alpha)}")
+
+
 def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
     """<Y| exp(-iHT) |X> from numpy's eigh of the chain's (2l+3)-site matrix
     over (X, 0..2l, Y) at each g, as the spectral measure
     (lambda_j, v_j[X] v_j[Y]), with the perturbative and bound fields: one
     stacked eigh per stack of _stacked, on the stack's channel.  Each matrix
     is built symmetric from the chain's finite bonds and g, and l <= 1022
-    keeps it below numkit.DENSE_DIM_CAP.  Its absolute error eps ||H|| must stay
-    1000x below the smallest gap: past that guard, PrecisionGuardError."""
+    keeps it below numkit.DENSE_DIM_CAP; past the guard, PrecisionGuardError."""
     ch = channel.chain
-    if not chain_mod._guard_ok(ch.a, ch.l):
-        lmax = chain_mod.max_admissible_l(ch.d, ch.alpha)
-        raise PrecisionGuardError(f"depth l={ch.l} fails the precision guard for d={ch.d}, alpha="
-                                  f"{ch.alpha} (a=2^{ch.d - ch.alpha:g}); maximal admissible l is "
-                                  f"{lmax}", max_admissible_l=lmax)
+    _check_guard(ch)
     n = ch.bonds.shape[0] + 3
 
     def solve(part):
@@ -229,11 +249,12 @@ def choose_g(spectrum: chain_mod.ChannelSpectrum, epsilon_target: float) -> floa
 
 def chain_transfer(d: int, alpha: float, l: int, epsilon: float = 0.01,
                    g: float | None = None) -> TransferOutcome:
-    """The chain protocol end to end: regime check, chain of depth l, the g
-    that choose_g picks for target infidelity epsilon (unless g is given),
-    exact transfer."""
+    """The chain protocol end to end: regime check, chain of depth l, guard,
+    the g that choose_g picks for target infidelity epsilon (unless g is
+    given), exact transfer."""
     scaling.chain_regime(d, alpha)
     ch = chain_mod.build_effective_chain(d, alpha, l)
+    _check_guard(ch)
     if g is None:
         g = choose_g(chain_mod.chain_spectrum(ch), epsilon)
     return exact_transfer(attach_endpoints(ch, g))

@@ -181,7 +181,7 @@ def test_criterion_6_gap_scaling():
     spreads = {}
     for dalpha in (0.2, 0.5, 0.8):
         alpha = 1.0 + dalpha
-        lmax = min(chain.max_admissible_l(1, alpha), 60)
+        lmax = min(transfer.max_admissible_l(1, alpha), 60)
         ratios = []
         for l in range(4, lmax + 1, 2):
             ch = chain.build_effective_chain(1, alpha, l)
@@ -207,7 +207,7 @@ def test_criterion_7_closed_forms():
             alpha = d + dalpha
             if alpha < 0:
                 continue
-            lmax = min(chain.max_admissible_l(d, alpha), 40)
+            lmax = min(transfer.max_admissible_l(d, alpha), 40)
             for l in sorted({4, 12, 24, lmax} & set(range(2, lmax + 1))):
                 ch = chain.build_effective_chain(d, alpha, l)
                 spec = chain.chain_spectrum(ch)

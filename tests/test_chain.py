@@ -99,15 +99,21 @@ class TestBuildEffectiveChain:
         ch = chain.build_effective_chain(3, 1.5, 60)
         with pytest.raises(PrecisionGuardError) as err:
             dense_transfer(ch)
-        assert err.value.max_admissible_l >= 2
-        assert str(err.value.max_admissible_l) in str(err.value)
+        lmax = transfer.max_admissible_l(3, 1.5)
+        assert lmax >= 2
+        assert str(err.value).endswith(f"maximal admissible l is {lmax}")
 
     def test_guard_reports_max_admissible_depth(self):
-        lmax = chain.max_admissible_l(1, 1.8)  # a = 2^-0.8
+        lmax = transfer.max_admissible_l(1, 1.8)  # a = 2^-0.8
         assert lmax % 2 == 0
         dense_transfer(chain.build_effective_chain(1, 1.8, lmax))
         with pytest.raises(PrecisionGuardError):
             dense_transfer(chain.build_effective_chain(1, 1.8, lmax + 2))
+
+    def test_guard_admits_no_depth(self):
+        # a = 2^-23: eps > 1e-3 a^2 already at l = 2, so max_admissible_l
+        # takes its default (TestGuardBeforeSpectrum runs the CLI there)
+        assert transfer.max_admissible_l(1, 24.0) == 0
 
     @pytest.mark.parametrize("d, alpha, lmax", [
         (1, 1.0, 1022), (1, 1.8, 1022), (1, 0.5, 1022), (3, 1.5, 682), (1, 3.0, 512),
@@ -117,7 +123,7 @@ class TestBuildEffectiveChain:
         # L = 3 2^l - 2 stays a finite float for l <= 1022, and the bonds
         # 2^((d-alpha) j), j < l, normal floats for |d-alpha| (l-1) <= 1022
         assert chain.max_depth(d, alpha) == lmax
-        assert 0 <= chain.max_admissible_l(d, alpha) <= lmax  # its guard loop stays finite
+        assert 0 <= transfer.max_admissible_l(d, alpha) <= lmax  # its guard loop stays finite
         ch = chain.build_effective_chain(d, alpha, lmax)
         assert np.all(np.isfinite(ch.bonds)) and np.min(ch.bonds) >= np.finfo(float).tiny
         assert np.isfinite(float(ch.L))
@@ -201,7 +207,7 @@ class TestChainSpectrum:
             for alpha in (0.5, 1.0, 1.5, 1.9, 2.5):
                 for l in (2, 4, 10, 24, 46, 64, 84, 100):
                     ch = chain.build_effective_chain(d, alpha, l)
-                    if not chain._guard_ok(ch.a, ch.l):  # the dense oracle strays there
+                    if not transfer._guard_ok(ch.a, ch.l):  # the dense oracle strays there
                         continue
                     spec = chain.chain_spectrum(ch)
                     energies, amp, parities = loop_assembly(ch)
@@ -268,7 +274,7 @@ class TestZeroModeAnalytic:
                 alpha = d + dalpha
                 if alpha < 0:
                     continue
-                lmax = min(chain.max_admissible_l(d, alpha), 40)
+                lmax = min(transfer.max_admissible_l(d, alpha), 40)
                 for l in {4, 12, lmax}:
                     ch = chain.build_effective_chain(d, alpha, l)
                     spec = chain.chain_spectrum(ch)
@@ -370,7 +376,7 @@ class TestGapAndQScalingProperties:
     @pytest.mark.parametrize("dalpha", [0.2, 0.5, 0.8])
     def test_shrinking_chain_gap_tracks_a_to_l(self, dalpha):
         alpha = 1.0 + dalpha
-        lmax = min(chain.max_admissible_l(1, alpha), 60)
+        lmax = min(transfer.max_admissible_l(1, alpha), 60)
         ratios = []
         for l in range(4, lmax + 1, 2):
             ch = chain.build_effective_chain(1, alpha, l)
@@ -431,7 +437,7 @@ class TestGuardEdgeAccuracy:
 
     @pytest.mark.parametrize("d, alpha, l", [(3, 1.5, 28), (1, 1.9, 46)])
     def test_against_mpmath_sectors(self, d, alpha, l):
-        assert chain.max_admissible_l(d, alpha) == l
+        assert transfer.max_admissible_l(d, alpha) == l
         ch = chain.build_effective_chain(d, alpha, l)
         spec = chain.chain_spectrum(ch)
         energies, t0 = mp_sector_oracle(ch)

@@ -6,7 +6,7 @@ its sum rules and its mirror symmetry."""
 import numpy as np
 import pytest
 
-from longwalk import chain
+from longwalk import chain, transfer
 
 from closed_forms import zero_mode
 
@@ -21,7 +21,7 @@ def admissible_chains(draw):
     # tests/test_chain.py
     d = draw(st.sampled_from((1, 2, 3)))
     alpha = draw(st.floats(d / 2.0, d + 1.0))
-    lmax = min(chain.max_admissible_l(d, alpha), 40)
+    lmax = min(transfer.max_admissible_l(d, alpha), 40)
     hypothesis.assume(lmax >= 2)
     return chain.build_effective_chain(d, alpha, 2 * draw(st.integers(1, lmax // 2)))
 

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -93,6 +94,16 @@ class TestChainSpectrumCommand:
         payload = json.loads((tmp_path / "chain_spectrum_d1_a1_l2.json").read_text())
         assert abs(payload["Q"] ** 2 - 5 / 3) <= 1e-10
         assert payload["L"] == 10
+
+    def test_help_names_every_json_key(self, tmp_path, capsys):
+        assert cli.main(["chain-spectrum", "--d", "1", "--alpha", "0.8", "--l", "8",
+                         "--out-dir", str(tmp_path)]) == 0
+        keys = set(json.loads((tmp_path / "chain_spectrum_d1_a0.8_l8.json").read_text()))
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.main(["chain-spectrum", "--help"])
+        named = re.findall(r"\w+", capsys.readouterr().out.split("JSON:")[1])
+        assert keys - {"manifest"} <= set(named), keys - set(named)
 
     def test_missing_flag_usage_error(self, tmp_path):
         # the driver's signature decides, as for every other command: exit 3

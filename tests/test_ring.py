@@ -18,7 +18,7 @@ from test_transfer import assert_grid_is_its_points
 def ring_channel(d: int, L: int, alpha: float, g: float):
     """The ring's EndpointChannel, built as ring_exact_transfer builds it."""
     model = ring.ring_spectrum(d, L, alpha)
-    return ring._channel(model, g, ring._fold(d, L), ring.ring_spectral_summary(model).q2)
+    return ring._channel(model, g, ring._fold(d, L))
 
 
 def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
@@ -306,6 +306,18 @@ class TestRingSpectralSummary:
             s = ring.ring_spectral_summary(model)
             ref = complex_fft_spectrum(1, L, 0.0)
             assert abs(s.bandwidth - (ref.max() - ref.min())) <= 1e-12 * L
+
+    @pytest.mark.parametrize("d, L, alpha", [(1, 100, 1.0), (1, 2000, 2.5), (2, 44, 1.0),
+                                             (2, 20, 3.3), (3, 8, 1.0), (3, 20, 0.6)])
+    def test_channel_sums_q2_on_the_fold(self, d, L, alpha):
+        # the exact transfer's S sums mult_k / Delta_k^2 over the folded
+        # modes; the summary, its oracle, sums 1 / Delta_k^2 over the orthant.
+        # The two orders of summation met within 1 ulp on these sizes
+        q2 = ring.ring_spectral_summary(ring.ring_spectrum(d, L, alpha)).q2
+        for g in (0.02, np.array([0.01, 1.0])):
+            channel = ring_channel(d, L, alpha, g)
+            np.testing.assert_allclose(channel.offres_weight, np.float_power(channel.rate, 2) * q2,
+                                       rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_summary_inequalities(self):
         for L, alpha in [(64, 0.8), (256, 1.6)]:

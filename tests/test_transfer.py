@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from longwalk import chain, cli, experiments, numkit, ring, transfer
-from longwalk.errors import DomainError
+from longwalk.errors import DomainError, PrecisionGuardError
 
 from closed_forms import uniform_chain_analytic
 from site_oracle import evolve
@@ -81,6 +81,43 @@ class TestOneDiagonalisationPerChain:
                 "--epsilon", "0.01", "--out-dir", str(tmp_path), "--reproducible"]
         assert cli.main(argv) == 0
         assert solves == {"sectors": [25, 24, 24, 23], "eigh": [(1, 51, 51)]}
+
+
+class TestGuardBeforeSpectrum:
+    """The precision guard refuses a chain too deep for the dense exact
+    transfer before any chain spectrum is computed: chain_transfer and fig2a
+    run _check_guard right after they build the chain."""
+
+    @pytest.fixture(autouse=True)
+    def no_spectrum(self, monkeypatch):
+        def refuse(ch):
+            raise AssertionError(f"a spectrum was computed at l={ch.l}")
+        monkeypatch.setattr(chain, "_diagonalise", refuse)
+
+    def test_chain_transfer(self):
+        with pytest.raises(PrecisionGuardError, match="maximal admissible l is 46$"):
+            transfer.chain_transfer(1, 1.9, 1022)
+
+    def test_fig2a(self):
+        with pytest.raises(PrecisionGuardError, match="maximal admissible l is 210$"):
+            experiments.fig2a(l=300)
+
+    @pytest.mark.parametrize("argv, err", [
+        ("transfer --protocol chain --d 3 --alpha 1.5 --l 60",
+         "d=3, alpha=1.5 (a=2^1.5); maximal admissible l is 28"),
+        ("sweep --experiment fig2a --l 300",
+         "d=1, alpha=0.8 (a=2^0.2); maximal admissible l is 210"),
+        # a = 2^-23: even l = 2 fails, so no depth is admissible
+        ("transfer --protocol chain --d 1 --alpha 24 --l 2",
+         "d=1, alpha=24.0 (a=2^-23); maximal admissible l is 0"),
+    ], ids=["chain", "fig2a", "no-admissible-depth"])
+    def test_cli(self, argv, err, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main([*argv.split(), "--out-dir", str(out)]) == 3
+        depth = argv.split()[-1]
+        assert capsys.readouterr().err == (
+            f"error: depth l={depth} fails the precision guard for {err}\n")
+        assert not out.exists()
 
 
 def assert_grid_is_its_points(grid, point):
@@ -325,7 +362,7 @@ class TestChooseG:
         # flags come from exact_transfer's outcome all the same
         monkeypatch.setattr(numkit, "spectral_amplitude",
                             lambda lam, w, t: np.zeros(np.shape(t), dtype=complex))
-        assert chain.max_admissible_l(d, alpha) == l
+        assert transfer.max_admissible_l(d, alpha) == l
         ch = chain.build_effective_chain(d, alpha, l)
         spec = chain.chain_spectrum(ch)
         for eps in (0.01, 0.1, 1e-6):
