@@ -19,14 +19,19 @@ the left sums to a band of poles per block.
 Zero-diagonal tridiagonals (the chain's parity sectors) go to
 zero_diagonal_eigenvalues, LAPACK's dqds on their bidiagonal half, with a
 relative-accuracy model eps*|lambda|, and jacobi_endpoint_weights takes
-their eigenvectors' first components from two interlacing spectra.  Only
-numpy is imported.
+their eigenvectors' first components from two interlacing spectra.  The
+chain's site matrix, a zero-diagonal tridiagonal too, goes to
+tridiagonal_end_measure: LAPACK's dstevd through ctypes in the OpenBLAS that
+numpy's wheel bundles, bit for bit numpy's eigh, which it runs where that
+library is missing.  Besides numpy, only the standard library is imported.
 """
 
 from __future__ import annotations
 
+import ctypes  # imported by numpy already
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +108,64 @@ def jacobi_endpoint_weights(eigenvalues, minor_eigenvalues) -> np.ndarray:
         weights = np.prod(num / den, axis=1)
     weights[lost] = 0.0
     return np.maximum(weights, 0.0)
+
+
+def tridiagonal_end_measure(bond_rows) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral measure (lambda_j, v_j[0] v_j[-1]) between the two end
+    sites of each zero-diagonal tridiagonal whose off-diagonal is one row of
+    bond_rows (G, n - 1): eigenvalues ascending and weights, each (G, n).
+
+    Each row goes to LAPACK's dstevd (divide and conquer, dstedc) in the
+    OpenBLAS that numpy's wheel bundles, with an absolute-accuracy model
+    eps*||H||.  numpy's eigh (dsyevd) of the dense matrix gives the same
+    bits: with zero sub-columns its tridiagonalisation returns the input and
+    its back-transformation is the identity, its scaling decision is the
+    same (the max-norms agree), and it calls dstedc on the same (d, e).  So
+    where the library lacks the symbol (_dstevd is None), the dense stacked
+    eigh serves instead.  LinAlgError if a solve does not converge.
+    """
+    rows = np.asarray(bond_rows, dtype=float)
+    count, n = rows.shape[0], rows.shape[1] + 1
+    dstevd = _dstevd()
+    if dstevd is None:
+        h = np.zeros((count, n * n))
+        h[:, 1::n + 1] = h[:, n::n + 1] = rows
+        lam, v = np.linalg.eigh(h.reshape(-1, n, n))
+        return lam, v[:, 0] * v[:, -1]
+    lam, weights = np.zeros((count, n)), np.empty((count, n))
+    e, z = np.empty(n - 1), np.empty((n, n))  # z in column-major order: row j is v_j
+    for i in range(count):
+        e[:] = rows[i]  # dstevd overwrites its off-diagonal
+        info = dstevd(102, b"V", n, lam[i].ctypes.data, e.ctypes.data, z.ctypes.data, n)
+        if info:
+            raise np.linalg.LinAlgError(f"dstevd failed with info={info} on a tridiagonal "
+                                        f"of dimension {n}")
+        np.multiply(z[:, 0], z[:, -1], out=weights[i])
+    return lam, weights
+
+
+@functools.cache
+def _dstevd():
+    """LAPACKE_dstevd (64-bit integers) from the OpenBLAS that numpy's wheel
+    bundles (numpy.libs/ on Linux and Windows, numpy/.dylibs/ on macOS), the
+    library numpy's eigh runs on; None where numpy has no such library (conda
+    and distribution builds) or it lacks the symbol."""
+    home = os.path.dirname(np.__file__)
+    for folder in (os.path.join(home, os.pardir, "numpy.libs"), os.path.join(home, ".dylibs")):
+        names = sorted(os.listdir(folder)) if os.path.isdir(folder) else []
+        for name in names:
+            if not name.startswith("libscipy_openblas64_"):
+                continue
+            try:
+                solve = ctypes.CDLL(os.path.join(folder, name)).scipy_LAPACKE_dstevd64_
+            except (OSError, AttributeError):
+                continue
+            # (layout: 102 is column-major, jobz, n, d, e, z, ldz) -> info
+            solve.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
+                              ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
+            solve.restype = ctypes.c_int64
+            return solve
+    return None
 
 
 def spectral_amplitude(eigenvalues, weights, time):

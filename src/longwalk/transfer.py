@@ -5,10 +5,10 @@ mode, the ring's k = 0 mode) into a bus; evolution for T = pi / Omega_res
 swaps the endpoint populations up to the infidelity of the off-resonant
 modes.  On one EndpointChannel record per protocol this module evaluates the
 leading-order infidelity and the small-g envelope and assembles the outcome;
-for the chain also the exact transfer (its site matrix's spectral measure)
-with the precision guard that it alone needs, the rigorous bound with its
-two validity flags and choose_g; the ring's envelope is no bound and has no
-flags.  A channel holds one g or a grid of them, Omega_k as a per-g rate times
+for the chain also the exact transfer (its tridiagonal site matrix's
+spectral measure) with the precision guard that it alone needs, the
+rigorous bound with its two validity flags and choose_g; the ring's
+envelope is no bound and has no flags.  A channel holds one g or a grid of them, Omega_k as a per-g rate times
 a per-mode profile; each per-g quantity is a numpy float64 at one g and an
 array over a grid, computed alike, so a grid point is that transfer bit for
 bit.  Only _couplings (the gate for g), outcome (the chain's flags) and
@@ -44,7 +44,7 @@ class EndpointChannel:
     g: np.float64 | np.ndarray
     L: int  # chain: transfer distance; ring: side length
     offres_weight: np.float64 | np.ndarray  # S = sum_{k != res} Omega_k^2/E_k^2, from the protocol's closed form
-    chain: chain_mod.EffectiveChain | None = None  # the chain's bonds, for its dense exact step
+    chain: chain_mod.EffectiveChain | None = None  # the chain's bonds, for its exact site solve
 
     @property
     def omegas(self) -> np.ndarray:  # Omega_k: (modes,) at one g, (G, modes) over a grid
@@ -183,8 +183,9 @@ def outcome(channel: EndpointChannel, amplitude, bound, gap=None) -> TransferOut
         infidelity_bound=bound, bound_conditions_met=flags)
 
 
-# exact_transfer's eigh has the absolute error eps ||H||, which must stay
-# 1000x below the smallest gap; the chain's spectrum, its error relative, needs no guard
+# exact_transfer's site solve (dstedc, as in eigh) has the absolute error
+# eps ||H||, which must stay 1000x below the smallest gap; the chain's
+# spectrum, its error relative, needs no guard
 GUARD_THRESHOLD = 1e-3
 
 
@@ -209,25 +210,24 @@ def _check_guard(ch: chain_mod.EffectiveChain) -> None:
 
 
 def exact_transfer(channel: EndpointChannel) -> TransferOutcome:
-    """<Y| exp(-iHT) |X> from numpy's eigh of the chain's (2l+3)-site matrix
-    over (X, 0..2l, Y) at each g, as the spectral measure
-    (lambda_j, v_j[X] v_j[Y]), with the perturbative and bound fields: one
-    stacked eigh per stack of _stacked, on the stack's channel.  Each matrix
-    is built symmetric from the chain's finite bonds and g, and l <= 1022
-    keeps it below numkit.DENSE_DIM_CAP; past the guard, PrecisionGuardError."""
+    """<Y| exp(-iHT) |X> from the spectral measure (lambda_j, v_j[X] v_j[Y]) of
+    the chain's (2l+3)-site matrix over (X, 0..2l, Y) at each g, with the
+    perturbative and bound fields.  The matrix is tridiagonal with zero
+    diagonal, so each g passes only its bonds (g, the chain's finite bonds,
+    g): one numkit.tridiagonal_end_measure call per stack of _stacked, on
+    the stack's channel, which is bit for bit numpy's eigh of the dense
+    matrix.  l <= 1022 keeps it below numkit.DENSE_DIM_CAP; past the guard,
+    PrecisionGuardError."""
     ch = channel.chain
     _check_guard(ch)
     n = ch.bonds.shape[0] + 3
 
     def solve(part):
         g, times = np.atleast_1d(part.g), np.atleast_1d(part.T)
-        h = np.zeros((g.shape[0], n * n))
-        bonds = h[:, 1::n + 1]  # the superdiagonal: g, the chain's bonds, g
+        bonds = np.empty((g.shape[0], n - 1))  # per g: g, the chain's bonds, g
         bonds[:, 1:-1] = ch.bonds
         bonds[:, 0] = bonds[:, -1] = g
-        h[:, n::n + 1] = bonds
-        lam, v = np.linalg.eigh(h.reshape(-1, n, n))
-        amplitude = numkit.spectral_amplitude(lam, v[:, 0] * v[:, -1], times)
+        amplitude = numkit.spectral_amplitude(*numkit.tridiagonal_end_measure(bonds), times)
         return outcome(part, amplitude, infidelity_rigorous_bound(part),
                        channel.energies[channel.resonant - 2])
 

@@ -287,6 +287,16 @@ class TestTransferCommand:
         assert "no correct digit" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_site_solve_exit_4(self, tmp_path, monkeypatch, capsys):
+        # LAPACK's dstevd reports a nonzero info: no transfer, no files
+        monkeypatch.setattr(numkit, "_dstevd", lambda: lambda *args: 1)
+        out = tmp_path / "out"
+        argv = ["transfer", "--protocol", "chain", "--alpha", "1.2", "--l", "24",
+                "--out-dir", str(out)]
+        assert cli.main(argv) == 4
+        assert "dstevd failed with info=1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ring_nearest_neighbour_limit(self, tmp_path, capsys):
         # alpha = inf keeps only the nearest-neighbour bonds
         out = tmp_path / "out"

@@ -14,9 +14,9 @@ def tridiagonal(diagonal, offdiagonal):
 
 
 class TestEighTridiagonal:
-    """numpy's eigh on zero-diagonal tridiagonals, the chain's site matrix,
-    which transfer.exact_transfer hands to LAPACK unchecked: eigenvalues
-    ascending, each paired with its orthonormal column."""
+    """numpy's eigh on tridiagonals, the dense solve that
+    tridiagonal_end_measure falls back to for the chain's site matrix:
+    eigenvalues ascending, each paired with its orthonormal column."""
 
     def test_three_site_uniform(self):
         dec = np.linalg.eigh(tridiagonal([0, 0, 0], [1, 1]))
@@ -44,6 +44,48 @@ class TestEighTridiagonal:
             assert np.max(np.abs(v @ np.diag(w) @ v.T - h)) <= 1e-12 * scale
             assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
             assert np.all(np.diff(w) >= -1e-15 * scale)
+
+
+class TestTridiagonalEndMeasure:
+    """tridiagonal_end_measure, the chain's site solve: dstevd in numpy's
+    bundled OpenBLAS, bit for bit numpy's eigh of the dense matrix, which it
+    runs where that library is missing."""
+
+    @staticmethod
+    def dense(rows):
+        lam, v = np.linalg.eigh([tridiagonal(np.zeros(len(b) + 1), b) for b in rows])
+        return lam, v[:, 0] * v[:, -1]
+
+    def test_three_site_uniform(self):
+        # v = (1, -+sqrt 2, 1)/2 at +-sqrt 2 and (1, 0, -1)/sqrt 2 at 0
+        lam, w = numkit.tridiagonal_end_measure([[1.0, 1.0]])
+        np.testing.assert_allclose(lam, [[-np.sqrt(2), 0, np.sqrt(2)]], atol=1e-15)
+        np.testing.assert_allclose(w, [[0.25, -0.5, 0.25]], atol=1e-15)
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["dstevd", "eigh"])
+    def test_bit_for_bit_the_dense_eigh(self, fallback, monkeypatch):
+        # dimensions on both sides of dstedc's switch to divide and conquer
+        # (above 25), positive bonds spanning eight decades as the chain's do
+        if fallback:
+            monkeypatch.setattr(numkit, "_dstevd", lambda: None)
+        rng = np.random.default_rng(11)
+        for n in (2, 5, 25, 26, 51, 169):
+            rows = 10.0 ** rng.uniform(-8, 0, size=(3, n - 1))
+            got, want = numkit.tridiagonal_end_measure(rows), self.dense(rows)
+            for a, b in zip(got, want):
+                assert a.shape == (3, n) and a.tobytes() == b.tobytes(), n
+
+    def test_a_failed_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(numkit, "_dstevd", lambda: lambda *args: 3)
+        with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+            numkit.tridiagonal_end_measure([[1.0, 1.0]])
+
+    def test_numpys_wheel_bundles_the_symbol(self):
+        # numpy's wheels link scipy-openblas; there the fallback must not run
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if blas != "scipy-openblas":
+            pytest.skip(f"numpy is built on {blas}, not on its wheel's OpenBLAS")
+        assert numkit._dstevd() is not None
 
 
 class TestZeroDiagonalTridiagonal:

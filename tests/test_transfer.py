@@ -29,15 +29,18 @@ def loop_site_matrix(model):
 
 
 def site_matrix(model, monkeypatch):
-    """The site matrix that exact_transfer diagonalises, checked against
+    """The site matrix whose end measure exact_transfer takes, rebuilt from
+    the bond row it passes numkit.tridiagonal_end_measure and checked against
     loop_site_matrix bit for bit."""
     seen = []
-    solve = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: seen.append(h) or solve(h))
+    solve = numkit.tridiagonal_end_measure
+    monkeypatch.setattr(numkit, "tridiagonal_end_measure",
+                        lambda rows: seen.append(rows) or solve(rows))
     transfer.exact_transfer(model)
-    monkeypatch.setattr(np.linalg, "eigh", solve)
+    monkeypatch.setattr(numkit, "tridiagonal_end_measure", solve)
     (stack,) = seen
-    (h,) = stack  # one g: a stack of one matrix
+    (bonds,) = stack  # one g: a stack of one row
+    h = np.diag(bonds, 1) + np.diag(bonds, -1)
     assert h.tobytes() == loop_site_matrix(model).tobytes()
     return h
 
@@ -45,34 +48,35 @@ def site_matrix(model, monkeypatch):
 @pytest.fixture
 def solves(monkeypatch):
     """Dimensions of the chain's parity-sector solves, four per chain
-    (numkit.zero_diagonal_eigenvalues), and the shapes of numpy's eigh calls
-    (len() of a stack would read its size), which only exact_transfer's
-    stacks of (2l+3)-site matrices make (l = 24 here), one call per stack
-    of transfer._stacked."""
-    calls = {"sectors": [], "eigh": []}
-    sector_solve, dense_solve = numkit.zero_diagonal_eigenvalues, np.linalg.eigh
+    (numkit.zero_diagonal_eigenvalues), and the shapes of the bond rows
+    passed to numkit.tridiagonal_end_measure (len() of a stack would read its
+    size), which only exact_transfer's stacks of (2l+3)-site matrices make
+    (l = 24 here, so 50 bonds a row), one call per stack of transfer._stacked."""
+    calls = {"sectors": [], "end_measure": []}
+    sector_solve, site_solve = numkit.zero_diagonal_eigenvalues, numkit.tridiagonal_end_measure
     monkeypatch.setattr(numkit, "zero_diagonal_eigenvalues",
                         lambda b: calls["sectors"].append(len(b) + 1) or sector_solve(b))
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda h: calls["eigh"].append(h.shape) or dense_solve(h))
+    monkeypatch.setattr(numkit, "tridiagonal_end_measure",
+                        lambda rows: calls["end_measure"].append(rows.shape) or site_solve(rows))
     return calls
 
 
 class TestOneDiagonalisationPerChain:
     """attach_endpoints reuses the chain's spectrum, so a g sweep or a
     choose_g + attach_endpoints pair solves the two parity sectors once, and
-    exact_transfer solves a whole g grid's site matrices in one stacked eigh."""
+    exact_transfer solves a whole g grid's site matrices in one kernel call."""
 
     def test_fig2a(self, solves):
         experiments.fig2a()
-        assert solves == {"sectors": [25, 24, 24, 23], "eigh": [(36, 51, 51)]}
+        assert solves == {"sectors": [25, 24, 24, 23], "end_measure": [(36, 50)]}
 
     def test_a_stack_holds_at_most_one_cap_matrix_of_entries(self, solves, monkeypatch):
-        # at a cap of 102 a stack holds 102^2 entries: four 51 x 51 matrices
+        # at a cap of 102 a stack holds 102^2 entries: four 51 x 51 matrices,
+        # passed as four rows of 50 bonds
         whole = experiments.fig2a()
         monkeypatch.setattr(numkit, "DENSE_DIM_CAP", 102)
         split = experiments.fig2a()
-        assert solves["eigh"] == [(36, 51, 51)] + [(4, 51, 51)] * 9
+        assert solves["end_measure"] == [(36, 50)] + [(4, 50)] * 9
         for key in ("eps_exact", "eps_perturbative", "bound", "bound_conditions"):
             assert np.array_equal(split[key], whole[key]), key
 
@@ -80,7 +84,7 @@ class TestOneDiagonalisationPerChain:
         argv = ["transfer", "--protocol", "chain", "--d", "1", "--alpha", "1.2", "--l", "24",
                 "--epsilon", "0.01", "--out-dir", str(tmp_path), "--reproducible"]
         assert cli.main(argv) == 0
-        assert solves == {"sectors": [25, 24, 24, 23], "eigh": [(1, 51, 51)]}
+        assert solves == {"sectors": [25, 24, 24, 23], "end_measure": [(1, 50)]}
 
 
 class TestGuardBeforeSpectrum:
@@ -217,7 +221,8 @@ class TestAttachEndpoints:
 
     def test_fig2a_rejects_an_empty_grid(self, monkeypatch):
         # at the gate: no site matrix is built or diagonalised
-        monkeypatch.setattr(np.linalg, "eigh", lambda h: pytest.fail("eigh reached"))
+        monkeypatch.setattr(numkit, "tridiagonal_end_measure",
+                            lambda rows: pytest.fail("site solve reached"))
         with pytest.raises(DomainError, match=r"got shape \(0,\)$"):
             experiments.fig2a(g_grid=[])
 
@@ -394,6 +399,68 @@ class TestExactTransferAgainstSiteOracle:
         expect = 1.0 - abs(evolve(dec, psi0, model.T)[-1]) ** 2
         got = transfer.exact_transfer(model).infidelity_exact
         assert abs(got - expect) <= 1e-12 * expect, (got, expect)
+
+
+class TestSiteSolvePaths:
+    """exact_transfer on dstevd and on the dense eigh that numkit falls back to
+    without numpy's bundled OpenBLAS: the same outcome, bit for bit."""
+
+    @staticmethod
+    def both_paths(model, monkeypatch):
+        fast = transfer.exact_transfer(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(numkit, "_dstevd", lambda: None)
+            dense = transfer.exact_transfer(model)
+        for field in dataclasses.fields(transfer.TransferOutcome):
+            got, want = getattr(fast, field.name), getattr(dense, field.name)
+            assert np.array_equal(got, want), field.name
+        return fast
+
+    def test_fig2a_grid(self, monkeypatch):
+        ch = chain.build_effective_chain(1, 0.8, 24)
+        self.both_paths(transfer.attach_endpoints(ch, np.geomspace(*experiments.FIG2A_G_RANGE)),
+                        monkeypatch)
+
+    # the guard-edge rows that perfbench counts as known failures keep their
+    # wrong values (60-digit mpmath: 0.00218198, 0.000587524, 0.000651640),
+    # and the deep chain at a = 1 its value
+    @pytest.mark.parametrize("d, alpha, l, eps, infidelity", [
+        (1, 0.5, 84, 1e-2, 0.0135308), (1, 0.5, 84, 1e-3, 0.00175042),
+        (3, 1.5, 28, 1e-3, 0.00586222), (1, 1.0, 300, 1e-2, None)])
+    def test_chain_rows(self, d, alpha, l, eps, infidelity, monkeypatch):
+        ch = chain.build_effective_chain(d, alpha, l)
+        model = transfer.attach_endpoints(ch, transfer.choose_g(chain.chain_spectrum(ch), eps))
+        out = self.both_paths(model, monkeypatch)
+        if infidelity is not None:
+            assert float(f"{out.infidelity_exact:.6g}") == infidelity
+
+
+class TestDeepestAdmittedDepth:
+    """d=1 alpha=1 l=1022 (a = 1, so the guard admits every depth to
+    chain.max_depth): the (2l+3) = 2047-site exact transfer."""
+
+    def test_against_the_independent_value(self):
+        # 3.29460e-3 from a bordered dqds and a secular solve of the same
+        # site matrix, both independent of LAPACK's divide and conquer
+        out = transfer.chain_transfer(1, 1.0, 1022, 0.01)
+        assert abs(out.infidelity_exact - 3.29460e-3) <= 5e-9, out.infidelity_exact
+
+    def test_builds_no_stack_of_site_matrices(self):
+        # a 2-point grid as one (2, n, n) stack would peak at 2 x 8 n^2 bytes
+        # before eigh's output; the kernel holds one n x n eigenvector matrix
+        if numkit._dstevd() is None:
+            pytest.skip("without numpy's bundled OpenBLAS the dense stack is the solve")
+        ch = chain.build_effective_chain(1, 1.0, 1022)
+        g = transfer.choose_g(chain.chain_spectrum(ch), 0.01)
+        model = transfer.attach_endpoints(ch, [g, g / 2])
+        n = 2 * ch.l + 3
+        tracemalloc.start()
+        try:
+            transfer.exact_transfer(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n * n, peak
 
 
 class TestProtocolSymmetries:
