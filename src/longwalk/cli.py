@@ -103,13 +103,17 @@ def _uniform_out(proto: uniform.UniformProtocol):
 
 
 def _g_grid(flags: dict):
-    """The --g-min/--g-max/--g-points grid; the three flags go together."""
+    """The --g-min/--g-max/--g-points grid; the three flags go together, and
+    one point needs equal bounds."""
     for flag in ("g_min", "g_max", "g_points"):
         opt = "--" + flag.replace("_", "-")
         if flag not in flags:
             raise DomainError(f"--g-min, --g-max and --g-points go together; {opt} is missing")
         if not 0 < flags[flag] < np.inf:
             raise DomainError(f"{opt} must be positive and finite, got {flags[flag]}")
+    if flags["g_points"] == 1 and flags["g_min"] != flags["g_max"]:
+        raise DomainError(f"--g-points 1 needs --g-min equal to --g-max, got {flags['g_min']} "
+                          f"and {flags['g_max']}")
     return np.geomspace(flags["g_min"], flags["g_max"], flags["g_points"])
 
 

@@ -11,5 +11,5 @@ class RegimeError(ValueError):
 
 class PrecisionGuardError(DomainError):
     """Chain too deep for the dense exact transfer (its eigensolver's absolute error would not
-    stay 1000x below the smallest gap); raised by ``transfer._check_guard`` alone, its message
+    stay 1000x below the smallest gap); raised by the guard in ``transfer`` alone, its message
     names the largest even depth that passes (``transfer.max_admissible_l``)."""

@@ -6,7 +6,8 @@ fig2bcd judges the chain's Q scaling in its own regime branches, each with
 its statistic, tolerance and verdict.  figS2b, figS2c and
 ``ring_q2_extrapolation`` share one q2 path (``_q2_sweep``).  fig2a and
 figS2a hand their whole g grid, one channel per call, to
-``transfer.exact_transfer`` and ``ring.ring_exact_transfer``; only a long
+``transfer.exact_transfer`` (on ``transfer.chain_channel``, the chain's one
+entry) and ``ring.ring_exact_transfer``; only a long
 grid's channel is sliced into stacks (``transfer._stacked``), each point
 bit for bit the single transfer at its g.  The ring's scaling sweeps
 (figS2b, figS2c, figS3) compute all their spectra in one serial pass first.
@@ -165,16 +166,13 @@ def fig2a(d: int = 1, alpha_minus_d: float = -0.2, l: int = 24, g_grid=None) -> 
     """Exact vs perturbative infidelity over a g sweep at alpha = d + alpha_minus_d,
     in the chain's regime (alpha >= d/2, ``scaling.chain_regime``)."""
     alpha = d + alpha_minus_d
-    scaling.chain_regime(d, alpha)
-    ch = chain_mod.build_effective_chain(d, alpha, l)
-    transfer._check_guard(ch)  # before the spectrum that exact_transfer would refuse
-    g_grid = np.asarray(np.geomspace(*FIG2A_G_RANGE) if g_grid is None else g_grid, dtype=float)
-    spec = chain_mod.chain_spectrum(ch)  # diagonalised once; attach_endpoints reuses it
-    channel = transfer.attach_endpoints(ch, g_grid)
-    out = transfer.exact_transfer(channel)
+    channel = transfer.chain_channel(
+        d, alpha, l, g=np.geomspace(*FIG2A_G_RANGE) if g_grid is None else g_grid)
+    g_grid, out = channel.g, transfer.exact_transfer(channel)
     eps_exact, eps_pert = out.infidelity_exact, out.infidelity_perturbative
     envelope = transfer.small_g_envelope(channel)
-    g_star = small_g_threshold(spec)
+    # the chain was diagonalised once, for the channel; this reuses it
+    g_star = small_g_threshold(chain_mod.chain_spectrum(channel.chain))
     small = g_grid <= g_star
     return {
         "d": d,

@@ -6,7 +6,8 @@ band, and X/Y tunnel through it when their on-site energy is tuned to
 E_0 - mu, where mu is the small compensation for the level repulsion of
 the off-resonant modes.  Spectral summaries (gap delta_0, bandwidth W,
 q2 = sum 1/Delta_k^2) drive the transfer-time scaling analysis; the exact
-transfer takes mu and S = Omega^2 q2 from the fold of modes it solves on.
+transfer takes mu and S = Omega^2 q2 from the fold of modes it solves on,
+all in the channel that ring_channel, the protocol's one entry, builds.
 """
 
 from __future__ import annotations
@@ -213,6 +214,16 @@ def _channel(model: RingModel, g, fold) -> transfer.EndpointChannel:
         resonant=0, g=g, L=model.L, offres_weight=s)
 
 
+def ring_channel(d: int, L: int, alpha: float, g) -> transfer.EndpointChannel:
+    """The ring protocol's one entry: the channel at g, one value or a grid,
+    on the fold that the exact solve takes (_exact_fold, cached per size);
+    a size whose larger parity sector exceeds numkit.DENSE_DIM_CAP is
+    rejected before the spectrum is computed."""
+    _validate(d, L, alpha)
+    fold = _exact_fold(d, L)
+    return _channel(ring_spectrum(d, L, alpha), transfer._couplings(g), fold)
+
+
 def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOutcome:
     """Exact evolution of |X> for T = pi sqrt(N) / (sqrt(2) g), with the
     perturbative prediction and the small-g envelope 2 S = 2 Omega^2 q2 in
@@ -225,23 +236,20 @@ def ring_exact_transfer(d: int, L: int, alpha: float, g) -> transfer.TransferOut
     S = 0.0936: 0.1974 against 0.1872).  So the outcome makes no validity
     claim: bound_conditions_met is None.
 
-    The spectrum, the fold (_exact_fold, cached per size) and the channel
-    (_channel, over every g, S from the fold) are computed once; per stack of
-    transfer._stacked, one numkit.endpoint_amplitude call on every g's
-    sectors: joint secular solve above dimension 80 (d = 1 L >= 316, d = 2
-    L >= 32, d = 3 L >= 16), dense eigh below.  Sizes whose larger parity
-    sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250 and 68 at d = 1, 2
-    and 3) are rejected before the spectrum is computed.
+    The channel (ring_channel, over every g, S from the fold) is built once;
+    per stack of transfer._stacked, one numkit.endpoint_amplitude call on
+    every g's sectors: joint secular solve above dimension 80 (d = 1
+    L >= 316, d = 2 L >= 32, d = 3 L >= 16), dense eigh below.  Sizes whose
+    larger parity sector exceeds numkit.DENSE_DIM_CAP (L > 16378, 250 and 68
+    at d = 1, 2 and 3) are rejected before the spectrum is computed.
     """
-    _validate(d, L, alpha)
-    fold = _exact_fold(d, L)
-    model = ring_spectrum(d, L, alpha)
-    channel = _channel(model, transfer._couplings(g), fold)
+    channel = ring_channel(d, L, alpha, g)
 
     def solve(part):
         amplitude = numkit.endpoint_amplitude(part.energies, part.omegas / np.sqrt(2.0),
                                               part.parities, part.onsite, part.T)
         return transfer.outcome(part, amplitude, transfer.small_g_envelope(part))
 
-    entries = sum((1 + np.count_nonzero(fold[2] == p)) ** 2 for p in (1.0, -1.0))  # both sectors
+    # both sectors
+    entries = sum((1 + np.count_nonzero(channel.parities == p)) ** 2 for p in (1.0, -1.0))
     return transfer._stacked(channel, entries, solve)

@@ -7,11 +7,13 @@ modes.  On one EndpointChannel record per protocol this module evaluates the
 leading-order infidelity and the small-g envelope and assembles the outcome;
 for the chain also the exact transfer (its tridiagonal site matrix's
 spectral measure) with the precision guard that it alone needs, the
-rigorous bound with its two validity flags and choose_g; the ring's
-envelope is no bound and has no flags.  A channel holds one g or a grid of them, Omega_k as a per-g rate times
-a per-mode profile; each per-g quantity is a numpy float64 at one g and an
-array over a grid, computed alike, so a grid point is that transfer bit for
-bit.  Only _couplings (the gate for g), outcome (the chain's flags) and
+rigorous bound with its two validity flags, choose_g and the protocol's one
+entry, chain_channel (regime, chain, guard before any spectrum, g, channel),
+on which chain_transfer and fig2a run; the ring's envelope is no bound and
+has no flags, and its entry is ring.ring_channel.  A channel holds one g or
+a grid of them, Omega_k as a per-g rate times a per-mode profile; each per-g
+quantity is a numpy float64 at one g and an array over a grid, computed
+alike, so a grid point is that transfer bit for bit.  Only _couplings (the gate for g), outcome (the chain's flags) and
 _stacked (the one stack loop, the one place that slices a channel) tell one g
 from a grid.
 """
@@ -247,14 +249,20 @@ def choose_g(spectrum: chain_mod.ChannelSpectrum, epsilon_target: float) -> floa
     return float(min(g_bound, g_gap))
 
 
-def chain_transfer(d: int, alpha: float, l: int, epsilon: float = 0.01,
-                   g: float | None = None) -> TransferOutcome:
-    """The chain protocol end to end: regime check, chain of depth l, guard,
-    the g that choose_g picks for target infidelity epsilon (unless g is
-    given), exact transfer."""
+def chain_channel(d: int, alpha: float, l: int, epsilon: float = 0.01,
+                  g=None) -> EndpointChannel:
+    """The chain protocol's one entry: regime check, chain of depth l, guard
+    (before any spectrum), then the channel at g, one value or a grid, or at
+    the g that choose_g picks for target infidelity epsilon if g is None."""
     scaling.chain_regime(d, alpha)
     ch = chain_mod.build_effective_chain(d, alpha, l)
     _check_guard(ch)
     if g is None:
         g = choose_g(chain_mod.chain_spectrum(ch), epsilon)
-    return exact_transfer(attach_endpoints(ch, g))
+    return attach_endpoints(ch, g)
+
+
+def chain_transfer(d: int, alpha: float, l: int, epsilon: float = 0.01,
+                   g: float | None = None) -> TransferOutcome:
+    """The chain protocol end to end: exact transfer on chain_channel."""
+    return exact_transfer(chain_channel(d, alpha, l, epsilon, g))

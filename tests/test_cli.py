@@ -625,6 +625,8 @@ class TestSweepCommand:
         (["--g-min", "0", "--g-max", "0.1"], "--g-min"),
         (["--g-min", "0.001"], "--g-max"),
         (["--g-points", "5"], "--g-points"),
+        # one point cannot span two bounds: --g-max would be dropped
+        (["--g-min", "1e-3", "--g-max", "1e-2", "--g-points", "1"], "--g-points"),
     ])
     def test_malformed_g_grid_exit_3(self, tmp_path, flags, named):
         res = run_cli(

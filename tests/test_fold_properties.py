@@ -9,7 +9,7 @@ import pytest
 from longwalk import numkit, ring, transfer
 
 from closed_forms import ring_sector
-from test_ring import complex_fft_spectrum, ring_channel
+from test_ring import complex_fft_spectrum
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -38,7 +38,7 @@ def test_fold_matches_the_unfolded_modes(lattice):
     # kernel, couplings g/sqrt(N) and parities (-1)^(sum k_i) taken from the
     # mode indices, not from the fold
     energies = complex_fft_spectrum(d, L, alpha)
-    channel = ring_channel(d, L, alpha, g)
+    channel = ring.ring_channel(d, L, alpha, g)
     full = numkit.endpoint_amplitude(
         energies - energies[0], np.full(model.N, g / np.sqrt(model.N)),
         (-1.0) ** np.indices((L,) * d).reshape(d, -1).sum(axis=0), channel.onsite, channel.T)
@@ -74,7 +74,7 @@ def test_fold_gives_the_full_lattice_sums(lattice):
     # q2, mu and the perturbative infidelity as plain sums over k != 0
     delta = (e0 - energies)[1:]
     parities = (-1.0) ** np.indices((L,) * d).reshape(d, -1).sum(axis=0)[1:]
-    channel = ring_channel(d, L, alpha, g)
+    channel = ring.ring_channel(d, L, alpha, g)
     om, t = channel.omegas[0], channel.T
     full = {
         "q2": np.sum(1.0 / delta**2),

@@ -15,17 +15,11 @@ from site_oracle import evolve
 from test_transfer import assert_grid_is_its_points
 
 
-def ring_channel(d: int, L: int, alpha: float, g: float):
-    """The ring's EndpointChannel, built as ring_exact_transfer builds it."""
-    model = ring.ring_spectrum(d, L, alpha)
-    return ring._channel(model, g, ring._fold(d, L))
-
-
 def dense_ring_fidelity(d: int, L: int, alpha: float, g: float) -> float:
     """Oracle: |<Y|psi(T)>|^2 from the lab-frame (N+2) site matrix (power-law
     channel, endpoint bonds g to site 0 and to the antipode, endpoint
     diagonal E_0 - mu, E_0 from complex_fft_spectrum), diagonalised densely."""
-    channel = ring_channel(d, L, alpha, g)
+    channel = ring.ring_channel(d, L, alpha, g)
     n = L**d
     coords = np.indices((L,) * d).reshape(d, -1).T
     diff = np.abs(coords[:, None, :] - coords[None, :, :])
@@ -270,15 +264,15 @@ class TestRingMu:
 
     def test_hand_value_L4(self):
         for g in (0.1, 1.0):
-            mu = -ring_channel(1, 4, 1.0, g).onsite
+            mu = -ring.ring_channel(1, 4, 1.0, g).onsite
             assert abs(mu - 13 * g**2 / 24) <= 1e-14 * max(1.0, g**2)
 
     def test_quadratic_in_g(self):
-        mu = [-ring_channel(1, 50, 1.2, g).onsite for g in (0.1, 0.2)]
+        mu = [-ring.ring_channel(1, 50, 1.2, g).onsite for g in (0.1, 0.2)]
         assert abs(mu[1] - 4 * mu[0]) <= 1e-15
 
     def test_near_nearest_neighbor_limit(self):
-        assert np.isfinite(ring_channel(1, 12, 50.0, 0.05).onsite)
+        assert np.isfinite(ring.ring_channel(1, 12, 50.0, 0.05).onsite)
 
 
 class TestRingSpectralSummary:
@@ -315,7 +309,7 @@ class TestRingSpectralSummary:
         # The two orders of summation met within 1 ulp on these sizes
         q2 = ring.ring_spectral_summary(ring.ring_spectrum(d, L, alpha)).q2
         for g in (0.02, np.array([0.01, 1.0])):
-            channel = ring_channel(d, L, alpha, g)
+            channel = ring.ring_channel(d, L, alpha, g)
             np.testing.assert_allclose(channel.offres_weight, np.float_power(channel.rate, 2) * q2,
                                        rtol=4 * np.finfo(float).eps, atol=0)
 
@@ -544,7 +538,7 @@ class TestRingExactTransfer:
     def test_perturbative_within_envelope(self):
         q2 = ring.ring_spectral_summary(ring.ring_spectrum(1, 64, 1.4)).q2
         for g in (0.01, 0.1, 0.5):
-            channel = ring_channel(1, 64, 1.4, g)
+            channel = ring.ring_channel(1, 64, 1.4, g)
             eps = transfer.perturbative_infidelity(channel)
             om = np.sqrt(2.0) * g / 8.0
             assert transfer.small_g_envelope(channel) == pytest.approx(2 * om**2 * q2, rel=1e-15)
@@ -596,8 +590,9 @@ class TestRingExactTransfer:
         # names the ring, d, L and the largest exact size
         for d, L, largest in [(1, 16380, 16378), (2, 252, 250), (1, 2**17 + 2, 16378),
                               (3, 70, 68), (3, 2**20, 68)]:
-            with pytest.raises(DomainError, match=f"^ring d={d} L={L}: .* L={largest}$"):
-                ring.ring_exact_transfer(d, L, 1.0, 0.1)
+            for entry in (ring.ring_exact_transfer, ring.ring_channel):
+                with pytest.raises(DomainError, match=f"^ring d={d} L={L}: .* L={largest}$"):
+                    entry(d, L, 1.0, 0.1)
         # below those sizes nothing else limits the exact path; d=2 L=180
         # was past the limit before the swap fold
         for d, L in [(1, 2002), (2, 46), (2, 180), (3, 24)]:
@@ -658,7 +653,7 @@ class TestChebyshevOracle:
         q2 = ring.ring_spectral_summary(ring.ring_spectrum(d, L, 1.0)).q2
         g = math.sqrt(0.02 * L**d / (4.0 * q2))
         out = ring.ring_exact_transfer(d, L, 1.0, g)
-        channel = ring_channel(d, L, 1.0, g)
+        channel = ring.ring_channel(d, L, 1.0, g)
         onsite, t = float(channel.onsite), float(channel.T)
         if lattice:
             amplitude = chebyshev_oracle.lattice_amplitude(d, L, 1.0, g, onsite, t)

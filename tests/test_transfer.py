@@ -89,8 +89,9 @@ class TestOneDiagonalisationPerChain:
 
 class TestGuardBeforeSpectrum:
     """The precision guard refuses a chain too deep for the dense exact
-    transfer before any chain spectrum is computed: chain_transfer and fig2a
-    run _check_guard right after they build the chain."""
+    transfer before any chain spectrum is computed: chain_channel, the one
+    entry of chain_transfer and fig2a, runs the regime check, builds the
+    chain and runs _check_guard, in that order, before its spectrum."""
 
     @pytest.fixture(autouse=True)
     def no_spectrum(self, monkeypatch):
@@ -121,6 +122,23 @@ class TestGuardBeforeSpectrum:
         depth = argv.split()[-1]
         assert capsys.readouterr().err == (
             f"error: depth l={depth} fails the precision guard for {err}\n")
+        assert not out.exists()
+
+    # the regime refusal (exit 2) comes before the chain is built, and the
+    # chain builder's refusal of an odd depth (exit 3) before the guard
+    @pytest.mark.parametrize("argv, code", [
+        ("transfer --protocol chain --d 2 --alpha 0.8 --l 8", 2),
+        ("sweep --experiment fig2a --d 2 --alpha-minus-d -1.2 --l 8", 2),
+        ("transfer --protocol chain --d 1 --alpha 0.8 --l 7", 3),
+        ("sweep --experiment fig2a --l 7", 3),
+    ], ids=["chain-regime", "fig2a-regime", "chain-depth", "fig2a-depth"])
+    def test_cli_refusals_before_the_guard(self, argv, code, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main([*argv.split(), "--out-dir", str(out)]) == code
+        err = ("alpha=0.8 < d/2: the chain protocol covers alpha >= d/2" if code == 2 else
+               f"l must be even with 2 <= l <= {chain.max_depth(1, 0.8)} for d=1, alpha=0.8 "
+               "(deeper chains leave the float range), got 7")
+        assert capsys.readouterr() == ("", f"error: {err}\n")
         assert not out.exists()
 
 
@@ -391,8 +409,7 @@ class TestExactTransferAgainstSiteOracle:
     @pytest.mark.parametrize("d, alpha, l, eps", [
         (1, 1.2, 24, 1e-2), (1, 0.5, 84, 1e-2), (1, 0.5, 84, 1e-3), (3, 1.5, 28, 1e-3)])
     def test_matches_the_evolved_site_vector(self, d, alpha, l, eps):
-        ch = chain.build_effective_chain(d, alpha, l)
-        model = transfer.attach_endpoints(ch, transfer.choose_g(chain.chain_spectrum(ch), eps))
+        model = transfer.chain_channel(d, alpha, l, eps)
         dec = np.linalg.eigh(loop_site_matrix(model))
         psi0 = np.zeros(len(dec.eigenvalues))
         psi0[0] = 1.0
@@ -428,8 +445,7 @@ class TestSiteSolvePaths:
         (1, 0.5, 84, 1e-2, 0.0135308), (1, 0.5, 84, 1e-3, 0.00175042),
         (3, 1.5, 28, 1e-3, 0.00586222), (1, 1.0, 300, 1e-2, None)])
     def test_chain_rows(self, d, alpha, l, eps, infidelity, monkeypatch):
-        ch = chain.build_effective_chain(d, alpha, l)
-        model = transfer.attach_endpoints(ch, transfer.choose_g(chain.chain_spectrum(ch), eps))
+        model = transfer.chain_channel(d, alpha, l, eps)
         out = self.both_paths(model, monkeypatch)
         if infidelity is not None:
             assert float(f"{out.infidelity_exact:.6g}") == infidelity
